@@ -163,18 +163,12 @@ def _out_dir(config: dict, args) -> Path:
     return path
 
 
-def _write_json(path: Path, obj) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
 def _write_resolved(out: Path, verb: str, config: dict, seed: int) -> None:
     resolved = dict(config)
     resolved["seed"] = seed
     resolved["tool_version"] = __version__
     resolved["command"] = verb
-    _write_json(out / "resolved_config.json", resolved)
+    lltn.write_json(out / "resolved_config.json", resolved)
 
 
 def _emit_heatmap(H_i: np.ndarray, input_shape: tuple, path: Path) -> None:
@@ -201,11 +195,8 @@ def cmd_train(config: dict, args) -> int:
     trained, trace = train(
         model, (images, labels), cfg, checkpoint_dir=out / "checkpoints", start_epoch=start_epoch
     )
-    with open(out / "loss.csv.tmp", "w") as fh:
-        fh.write("epoch,loss\n")
-        for i, loss in enumerate(trace):
-            fh.write(f"{start_epoch + i},{loss!r}\n")
-    os.replace(out / "loss.csv.tmp", out / "loss.csv")
+    rows = "".join(f"{start_epoch + i},{loss!r}\n" for i, loss in enumerate(trace))
+    lltn.atomic_write(out / "loss.csv", ("epoch,loss\n" + rows).encode())
     M.save_checkpoint(trained, out / "final", meta={"epoch": start_epoch + cfg.epochs - 1, "loss": trace[-1] if trace else None, "seed": seed})
     print(f"trained {cfg.epochs} epochs; final loss {trace[-1] if trace else float('nan')}")
     return EXIT_OK
@@ -311,7 +302,7 @@ def cmd_coherency(config: dict, args) -> int:
         rep = REP.coherency_check(model, layer, images[picks[0]], cfg, factor=float(section.get("factor", 4.0)))
     except M.RescaleError as err:
         raise ConfigError(str(err)) from err
-    _write_json(out / "coherency.json", rep.to_json())
+    lltn.write_json(out / "coherency.json", rep.to_json())
     records = [
         REP.LayerRecord(
             model=mid,
@@ -369,55 +360,53 @@ def cmd_damage(config: dict, args) -> int:
         if mid != "original"
     }
     # the direction is recorded, deliberately never asserted
-    _write_json(out / "damage_summary.json", {"delta_H_total_vs_original": deltas})
+    lltn.write_json(out / "damage_summary.json", {"delta_H_total_vs_original": deltas})
     for mid, d in deltas.items():
         mean_delta = float(np.mean(list(d.values())))
         print(f"{mid}: mean delta H_total vs original = {mean_delta:+.4f}")
     return EXIT_OK if all(r.conformant for r in rep.records) else EXIT_NON_CONFORMANT
 
 
-def cmd_sweep(config: dict, args) -> int:
+def _run_grid(config: dict, args, verb: str, checkpoints: list) -> int:
+    """Layerwise grid over saved checkpoints, written to {verb}.csv.
+    `checkpoints` lists (model id, checkpoint path) pairs; an id of None
+    names the model after the epoch in its checkpoint metadata."""
     seed = _resolve_seed(config, args)
     out = _out_dir(config, args)
-    section = config.get("sweep", {})
-    checkpoints = section.get("checkpoints", [])
-    if not checkpoints:
-        raise ConfigError("empty sweep: sweep.checkpoints lists no checkpoint directories")
     images, _ = _load_dataset(config.get("dataset", {}))
     picks = _inputs(config, images)
     cfg = _estimator_config(config, seed, args)
     models = []
-    for path in checkpoints:
+    for mid, path in checkpoints:
         graph, meta = M.load_checkpoint(path)
-        models.append((f"epoch_{meta.get('epoch', Path(path).name)}", graph))
+        if mid is None:
+            mid = f"epoch_{meta.get('epoch', Path(path).name)}"
+        models.append((mid, graph))
     layers = _layers(config, models[0][1])
-    _write_resolved(out, "sweep", config, seed)
+    _write_resolved(out, verb, config, seed)
     rep = REP.layerwise_report(models, layers, images[picks], cfg, input_set="inputs", jobs=args.jobs)
-    REP.export_csv(rep, out / "sweep.csv")
-    print(f"sweep over {len(models)} checkpoints x {len(layers)} layers done")
+    REP.export_csv(rep, out / f"{verb}.csv")
+    print(f"{verb}: {len(models)} models x {len(layers)} layers done")
     return EXIT_OK if all(r.conformant for r in rep.records) else EXIT_NON_CONFORMANT
+
+
+def cmd_sweep(config: dict, args) -> int:
+    paths = config.get("sweep", {}).get("checkpoints", [])
+    if not paths:
+        raise ConfigError("empty sweep: sweep.checkpoints lists no checkpoint directories")
+    return _run_grid(config, args, "sweep", [(None, path) for path in paths])
 
 
 def cmd_report(config: dict, args) -> int:
-    seed = _resolve_seed(config, args)
-    out = _out_dir(config, args)
-    section = config.get("report", {})
-    entries = section.get("models", [])
+    entries = config.get("report", {}).get("models", [])
     if not entries:
         raise ConfigError("report.models lists no models")
-    images, _ = _load_dataset(config.get("dataset", {}))
-    picks = _inputs(config, images)
-    cfg = _estimator_config(config, seed, args)
-    models = []
     for entry in entries:
-        graph, _ = M.load_checkpoint(entry["checkpoint"])
-        models.append((str(entry.get("id", entry["checkpoint"])), graph))
-    layers = _layers(config, models[0][1])
-    _write_resolved(out, "report", config, seed)
-    rep = REP.layerwise_report(models, layers, images[picks], cfg, input_set="inputs", jobs=args.jobs)
-    REP.export_csv(rep, out / "report.csv")
-    print(f"report: {len(rep.records)} records")
-    return EXIT_OK if all(r.conformant for r in rep.records) else EXIT_NON_CONFORMANT
+        if not isinstance(entry, dict) or "checkpoint" not in entry:
+            raise ConfigError(f"report.models entry {entry!r} needs a \"checkpoint\" path")
+    return _run_grid(
+        config, args, "report", [(str(e.get("id", e["checkpoint"])), e["checkpoint"]) for e in entries]
+    )
 
 
 _VERBS = {
@@ -457,6 +446,8 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return EXIT_IO
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         try:
             config = json.loads(raw)
         except json.JSONDecodeError as err:

@@ -2,10 +2,14 @@
 
 Layout: magic "LLTN", u32 version=1, u32 rank, u64 dims[rank], then the
 row-major float64 payload. All integers and floats little-endian.
+
+Also home to the atomic temp-file-and-rename writes every output file of the
+package goes through.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from pathlib import Path
@@ -50,13 +54,23 @@ def loads(data: bytes) -> np.ndarray:
     return arr.reshape(dims).astype(np.float64, copy=True)
 
 
-def write(path, arr: np.ndarray) -> None:
-    """Atomic write (temp file + rename) of one tensor."""
+def atomic_write(path, data: bytes) -> None:
+    """Write `data` to a sibling temp file, then rename it over `path`, so a
+    reader sees either the old file or the complete new one."""
     path = Path(path)
-    blob = dumps(arr)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
+    tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+def write_json(path, obj) -> None:
+    """Atomic write of `obj` as JSON: indent 2, sorted keys, trailing newline."""
+    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+
+
+def write(path, arr: np.ndarray) -> None:
+    """Atomic write of one tensor."""
+    atomic_write(path, dumps(arr))
 
 
 def read(path) -> np.ndarray:

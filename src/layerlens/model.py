@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -267,12 +266,6 @@ class ModelGraph:
             raise UnknownLayerError(name)
         return self._shapes[name]
 
-    def spec(self, name: str) -> LayerSpec:
-        for s in self.layers:
-            if s.name == name:
-                return s
-        raise UnknownLayerError(name)
-
     def clone(self) -> "ModelGraph":
         params = {ln: {pn: arr.copy() for pn, arr in d.items()} for ln, d in self.params.items()}
         return ModelGraph(self.input_shape, [LayerSpec(**asdict(s)) for s in self.layers], params)
@@ -509,11 +502,11 @@ def save_checkpoint(model: ModelGraph, path, meta: dict | None = None) -> None:
         "input_shape": list(model.input_shape),
         "layers": [s.to_json() for s in model.layers],
     }
-    _write_json_atomic(path / "graph.json", graph)
+    lltn.write_json(path / "graph.json", graph)
     for ln, d in model.params.items():
         for pn, arr in d.items():
             lltn.write(path / f"{ln}__{pn}.lltn", arr)
-    _write_json_atomic(path / "meta.json", dict(meta or {}))
+    lltn.write_json(path / "meta.json", dict(meta or {}))
 
 
 def load_checkpoint(path) -> tuple[ModelGraph, dict]:
@@ -537,12 +530,6 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
     meta_file = path / "meta.json"
     meta = json.loads(meta_file.read_text()) if meta_file.exists() else {}
     return ModelGraph(tuple(graph["input_shape"]), specs, params), meta
-
-
-def _write_json_atomic(path: Path, obj) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ inputs, and heatmap/CSV emission."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .model import ModelGraph, rescale_pair
+from .lltn import atomic_write, write_json
+from .model import ModelGraph, UnknownLayerError, rescale_pair
 from .ru import DecoderSpec, estimate_ru
 from .sid import DegenerateLayerError, SidConfig, estimate_sid
 from .tensor import Tensor
@@ -213,6 +214,8 @@ def layerwise_report(
     entropies for those cells. Per-cell failures (degenerate layers, missing
     layers) are recorded as NaN rows, never aborting the grid.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     models = list(models)
     inputs = np.asarray(inputs, dtype=np.float64)
     label = f"{input_set or 'inputs'}[{len(inputs)}]"
@@ -223,7 +226,7 @@ def layerwise_report(
         decoder = (decoders or {}).get((mid, layer))
         try:
             h, hhat, conc, eps, dfs, ok = _estimate_cell(m, layer, inputs, cfg, decoder, mask)
-        except (DegenerateLayerError, KeyError, T.NumericalError):
+        except (DegenerateLayerError, UnknownLayerError, T.NumericalError):
             h, hhat, conc, eps, dfs, ok = math.nan, None, None, math.nan, math.nan, False
         return LayerRecord(
             model=mid,
@@ -273,26 +276,24 @@ def _fmt(value) -> str:
 
 
 def export_csv(report: LayerwiseReport, path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in report.records:
-            writer.writerow(
-                [
-                    r.model,
-                    r.layer,
-                    r.input_set,
-                    _fmt(r.H_total),
-                    _fmt(r.H_hat_total),
-                    _fmt(r.concentration),
-                    _fmt(r.epsilon),
-                    _fmt(r.delta_f_sq),
-                    _fmt(r.conformant),
-                ]
-            )
-    os.replace(tmp, path)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    for r in report.records:
+        writer.writerow(
+            [
+                r.model,
+                r.layer,
+                r.input_set,
+                _fmt(r.H_total),
+                _fmt(r.H_hat_total),
+                _fmt(r.concentration),
+                _fmt(r.epsilon),
+                _fmt(r.delta_f_sq),
+                _fmt(r.conformant),
+            ]
+        )
+    atomic_write(path, buf.getvalue().encode())
 
 
 def parse_csv(path) -> LayerwiseReport:
@@ -329,11 +330,7 @@ def write_pgm(path, grid: np.ndarray) -> None:
     if grid.ndim != 2:
         raise ValueError(f"PGM needs a 2-D grid, got {grid.shape}")
     h, w = grid.shape
-    payload = f"P5\n{w} {h}\n255\n".encode("ascii") + grid.tobytes()
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    atomic_write(path, f"P5\n{w} {h}\n255\n".encode("ascii") + grid.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -371,10 +368,7 @@ def export_heatmap(H_i: np.ndarray, path) -> None:
     write_pgm(path, grid)
     sidecar = {"min": lo, "max": hi, "height": field.shape[0], "width": field.shape[1]}
     path = Path(path)
-    side = path.with_name(path.name + ".json")
-    tmp = side.with_name(side.name + ".tmp")
-    tmp.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, side)
+    write_json(path.with_name(path.name + ".json"), sidecar)
 
 
 def read_heatmap(path) -> np.ndarray:

@@ -17,31 +17,27 @@ implemented.)
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import lltn
 from . import tensor as T
 from .data import train_val_split
 from .model import ModelGraph, build, conv, dense, relu, reshape, residual_block
-from .rng import RngStream, gaussian
+from .rng import RngStream
 from .sid import (
     GAUSSIAN_ENTROPY_CONST,
-    LambdaSearch,
     SidConfig,
     SigmaField,
-    _AdamState,
+    _entropy_loss,
     _forward_chunked,
-    certify_epsilon,
-    default_sigma_cap,
-    feature_baseline,
-    find_dead_units,
+    _SavedResult,
+    fit_sigma,
 )
+
+# Not used here: perfbench/tracer.py wraps these names on this module.
+from .sid import certify_epsilon, feature_baseline, find_dead_units  # noqa: F401
 from .tensor import Tensor
 from .train import TrainConfig, train
 
@@ -59,7 +55,7 @@ class DecoderSpec:
 
 
 @dataclass
-class RuResult:
+class RuResult(_SavedResult):
     H_hat_i: np.ndarray
     H_hat_total: float
     epsilon_achieved: float
@@ -73,28 +69,7 @@ class RuResult:
     conformant: bool
     sigma: np.ndarray = field(repr=False, default=None)
 
-    def to_json(self) -> dict:
-        return {
-            "H_hat_total": self.H_hat_total,
-            "epsilon_achieved": self.epsilon_achieved,
-            "delta_f_sq": self.delta_f_sq,
-            "lambda_final": self.lambda_final,
-            "decoder_mse": self.decoder_mse,
-            "seed": self.seed,
-            "steps_used": self.steps_used,
-            "capped_units": list(map(int, self.capped_units)),
-            "clamped_units": list(map(int, self.clamped_units)),
-            "conformant": self.conformant,
-        }
-
-    def save(self, directory, stem: str) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-        tmp = directory / f"{stem}.json.tmp"
-        tmp.write_text(payload)
-        os.replace(tmp, directory / f"{stem}.json")
-        lltn.write(directory / f"{stem}_H_hat_i.lltn", self.H_hat_i)
+    _map = "H_hat_i"
 
 
 # ---------------------------------------------------------------------------
@@ -232,119 +207,49 @@ def ru_loss(
 
     One set of draws feeds both the feature-deviation term and the per-unit
     reconstruction variances (shared draws lower the gradient variance)."""
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
-    if delta_f_sq <= 0:
-        raise ValueError("delta_f_sq must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    with T.no_grad():
-        f0 = model.forward(Tensor(x), to_layer=layer).data
-    log_sigma = Tensor(sigma.log_sigma, requires_grad=True)
-    sig = T.exp(log_sigma)
-    noise = gaussian(rng, (samples,) + x.shape)
-    x_perturbed = T.add(Tensor(x), T.mul(sig, noise))
-    fp = model.forward(x_perturbed, to_layer=layer)
-    diff = T.sub(fp, Tensor(f0))
-    denom = delta_f_sq if normalize else 1.0
-    fit = T.mul(T.reduce_sum(T.mul(diff, diff)), Tensor(1.0 / (samples * denom)))
 
-    recon = decoder.forward(fp)
-    err = T.sub(recon, Tensor(x))
-    err_sq_mean = T.mul(T.reduce_sum(T.mul(err, err), axis=0), Tensor(1.0 / samples))
-    floored = T.clip_min(err_sq_mean, _VAR_FLOOR)
-    per_unit = T.add(T.log(floored), Tensor(GAUSSIAN_ENTROPY_CONST))
-    entropy_half = T.mul(T.reduce_sum(per_unit), Tensor(0.5))
-    loss = T.sub(fit, T.mul(entropy_half, Tensor(lam)))
-    grads = T.backward(loss)
-    return loss.item(), grads[log_sigma]
+    def entropy(x, log_sigma, fp):
+        recon = decoder.forward(fp)
+        err = T.sub(recon, Tensor(x))
+        err_sq_mean = T.mul(T.reduce_sum(T.mul(err, err), axis=0), Tensor(1.0 / samples))
+        floored = T.clip_min(err_sq_mean, _VAR_FLOOR)
+        per_unit = T.add(T.log(floored), Tensor(GAUSSIAN_ENTROPY_CONST))
+        return T.mul(T.reduce_sum(per_unit), Tensor(0.5))
+
+    return _entropy_loss(model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, entropy)
 
 
 def estimate_ru(
     model: ModelGraph, decoder: DecoderSpec, layer: str, x, cfg: SidConfig
 ) -> RuResult:
     """Learn sigma maximizing reconstruction entropy under the same
-    feature-variance budget as the strict estimator; report per-unit H_hat
-    from held-out draws."""
+    feature-variance budget as the strict estimator (fit_sigma); report
+    per-unit H_hat from held-out draws."""
     if decoder.layer != layer:
         raise ValueError(f"decoder was trained for layer {decoder.layer!r}, not {layer!r}")
     x = np.asarray(x, dtype=np.float64)
     dec = decoder.graph
-    root = RngStream(cfg.seed)
-    delta_f_sq = feature_baseline(
-        model, layer, x, cfg.tau, cfg.baseline_samples, root.spawn("est/baseline")
-    )
-    target = cfg.alpha * delta_f_sq
-    cap = cfg.sigma_cap if cfg.sigma_cap is not None else default_sigma_cap(x)
-    log_cap = math.log(cap)
-    sigma = SigmaField.constant(x.shape, cfg.tau)
-    dead = find_dead_units(model, layer, x, cap)
-    sigma.log_sigma.reshape(-1)[dead] = log_cap
-    lam = cfg.lambda_init
-    search = LambdaSearch()
-    step_rng = root.spawn("est/steps")
-    steps_used = 0
-    conformant = False
-    epsilon = math.nan
-    tail_from = cfg.max_steps // 2
-    rounds = cfg.max_rounds if cfg.normalize else 1
-    for _ in range(rounds):
-        adam = _AdamState(sigma.log_sigma.shape, cfg.sigma_lr, cfg.max_steps)
-        tail_sum = np.zeros_like(sigma.log_sigma)
-        tail_count = 0
-        for step in range(cfg.max_steps):
-            _, grad = ru_loss(
-                model,
-                dec,
-                layer,
-                x,
-                sigma,
-                lam,
-                delta_f_sq,
-                cfg.samples_per_step,
-                step_rng,
-                normalize=cfg.normalize,
-            )
-            sigma.log_sigma = np.minimum(adam.step(sigma.log_sigma, grad), log_cap)
-            steps_used += 1
-            if step >= tail_from:
-                tail_sum += sigma.log_sigma
-                tail_count += 1
-        if tail_count:
-            sigma.log_sigma = np.minimum(tail_sum / tail_count, log_cap)
-        epsilon = certify_epsilon(
-            model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout")
+
+    def loss(sigma, lam, delta_f_sq, rng):
+        return ru_loss(
+            model, dec, layer, x, sigma, lam, delta_f_sq, cfg.samples_per_step, rng, cfg.normalize
         )
-        if abs(epsilon - target) <= cfg.lambda_tolerance * target:
-            conformant = True
-            break
-        if cfg.normalize:
-            lam = search.update(lam, epsilon, target)
-    if cfg.normalize and epsilon > 0:
-        live = sigma.log_sigma < log_cap - 1e-12
-        sigma.log_sigma = np.where(
-            live,
-            np.minimum(sigma.log_sigma + 0.5 * math.log(target / epsilon), log_cap),
-            sigma.log_sigma,
-        )
-        epsilon = certify_epsilon(
-            model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout")
-        )
-        conformant = abs(epsilon - target) <= cfg.lambda_tolerance * target
+
+    fit = fit_sigma(model, layer, x, cfg, loss)
     H_hat_i, clamped = pixel_ru(
-        model, dec, layer, x, sigma, cfg.certify_samples, root.spawn("ru/pixel")
+        model, dec, layer, x, fit.sigma, cfg.certify_samples, RngStream(cfg.seed).spawn("ru/pixel")
     )
-    capped = np.flatnonzero(sigma.log_sigma >= log_cap - 1e-12)
     return RuResult(
         H_hat_i=H_hat_i,
         H_hat_total=float(H_hat_i.sum()),
-        epsilon_achieved=epsilon,
-        delta_f_sq=delta_f_sq,
-        lambda_final=lam,
+        epsilon_achieved=fit.epsilon,
+        delta_f_sq=fit.delta_f_sq,
+        lambda_final=fit.lam,
         decoder_mse=decoder.val_mse,
         seed=cfg.seed,
-        steps_used=steps_used,
-        capped_units=[int(i) for i in capped],
+        steps_used=fit.steps,
+        capped_units=fit.capped_units,
         clamped_units=[int(i) for i in clamped],
-        conformant=conformant,
-        sigma=sigma.sigma,
+        conformant=fit.conformant,
+        sigma=fit.sigma.sigma,
     )

@@ -12,11 +12,10 @@ H_i = log(sigma_i) + C with C = 0.5*log(2*pi*e).
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -86,8 +85,29 @@ class SidConfig:
             raise ValueError("lambda_init must be positive")
 
 
+class _SavedResult:
+    """Persistence shared by SidResult and RuResult: every field except the
+    arrays goes to {stem}.json, the per-unit entropy map to {stem}_{map}.lltn."""
+
+    _map = ""  # name of the per-unit entropy field
+
+    def to_json(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in ("sigma", self._map):
+                out[f.name] = list(map(int, value)) if isinstance(value, list) else value
+        return out
+
+    def save(self, directory, stem: str) -> None:
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        lltn.write_json(directory / f"{stem}.json", self.to_json())
+        lltn.write(directory / f"{stem}_{self._map}.lltn", getattr(self, self._map))
+
+
 @dataclass
-class SidResult:
+class SidResult(_SavedResult):
     H_i: np.ndarray  # per-unit entropies (nats), shaped like the input
     H_total: float
     epsilon_achieved: float
@@ -99,26 +119,7 @@ class SidResult:
     seed: int
     sigma: np.ndarray = field(repr=False, default=None)
 
-    def to_json(self) -> dict:
-        return {
-            "H_total": self.H_total,
-            "epsilon_achieved": self.epsilon_achieved,
-            "delta_f_sq": self.delta_f_sq,
-            "lambda_final": self.lambda_final,
-            "steps_used": self.steps_used,
-            "capped_units": list(map(int, self.capped_units)),
-            "conformant": self.conformant,
-            "seed": self.seed,
-        }
-
-    def save(self, directory, stem: str) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-        tmp = directory / f"{stem}.json.tmp"
-        tmp.write_text(payload)
-        os.replace(tmp, directory / f"{stem}.json")
-        lltn.write(directory / f"{stem}_H_i.lltn", self.H_i)
+    _map = "H_i"
 
 
 def pixel_entropy(sigma_i: float) -> float:
@@ -166,6 +167,41 @@ def feature_baseline(
     return value
 
 
+def _entropy_loss(
+    model: ModelGraph,
+    layer: str,
+    x: np.ndarray,
+    sigma: SigmaField,
+    lam: float,
+    delta_f_sq: float,
+    samples: int,
+    rng: RngStream,
+    normalize: bool,
+    entropy: Callable[[np.ndarray, Tensor, Tensor], Tensor],
+) -> tuple[float, np.ndarray]:
+    """fit - lam * entropy and its gradient w.r.t. log_sigma, from `samples`
+    fresh reparameterized draws. The fit term is the mean squared feature
+    deviation over delta_f_sq; `entropy(x, log_sigma, fp)` builds the entropy
+    being maximized from the perturbed feature fp."""
+    if lam < 0:
+        raise ValueError("lambda must be non-negative")
+    if delta_f_sq <= 0:
+        raise ValueError("delta_f_sq must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    with T.no_grad():
+        f0 = model.forward(Tensor(x), to_layer=layer).data
+    log_sigma = Tensor(sigma.log_sigma, requires_grad=True)
+    sig = T.exp(log_sigma)
+    noise = gaussian(rng, (samples,) + x.shape)
+    fp = model.forward(T.add(Tensor(x), T.mul(sig, noise)), to_layer=layer)
+    diff = T.sub(fp, Tensor(f0))
+    denom = delta_f_sq if normalize else 1.0
+    fit = T.mul(T.reduce_sum(T.mul(diff, diff)), Tensor(1.0 / (samples * denom)))
+    loss = T.sub(fit, T.mul(entropy(x, log_sigma, fp), Tensor(lam)))
+    grads = T.backward(loss)
+    return loss.item(), grads[log_sigma]
+
+
 def sid_loss(
     model: ModelGraph,
     layer: str,
@@ -179,25 +215,11 @@ def sid_loss(
 ) -> tuple[float, np.ndarray]:
     """One stochastic evaluation of the maximum-entropy loss and its gradient
     w.r.t. log_sigma, using `samples` fresh reparameterized draws from rng."""
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
-    if delta_f_sq <= 0:
-        raise ValueError("delta_f_sq must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    with T.no_grad():
-        f0 = model.forward(Tensor(x), to_layer=layer).data
-    log_sigma = Tensor(sigma.log_sigma, requires_grad=True)
-    sig = T.exp(log_sigma)
-    noise = gaussian(rng, (samples,) + x.shape)
-    x_perturbed = T.add(Tensor(x), T.mul(sig, noise))
-    fp = model.forward(x_perturbed, to_layer=layer)
-    diff = T.sub(fp, Tensor(f0))
-    denom = delta_f_sq if normalize else 1.0
-    fit = T.mul(T.reduce_sum(T.mul(diff, diff)), Tensor(1.0 / (samples * denom)))
-    entropy = T.reduce_sum(T.add(log_sigma, Tensor(GAUSSIAN_ENTROPY_CONST)))
-    loss = T.sub(fit, T.mul(entropy, Tensor(lam)))
-    grads = T.backward(loss)
-    return loss.item(), grads[log_sigma]
+
+    def entropy(x, log_sigma, fp):
+        return T.reduce_sum(T.add(log_sigma, Tensor(GAUSSIAN_ENTROPY_CONST)))
+
+    return _entropy_loss(model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, entropy)
 
 
 def certify_epsilon(
@@ -301,10 +323,36 @@ def find_dead_units(model: ModelGraph, layer: str, x: np.ndarray, scale: float) 
     return np.flatnonzero(diff.max(axis=1) <= tol)
 
 
-def estimate_sid(model: ModelGraph, layer: str, x, cfg: SidConfig) -> SidResult:
-    """Learn sigma by gradient descent at fixed lambda, adapting lambda between
-    rounds until the held-out feature deviation hits alpha * delta_f^2 within
-    tolerance. Dead units run away to the sigma cap and are reported."""
+@dataclass
+class SigmaFit:
+    """Outcome of fit_sigma: the learned scales and their certified budget."""
+
+    sigma: SigmaField
+    log_cap: float
+    epsilon: float  # held-out feature deviation at the final sigma
+    delta_f_sq: float
+    lam: float
+    steps: int
+    conformant: bool
+
+    @property
+    def capped_units(self) -> list[int]:
+        return [int(i) for i in np.flatnonzero(self.sigma.log_sigma >= self.log_cap - 1e-12)]
+
+
+def fit_sigma(
+    model: ModelGraph,
+    layer: str,
+    x: np.ndarray,
+    cfg: SidConfig,
+    loss: Callable[[SigmaField, float, float, RngStream], tuple[float, np.ndarray]],
+) -> SigmaFit:
+    """The sigma fit both estimators share. Learn sigma by gradient descent at
+    fixed lambda, adapting lambda between rounds until the held-out feature
+    deviation hits alpha * delta_f^2 within tolerance. Dead units run away to
+    the sigma cap. `loss(sigma, lam, delta_f_sq, rng)` returns one stochastic
+    (value, gradient w.r.t. log_sigma) of the objective; it is all that
+    differs between the estimators."""
     x = np.asarray(x, dtype=np.float64)
     root = RngStream(cfg.seed)
     delta_f_sq = feature_baseline(
@@ -329,17 +377,7 @@ def estimate_sid(model: ModelGraph, layer: str, x, cfg: SidConfig) -> SidResult:
         tail_sum = np.zeros_like(sigma.log_sigma)
         tail_count = 0
         for step in range(cfg.max_steps):
-            _, grad = sid_loss(
-                model,
-                layer,
-                x,
-                sigma,
-                lam,
-                delta_f_sq,
-                cfg.samples_per_step,
-                step_rng,
-                normalize=cfg.normalize,
-            )
+            _, grad = loss(sigma, lam, delta_f_sq, step_rng)
             sigma.log_sigma = np.minimum(adam.step(sigma.log_sigma, grad), log_cap)
             steps_used += 1
             if step >= tail_from:
@@ -370,17 +408,30 @@ def estimate_sid(model: ModelGraph, layer: str, x, cfg: SidConfig) -> SidResult:
             model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout")
         )
         conformant = abs(epsilon - target) <= cfg.lambda_tolerance * target
-    H_i = entropy_field(sigma)
-    capped = np.flatnonzero(sigma.log_sigma >= log_cap - 1e-12)
+    return SigmaFit(sigma, log_cap, epsilon, delta_f_sq, lam, steps_used, conformant)
+
+
+def estimate_sid(model: ModelGraph, layer: str, x, cfg: SidConfig) -> SidResult:
+    """Strict information discarding: fit_sigma maximizing the entropy of the
+    input perturbation itself."""
+    x = np.asarray(x, dtype=np.float64)
+
+    def loss(sigma, lam, delta_f_sq, rng):
+        return sid_loss(
+            model, layer, x, sigma, lam, delta_f_sq, cfg.samples_per_step, rng, cfg.normalize
+        )
+
+    fit = fit_sigma(model, layer, x, cfg, loss)
+    H_i = entropy_field(fit.sigma)
     return SidResult(
         H_i=H_i,
         H_total=float(H_i.sum()),
-        epsilon_achieved=epsilon,
-        delta_f_sq=delta_f_sq,
-        lambda_final=lam,
-        steps_used=steps_used,
-        capped_units=[int(i) for i in capped],
-        conformant=conformant,
+        epsilon_achieved=fit.epsilon,
+        delta_f_sq=fit.delta_f_sq,
+        lambda_final=fit.lam,
+        steps_used=fit.steps,
+        capped_units=fit.capped_units,
+        conformant=fit.conformant,
         seed=cfg.seed,
-        sigma=sigma.sigma,
+        sigma=fit.sigma.sigma,
     )

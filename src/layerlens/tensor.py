@@ -157,10 +157,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
-
-
 def ones_like(t: Tensor) -> Tensor:
     return Tensor(np.ones_like(t.data))
 

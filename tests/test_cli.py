@@ -353,7 +353,80 @@ class TestSweepVerb:
         assert "empty sweep" in capsys.readouterr().err
 
 
+class TestReportVerb:
+    def _checkpoints(self, root):
+        from layerlens import model as M
+
+        paths = []
+        for seed in (1, 2):
+            path = root / f"ckpt{seed}"
+            M.save_checkpoint(M.tiny_cnn(input_shape=(1, 8, 8), classes=4, seed=seed), path)
+            paths.append(str(path))
+        return paths
+
+    def test_report_over_checkpoints(self, workspace, capsys):
+        root = workspace["root"]
+        first, second = self._checkpoints(root)
+        cfg = write_config(
+            root,
+            "report.json",
+            {
+                "dataset": workspace["dataset"],
+                "estimator": dict(TINY_ESTIMATOR),
+                "report": {"models": [{"id": "a", "checkpoint": first}, {"checkpoint": second}]},
+                "layers": ["conv1", "conv2"],
+                "inputs": [0],
+                "outputs": str(root / "report_out"),
+                "seed": 1,
+            },
+        )
+        assert run("report", cfg) in (0, 2)
+        from layerlens.report import parse_csv
+
+        rep = parse_csv(root / "report_out" / "report.csv")
+        # a model without an id is named by its checkpoint path
+        assert [(r.model, r.layer) for r in rep.records] == [
+            ("a", "conv1"),
+            ("a", "conv2"),
+            (second, "conv1"),
+            (second, "conv2"),
+        ]
+        assert all(r.input_set == "inputs[1]" for r in rep.records)
+        assert "report: 2 models x 2 layers done" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("entry", [{"id": "a"}, "just-a-path"])
+    def test_entry_without_checkpoint_is_config_error(self, workspace, capsys, entry):
+        root = workspace["root"]
+        cfg = write_config(
+            root,
+            "report_bad.json",
+            {
+                "dataset": workspace["dataset"],
+                "report": {"models": [entry]},
+                "outputs": str(root / "x"),
+            },
+        )
+        assert run("report", cfg) == 3
+        assert "checkpoint" in capsys.readouterr().err
+
+
 class TestConfigHandling:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, workspace, capsys, jobs):
+        cfg = write_config(
+            workspace["root"],
+            "jobs.json",
+            {
+                "dataset": workspace["dataset"],
+                "model": {"architecture": "tiny-cnn", "input_shape": [1, 8, 8], "classes": 4},
+                "estimator": dict(TINY_ESTIMATOR),
+                "layers": ["conv2"],
+                "outputs": str(workspace["root"] / "o"),
+            },
+        )
+        assert run("sid", cfg, "--jobs", jobs) == 3
+        assert "--jobs" in capsys.readouterr().err
+
     def test_unknown_top_level_key_rejected(self, workspace, capsys):
         cfg = write_config(
             workspace["root"],

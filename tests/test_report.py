@@ -141,6 +141,29 @@ class TestLayerwiseReport:
         parallel = R.layerwise_report([("m", g)], ["conv1", "conv2"], xs, small_cfg(), jobs=4)
         assert serial == parallel
 
+    def test_missing_layer_recorded_as_nan_row(self):
+        g = M.tiny_cnn(input_shape=(1, 4, 4), classes=2, seed=1)
+        x = RngStream(2).normal((1, 4, 4))
+        (rec,) = R.layerwise_report([("m", g)], ["ghost"], [x], small_cfg()).records
+        assert math.isnan(rec.H_total) and not rec.conformant
+
+    def test_other_key_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("not a missing layer")
+
+        monkeypatch.setattr(R, "estimate_sid", broken)
+        g = M.tiny_cnn(input_shape=(1, 4, 4), classes=2, seed=1)
+        x = RngStream(2).normal((1, 4, 4))
+        with pytest.raises(KeyError, match="not a missing layer"):
+            R.layerwise_report([("m", g)], ["conv1"], [x], small_cfg())
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        g = M.tiny_cnn(input_shape=(1, 4, 4), classes=2, seed=1)
+        x = RngStream(2).normal((1, 4, 4))
+        with pytest.raises(ValueError, match="jobs"):
+            R.layerwise_report([("m", g)], ["conv1"], [x], small_cfg(), jobs=jobs)
+
 
 class TestHeatmap:
     def test_constant_map_renders_mid_gray(self, tmp_path):
