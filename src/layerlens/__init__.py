@@ -10,7 +10,7 @@ layerwise comparison grids) and a config-driven CLI sit on top.
 
 __version__ = "0.1.0"
 
-from .model import ModelGraph, build, forward_to, insert_block, rescale_pair  # noqa: F401
+from .model import ModelGraph, build, insert_block, rescale_pair  # noqa: F401
 from .report import Mask, coherency_check, concentration, layerwise_report  # noqa: F401
 from .ru import DecoderSpec, RuResult, estimate_ru, pixel_ru, train_decoder  # noqa: F401
 from .sid import SidConfig, SidResult, SigmaField, estimate_sid, pixel_entropy  # noqa: F401

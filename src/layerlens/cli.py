@@ -72,10 +72,13 @@ def _validate(config: dict, verb: str) -> None:
     if unknown:
         raise ConfigError(f"unknown config keys for {verb!r}: {sorted(unknown)}")
     for section, keys in _SECTION_KEYS.items():
-        if section in config and isinstance(config[section], dict):
-            bad = set(config[section]) - keys
-            if bad:
-                raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
+        if section not in config:
+            continue
+        if not isinstance(config[section], dict):
+            raise ConfigError(f"section {section!r} must be an object")
+        bad = set(config[section]) - keys
+        if bad:
+            raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
 
 
 def _resolve_seed(config: dict, args) -> int:

@@ -275,11 +275,8 @@ class ModelGraph:
 
     # -- forward ------------------------------------------------------------
 
-    def _wrap_params(self, requires_grad: bool) -> dict:
-        return {
-            ln: {pn: Tensor(arr, requires_grad=requires_grad) for pn, arr in d.items()}
-            for ln, d in self.params.items()
-        }
+    def _wrap_params(self) -> dict:
+        return {ln: {pn: Tensor.wrap(a) for pn, a in d.items()} for ln, d in self.params.items()}
 
     def forward(self, x, to_layer: str | None = None, param_tensors: dict | None = None) -> Tensor:
         """Evaluate the chain up to (and including) `to_layer`, or fully.
@@ -300,7 +297,7 @@ class ModelGraph:
             return xt
         if to_layer is not None and to_layer not in self._shapes:
             raise UnknownLayerError(to_layer)
-        pt = param_tensors if param_tensors is not None else self._wrap_params(False)
+        pt = param_tensors if param_tensors is not None else self._wrap_params()
         values: dict = {}
         cur = xt
         for spec in self.layers:
@@ -371,11 +368,6 @@ def build(specs: list[LayerSpec], input_shape, seed: int = 0) -> ModelGraph:
         shapes[spec.name] = out
         cur = out
     return ModelGraph(input_shape, specs, params)
-
-
-def forward_to(model: ModelGraph, x, layer_name: str) -> Tensor:
-    """Exact prefix evaluation of the graph up to a named layer."""
-    return model.forward(x, to_layer=layer_name)
 
 
 # ---------------------------------------------------------------------------

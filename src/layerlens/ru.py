@@ -33,6 +33,7 @@ from .sid import (
     _entropy_loss,
     _forward_chunked,
     _SavedResult,
+    clean_feature,
     fit_sigma,
 )
 
@@ -202,11 +203,13 @@ def ru_loss(
     samples: int,
     rng: RngStream,
     normalize: bool = True,
+    f0: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Stochastic reconstruction-entropy loss and gradient w.r.t. log_sigma.
 
     One set of draws feeds both the feature-deviation term and the per-unit
-    reconstruction variances (shared draws lower the gradient variance)."""
+    reconstruction variances (shared draws lower the gradient variance).
+    `f0`, the clean feature, is computed when not given."""
 
     def entropy(x, log_sigma, fp):
         recon = decoder.forward(fp)
@@ -216,7 +219,9 @@ def ru_loss(
         per_unit = T.add(T.log(floored), Tensor(GAUSSIAN_ENTROPY_CONST))
         return T.mul(T.reduce_sum(per_unit), Tensor(0.5))
 
-    return _entropy_loss(model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, entropy)
+    return _entropy_loss(
+        model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, entropy, f0
+    )
 
 
 def estimate_ru(
@@ -229,10 +234,12 @@ def estimate_ru(
         raise ValueError(f"decoder was trained for layer {decoder.layer!r}, not {layer!r}")
     x = np.asarray(x, dtype=np.float64)
     dec = decoder.graph
+    f0 = clean_feature(model, layer, x)  # once, not at every step
 
     def loss(sigma, lam, delta_f_sq, rng):
         return ru_loss(
-            model, dec, layer, x, sigma, lam, delta_f_sq, cfg.samples_per_step, rng, cfg.normalize
+            model, dec, layer, x, sigma, lam, delta_f_sq, cfg.samples_per_step, rng,
+            cfg.normalize, f0,
         )
 
     fit = fit_sigma(model, layer, x, cfg, loss)

@@ -133,6 +133,12 @@ def entropy_field(sigma: SigmaField) -> np.ndarray:
     return sigma.log_sigma + GAUSSIAN_ENTROPY_CONST
 
 
+def clean_feature(model: ModelGraph, layer: str, x: np.ndarray) -> np.ndarray:
+    """The layer's feature f0 at the unperturbed input (no graph recorded)."""
+    with T.no_grad():
+        return model.forward(Tensor(x), to_layer=layer).data
+
+
 def _forward_chunked(model: ModelGraph, xs: np.ndarray, layer: str) -> np.ndarray:
     outs = []
     with T.no_grad():
@@ -154,8 +160,7 @@ def feature_baseline(
         raise ValueError("tau must be positive")
     x = np.asarray(x, dtype=np.float64)
     rng = rng if rng is not None else RngStream(0)
-    with T.no_grad():
-        f0 = model.forward(Tensor(x), to_layer=layer).data
+    f0 = clean_feature(model, layer, x)
     noise = rng.normal((samples,) + x.shape)
     fp = _forward_chunked(model, x[None] + tau * noise, layer)
     diff = (fp - f0).reshape(samples, -1)
@@ -178,18 +183,20 @@ def _entropy_loss(
     rng: RngStream,
     normalize: bool,
     entropy: Callable[[np.ndarray, Tensor, Tensor], Tensor],
+    f0: np.ndarray | None,
 ) -> tuple[float, np.ndarray]:
     """fit - lam * entropy and its gradient w.r.t. log_sigma, from `samples`
-    fresh reparameterized draws. The fit term is the mean squared feature
-    deviation over delta_f_sq; `entropy(x, log_sigma, fp)` builds the entropy
-    being maximized from the perturbed feature fp."""
+    fresh reparameterized draws. The fit term is the mean squared deviation
+    from the clean feature f0 (computed here when None) over delta_f_sq;
+    `entropy(x, log_sigma, fp)` builds the entropy being maximized from the
+    perturbed feature fp."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     if delta_f_sq <= 0:
         raise ValueError("delta_f_sq must be positive")
     x = np.asarray(x, dtype=np.float64)
-    with T.no_grad():
-        f0 = model.forward(Tensor(x), to_layer=layer).data
+    if f0 is None:
+        f0 = clean_feature(model, layer, x)
     log_sigma = Tensor(sigma.log_sigma, requires_grad=True)
     sig = T.exp(log_sigma)
     noise = gaussian(rng, (samples,) + x.shape)
@@ -212,14 +219,18 @@ def sid_loss(
     samples: int,
     rng: RngStream,
     normalize: bool = True,
+    f0: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """One stochastic evaluation of the maximum-entropy loss and its gradient
-    w.r.t. log_sigma, using `samples` fresh reparameterized draws from rng."""
+    w.r.t. log_sigma, using `samples` fresh reparameterized draws from rng.
+    `f0`, the clean feature, is computed when not given."""
 
     def entropy(x, log_sigma, fp):
         return T.reduce_sum(T.add(log_sigma, Tensor(GAUSSIAN_ENTROPY_CONST)))
 
-    return _entropy_loss(model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, entropy)
+    return _entropy_loss(
+        model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, entropy, f0
+    )
 
 
 def certify_epsilon(
@@ -232,8 +243,7 @@ def certify_epsilon(
 ) -> float:
     """Low-variance epsilon estimate from held-out draws (no gradient)."""
     x = np.asarray(x, dtype=np.float64)
-    with T.no_grad():
-        f0 = model.forward(Tensor(x), to_layer=layer).data
+    f0 = clean_feature(model, layer, x)
     noise = rng.normal((samples,) + x.shape)
     fp = _forward_chunked(model, x[None] + sigma.sigma * noise, layer)
     diff = (fp - f0).reshape(samples, -1)
@@ -415,10 +425,11 @@ def estimate_sid(model: ModelGraph, layer: str, x, cfg: SidConfig) -> SidResult:
     """Strict information discarding: fit_sigma maximizing the entropy of the
     input perturbation itself."""
     x = np.asarray(x, dtype=np.float64)
+    f0 = clean_feature(model, layer, x)  # once, not at every step
 
     def loss(sigma, lam, delta_f_sq, rng):
         return sid_loss(
-            model, layer, x, sigma, lam, delta_f_sq, cfg.samples_per_step, rng, cfg.normalize
+            model, layer, x, sigma, lam, delta_f_sq, cfg.samples_per_step, rng, cfg.normalize, f0
         )
 
     fit = fit_sigma(model, layer, x, cfg, loss)

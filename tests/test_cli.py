@@ -441,6 +441,28 @@ class TestConfigHandling:
         assert run("sid", cfg) == 3
         assert "surprise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section,verb",
+        [
+            ("dataset", "sid"),
+            ("model", "sid"),
+            ("estimator", "sid"),
+            ("train", "train"),
+            ("decoder", "ru"),
+            ("mask", "concentration"),
+            ("coherency", "coherency"),
+            ("damage", "damage"),
+            ("sweep", "sweep"),
+            ("report", "report"),
+        ],
+    )
+    def test_section_not_an_object_is_config_error(self, workspace, capsys, section, verb):
+        config = {"dataset": workspace["dataset"], "outputs": str(workspace["root"] / "o")}
+        config[section] = []
+        cfg = write_config(workspace["root"], f"{section}.json", config)
+        assert run(verb, cfg) == 3
+        assert repr(section) in capsys.readouterr().err
+
     def test_unknown_section_key_rejected(self, workspace):
         cfg = write_config(
             workspace["root"],

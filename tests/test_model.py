@@ -64,7 +64,7 @@ class TestForwardTo:
     def test_input_passthrough(self, np_rng):
         g = M.tiny_cnn()
         x = np_rng.normal(size=(3, 8, 8))
-        out = M.forward_to(g, Tensor(x), M.INPUT_LAYER)
+        out = g.forward(Tensor(x), to_layer=M.INPUT_LAYER)
         np.testing.assert_array_equal(out.data, x)
 
     def test_identity_relu_net_preserves_nonnegative_input(self, np_rng):
@@ -78,15 +78,15 @@ class TestForwardTo:
         g = M.tiny_cnn()
         x = Tensor(np_rng.normal(size=(3, 8, 8)))
         full = g.forward(x)
-        last = M.forward_to(g, x, g.layer_names()[-1])
+        last = g.forward(x, to_layer=g.layer_names()[-1])
         np.testing.assert_array_equal(full.data, last.data)
         for name in g.layer_names():
-            prefix = M.forward_to(g, x, name)
+            prefix = g.forward(x, to_layer=name)
             assert prefix.shape == g.layer_shape(name)
 
     def test_unknown_layer(self):
         with pytest.raises(M.UnknownLayerError):
-            M.forward_to(M.tiny_cnn(), Tensor(np.zeros((3, 8, 8))), "nope")
+            M.tiny_cnn().forward(Tensor(np.zeros((3, 8, 8))), to_layer="nope")
 
     def test_batched_forward_matches_single(self, np_rng):
         g = M.tiny_resnet()
@@ -99,6 +99,18 @@ class TestForwardTo:
     def test_wrong_input_shape_rejected(self):
         with pytest.raises(T.ShapeError):
             M.tiny_cnn().forward(Tensor(np.zeros((1, 8, 8))))
+
+    # numpy warns on inf * 0 inside the conv GEMM before the op rejects the NaN
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "layer,param", [("conv1", "weight"), ("conv2", "bias"), ("logits", "weight")]
+    )
+    def test_non_finite_parameter_aborts_forward(self, layer, param, bad):
+        g = M.tiny_cnn()
+        g.params[layer][param].reshape(-1)[0] = bad
+        with pytest.raises(T.NumericalError):
+            g.forward(Tensor(np.ones((3, 8, 8))))
 
 
 class TestInsertBlock:
@@ -154,8 +166,8 @@ class TestRescalePair:
         x = Tensor(np_rng.normal(size=(3, 8, 8)))
         y0, y1 = g.forward(x), scaled.forward(x)
         assert np.abs(y0.data - y1.data).max() <= 1e-10
-        f0 = M.forward_to(g, x, "conv1")
-        f1 = M.forward_to(scaled, x, "conv1")
+        f0 = g.forward(x, to_layer="conv1")
+        f1 = scaled.forward(x, to_layer="conv1")
         np.testing.assert_allclose(f1.data, f0.data / 4.0, rtol=0, atol=0)
 
     def test_dense_successor_after_flatten(self, np_rng):

@@ -7,7 +7,7 @@ from layerlens import model as M
 from layerlens import ru as R
 from layerlens.rng import RngStream
 from layerlens.sid import GAUSSIAN_ENTROPY_CONST as C
-from layerlens.sid import SidConfig, SigmaField, estimate_sid
+from layerlens.sid import SidConfig, SigmaField, clean_feature, estimate_sid
 from layerlens.train import TrainConfig
 
 
@@ -48,7 +48,7 @@ class TestMakeDecoder:
         for layer in g.layer_names():
             feat_shape = g.layer_shape(layer)
             dec = R.make_decoder(feat_shape, g.input_shape, seed=1)
-            feat = M.forward_to(g, x, layer)
+            feat = g.forward(x, to_layer=layer)
             out = dec.forward(feat)
             assert out.shape == g.input_shape, layer
 
@@ -141,6 +141,19 @@ class TestPixelRu:
         h, _ = R.pixel_ru(g, dec, "sum", x, sigma, 1024, RngStream(7))
         expected = 0.5 * np.log(sig**4 / s_sq) + C
         assert np.abs(h - expected).max() <= 0.05
+
+
+class TestRuLoss:
+    def test_precomputed_clean_feature_is_bit_identical(self):
+        g = M.tiny_cnn(input_shape=(1, 8, 8), seed=3)
+        dec = R.make_decoder(g.layer_shape("conv2"), g.input_shape, seed=1)
+        x = RngStream(5).normal((1, 8, 8))
+        sigma = SigmaField.constant((1, 8, 8), 0.05)
+        args = (g, dec, "conv2", x, sigma, 0.7, 1e-3, 8)
+        inside = R.ru_loss(*args, RngStream(4))
+        given = R.ru_loss(*args, RngStream(4), True, clean_feature(g, "conv2", x))
+        assert inside[0] == given[0]
+        assert np.array_equal(inside[1], given[1])
 
 
 class TestEstimateRu:

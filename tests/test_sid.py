@@ -148,6 +148,16 @@ class TestSidLoss:
         fd = finite_diff(loss_at, sigma.log_sigma.ravel().copy())
         assert rel_err(grad.ravel(), fd) <= 1e-4
 
+    def test_precomputed_clean_feature_is_bit_identical(self):
+        g = M.tiny_cnn(input_shape=(1, 8, 8), seed=3)
+        x = RngStream(5).normal((1, 8, 8))
+        sigma = S.SigmaField.constant((1, 8, 8), 0.05)
+        args = (g, "conv2", x, sigma, 0.7, 1e-3, 8)
+        inside = S.sid_loss(*args, RngStream(4))
+        given = S.sid_loss(*args, RngStream(4), True, S.clean_feature(g, "conv2", x))
+        assert inside[0] == given[0]
+        assert np.array_equal(inside[1], given[1])
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             S.sid_loss(

@@ -136,6 +136,28 @@ class TestConv2d:
 
         assert rel_err(x.grad, finite_diff(loss_x, x0)) <= 1e-5
 
+    @pytest.mark.parametrize(
+        "c,k,h,kh,stride,pad", [(2, 2, 5, 1, 1, 1), (2, 1, 6, 2, 2, 2), (1, 3, 4, 1, 1, 2)]
+    )
+    def test_input_gradient_vs_fd_padding_beyond_kernel(
+        self, c, k, h, kh, stride, pad, np_rng
+    ):
+        # a pad of at least the kernel size is legal (1x1 with pad 1) and adds
+        # output rows that see only zeros
+        x0 = np_rng.normal(size=(c, h, h))
+        k0 = np_rng.normal(size=(k, c, kh, kh))
+        out_shape = T.conv2d(T.Tensor(x0), T.Tensor(k0), stride, pad).shape
+        w = np_rng.normal(size=out_shape)
+        x = T.Tensor(x0, requires_grad=True)
+        T.backward(T.reduce_sum(T.mul(T.conv2d(x, T.Tensor(k0), stride, pad), T.Tensor(w))))
+
+        def loss_x(xx):
+            return T.reduce_sum(
+                T.mul(T.conv2d(T.Tensor(xx), T.Tensor(k0), stride, pad), T.Tensor(w))
+            ).item()
+
+        assert rel_err(x.grad, finite_diff(loss_x, x0)) <= 1e-5
+
     def test_batched_matches_loop(self, np_rng):
         xs = np_rng.normal(size=(4, 2, 6, 6))
         k = np_rng.normal(size=(3, 2, 3, 3))
@@ -148,7 +170,14 @@ class TestConv2d:
 class TestTransposeConv2d:
     @pytest.mark.parametrize(
         "c,k,h,w,kh,stride,pad",
-        [(1, 1, 4, 4, 3, 1, 0), (2, 3, 5, 5, 3, 2, 1), (3, 2, 6, 4, 2, 2, 0), (1, 4, 7, 7, 4, 1, 2)],
+        [
+            (1, 1, 4, 4, 3, 1, 0),
+            (2, 3, 5, 5, 3, 2, 1),
+            (3, 2, 6, 4, 2, 2, 0),
+            (1, 4, 7, 7, 4, 1, 2),
+            (2, 3, 5, 5, 1, 1, 1),
+            (3, 2, 6, 6, 2, 2, 2),
+        ],
     )
     def test_adjoint_identity(self, c, k, h, w, kh, stride, pad, np_rng):
         # <conv(x), y> == <x, conv^T(y)> pins transpose_conv2d as the exact adjoint
@@ -171,16 +200,20 @@ class TestTransposeConv2d:
         kh=st.integers(1, 3),
         stride=st.integers(1, 2),
         seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
     )
-    def test_adjoint_identity_random_shapes(self, c, k, extra, kh, stride, seed):
+    def test_adjoint_identity_random_shapes(self, c, k, extra, kh, stride, seed, data):
         rng = np.random.default_rng(seed)
-        oh = 1 + extra  # choose output grid first so the shape always divides
-        h = kh + stride * (oh - 1)
+        pad = data.draw(st.integers(0, kh), label="pad")
+        # choose the output grid first so the shape always divides, with
+        # enough rows that the input is at least 1 pixel after the padding
+        oh = 1 + extra + -(-max(0, 2 * pad + 1 - kh) // stride)
+        h = kh + stride * (oh - 1) - 2 * pad
         kern = rng.normal(size=(k, c, kh, kh))
         x = rng.normal(size=(c, h, h))
-        fx = T.conv2d(T.Tensor(x), T.Tensor(kern), stride=stride)
+        fx = T.conv2d(T.Tensor(x), T.Tensor(kern), stride=stride, padding=pad)
         y = rng.normal(size=fx.shape)
-        back = T.transpose_conv2d(T.Tensor(y), T.Tensor(kern), stride=stride)
+        back = T.transpose_conv2d(T.Tensor(y), T.Tensor(kern), stride=stride, padding=pad)
         lhs = float((fx.data * y).sum())
         rhs = float((x * back.data).sum())
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
@@ -207,6 +240,51 @@ class TestTransposeConv2d:
 
         assert rel_err(y.grad, finite_diff(loss_y, y0)) <= 1e-4
         assert rel_err(kk.grad, finite_diff(loss_k, k0)) <= 1e-4
+
+
+def scatter_input_grad(g, kernels, x_shape, stride, pad):
+    """Reference adjoint of conv2d in its input: the kh*kw scatter-add of the
+    kernel columns, one tap at a time."""
+    K, C, kh, kw = kernels.shape
+    B, _, oh, ow = g.shape
+    _, _, H, W = x_shape
+    cols = np.matmul(kernels.reshape(K, C * kh * kw).T, g.reshape(B, K, oh * ow))
+    cols = cols.reshape(B, C, kh, kw, oh, ow)
+    acc = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            ys, xs = slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride)
+            acc[:, :, ys, xs] += cols[:, :, i, j]
+    return acc[:, :, pad : pad + H, pad : pad + W]
+
+
+class TestInputGradientAgainstScatter:
+    @pytest.mark.parametrize(
+        "b,c,k,h,kh,stride,pad",
+        [
+            (32, 1, 8, 8, 3, 1, 1),
+            (32, 8, 8, 8, 3, 1, 1),
+            (1, 8, 8, 8, 3, 1, 1),
+            (128, 8, 8, 8, 3, 1, 1),
+            (4, 8, 3, 8, 3, 1, 1),
+            (4, 3, 2, 5, 1, 1, 1),
+            (4, 3, 2, 6, 2, 2, 2),
+            (4, 8, 8, 8, 4, 2, 1),
+            (4, 1, 4, 8, 4, 2, 1),
+        ],
+    )
+    def test_conv_input_grad_and_transpose_conv(self, b, c, k, h, kh, stride, pad, np_rng):
+        x0 = np_rng.normal(size=(b, c, h, h))
+        kern = np_rng.normal(size=(k, c, kh, kh))
+        out_shape = T.conv2d(T.Tensor(x0), T.Tensor(kern), stride, pad).shape
+        g = np_rng.normal(size=out_shape)
+        want = scatter_input_grad(g, kern, x0.shape, stride, pad)
+
+        x = T.Tensor(x0, requires_grad=True)
+        T.backward(T.reduce_sum(T.mul(T.conv2d(x, T.Tensor(kern), stride, pad), T.Tensor(g))))
+        np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-12)
+        back = T.transpose_conv2d(T.Tensor(g), T.Tensor(kern), stride, pad)
+        np.testing.assert_allclose(back.data, want, rtol=0, atol=1e-12)
 
 
 class TestPointwiseAndReduce:
