@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -81,6 +82,10 @@ def _validate(config: dict, verb: str) -> None:
             raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _resolve_seed(config: dict, args) -> int:
     if args.seed is not None:
         return int(args.seed)
@@ -105,17 +110,28 @@ def _load_dataset(section: dict):
     raise ConfigError(f"unknown dataset.format {fmt!r} (expected cifar10 or lltn)")
 
 
-def _load_model(section: dict, seed: int) -> tuple[M.ModelGraph, dict]:
+def _check_input_shape(model: M.ModelGraph, images: np.ndarray) -> None:
+    if tuple(images.shape[1:]) != model.input_shape:
+        raise ConfigError(
+            f"model input_shape {list(model.input_shape)} does not match the dataset's "
+            f"images {list(images.shape[1:])}"
+        )
+
+
+def _load_model(section: dict, seed: int, images: np.ndarray) -> tuple[M.ModelGraph, dict]:
     if "checkpoint" in section:
-        return M.load_checkpoint(section["checkpoint"])
-    if "architecture" not in section:
+        model, meta = M.load_checkpoint(section["checkpoint"])
+    elif "architecture" not in section:
         raise ConfigError("model needs either a checkpoint or an architecture name")
-    input_shape = tuple(section.get("input_shape", (3, 8, 8)))
-    classes = int(section.get("classes", 4))
-    return (
-        M.build_architecture(section["architecture"], input_shape, classes, seed=section.get("seed", seed)),
-        {},
-    )
+    else:
+        input_shape = tuple(section.get("input_shape", (3, 8, 8)))
+        classes = int(section.get("classes", 4))
+        model = M.build_architecture(
+            section["architecture"], input_shape, classes, seed=section.get("seed", seed)
+        )
+        meta = {}
+    _check_input_shape(model, images)
+    return model, meta
 
 
 def _estimator_config(config: dict, seed: int, args) -> SidConfig:
@@ -149,12 +165,12 @@ def _layers(config: dict, model: M.ModelGraph) -> list[str]:
 
 def _inputs(config: dict, images: np.ndarray) -> list[int]:
     idx = config.get("inputs", [0])
-    if not isinstance(idx, list) or not idx:
-        raise ConfigError("inputs must be a non-empty list of dataset indices")
-    bad = [i for i in idx if not 0 <= int(i) < len(images)]
+    if not isinstance(idx, list) or not idx or not all(map(_is_int, idx)):
+        raise ConfigError(f"inputs must be a non-empty list of integer dataset indices, got {idx!r}")
+    bad = [i for i in idx if not 0 <= i < len(images)]
     if bad:
         raise ConfigError(f"input indices out of range: {bad}")
-    return [int(i) for i in idx]
+    return list(idx)
 
 
 def _out_dir(config: dict, args) -> Path:
@@ -191,7 +207,7 @@ def cmd_train(config: dict, args) -> int:
     seed = _resolve_seed(config, args)
     out = _out_dir(config, args)
     images, labels = _load_dataset(config.get("dataset", {}))
-    model, meta = _load_model(config.get("model", {}), seed)
+    model, meta = _load_model(config.get("model", {}), seed, images)
     start_epoch = int(meta.get("epoch", -1)) + 1 if meta else 0
     cfg = _train_config(config.get("train", {}), seed)
     _write_resolved(out, "train", config, seed)
@@ -209,7 +225,7 @@ def _run_estimates(config: dict, args, verb: str) -> int:
     seed = _resolve_seed(config, args)
     out = _out_dir(config, args)
     images, _ = _load_dataset(config.get("dataset", {}))
-    model, _ = _load_model(config.get("model", {}), seed)
+    model, _ = _load_model(config.get("model", {}), seed, images)
     layers = _layers(config, model)
     picks = _inputs(config, images)
     cfg = _estimator_config(config, seed, args)
@@ -260,18 +276,27 @@ def cmd_ru(config: dict, args) -> int:
 
 def _load_mask(section: dict, spatial_shape: tuple) -> REP.Mask:
     if "pgm" in section:
-        return REP.Mask.from_pgm(section["pgm"])
-    if "bbox" in section:
+        mask = REP.Mask.from_pgm(section["pgm"])
+    elif "bbox" in section:
         b = section["bbox"]
-        return REP.Mask.from_bbox(int(b["x"]), int(b["y"]), int(b["w"]), int(b["h"]), spatial_shape)
-    raise ConfigError("mask needs either a pgm path or a bbox object")
+        if not isinstance(b, dict) or not all(_is_int(b.get(k)) and b[k] >= 0 for k in "xywh"):
+            raise ConfigError(f"mask.bbox needs non-negative integers x, y, w and h, got {b!r}")
+        mask = REP.Mask.from_bbox(b["x"], b["y"], b["w"], b["h"], spatial_shape)
+    else:
+        raise ConfigError("mask needs either a pgm path or a bbox object")
+    if mask.inside.shape != tuple(spatial_shape):
+        raise ConfigError(f"mask shape {mask.inside.shape} does not match input {tuple(spatial_shape)}")
+    try:
+        return mask.validate()
+    except REP.MaskError as err:
+        raise ConfigError(f"mask: {err}") from err
 
 
 def cmd_concentration(config: dict, args) -> int:
     seed = _resolve_seed(config, args)
     out = _out_dir(config, args)
     images, _ = _load_dataset(config.get("dataset", {}))
-    model, _ = _load_model(config.get("model", {}), seed)
+    model, _ = _load_model(config.get("model", {}), seed, images)
     layers = _layers(config, model)
     picks = _inputs(config, images)
     cfg = _estimator_config(config, seed, args)
@@ -279,7 +304,7 @@ def cmd_concentration(config: dict, args) -> int:
     mask = _load_mask(config.get("mask", {}), spatial)
     _write_resolved(out, "concentration", config, seed)
     rep = REP.layerwise_report(
-        [("model", model)], layers, images[picks], cfg, mask=mask, input_set="inputs", jobs=args.jobs
+        [("model", model)], layers, images[picks], cfg, mask=mask, jobs=args.jobs
     )
     REP.export_csv(rep, out / "concentration.csv")
     for r in rep.records:
@@ -291,18 +316,21 @@ def cmd_coherency(config: dict, args) -> int:
     seed = _resolve_seed(config, args)
     out = _out_dir(config, args)
     images, _ = _load_dataset(config.get("dataset", {}))
-    model, _ = _load_model(config.get("model", {}), seed)
+    model, _ = _load_model(config.get("model", {}), seed, images)
     picks = _inputs(config, images)
     section = config.get("coherency", {})
     layer = section.get("layer")
     if not layer:
         raise ConfigError("coherency.layer is required")
+    factor = section.get("factor", 4.0)
+    if isinstance(factor, bool) or not isinstance(factor, (int, float)) or not 0 < factor < math.inf:
+        raise ConfigError(f"coherency.factor must be a positive finite number, got {factor!r}")
     cfg = _estimator_config(config, seed, args)
     if section.get("diagnostic"):
         cfg = dataclasses.replace(cfg, normalize=False)
     _write_resolved(out, "coherency", config, seed)
     try:
-        rep = REP.coherency_check(model, layer, images[picks[0]], cfg, factor=float(section.get("factor", 4.0)))
+        rep = REP.coherency_check(model, layer, images[picks[0]], cfg, factor=float(factor))
     except M.RescaleError as err:
         raise ConfigError(str(err)) from err
     lltn.write_json(out / "coherency.json", rep.to_json())
@@ -333,9 +361,13 @@ def cmd_damage(config: dict, args) -> int:
     out = _out_dir(config, args)
     images, labels = _load_dataset(config.get("dataset", {}))
     section = config.get("damage", {})
-    positions = [int(p) for p in section.get("positions", [1])]
-    n_filters = int(section.get("n_filters", 8))
-    base, _ = _load_model(config.get("model", {}), seed)
+    positions = section.get("positions", [1])
+    if not isinstance(positions, list) or not all(map(_is_int, positions)):
+        raise ConfigError(f"damage.positions must be a list of integers, got {positions!r}")
+    n_filters = section.get("n_filters", 8)
+    if not _is_int(n_filters) or n_filters < 1:
+        raise ConfigError(f"damage.n_filters must be a positive integer, got {n_filters!r}")
+    base, _ = _load_model(config.get("model", {}), seed, images)
     train_cfg = _train_config(config.get("train", {"epochs": 5, "learning_rate": 0.02}), seed)
     cfg = _estimator_config(config, seed, args)
     _write_resolved(out, "damage", config, seed)
@@ -353,7 +385,7 @@ def cmd_damage(config: dict, args) -> int:
         if not layers:
             raise ConfigError("model has no residual blocks; give layers explicitly")
     picks = _inputs(config, images)
-    rep = REP.layerwise_report(models, layers, images[picks], cfg, input_set="inputs", jobs=args.jobs)
+    rep = REP.layerwise_report(models, layers, images[picks], cfg, jobs=args.jobs)
     REP.export_csv(rep, out / "damage.csv")
 
     by_model = {mid: {r.layer: r.H_total for r in rep.records if r.model == mid} for mid, _ in models}
@@ -382,12 +414,13 @@ def _run_grid(config: dict, args, verb: str, checkpoints: list) -> int:
     models = []
     for mid, path in checkpoints:
         graph, meta = M.load_checkpoint(path)
+        _check_input_shape(graph, images)
         if mid is None:
             mid = f"epoch_{meta.get('epoch', Path(path).name)}"
         models.append((mid, graph))
     layers = _layers(config, models[0][1])
     _write_resolved(out, verb, config, seed)
-    rep = REP.layerwise_report(models, layers, images[picks], cfg, input_set="inputs", jobs=args.jobs)
+    rep = REP.layerwise_report(models, layers, images[picks], cfg, jobs=args.jobs)
     REP.export_csv(rep, out / f"{verb}.csv")
     print(f"{verb}: {len(models)} models x {len(layers)} layers done")
     return EXIT_OK if all(r.conformant for r in rep.records) else EXIT_NON_CONFORMANT

@@ -23,16 +23,6 @@ from .tensor import Tensor
 
 INPUT_LAYER = "input"  # reserved pseudo-layer name: the unmodified input
 
-_KINDS = {
-    "dense",
-    "conv",
-    "relu",
-    "transpose_conv",
-    "residual_block",
-    "flatten",
-    "add_skip",
-    "reshape",
-}
 _LINEAR_KINDS = {"dense", "conv", "transpose_conv"}  # rescalable, parameterized
 _HOMOGENEOUS_KINDS = {"relu", "flatten"}  # safe to sit between a rescaled pair
 
@@ -356,18 +346,10 @@ class ModelGraph:
 def build(specs: list[LayerSpec], input_shape, seed: int = 0) -> ModelGraph:
     """Assemble a graph, chain-checking shapes and He-uniform-initializing
     parameters (deterministic per layer name for a given seed)."""
-    input_shape = tuple(input_shape)
-    shapes: dict = {}
-    params: dict = {}
-    cur = input_shape
-    for spec in specs:
-        if spec.kind not in _KINDS:
-            raise BuildError(f"layer {spec.name!r}: unknown kind {spec.kind!r}")
-        out = _infer_shape(spec, cur, shapes)
-        params[spec.name] = _init_params(spec, cur, seed)
-        shapes[spec.name] = out
-        cur = out
-    return ModelGraph(input_shape, specs, params)
+    graph = ModelGraph(input_shape, specs, {})
+    in_shapes = [graph.input_shape] + [graph.layer_shape(s.name) for s in specs[:-1]]
+    graph.params = {s.name: _init_params(s, cur, seed) for s, cur in zip(specs, in_shapes)}
+    return graph
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +17,11 @@ import numpy as np
 from . import tensor as T
 from .lltn import atomic_write, write_json
 from .model import ModelGraph, UnknownLayerError, rescale_pair
-from .ru import DecoderSpec, estimate_ru
 from .sid import DegenerateLayerError, SidConfig, estimate_sid
 from .tensor import Tensor
+
+# Not used here: perfbench/tracer.py wraps this name on this module.
+from .ru import estimate_ru  # noqa: F401
 
 
 class MaskError(ValueError):
@@ -79,6 +81,11 @@ def concentration(H_i: np.ndarray, mask: Mask) -> float:
 # ---------------------------------------------------------------------------
 
 
+# coherency_check passes when both bounds hold
+COHERENCY_OUTPUT_TOL = 1e-10  # largest |output change| the rescaled network may show
+COHERENCY_H_TOL = 1e-6  # largest per-unit entropy shift |dH_i| (nats)
+
+
 @dataclass
 class CoherencyReport:
     layer: str
@@ -92,25 +99,14 @@ class CoherencyReport:
     result_rescaled: object = None
 
     def to_json(self) -> dict:
+        """Every field except the two SidResult references."""
         return {
-            "layer": self.layer,
-            "factor": self.factor,
-            "output_max_diff": self.output_max_diff,
-            "max_abs_delta_h": self.max_abs_delta_h,
-            "normalized": self.normalized,
-            "passed": self.passed,
-            "conformant": self.conformant,
+            f.name: getattr(self, f.name) for f in fields(self) if not f.name.startswith("result_")
         }
 
 
 def coherency_check(
-    model: ModelGraph,
-    layer: str,
-    x,
-    cfg: SidConfig,
-    factor: float = 4.0,
-    tolerance: float = 1e-6,
-    output_tolerance: float = 1e-10,
+    model: ModelGraph, layer: str, x, cfg: SidConfig, factor: float = 4.0
 ) -> CoherencyReport:
     """Rescale the (layer, successor) pair, re-estimate with identical seeds,
     and report the largest per-unit entropy shift. With the feature-variance
@@ -126,7 +122,7 @@ def coherency_check(
     r0 = estimate_sid(model, layer, x, cfg)
     r1 = estimate_sid(rescaled, layer, x, cfg)
     max_abs_delta_h = float(np.abs(r0.H_i - r1.H_i).max())
-    passed = output_max_diff <= output_tolerance and max_abs_delta_h <= tolerance
+    passed = output_max_diff <= COHERENCY_OUTPUT_TOL and max_abs_delta_h <= COHERENCY_H_TOL
     return CoherencyReport(
         layer=layer,
         factor=factor,
@@ -147,11 +143,13 @@ def coherency_check(
 
 @dataclass
 class LayerRecord:
+    """One grid cell; its fields, in order, are the CSV columns."""
+
     model: str
     layer: str
     input_set: str
     H_total: float
-    H_hat_total: float | None
+    H_hat_total: float | None  # kept in the file format; the grid never fills it
     concentration: float | None
     epsilon: float
     delta_f_sq: float
@@ -162,19 +160,15 @@ class LayerRecord:
 class LayerwiseReport:
     records: list[LayerRecord]
 
-    def to_json(self) -> dict:
-        return {"records": [vars(r) for r in self.records]}
-
 
 def _estimate_cell(
     model: ModelGraph,
     layer: str,
     inputs: np.ndarray,
     cfg: SidConfig,
-    decoder: DecoderSpec | None,
     mask: Mask | None,
 ):
-    h_totals, hhat_totals, concs, epsilons, dfs, conform = [], [], [], [], [], True
+    h_totals, concs, epsilons, dfs, conform = [], [], [], [], True
     for x in inputs:
         res = estimate_sid(model, layer, x, cfg)
         h_totals.append(res.H_total)
@@ -183,13 +177,8 @@ def _estimate_cell(
         conform = conform and res.conformant
         if mask is not None:
             concs.append(concentration(res.H_i, mask))
-        if decoder is not None:
-            rr = estimate_ru(model, decoder, layer, x, cfg)
-            hhat_totals.append(rr.H_hat_total)
-            conform = conform and rr.conformant
     return (
         float(np.mean(h_totals)),
-        float(np.mean(hhat_totals)) if hhat_totals else None,
         float(np.mean(concs)) if concs else None,
         float(np.mean(epsilons)),
         float(np.mean(dfs)),
@@ -202,38 +191,34 @@ def layerwise_report(
     layers: list[str],
     inputs: np.ndarray,
     cfg: SidConfig,
-    decoders: dict | None = None,
     mask: Mask | None = None,
-    input_set: str | None = None,
     jobs: int = 1,
 ) -> LayerwiseReport:
-    """Complete (model x layer) grid of mean metrics over an input set.
+    """Complete (model x layer) grid of mean SID metrics over an input set.
 
-    `models` is a list of (model_id, ModelGraph). `decoders`, when given, maps
-    (model_id, layer) to a trained DecoderSpec and turns on reconstruction
-    entropies for those cells. Per-cell failures (degenerate layers, missing
-    layers) are recorded as NaN rows, never aborting the grid.
+    `models` is a list of (model_id, ModelGraph). Per-cell failures
+    (degenerate layers, missing layers) are recorded as NaN rows, never
+    aborting the grid.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     models = list(models)
     inputs = np.asarray(inputs, dtype=np.float64)
-    label = f"{input_set or 'inputs'}[{len(inputs)}]"
+    label = f"inputs[{len(inputs)}]"
     cells = [(mid, m, layer) for mid, m in models for layer in layers]
 
     def run(cell):
         mid, m, layer = cell
-        decoder = (decoders or {}).get((mid, layer))
         try:
-            h, hhat, conc, eps, dfs, ok = _estimate_cell(m, layer, inputs, cfg, decoder, mask)
+            h, conc, eps, dfs, ok = _estimate_cell(m, layer, inputs, cfg, mask)
         except (DegenerateLayerError, UnknownLayerError, T.NumericalError):
-            h, hhat, conc, eps, dfs, ok = math.nan, None, None, math.nan, math.nan, False
+            h, conc, eps, dfs, ok = math.nan, None, math.nan, math.nan, False
         return LayerRecord(
             model=mid,
             layer=layer,
             input_set=label,
             H_total=h,
-            H_hat_total=hhat,
+            H_hat_total=None,
             concentration=conc,
             epsilon=eps,
             delta_f_sq=dfs,
@@ -252,17 +237,15 @@ def layerwise_report(
 # CSV emission
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = [
-    "model",
-    "layer",
-    "input_set",
-    "H_total",
-    "H_hat_total",
-    "concentration",
-    "epsilon",
-    "delta_f_sq",
-    "conformant",
-]
+CSV_HEADER = [f.name for f in fields(LayerRecord)]
+
+# cell text -> value, by the annotation of the column's LayerRecord field
+_PARSE = {
+    "str": str,
+    "float": float,
+    "float | None": lambda cell: float(cell) if cell else None,
+    "bool": lambda cell: cell == "true",
+}
 
 
 def _fmt(value) -> str:
@@ -280,23 +263,12 @@ def export_csv(report: LayerwiseReport, path) -> None:
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
     for r in report.records:
-        writer.writerow(
-            [
-                r.model,
-                r.layer,
-                r.input_set,
-                _fmt(r.H_total),
-                _fmt(r.H_hat_total),
-                _fmt(r.concentration),
-                _fmt(r.epsilon),
-                _fmt(r.delta_f_sq),
-                _fmt(r.conformant),
-            ]
-        )
+        writer.writerow([_fmt(getattr(r, name)) for name in CSV_HEADER])
     atomic_write(path, buf.getvalue().encode())
 
 
 def parse_csv(path) -> LayerwiseReport:
+    parsers = [_PARSE[f.type] for f in fields(LayerRecord)]
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -304,19 +276,9 @@ def parse_csv(path) -> LayerwiseReport:
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header}")
         for row in reader:
-            records.append(
-                LayerRecord(
-                    model=row[0],
-                    layer=row[1],
-                    input_set=row[2],
-                    H_total=float(row[3]),
-                    H_hat_total=float(row[4]) if row[4] else None,
-                    concentration=float(row[5]) if row[5] else None,
-                    epsilon=float(row[6]),
-                    delta_f_sq=float(row[7]),
-                    conformant=row[8] == "true",
-                )
-            )
+            if len(row) != len(parsers):
+                raise ValueError(f"CSV row has {len(row)} cells, expected {len(parsers)}: {row}")
+            records.append(LayerRecord(*(parse(cell) for parse, cell in zip(parsers, row))))
     return LayerwiseReport(records=records)
 
 

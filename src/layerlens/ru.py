@@ -18,7 +18,7 @@ implemented.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -141,15 +141,8 @@ def train_decoder(
         raise ValueError(f"feature shape mismatch: {feats.shape[1:]} vs {feature_shape}")
     flat_feats = feats.reshape(len(images), -1) if len(feature_shape) == 1 else feats
     train_idx, val_idx = train_val_split(len(images), 0.1, seed=cfg.seed)
-    ru_cfg = TrainConfig(
-        optimizer=cfg.optimizer,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        seed=cfg.seed,
-        loss="mse",
-    )
-    trained, _ = train(decoder, (flat_feats[train_idx], images[train_idx]), ru_cfg)
+    mse_cfg = replace(cfg, loss="mse")
+    trained, _ = train(decoder, (flat_feats[train_idx], images[train_idx]), mse_cfg)
     with T.no_grad():
         recon = trained.forward(Tensor(flat_feats[val_idx]))
     val_mse = float(np.mean((recon.data - images[val_idx]) ** 2))

@@ -147,6 +147,19 @@ def _forward_chunked(model: ModelGraph, xs: np.ndarray, layer: str) -> np.ndarra
     return np.concatenate(outs)
 
 
+def _mean_sq_deviation(
+    model: ModelGraph, layer: str, x, scale, samples: int, rng: RngStream
+) -> float:
+    """Monte Carlo mean squared deviation of the layer's feature from the clean
+    feature under input noise scale * N(0, I), from `samples` draws of rng."""
+    x = np.asarray(x, dtype=np.float64)
+    f0 = clean_feature(model, layer, x)
+    noise = rng.normal((samples,) + x.shape)
+    fp = _forward_chunked(model, x[None] + scale * noise, layer)
+    diff = (fp - f0).reshape(samples, -1)
+    return float((diff * diff).sum() / samples)
+
+
 def feature_baseline(
     model: ModelGraph,
     layer: str,
@@ -158,13 +171,8 @@ def feature_baseline(
     """delta_f^2: mean squared feature deviation under isotropic noise std tau."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    x = np.asarray(x, dtype=np.float64)
     rng = rng if rng is not None else RngStream(0)
-    f0 = clean_feature(model, layer, x)
-    noise = rng.normal((samples,) + x.shape)
-    fp = _forward_chunked(model, x[None] + tau * noise, layer)
-    diff = (fp - f0).reshape(samples, -1)
-    value = float((diff * diff).sum() / samples)
+    value = _mean_sq_deviation(model, layer, x, tau, samples, rng)
     if value <= 0.0:
         raise DegenerateLayerError(
             f"layer {layer!r} feature is constant under input noise; SID undefined"
@@ -242,12 +250,7 @@ def certify_epsilon(
     rng: RngStream,
 ) -> float:
     """Low-variance epsilon estimate from held-out draws (no gradient)."""
-    x = np.asarray(x, dtype=np.float64)
-    f0 = clean_feature(model, layer, x)
-    noise = rng.normal((samples,) + x.shape)
-    fp = _forward_chunked(model, x[None] + sigma.sigma * noise, layer)
-    diff = (fp - f0).reshape(samples, -1)
-    return float((diff * diff).sum() / samples)
+    return _mean_sq_deviation(model, layer, x, sigma.sigma, samples, rng)
 
 
 def lambda_adapt(lam: float, epsilon_achieved: float, target: float) -> float:

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from layerlens import data as D
@@ -13,6 +14,9 @@ TINY_ESTIMATOR = {
     "baseline_samples": 128,
     "max_rounds": 6,
 }
+
+CNN = {"architecture": "tiny-cnn", "input_shape": [1, 8, 8], "classes": 4}
+RESNET = {"architecture": "tiny-resnet", "input_shape": [1, 8, 8], "classes": 4}
 
 
 @pytest.fixture
@@ -269,6 +273,22 @@ class TestCoherencyVerb:
         assert run("coherency", self._config(workspace, True, "coh_diag")) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_json_keys(self, workspace):
+        root = workspace["root"]
+        config = json.loads(Path(self._config(workspace, False, "coh_keys")).read_text())
+        config["estimator"] = dict(TINY_ESTIMATOR, max_steps=4, max_rounds=1)
+        assert run("coherency", write_config(root, "coh_keys.json", config)) in (0, 2)
+        payload = json.loads((root / "coh_keys" / "coherency.json").read_text())
+        assert sorted(payload) == [
+            "conformant",
+            "factor",
+            "layer",
+            "max_abs_delta_h",
+            "normalized",
+            "output_max_diff",
+            "passed",
+        ]
+
 
 class TestDamageVerb:
     def test_damage_column_groups(self, workspace):
@@ -462,6 +482,47 @@ class TestConfigHandling:
         cfg = write_config(workspace["root"], f"{section}.json", config)
         assert run(verb, cfg) == 3
         assert repr(section) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb,patch,key",
+        [
+            ("sid", {"layers": ["conv1"], "inputs": ["a"]}, "inputs"),
+            ("sid", {"layers": ["conv1"], "inputs": [0.7]}, "inputs"),
+            ("coherency", {"coherency": {"layer": "conv1", "factor": "x"}}, "coherency.factor"),
+            ("coherency", {"coherency": {"layer": "conv1", "factor": -2}}, "coherency.factor"),
+            ("concentration", {"layers": ["conv1"], "mask": {"bbox": {"x": 1}}}, "mask.bbox"),
+            ("concentration", {"layers": ["conv1"], "mask": {"bbox": {"x": 0, "y": 0, "w": 0, "h": 4}}}, "mask"),
+            ("damage", {"model": RESNET, "damage": {"positions": ["x"]}}, "damage.positions"),
+            ("damage", {"model": RESNET, "damage": {"n_filters": 0}}, "damage.n_filters"),
+            ("sid", {"layers": ["conv1"], "model": dict(CNN, input_shape=[3, 8, 8])}, "input_shape"),
+        ],
+    )
+    def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):
+        config = {
+            "dataset": workspace["dataset"],
+            "model": CNN,
+            "estimator": dict(TINY_ESTIMATOR),
+            "outputs": str(workspace["root"] / "o"),
+            **patch,
+        }
+        assert run(verb, write_config(workspace["root"], "value.json", config)) == 3
+        assert key in capsys.readouterr().err
+
+    def test_mask_shape_mismatch_is_config_error(self, workspace, capsys):
+        from layerlens.report import write_pgm
+
+        root = workspace["root"]
+        write_pgm(root / "small.pgm", np.full((4, 4), 255, dtype=np.uint8))
+        config = {
+            "dataset": workspace["dataset"],
+            "model": CNN,
+            "estimator": dict(TINY_ESTIMATOR),
+            "layers": ["conv1"],
+            "mask": {"pgm": str(root / "small.pgm")},
+            "outputs": str(root / "o"),
+        }
+        assert run("concentration", write_config(root, "pgm_mask.json", config)) == 3
+        assert "mask shape" in capsys.readouterr().err
 
     def test_unknown_section_key_rejected(self, workspace):
         cfg = write_config(

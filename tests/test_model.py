@@ -59,6 +59,10 @@ class TestBuild:
         with pytest.raises(M.BuildError, match="non-integer"):
             M.build([M.conv("c", 2, 2, stride=2)], (1, 5, 5))
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(M.BuildError, match="unknown kind"):
+            M.build([M.relu("r"), M.LayerSpec(kind="pool", name="p")], (4,))
+
 
 class TestForwardTo:
     def test_input_passthrough(self, np_rng):

@@ -222,3 +222,29 @@ class TestCsv:
         (tmp_path / "bad.csv").write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             R.parse_csv(tmp_path / "bad.csv")
+
+    def test_short_row_rejected(self, tmp_path):
+        R.export_csv(self._report(), tmp_path / "r.csv")
+        text = (tmp_path / "r.csv").read_text()
+        (tmp_path / "short.csv").write_text(text + "m,conv3,inputs[2],-1.0\n")
+        with pytest.raises(ValueError, match="cells"):
+            R.parse_csv(tmp_path / "short.csv")
+
+    def test_failure_row_round_trips(self, tmp_path):
+        failed = R.LayerRecord(
+            model="m",
+            layer="ghost",
+            input_set="inputs[1]",
+            H_total=math.nan,
+            H_hat_total=None,
+            concentration=None,
+            epsilon=math.nan,
+            delta_f_sq=math.nan,
+            conformant=False,
+        )
+        R.export_csv(R.LayerwiseReport(records=[failed]), tmp_path / "f.csv")
+        (back,) = R.parse_csv(tmp_path / "f.csv").records
+        assert (back.model, back.layer, back.input_set) == ("m", "ghost", "inputs[1]")
+        assert math.isnan(back.H_total) and math.isnan(back.epsilon) and math.isnan(back.delta_f_sq)
+        assert back.H_hat_total is None and back.concentration is None
+        assert back.conformant is False
