@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -86,14 +87,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int_field(value, key: str) -> int:
+    if not _is_int(value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _resolve_seed(config: dict, args) -> int:
     if args.seed is not None:
         return int(args.seed)
     if "seed" in config:
-        return int(config["seed"])
+        return _int_field(config["seed"], "seed")
     env = os.environ.get("LAYERLENS_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ConfigError(f"LAYERLENS_SEED must be an integer, got {env!r}") from None
     return 0
 
 
@@ -124,11 +134,12 @@ def _load_model(section: dict, seed: int, images: np.ndarray) -> tuple[M.ModelGr
     elif "architecture" not in section:
         raise ConfigError("model needs either a checkpoint or an architecture name")
     else:
-        input_shape = tuple(section.get("input_shape", (3, 8, 8)))
-        classes = int(section.get("classes", 4))
-        model = M.build_architecture(
-            section["architecture"], input_shape, classes, seed=section.get("seed", seed)
-        )
+        input_shape = section.get("input_shape", [3, 8, 8])
+        if not isinstance(input_shape, list) or not all(_is_int(n) and n > 0 for n in input_shape):
+            raise ConfigError(f"model.input_shape must be a list of positive integers, got {input_shape!r}")
+        classes = _int_field(section.get("classes", 4), "model.classes")
+        model_seed = _int_field(section.get("seed", seed), "model.seed")
+        model = M.build_architecture(section["architecture"], tuple(input_shape), classes, seed=model_seed)
         meta = {}
     _check_input_shape(model, images)
     return model, meta
@@ -221,6 +232,22 @@ def cmd_train(config: dict, args) -> int:
     return EXIT_OK
 
 
+def _estimate_and_save(cell, model: M.ModelGraph, cfg: SidConfig, out: Path, verb: str):
+    """One (layer, input) estimate of `verb`, written as {verb}_{layer}_{i}.*;
+    `cell` carries the input image and, for ru, the layer's decoder."""
+    layer, i, image, decoder = cell
+    stem = f"{verb}_{layer}_{i}"
+    if verb == "ru":
+        res = estimate_ru(model, decoder, layer, image, cfg)
+        field = res.H_hat_i
+    else:
+        res = estimate_sid(model, layer, image, cfg)
+        field = res.H_i
+    res.save(out, stem)
+    _emit_heatmap(field, model.input_shape, out / f"{stem}.pgm")
+    return stem, float(field.sum()), res.conformant
+
+
 def _run_estimates(config: dict, args, verb: str) -> int:
     seed = _resolve_seed(config, args)
     out = _out_dir(config, args)
@@ -239,28 +266,9 @@ def _run_estimates(config: dict, args, verb: str) -> int:
             M.save_checkpoint(dec.graph, out / f"decoder_{layer}", meta={"layer": layer, "val_mse": dec.val_mse, "seed": seed})
             decoders[layer] = dec
 
-    cells = [(layer, i) for layer in layers for i in picks]
-
-    def run_cell(cell):
-        layer, i = cell
-        stem = f"{verb}_{layer}_{i}"
-        if verb == "ru":
-            res = estimate_ru(model, decoders[layer], layer, images[i], cfg)
-            field = res.H_hat_i
-        else:
-            res = estimate_sid(model, layer, images[i], cfg)
-            field = res.H_i
-        res.save(out, stem)
-        _emit_heatmap(field, model.input_shape, out / f"{stem}.pgm")
-        return stem, float(field.sum()), res.conformant
-
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
+    cells = [(layer, i, images[i], decoders.get(layer)) for layer in layers for i in picks]
+    run = partial(_estimate_and_save, model=model, cfg=cfg, out=out, verb=verb)
+    results = REP.parallel_map(run, cells, args.jobs)
     for stem, total, conformant in results:
         print(f"{stem}: total={total:.4f} conformant={conformant}")
     return EXIT_OK if all(ok for _, _, ok in results) else EXIT_NON_CONFORMANT

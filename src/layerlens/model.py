@@ -177,45 +177,39 @@ def _he_uniform(rng: RngStream, shape: tuple, fan_in: int) -> np.ndarray:
     return (rng.uniform(shape) * 2.0 - 1.0) * limit
 
 
+def _param_layout(spec: LayerSpec, in_shape: tuple) -> list[tuple[str, tuple, int]]:
+    """(name, shape, He fan-in) of each parameter of a layer, in drawing order;
+    a fan-in of 0 marks a zero-initialized bias."""
+    k, ch = spec.kernel, spec.channels
+    c = in_shape[0]
+    if spec.kind == "dense":
+        return [("weight", (c, spec.units), c), ("bias", (spec.units,), 0)]
+    if spec.kind == "conv":
+        return [("weight", (ch, c, k, k), c * k * k), ("bias", (ch,), 0)]
+    if spec.kind == "transpose_conv":  # adjoint layout: kernels (C_in, C_out, kh, kw)
+        return [("weight", (c, ch, k, k), c * k * k), ("bias", (ch,), 0)]
+    if spec.kind != "residual_block":
+        return []
+    if spec.upsample:
+        layout = [
+            ("up_weight", (c, ch, 4, 4), c * 16),
+            ("up_bias", (ch,), 0),
+            ("skip_weight", (c, ch, 2, 2), c * 4),
+            ("skip_bias", (ch,), 0),
+        ]
+    else:
+        layout = [("conv1_weight", (ch, c, 3, 3), c * 9), ("conv1_bias", (ch,), 0)]
+        if ch != c:
+            layout += [("skip_weight", (ch, c, 1, 1), c), ("skip_bias", (ch,), 0)]
+    return layout + [("conv2_weight", (ch, ch, 3, 3), ch * 9), ("conv2_bias", (ch,), 0)]
+
+
 def _init_params(spec: LayerSpec, in_shape: tuple, seed: int) -> dict:
     rng = RngStream(derive_seed(seed, f"init/{spec.name}"))
-    k = spec.kernel
-    if spec.kind == "dense":
-        fan_in = in_shape[0]
-        return {
-            "weight": _he_uniform(rng, (fan_in, spec.units), fan_in),
-            "bias": np.zeros(spec.units),
-        }
-    if spec.kind == "conv":
-        c = in_shape[0]
-        return {
-            "weight": _he_uniform(rng, (spec.channels, c, k, k), c * k * k),
-            "bias": np.zeros(spec.channels),
-        }
-    if spec.kind == "transpose_conv":
-        c = in_shape[0]  # adjoint layout: kernels (C_in, C_out, kh, kw)
-        return {
-            "weight": _he_uniform(rng, (c, spec.channels, k, k), c * k * k),
-            "bias": np.zeros(spec.channels),
-        }
-    if spec.kind == "residual_block":
-        c, ch = in_shape[0], spec.channels
-        p: dict = {}
-        if spec.upsample:
-            p["up_weight"] = _he_uniform(rng, (c, ch, 4, 4), c * 16)
-            p["up_bias"] = np.zeros(ch)
-            p["skip_weight"] = _he_uniform(rng, (c, ch, 2, 2), c * 4)
-            p["skip_bias"] = np.zeros(ch)
-        else:
-            p["conv1_weight"] = _he_uniform(rng, (ch, c, 3, 3), c * 9)
-            p["conv1_bias"] = np.zeros(ch)
-            if ch != c:
-                p["skip_weight"] = _he_uniform(rng, (ch, c, 1, 1), c)
-                p["skip_bias"] = np.zeros(ch)
-        p["conv2_weight"] = _he_uniform(rng, (ch, ch, 3, 3), ch * 9)
-        p["conv2_bias"] = np.zeros(ch)
-        return p
-    return {}
+    return {
+        name: _he_uniform(rng, shape, fan_in) if fan_in else np.zeros(shape)
+        for name, shape, fan_in in _param_layout(spec, in_shape)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +242,11 @@ class ModelGraph:
 
     def layer_names(self) -> list[str]:
         return [s.name for s in self.layers]
+
+    def layer_inputs(self) -> list[tuple[LayerSpec, tuple]]:
+        """(spec, input shape) of every layer, in order."""
+        in_shapes = [self.input_shape] + [self._shapes[s.name] for s in self.layers[:-1]]
+        return list(zip(self.layers, in_shapes))
 
     def layer_shape(self, name: str) -> tuple:
         if name == INPUT_LAYER:
@@ -347,8 +346,7 @@ def build(specs: list[LayerSpec], input_shape, seed: int = 0) -> ModelGraph:
     """Assemble a graph, chain-checking shapes and He-uniform-initializing
     parameters (deterministic per layer name for a given seed)."""
     graph = ModelGraph(input_shape, specs, {})
-    in_shapes = [graph.input_shape] + [graph.layer_shape(s.name) for s in specs[:-1]]
-    graph.params = {s.name: _init_params(s, cur, seed) for s, cur in zip(specs, in_shapes)}
+    graph.params = {s.name: _init_params(s, cur, seed) for s, cur in graph.layer_inputs()}
     return graph
 
 
@@ -490,20 +488,19 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
         raise FileNotFoundError(f"no checkpoint at {path} (missing graph.json)")
     graph = json.loads(graph_file.read_text())
     specs = [LayerSpec.from_json(d) for d in graph["layers"]]
-    skeleton = build(specs, tuple(graph["input_shape"]), seed=0)
-    params: dict = {}
-    for ln, d in skeleton.params.items():
-        params[ln] = {}
-        for pn, ref in d.items():
-            arr = lltn.read(path / f"{ln}__{pn}.lltn")
-            if arr.shape != ref.shape:
+    model = ModelGraph(tuple(graph["input_shape"]), specs, {})
+    for spec, in_shape in model.layer_inputs():
+        model.params[spec.name] = {}
+        for pn, shape, _ in _param_layout(spec, in_shape):
+            arr = lltn.read(path / f"{spec.name}__{pn}.lltn")
+            if arr.shape != shape:
                 raise lltn.LltnError(
-                    f"checkpoint parameter {ln}.{pn} has shape {arr.shape}, expected {ref.shape}"
+                    f"checkpoint parameter {spec.name}.{pn} has shape {arr.shape}, expected {shape}"
                 )
-            params[ln][pn] = arr
+            model.params[spec.name][pn] = arr
     meta_file = path / "meta.json"
     meta = json.loads(meta_file.read_text()) if meta_file.exists() else {}
-    return ModelGraph(tuple(graph["input_shape"]), specs, params), meta
+    return model, meta
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,47 @@ def _estimate_cell(
     )
 
 
+def parallel_map(fn, items, jobs: int = 1) -> list:
+    """[fn(item) for item in items], in input order, spread over up to
+    min(jobs, len(items), os.cpu_count()) worker processes. `fn` and each
+    item are pickled to the workers, so `fn` must be a module-level function;
+    with one worker everything runs in this process."""
+    items = list(items)
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(item) for item in items]
+    from concurrent import futures  # here, so that a serial run does not pay for the import
+
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _run_cell(cell, inputs: np.ndarray, cfg: SidConfig, mask: Mask | None, label: str) -> LayerRecord:
+    """One grid row; a cell that cannot be estimated becomes a NaN row. Calls
+    _estimate_cell through the module, where a tracer may have wrapped it."""
+    mid, m, layer = cell
+    try:
+        h, conc, eps, dfs, ok = _estimate_cell(m, layer, inputs, cfg, mask)
+    except (DegenerateLayerError, UnknownLayerError, T.NumericalError):
+        h, conc, eps, dfs, ok = math.nan, None, math.nan, math.nan, False
+    return LayerRecord(
+        model=mid,
+        layer=layer,
+        input_set=label,
+        H_total=h,
+        H_hat_total=None,
+        concentration=conc,
+        epsilon=eps,
+        delta_f_sq=dfs,
+        conformant=ok,
+    )
+
+
+def _depth(model: ModelGraph, layer: str) -> int:
+    names = model.layer_names()
+    return names.index(layer) if layer in names else -1
+
+
 def layerwise_report(
     models,
     layers: list[str],
@@ -198,38 +240,18 @@ def layerwise_report(
 
     `models` is a list of (model_id, ModelGraph). Per-cell failures
     (degenerate layers, missing layers) are recorded as NaN rows, never
-    aborting the grid.
+    aborting the grid. With jobs > 1 the cells run in worker processes.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    models = list(models)
     inputs = np.asarray(inputs, dtype=np.float64)
-    label = f"inputs[{len(inputs)}]"
     cells = [(mid, m, layer) for mid, m in models for layer in layers]
-
-    def run(cell):
-        mid, m, layer = cell
-        try:
-            h, conc, eps, dfs, ok = _estimate_cell(m, layer, inputs, cfg, mask)
-        except (DegenerateLayerError, UnknownLayerError, T.NumericalError):
-            h, conc, eps, dfs, ok = math.nan, None, math.nan, math.nan, False
-        return LayerRecord(
-            model=mid,
-            layer=layer,
-            input_set=label,
-            H_total=h,
-            H_hat_total=None,
-            concentration=conc,
-            epsilon=eps,
-            delta_f_sq=dfs,
-            conformant=ok,
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run, cells))
-    else:
-        records = [run(c) for c in cells]
+    # a cell's cost grows with the depth of its prefix: start the deepest first
+    order = sorted(range(len(cells)), key=lambda i: _depth(*cells[i][1:]), reverse=True)
+    run = partial(_run_cell, inputs=inputs, cfg=cfg, mask=mask, label=f"inputs[{len(inputs)}]")
+    records = [None] * len(cells)
+    for i, record in zip(order, parallel_map(run, [cells[i] for i in order], jobs)):
+        records[i] = record
     return LayerwiseReport(records=records)
 
 

@@ -54,6 +54,19 @@ class SigmaField:
         return SigmaField(self.log_sigma.copy())
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# field annotation -> accepts the value
+_TYPE_CHECKS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _is_real,
+    "float | None": lambda v: v is None or _is_real(v),
+    "bool": lambda v: isinstance(v, bool),
+}
+
+
 @dataclass
 class SidConfig:
     alpha: float = 1.5
@@ -75,6 +88,10 @@ class SidConfig:
     normalize: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _TYPE_CHECKS[f.type](value):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
         if self.alpha <= 0 or self.tau <= 0:
             raise ValueError("alpha and tau must be positive")
         if self.samples_per_step < 1:

@@ -380,16 +380,19 @@ def transpose_conv2d(y, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     yf = yd.reshape(B, K, Hy * Wy)
     out = _conv_input_grad(yd, kernels.data, (H, W), stride, padding)
 
+    last = [None, None]  # (gradient, its columns): both closures get the same g
+
+    def gradient_columns(g):
+        if last[0] is not g:
+            last[:] = [g, _im2col(g[None] if squeeze else g, kh, kw, stride, padding)[0]]
+        return last[1]
+
     def grad_y(g):
-        g4 = g[None] if squeeze else g
-        gcols, _, _ = _im2col(g4, kh, kw, stride, padding)
-        gy = np.matmul(Wm, gcols).reshape(B, K, Hy, Wy)
+        gy = np.matmul(Wm, gradient_columns(g)).reshape(B, K, Hy, Wy)
         return gy[0] if squeeze else gy
 
     def grad_k(g):
-        g4 = g[None] if squeeze else g
-        gcols, _, _ = _im2col(g4, kh, kw, stride, padding)
-        gW = np.matmul(yf, gcols.transpose(0, 2, 1)).sum(axis=0)
+        gW = np.matmul(yf, gradient_columns(g).transpose(0, 2, 1)).sum(axis=0)
         return gW.reshape(K, C, kh, kw)
 
     if squeeze:

@@ -27,3 +27,30 @@ def rel_err(got: np.ndarray, want: np.ndarray) -> float:
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def pool_recorder(monkeypatch):
+    """Replaces the process pool with an in-process stand-in; returns the list
+    of (max_workers, submitted items) of every pool created."""
+    import concurrent.futures
+
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            self.items = []
+            pools.append((max_workers, self.items))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            self.items.extend(items)
+            return map(fn, self.items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return pools

@@ -41,6 +41,26 @@ def run(verb: str, config_path: str, *extra: str) -> int:
     return main([verb, "--config", config_path, *extra])
 
 
+def assert_same_outputs(left: Path, right: Path) -> None:
+    """Every file under `left` exists under `right` with the same bytes, and
+    no other; resolved_config.json echoes the outputs path, so it differs."""
+    names = sorted(p.relative_to(left) for p in left.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(right) for p in right.rglob("*") if p.is_file())
+    for name in names:
+        if name.name != "resolved_config.json":
+            assert (left / name).read_bytes() == (right / name).read_bytes(), name
+
+
+def run_serial_and_parallel(root: Path, verb: str, config: dict) -> tuple[int, int]:
+    """Run `verb` at --jobs 1 and --jobs 2 into root/serial and root/parallel."""
+    codes = []
+    for name, jobs in (("serial", "1"), ("parallel", "2")):
+        cfg = write_config(root, f"{name}.json", dict(config, outputs=str(root / name)))
+        codes.append(run(verb, cfg, "--jobs", jobs))
+    assert_same_outputs(root / "serial", root / "parallel")
+    return tuple(codes)
+
+
 class TestTrainVerb:
     def test_emits_checkpoints_and_loss_csv(self, workspace):
         root = workspace["root"]
@@ -216,6 +236,21 @@ class TestRuVerb:
         assert (out / "decoder_conv1" / "graph.json").exists()
 
 
+    def test_worker_processes_write_identical_files(self, workspace):
+        config = {
+            "dataset": workspace["dataset"],
+            "model": CNN,
+            "estimator": dict(TINY_ESTIMATOR),
+            "decoder": {"epochs": 2, "learning_rate": 0.01, "loss": "mse"},
+            "layers": ["conv1"],
+            "inputs": [0, 1],
+            "seed": 2,
+        }
+        serial, parallel = run_serial_and_parallel(workspace["root"], "ru", config)
+        assert serial == parallel
+        assert (workspace["root"] / "parallel" / "ru_conv1_1_H_hat_i.lltn").exists()
+
+
 class TestConcentrationVerb:
     def test_bbox_mask_csv(self, workspace):
         root = workspace["root"]
@@ -315,6 +350,22 @@ class TestDamageVerb:
         assert sorted({r.model for r in rep.records}) == ["damaged@1", "damaged@2", "original"]
         summary = json.loads((root / "damage_out" / "damage_summary.json").read_text())
         assert set(summary["delta_H_total_vs_original"]) == {"damaged@1", "damaged@2"}
+
+
+    def test_worker_processes_write_identical_files(self, workspace):
+        config = {
+            "dataset": workspace["dataset"],
+            "model": RESNET,
+            "estimator": dict(TINY_ESTIMATOR),
+            "train": {"epochs": 1, "learning_rate": 0.02},
+            "damage": {"positions": [1], "n_filters": 8},
+            "layers": ["block1", "block3"],
+            "inputs": [0],
+            "seed": 3,
+        }
+        serial, parallel = run_serial_and_parallel(workspace["root"], "damage", config)
+        assert serial == parallel
+        assert (workspace["root"] / "parallel" / "damage_summary.json").exists()
 
 
 class TestSweepVerb:
@@ -447,6 +498,19 @@ class TestConfigHandling:
         assert run("sid", cfg, "--jobs", jobs) == 3
         assert "--jobs" in capsys.readouterr().err
 
+    def test_jobs_capped_at_core_count(self, workspace, monkeypatch, pool_recorder):
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        config = {
+            "dataset": workspace["dataset"],
+            "model": CNN,
+            "estimator": dict(TINY_ESTIMATOR, max_steps=4, max_rounds=1),
+            "layers": ["conv1", "conv2"],
+            "inputs": [0, 1],
+            "outputs": str(workspace["root"] / "o"),
+        }
+        assert run("sid", write_config(workspace["root"], "many.json", config), "--jobs", "64") in (0, 2)
+        assert [(workers, len(cells)) for workers, cells in pool_recorder] == [(3, 4)]
+
     def test_unknown_top_level_key_rejected(self, workspace, capsys):
         cfg = write_config(
             workspace["root"],
@@ -506,6 +570,26 @@ class TestConfigHandling:
             **patch,
         }
         assert run(verb, write_config(workspace["root"], "value.json", config)) == 3
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "patch,key",
+        [
+            ({"seed": "x"}, "seed"),
+            ({"model": dict(CNN, classes="x")}, "model.classes"),
+            ({"estimator": dict(TINY_ESTIMATOR, max_steps="x")}, "max_steps"),
+        ],
+    )
+    def test_value_of_wrong_type_is_config_error(self, workspace, capsys, patch, key):
+        config = {
+            "dataset": workspace["dataset"],
+            "model": CNN,
+            "estimator": dict(TINY_ESTIMATOR),
+            "layers": ["conv1"],
+            "outputs": str(workspace["root"] / "o"),
+            **patch,
+        }
+        assert run("sid", write_config(workspace["root"], "typed.json", config)) == 3
         assert key in capsys.readouterr().err
 
     def test_mask_shape_mismatch_is_config_error(self, workspace, capsys):

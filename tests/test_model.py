@@ -219,6 +219,32 @@ class TestCheckpoint:
         with pytest.raises(lltn.LltnError):
             M.load_checkpoint(tmp_path / "ck")
 
+    def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
+        g = M.build(
+            [M.conv("c", 4, 3, padding=1), M.residual_block("up", 2, upsample=True),
+             M.residual_block("wide", 6), M.transpose_conv("t", 2, 2, stride=2),
+             M.flatten("f"), M.dense("d", 3)],
+            (1, 4, 4),
+            seed=5,
+        )
+        M.save_checkpoint(g, tmp_path / "ck")
+        calls = []
+        monkeypatch.setattr(M, "_init_params", lambda *a: calls.append(a))
+        loaded, _ = M.load_checkpoint(tmp_path / "ck")
+        assert calls == []
+        assert list(loaded.params) == list(g.params)
+        for ln, d in g.params.items():
+            assert list(loaded.params[ln]) == list(d)
+            for pn, arr in d.items():
+                assert loaded.params[ln][pn].tobytes() == arr.tobytes(), (ln, pn)
+
+    def test_wrong_shaped_parameter_rejected(self, tmp_path):
+        g = M.tiny_cnn(seed=2)
+        M.save_checkpoint(g, tmp_path / "ck")
+        lltn.write(tmp_path / "ck" / "conv2__bias.lltn", np.zeros(5))
+        with pytest.raises(lltn.LltnError, match=r"conv2\.bias has shape \(5,\), expected \(8,\)"):
+            M.load_checkpoint(tmp_path / "ck")
+
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             M.load_checkpoint(tmp_path / "nothing")

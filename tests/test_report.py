@@ -157,6 +157,54 @@ class TestLayerwiseReport:
         with pytest.raises(KeyError, match="not a missing layer"):
             R.layerwise_report([("m", g)], ["conv1"], [x], small_cfg())
 
+    def test_worker_processes_match_serial_with_nan_rows(self, tmp_path):
+        g = M.tiny_cnn(input_shape=(1, 4, 4), classes=2, seed=1)
+        dead = g.clone()
+        dead.params["conv1"]["weight"][:] = 0.0
+        dead.params["conv1"]["bias"][:] = 0.0
+        xs = RngStream(2).normal((2, 1, 4, 4))
+        models = [("ok", g), ("dead", dead)]
+        layers = ["conv1", "ghost", "conv2"]
+        serial = R.layerwise_report(models, layers, xs, small_cfg())
+        parallel = R.layerwise_report(models, layers, xs, small_cfg(), jobs=2)
+        assert sum(math.isnan(r.H_total) for r in serial.records) == 4  # dead x 3, ok/ghost
+        R.export_csv(serial, tmp_path / "serial.csv")
+        R.export_csv(parallel, tmp_path / "parallel.csv")
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
+
+    def test_uncaught_error_propagates_from_a_worker(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("not a missing layer")
+
+        # the workers are forked from this process, so they see the patch
+        monkeypatch.setattr(R, "_estimate_cell", broken)
+        g = M.tiny_cnn(input_shape=(1, 4, 4), classes=2, seed=1)
+        x = RngStream(2).normal((1, 4, 4))
+        with pytest.raises(KeyError, match="not a missing layer"):
+            R.layerwise_report([("m", g)], ["conv1", "conv2"], [x], small_cfg(), jobs=2)
+
+    def test_deepest_cells_submitted_first(self, monkeypatch, pool_recorder):
+        monkeypatch.setattr(R.os, "cpu_count", lambda: 2)
+        a = M.tiny_cnn(input_shape=(1, 4, 4), classes=2, seed=1)
+        b = M.tiny_cnn(input_shape=(1, 4, 4), classes=2, seed=2)
+        x = RngStream(2).normal((1, 4, 4))
+        rep = R.layerwise_report([("a", a), ("b", b)], ["conv1", "ghost", "conv2"], [x], small_cfg(), jobs=2)
+        ((workers, submitted),) = pool_recorder
+        assert workers == 2
+        assert [(mid, layer) for mid, _, layer in submitted] == [
+            ("a", "conv2"), ("b", "conv2"), ("a", "conv1"), ("b", "conv1"), ("a", "ghost"), ("b", "ghost"),
+        ]
+        assert [(r.model, r.layer) for r in rep.records] == [
+            ("a", "conv1"), ("a", "ghost"), ("a", "conv2"), ("b", "conv1"), ("b", "ghost"), ("b", "conv2"),
+        ]
+
+    def test_workers_capped_at_cores_and_items(self, monkeypatch, pool_recorder):
+        monkeypatch.setattr(R.os, "cpu_count", lambda: 3)
+        assert R.parallel_map(abs, [-1, -2, -3, -4, -5], 64) == [1, 2, 3, 4, 5]
+        assert R.parallel_map(abs, [-1, -2], 64) == [1, 2]
+        assert R.parallel_map(abs, [-1, -2, -3], 1) == [1, 2, 3]  # in-process, no pool
+        assert [workers for workers, _ in pool_recorder] == [3, 2]
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
         g = M.tiny_cnn(input_shape=(1, 4, 4), classes=2, seed=1)

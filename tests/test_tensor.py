@@ -242,6 +242,22 @@ class TestTransposeConv2d:
         assert rel_err(kk.grad, finite_diff(loss_k, k0)) <= 1e-4
 
 
+    def test_backward_builds_gradient_columns_once(self, np_rng, monkeypatch):
+        calls = []
+        im2col = T._im2col
+
+        def counting(x, *args):
+            calls.append(x.shape)
+            return im2col(x, *args)
+
+        y = T.Tensor(np_rng.normal(size=(16, 8, 4, 4)), requires_grad=True)
+        kk = T.Tensor(np_rng.normal(size=(8, 8, 4, 4)), requires_grad=True)
+        out = T.transpose_conv2d(y, kk, 2, 1)
+        monkeypatch.setattr(T, "_im2col", counting)
+        T.backward(T.reduce_sum(T.mul(out, out)))
+        assert calls == [(16, 8, 8, 8)]
+
+
 def scatter_input_grad(g, kernels, x_shape, stride, pad):
     """Reference adjoint of conv2d in its input: the kh*kw scatter-add of the
     kernel columns, one tap at a time."""
