@@ -239,13 +239,11 @@ def _estimate_and_save(cell, model: M.ModelGraph, cfg: SidConfig, out: Path, ver
     stem = f"{verb}_{layer}_{i}"
     if verb == "ru":
         res = estimate_ru(model, decoder, layer, image, cfg)
-        field = res.H_hat_i
     else:
         res = estimate_sid(model, layer, image, cfg)
-        field = res.H_i
     res.save(out, stem)
-    _emit_heatmap(field, model.input_shape, out / f"{stem}.pgm")
-    return stem, float(field.sum()), res.conformant
+    _emit_heatmap(res.entropy_map, model.input_shape, out / f"{stem}.pgm")
+    return stem, float(res.entropy_map.sum()), res.conformant
 
 
 def _run_estimates(config: dict, args, verb: str) -> int:
@@ -284,6 +282,8 @@ def cmd_ru(config: dict, args) -> int:
 
 def _load_mask(section: dict, spatial_shape: tuple) -> REP.Mask:
     if "pgm" in section:
+        if not isinstance(section["pgm"], str):
+            raise ConfigError(f"mask.pgm must be a path string, got {section['pgm']!r}")
         mask = REP.Mask.from_pgm(section["pgm"])
     elif "bbox" in section:
         b = section["bbox"]
@@ -343,17 +343,7 @@ def cmd_coherency(config: dict, args) -> int:
         raise ConfigError(str(err)) from err
     lltn.write_json(out / "coherency.json", rep.to_json())
     records = [
-        REP.LayerRecord(
-            model=mid,
-            layer=layer,
-            input_set="inputs[1]",
-            H_total=res.H_total,
-            H_hat_total=None,
-            concentration=None,
-            epsilon=res.epsilon_achieved,
-            delta_f_sq=res.delta_f_sq,
-            conformant=res.conformant,
-        )
+        REP.LayerRecord.from_results(mid, layer, "inputs[1]", [res])
         for mid, res in (("original", rep.result_original), ("rescaled", rep.result_rescaled))
     ]
     REP.export_csv(REP.LayerwiseReport(records=records), out / "coherency.csv")
@@ -376,23 +366,24 @@ def cmd_damage(config: dict, args) -> int:
     if not _is_int(n_filters) or n_filters < 1:
         raise ConfigError(f"damage.n_filters must be a positive integer, got {n_filters!r}")
     base, _ = _load_model(config.get("model", {}), seed, images)
+    if config.get("layers") in (None, "all"):
+        layers = [s.name for s in base.layers if s.kind == "residual_block"]
+        if not layers:
+            raise ConfigError("model has no residual blocks; give layers explicitly")
+    else:
+        layers = _layers(config, base)
+    picks = _inputs(config, images)
     train_cfg = _train_config(config.get("train", {"epochs": 5, "learning_rate": 0.02}), seed)
     cfg = _estimator_config(config, seed, args)
+    damaged_graphs = [(p, M.insert_block(base, position=p, n_filters=n_filters, seed=seed)) for p in positions]
     _write_resolved(out, "damage", config, seed)
 
     original, _ = train(base, (images, labels), train_cfg)
     models = [("original", original)]
-    for p in positions:
-        damaged_graph = M.insert_block(base, position=p, n_filters=n_filters, seed=seed)
-        damaged, _ = train(damaged_graph, (images, labels), train_cfg)
+    for p, graph in damaged_graphs:
+        damaged, _ = train(graph, (images, labels), train_cfg)
         models.append((f"damaged@{p}", damaged))
 
-    layers = config.get("layers")
-    if layers in (None, "all"):
-        layers = [s.name for s in original.layers if s.kind == "residual_block"]
-        if not layers:
-            raise ConfigError("model has no residual blocks; give layers explicitly")
-    picks = _inputs(config, images)
     rep = REP.layerwise_report(models, layers, images[picks], cfg, jobs=args.jobs)
     REP.export_csv(rep, out / "damage.csv")
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .lltn import atomic_write, write_json
 from .model import ModelGraph, UnknownLayerError, rescale_pair
-from .sid import DegenerateLayerError, SidConfig, estimate_sid
+from .sid import DegenerateLayerError, SidConfig, SidResult, estimate_sid
 from .tensor import Tensor
 
 # Not used here: perfbench/tracer.py wraps this name on this module.
@@ -156,35 +156,39 @@ class LayerRecord:
     delta_f_sq: float
     conformant: bool
 
+    @classmethod
+    def from_results(
+        cls, model: str, layer: str, input_set: str, results: list[SidResult], mask: Mask | None = None
+    ) -> "LayerRecord":
+        """The row of one (model, layer) cell: means over its inputs' results,
+        their mean concentration under `mask`, and conformant only if every
+        estimate is. No results is a cell that could not be estimated: a NaN
+        row."""
+
+        def mean(values) -> float:
+            return float(np.mean(values)) if values else math.nan
+
+        concs = [concentration(r.H_i, mask) for r in results] if mask is not None else []
+        return cls(
+            model=model,
+            layer=layer,
+            input_set=input_set,
+            H_total=mean([r.H_total for r in results]),
+            H_hat_total=None,
+            concentration=mean(concs) if concs else None,
+            epsilon=mean([r.epsilon_achieved for r in results]),
+            delta_f_sq=mean([r.delta_f_sq for r in results]),
+            conformant=bool(results) and all(r.conformant for r in results),
+        )
+
 
 @dataclass
 class LayerwiseReport:
     records: list[LayerRecord]
 
 
-def _estimate_cell(
-    model: ModelGraph,
-    layer: str,
-    inputs: np.ndarray,
-    cfg: SidConfig,
-    mask: Mask | None,
-):
-    h_totals, concs, epsilons, dfs, conform = [], [], [], [], True
-    for x in inputs:
-        res = estimate_sid(model, layer, x, cfg)
-        h_totals.append(res.H_total)
-        epsilons.append(res.epsilon_achieved)
-        dfs.append(res.delta_f_sq)
-        conform = conform and res.conformant
-        if mask is not None:
-            concs.append(concentration(res.H_i, mask))
-    return (
-        float(np.mean(h_totals)),
-        float(np.mean(concs)) if concs else None,
-        float(np.mean(epsilons)),
-        float(np.mean(dfs)),
-        conform,
-    )
+def _estimate_cell(model: ModelGraph, layer: str, inputs: np.ndarray, cfg: SidConfig) -> list[SidResult]:
+    return [estimate_sid(model, layer, x, cfg) for x in inputs]
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:
@@ -207,20 +211,10 @@ def _run_cell(cell, inputs: np.ndarray, cfg: SidConfig, mask: Mask | None, label
     _estimate_cell through the module, where a tracer may have wrapped it."""
     mid, m, layer = cell
     try:
-        h, conc, eps, dfs, ok = _estimate_cell(m, layer, inputs, cfg, mask)
+        results = _estimate_cell(m, layer, inputs, cfg)
     except (DegenerateLayerError, UnknownLayerError, T.NumericalError):
-        h, conc, eps, dfs, ok = math.nan, None, math.nan, math.nan, False
-    return LayerRecord(
-        model=mid,
-        layer=layer,
-        input_set=label,
-        H_total=h,
-        H_hat_total=None,
-        concentration=conc,
-        epsilon=eps,
-        delta_f_sq=dfs,
-        conformant=ok,
-    )
+        results = []
+    return LayerRecord.from_results(mid, layer, label, results, mask)
 
 
 def _depth(model: ModelGraph, layer: str) -> int:
@@ -328,11 +322,16 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
-        fields.append(int(raw[start:pos]))
+        try:
+            fields.append(int(raw[start:pos]))
+        except ValueError:
+            raise IOError(f"{path}: malformed PGM header field {raw[start:pos]!r}") from None
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:
         raise IOError(f"{path}: unsupported maxval {maxval}")
+    if w < 1 or h < 1 or len(raw) - pos < w * h:
+        raise IOError(f"{path}: PGM payload holds {len(raw) - pos} bytes, not {w}x{h}")
     data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
     return data.reshape(h, w).copy()
 

@@ -18,7 +18,7 @@ implemented.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,11 +28,11 @@ from .model import ModelGraph, build, conv, dense, relu, reshape, residual_block
 from .rng import RngStream
 from .sid import (
     GAUSSIAN_ENTROPY_CONST,
+    EstimateResult,
     SidConfig,
     SigmaField,
     _entropy_loss,
     _forward_chunked,
-    _SavedResult,
     clean_feature,
     fit_sigma,
 )
@@ -55,20 +55,12 @@ class DecoderSpec:
     val_mse: float
 
 
-@dataclass
-class RuResult(_SavedResult):
+@dataclass(kw_only=True)
+class RuResult(EstimateResult):
     H_hat_i: np.ndarray
     H_hat_total: float
-    epsilon_achieved: float
-    delta_f_sq: float
-    lambda_final: float
     decoder_mse: float
-    seed: int
-    steps_used: int
-    capped_units: list[int]
     clamped_units: list[int]  # units floored at RU_FLOOR
-    conformant: bool
-    sigma: np.ndarray = field(repr=False, default=None)
 
     _map = "H_hat_i"
 
@@ -235,21 +227,14 @@ def estimate_ru(
             cfg.normalize, f0,
         )
 
-    fit = fit_sigma(model, layer, x, cfg, loss)
+    sigma, fit = fit_sigma(model, layer, x, cfg, loss)
     H_hat_i, clamped = pixel_ru(
-        model, dec, layer, x, fit.sigma, cfg.certify_samples, RngStream(cfg.seed).spawn("ru/pixel")
+        model, dec, layer, x, sigma, cfg.certify_samples, RngStream(cfg.seed).spawn("ru/pixel")
     )
     return RuResult(
         H_hat_i=H_hat_i,
         H_hat_total=float(H_hat_i.sum()),
-        epsilon_achieved=fit.epsilon,
-        delta_f_sq=fit.delta_f_sq,
-        lambda_final=fit.lam,
         decoder_mse=decoder.val_mse,
-        seed=cfg.seed,
-        steps_used=fit.steps,
-        capped_units=fit.capped_units,
         clamped_units=[int(i) for i in clamped],
-        conformant=fit.conformant,
-        sigma=fit.sigma.sigma,
+        **fit,
     )

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import lltn
 from . import tensor as T
+from .checks import check_field_types
 from .model import ModelGraph
 from .rng import RngStream, gaussian
 from .tensor import Tensor
@@ -54,19 +55,6 @@ class SigmaField:
         return SigmaField(self.log_sigma.copy())
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# field annotation -> accepts the value
-_TYPE_CHECKS = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": _is_real,
-    "float | None": lambda v: v is None or _is_real(v),
-    "bool": lambda v: isinstance(v, bool),
-}
-
-
 @dataclass
 class SidConfig:
     alpha: float = 1.5
@@ -88,10 +76,7 @@ class SidConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _TYPE_CHECKS[f.type](value):
-                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        check_field_types(self)
         if self.alpha <= 0 or self.tau <= 0:
             raise ValueError("alpha and tau must be positive")
         if self.samples_per_step < 1:
@@ -102,11 +87,26 @@ class SidConfig:
             raise ValueError("lambda_init must be positive")
 
 
-class _SavedResult:
-    """Persistence shared by SidResult and RuResult: every field except the
-    arrays goes to {stem}.json, the per-unit entropy map to {stem}_{map}.lltn."""
+@dataclass(kw_only=True)
+class EstimateResult:
+    """What fit_sigma certifies, shared by SidResult and RuResult. Every field
+    except the arrays goes to {stem}.json, the per-unit entropy map to
+    {stem}_{map}.lltn."""
+
+    epsilon_achieved: float  # held-out feature deviation at the final sigma
+    delta_f_sq: float
+    lambda_final: float
+    steps_used: int
+    capped_units: list[int]  # flat indices that hit the sigma cap
+    conformant: bool
+    seed: int
+    sigma: np.ndarray = field(repr=False, default=None)
 
     _map = ""  # name of the per-unit entropy field
+
+    @property
+    def entropy_map(self) -> np.ndarray:
+        return getattr(self, self._map)
 
     def to_json(self) -> dict:
         out = {}
@@ -120,21 +120,13 @@ class _SavedResult:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         lltn.write_json(directory / f"{stem}.json", self.to_json())
-        lltn.write(directory / f"{stem}_{self._map}.lltn", getattr(self, self._map))
+        lltn.write(directory / f"{stem}_{self._map}.lltn", self.entropy_map)
 
 
-@dataclass
-class SidResult(_SavedResult):
+@dataclass(kw_only=True)
+class SidResult(EstimateResult):
     H_i: np.ndarray  # per-unit entropies (nats), shaped like the input
     H_total: float
-    epsilon_achieved: float
-    delta_f_sq: float
-    lambda_final: float
-    steps_used: int
-    capped_units: list[int]  # flat indices that hit the sigma cap
-    conformant: bool
-    seed: int
-    sigma: np.ndarray = field(repr=False, default=None)
 
     _map = "H_i"
 
@@ -353,36 +345,20 @@ def find_dead_units(model: ModelGraph, layer: str, x: np.ndarray, scale: float) 
     return np.flatnonzero(diff.max(axis=1) <= tol)
 
 
-@dataclass
-class SigmaFit:
-    """Outcome of fit_sigma: the learned scales and their certified budget."""
-
-    sigma: SigmaField
-    log_cap: float
-    epsilon: float  # held-out feature deviation at the final sigma
-    delta_f_sq: float
-    lam: float
-    steps: int
-    conformant: bool
-
-    @property
-    def capped_units(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.sigma.log_sigma >= self.log_cap - 1e-12)]
-
-
 def fit_sigma(
     model: ModelGraph,
     layer: str,
     x: np.ndarray,
     cfg: SidConfig,
     loss: Callable[[SigmaField, float, float, RngStream], tuple[float, np.ndarray]],
-) -> SigmaFit:
+) -> tuple[SigmaField, dict]:
     """The sigma fit both estimators share. Learn sigma by gradient descent at
     fixed lambda, adapting lambda between rounds until the held-out feature
     deviation hits alpha * delta_f^2 within tolerance. Dead units run away to
     the sigma cap. `loss(sigma, lam, delta_f_sq, rng)` returns one stochastic
     (value, gradient w.r.t. log_sigma) of the objective; it is all that
-    differs between the estimators."""
+    differs between the estimators. Returns the learned sigma and the
+    EstimateResult fields."""
     x = np.asarray(x, dtype=np.float64)
     root = RngStream(cfg.seed)
     delta_f_sq = feature_baseline(
@@ -438,7 +414,16 @@ def fit_sigma(
             model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout")
         )
         conformant = abs(epsilon - target) <= cfg.lambda_tolerance * target
-    return SigmaFit(sigma, log_cap, epsilon, delta_f_sq, lam, steps_used, conformant)
+    return sigma, dict(
+        epsilon_achieved=epsilon,
+        delta_f_sq=delta_f_sq,
+        lambda_final=lam,
+        steps_used=steps_used,
+        capped_units=[int(i) for i in np.flatnonzero(sigma.log_sigma >= log_cap - 1e-12)],
+        conformant=conformant,
+        seed=cfg.seed,
+        sigma=sigma.sigma,
+    )
 
 
 def estimate_sid(model: ModelGraph, layer: str, x, cfg: SidConfig) -> SidResult:
@@ -452,17 +437,6 @@ def estimate_sid(model: ModelGraph, layer: str, x, cfg: SidConfig) -> SidResult:
             model, layer, x, sigma, lam, delta_f_sq, cfg.samples_per_step, rng, cfg.normalize, f0
         )
 
-    fit = fit_sigma(model, layer, x, cfg, loss)
-    H_i = entropy_field(fit.sigma)
-    return SidResult(
-        H_i=H_i,
-        H_total=float(H_i.sum()),
-        epsilon_achieved=fit.epsilon,
-        delta_f_sq=fit.delta_f_sq,
-        lambda_final=fit.lam,
-        steps_used=fit.steps,
-        capped_units=fit.capped_units,
-        conformant=fit.conformant,
-        seed=cfg.seed,
-        sigma=fit.sigma.sigma,
-    )
+    sigma, fit = fit_sigma(model, layer, x, cfg, loss)
+    H_i = entropy_field(sigma)
+    return SidResult(H_i=H_i, H_total=float(H_i.sum()), **fit)

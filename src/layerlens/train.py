@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .checks import check_field_types
 from .model import ModelGraph, save_checkpoint
 from .rng import RngStream, derive_seed
 from .tensor import Tensor
@@ -27,6 +28,7 @@ class TrainConfig:
     loss: str = "cross_entropy"  # "cross_entropy" | "mse"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:

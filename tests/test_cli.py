@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from layerlens import cli
 from layerlens import data as D
 from layerlens.cli import main
 
@@ -367,6 +368,30 @@ class TestDamageVerb:
         assert serial == parallel
         assert (workspace["root"] / "parallel" / "damage_summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "patch,message",
+        [
+            ({"layers": "block1"}, "layers must be"),
+            ({"layers": ["block9"]}, "block9"),
+            ({"damage": {"positions": [1, 9]}}, "got 9"),
+        ],
+    )
+    def test_bad_grid_rejected_before_training(self, workspace, capsys, monkeypatch, patch, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained before the config was checked")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        config = {
+            "dataset": workspace["dataset"],
+            "model": RESNET,
+            "estimator": dict(TINY_ESTIMATOR),
+            "damage": {"positions": [1]},
+            "outputs": str(workspace["root"] / "o"),
+            **patch,
+        }
+        assert run("damage", write_config(workspace["root"], "layers.json", config)) == 3
+        assert message in capsys.readouterr().err
+
 
 class TestSweepVerb:
     def test_sweep_over_checkpoints(self, workspace):
@@ -559,6 +584,11 @@ class TestConfigHandling:
             ("damage", {"model": RESNET, "damage": {"positions": ["x"]}}, "damage.positions"),
             ("damage", {"model": RESNET, "damage": {"n_filters": 0}}, "damage.n_filters"),
             ("sid", {"layers": ["conv1"], "model": dict(CNN, input_shape=[3, 8, 8])}, "input_shape"),
+            ("damage", {"model": RESNET, "train": {"epochs": 2.5}}, "epochs"),
+            ("damage", {"model": RESNET, "train": {"batch_size": 2.5}}, "batch_size"),
+            ("damage", {"model": RESNET, "train": {"epochs": True}}, "epochs"),
+            ("ru", {"layers": ["conv1"], "decoder": {"epochs": 2.5}}, "epochs"),
+            ("concentration", {"layers": ["conv1"], "mask": {"pgm": 5}}, "mask.pgm"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):
@@ -591,6 +621,25 @@ class TestConfigHandling:
         }
         assert run("sid", write_config(workspace["root"], "typed.json", config)) == 3
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"P5\n8 8\n255\n" + bytes(20), b"P5\n8 eight\n255\n" + bytes(64)],
+        ids=["truncated-payload", "non-numeric-height"],
+    )
+    def test_malformed_mask_pgm_is_io_error(self, workspace, capsys, raw):
+        root = workspace["root"]
+        (root / "mask.pgm").write_bytes(raw)
+        config = {
+            "dataset": workspace["dataset"],
+            "model": CNN,
+            "estimator": dict(TINY_ESTIMATOR),
+            "layers": ["conv1"],
+            "mask": {"pgm": str(root / "mask.pgm")},
+            "outputs": str(root / "o"),
+        }
+        assert run("concentration", write_config(root, "bad_pgm.json", config)) == 4
+        assert "mask.pgm" in capsys.readouterr().err
 
     def test_mask_shape_mismatch_is_config_error(self, workspace, capsys):
         from layerlens.report import write_pgm

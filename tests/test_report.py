@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,6 +241,47 @@ class TestHeatmap:
         m.to_pgm(tmp_path / "mask.pgm")
         back = R.Mask.from_pgm(tmp_path / "mask.pgm")
         assert (back.inside == m.inside).all()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"P5\n4 4\n255\n" + bytes(10),  # payload truncated
+            b"P5\n4 x\n255\n" + bytes(16),  # non-numeric height
+            b"P5\n4",  # header cut short
+        ],
+        ids=["truncated-payload", "non-numeric-height", "short-header"],
+    )
+    def test_malformed_pgm_is_io_error(self, tmp_path, raw):
+        (tmp_path / "bad.pgm").write_bytes(raw)
+        with pytest.raises(IOError, match="bad.pgm"):
+            R.read_pgm(tmp_path / "bad.pgm")
+
+
+class TestLayerRecord:
+    @staticmethod
+    def _result(H_i, eps, conformant):
+        H_i = np.asarray(H_i, dtype=np.float64)
+        return SimpleNamespace(
+            H_i=H_i, H_total=float(H_i.sum()), epsilon_achieved=eps, delta_f_sq=2 * eps, conformant=conformant
+        )
+
+    def test_means_over_inputs(self):
+        mask = R.Mask.from_bbox(0, 0, 1, 1, (2, 2))
+        results = [self._result([[1, 2], [2, 2]], 0.5, True), self._result([[3, 4], [4, 4]], 1.5, False)]
+        row = R.LayerRecord.from_results("m", "conv1", "inputs[2]", results, mask)
+        assert row == R.LayerRecord("m", "conv1", "inputs[2]", 11.0, None, 1.0, 1.0, 2.0, False)
+
+    def test_all_conformant(self):
+        results = [self._result([[1.0]], 0.5, True), self._result([[2.0]], 0.5, True)]
+        row = R.LayerRecord.from_results("m", "conv1", "inputs[2]", results)
+        assert row.conformant is True
+        assert row.concentration is None
+
+    def test_no_results_is_nan_row(self):
+        mask = R.Mask.from_bbox(0, 0, 1, 1, (2, 2))
+        row = R.LayerRecord.from_results("m", "ghost", "inputs[1]", [], mask)
+        assert [math.isnan(v) for v in (row.H_total, row.epsilon, row.delta_f_sq)] == [True] * 3
+        assert (row.H_hat_total, row.concentration, row.conformant) == (None, None, False)
 
 
 class TestCsv:

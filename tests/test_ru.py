@@ -1,13 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from layerlens import lltn
 from layerlens import model as M
 from layerlens import ru as R
 from layerlens.rng import RngStream
 from layerlens.sid import GAUSSIAN_ENTROPY_CONST as C
-from layerlens.sid import SidConfig, SigmaField, clean_feature, estimate_sid
+from layerlens.sid import SidConfig, SidResult, SigmaField, clean_feature, estimate_sid
 from layerlens.train import TrainConfig
 
 
@@ -236,3 +238,39 @@ class TestEstimateRu:
         payload = json.loads((tmp_path / "ru_id.json").read_text())
         assert payload["H_hat_total"] == res.H_hat_total
         assert (lltn.read(tmp_path / "ru_id_H_hat_i.lltn") == res.H_hat_i).all()
+
+
+FIT = dict(
+    epsilon_achieved=0.5, delta_f_sq=0.25, lambda_final=2.0, steps_used=40, capped_units=[3],
+    conformant=True, seed=7, sigma=np.full((1, 2, 2), 0.1),
+)
+
+
+@pytest.mark.parametrize(
+    "result,keys,map_name",
+    [
+        (
+            SidResult(H_i=np.arange(4.0).reshape(1, 2, 2), H_total=6.0, **FIT),
+            "H_total capped_units conformant delta_f_sq epsilon_achieved lambda_final seed steps_used",
+            "H_i",
+        ),
+        (
+            R.RuResult(
+                H_hat_i=np.arange(4.0).reshape(1, 2, 2), H_hat_total=6.0, decoder_mse=0.125,
+                clamped_units=[np.int64(1)], **FIT,
+            ),
+            "H_hat_total capped_units clamped_units conformant decoder_mse delta_f_sq "
+            "epsilon_achieved lambda_final seed steps_used",
+            "H_hat_i",
+        ),
+    ],
+)
+def test_saved_result_files(tmp_path, result, keys, map_name):
+    """The file format: sorted JSON of every scalar and index list, and the
+    entropy map in {stem}_{map}.lltn; sigma is not written."""
+    result.save(tmp_path, "stem")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stem.json", f"stem_{map_name}.lltn"]
+    saved = json.loads((tmp_path / "stem.json").read_text())
+    assert list(saved) == keys.split()
+    assert saved["capped_units"] == [3] and saved["seed"] == 7
+    np.testing.assert_array_equal(lltn.read(tmp_path / f"stem_{map_name}.lltn"), getattr(result, map_name))
