@@ -162,16 +162,19 @@ def _train_config(section: dict, seed: int) -> TrainConfig:
         raise ConfigError(f"bad training config: {err}") from err
 
 
+def _check_layer(name, model: M.ModelGraph, key: str) -> str:
+    if not isinstance(name, str) or (name != M.INPUT_LAYER and name not in model.layer_names()):
+        raise ConfigError(f"{key}: unknown layer {name!r}")
+    return name
+
+
 def _layers(config: dict, model: M.ModelGraph) -> list[str]:
     layers = config.get("layers", "all")
     if layers == "all":
         return model.layer_names()
     if not isinstance(layers, list) or not layers:
         raise ConfigError("layers must be a non-empty list of names or \"all\"")
-    for name in layers:
-        if name != M.INPUT_LAYER and name not in model.layer_names():
-            raise ConfigError(f"unknown layer {name!r}")
-    return list(layers)
+    return [_check_layer(name, model, "layers") for name in layers]
 
 
 def _inputs(config: dict, images: np.ndarray) -> list[int]:
@@ -327,9 +330,9 @@ def cmd_coherency(config: dict, args) -> int:
     model, _ = _load_model(config.get("model", {}), seed, images)
     picks = _inputs(config, images)
     section = config.get("coherency", {})
-    layer = section.get("layer")
-    if not layer:
+    if section.get("layer") is None:
         raise ConfigError("coherency.layer is required")
+    layer = _check_layer(section["layer"], model, "coherency.layer")
     factor = section.get("factor", 4.0)
     if isinstance(factor, bool) or not isinstance(factor, (int, float)) or not 0 < factor < math.inf:
         raise ConfigError(f"coherency.factor must be a positive finite number, got {factor!r}")

@@ -217,6 +217,10 @@ def estimate_ru(
     per-unit H_hat from held-out draws."""
     if decoder.layer != layer:
         raise ValueError(f"decoder was trained for layer {decoder.layer!r}, not {layer!r}")
+    if cfg.lambda_init is None:
+        # fit_sigma's 2*alpha/n_live start solves SID's entropy term only; RU's
+        # searches end nearer 1 and took more steps from that start than from 1.0
+        cfg = replace(cfg, lambda_init=1.0)
     x = np.asarray(x, dtype=np.float64)
     dec = decoder.graph
     f0 = clean_feature(model, layer, x)  # once, not at every step

@@ -62,7 +62,10 @@ class SidConfig:
     samples_per_step: int = 32
     max_steps: int = 200  # inner Adam steps per lambda round
     sigma_lr: float = 0.05
-    lambda_init: float = 1.0
+    # Starting entropy weight. None -> 2*alpha/n_live over the units not found
+    # dead, where the budget holds for a locally linear feature (fit_sigma);
+    # estimate_ru and normalize=False start at 1.0 instead.
+    lambda_init: float | None = None
     lambda_tolerance: float = 0.05  # relative epsilon tolerance for conformance
     sigma_cap: float | None = None  # None -> 10x input dynamic range
     seed: int = 0
@@ -70,21 +73,25 @@ class SidConfig:
     baseline_samples: int = 1024
     certify_samples: int = 1024  # held-out draws for reported epsilon / H_hat
     # Diagnostic only. False drops the delta_f^2 divisor AND pins lambda at
-    # lambda_init for a single round (no adaptation, no constraint projection):
-    # adaptation would partially re-absorb the missing normalization, hiding
-    # exactly the scale-dependence this mode exists to expose.
+    # lambda_init (1.0 when None) for a single round (no adaptation, no
+    # constraint projection): adaptation would partially re-absorb the missing
+    # normalization, hiding exactly the scale-dependence this mode exists to
+    # expose.
     normalize: bool = True
 
     def __post_init__(self):
         check_field_types(self)
-        if self.alpha <= 0 or self.tau <= 0:
-            raise ValueError("alpha and tau must be positive")
-        if self.samples_per_step < 1:
-            raise ValueError("samples_per_step must be >= 1")
+        for name in ("alpha", "tau", "sigma_lr", "lambda_init", "sigma_cap"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in (
+            "samples_per_step", "max_steps", "max_rounds", "baseline_samples", "certify_samples"
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if not 0.0 < self.lambda_tolerance < 1.0:
             raise ValueError("lambda_tolerance must be in (0, 1)")
-        if self.lambda_init <= 0:
-            raise ValueError("lambda_init must be positive")
 
 
 @dataclass(kw_only=True)
@@ -358,7 +365,15 @@ def fit_sigma(
     the sigma cap. `loss(sigma, lam, delta_f_sq, rng)` returns one stochastic
     (value, gradient w.r.t. log_sigma) of the objective; it is all that
     differs between the estimators. Returns the learned sigma and the
-    EstimateResult fields."""
+    EstimateResult fields.
+
+    lambda starts at cfg.lambda_init when given. Otherwise it starts at
+    2*alpha/n_live, n_live being the units not found dead: for a locally
+    linear feature with c_i = |J e_i|^2 the optimum of
+    fit/delta_f^2 - lambda*sum(ln sigma_i) has sigma_i^2*c_i = lambda*delta_f^2/2,
+    so the budget sum(sigma_i^2*c_i) = alpha*delta_f^2 holds at that lambda for
+    any network, layer or input scale. With normalize=False the fit term has
+    no delta_f^2 and the rule does not apply; lambda starts at 1.0."""
     x = np.asarray(x, dtype=np.float64)
     root = RngStream(cfg.seed)
     delta_f_sq = feature_baseline(
@@ -370,7 +385,12 @@ def fit_sigma(
     sigma = SigmaField.constant(x.shape, cfg.tau)  # start at the probe scale: near-feasible
     dead = find_dead_units(model, layer, x, cap)
     sigma.log_sigma.reshape(-1)[dead] = log_cap  # their optimum; the clamp keeps them there
-    lam = cfg.lambda_init
+    if cfg.lambda_init is not None:
+        lam = cfg.lambda_init
+    elif cfg.normalize:
+        lam = 2.0 * cfg.alpha / max(x.size - dead.size, 1)
+    else:
+        lam = 1.0
     search = LambdaSearch()
     step_rng = root.spawn("est/steps")
     steps_used = 0

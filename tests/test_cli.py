@@ -20,6 +20,11 @@ CNN = {"architecture": "tiny-cnn", "input_shape": [1, 8, 8], "classes": 4}
 RESNET = {"architecture": "tiny-resnet", "input_shape": [1, 8, 8], "classes": 4}
 
 
+def estimator_patch(**fields) -> dict:
+    """A one-layer sid config patch with TINY_ESTIMATOR's fields overridden."""
+    return {"layers": ["conv1"], "estimator": dict(TINY_ESTIMATOR, **fields)}
+
+
 @pytest.fixture
 def workspace(tmp_path):
     """LLTN dataset + ready-to-edit config skeleton."""
@@ -589,6 +594,22 @@ class TestConfigHandling:
             ("damage", {"model": RESNET, "train": {"epochs": True}}, "epochs"),
             ("ru", {"layers": ["conv1"], "decoder": {"epochs": 2.5}}, "epochs"),
             ("concentration", {"layers": ["conv1"], "mask": {"pgm": 5}}, "mask.pgm"),
+            ("sid", estimator_patch(alpha=float("nan")), "alpha"),
+            ("sid", estimator_patch(alpha=float("inf")), "alpha"),
+            ("sid", estimator_patch(tau=float("inf")), "tau"),
+            ("sid", estimator_patch(lambda_init=float("nan")), "lambda_init"),
+            ("sid", estimator_patch(lambda_init=float("inf")), "lambda_init"),
+            ("sid", estimator_patch(sigma_cap=-1.0), "sigma_cap"),
+            ("sid", estimator_patch(sigma_cap=float("nan")), "sigma_cap"),
+            ("sid", estimator_patch(sigma_lr=-0.05), "sigma_lr"),
+            ("sid", estimator_patch(max_steps=0), "max_steps"),
+            ("sid", estimator_patch(max_rounds=0), "max_rounds"),
+            ("sid", estimator_patch(baseline_samples=0), "baseline_samples"),
+            ("sid", estimator_patch(certify_samples=0), "certify_samples"),
+            ("coherency", {"coherency": {"layer": 5}}, "coherency.layer"),
+            ("coherency", {"coherency": {"layer": ["conv1"]}}, "coherency.layer"),
+            ("coherency", {"coherency": {"layer": "nope"}}, "coherency.layer"),
+            ("sid", estimator_patch(lambda_init=0), "lambda_init"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):
@@ -608,6 +629,7 @@ class TestConfigHandling:
             ({"seed": "x"}, "seed"),
             ({"model": dict(CNN, classes="x")}, "model.classes"),
             ({"estimator": dict(TINY_ESTIMATOR, max_steps="x")}, "max_steps"),
+            ({"estimator": dict(TINY_ESTIMATOR, lambda_init="x")}, "lambda_init"),
         ],
     )
     def test_value_of_wrong_type_is_config_error(self, workspace, capsys, patch, key):
@@ -621,6 +643,15 @@ class TestConfigHandling:
         }
         assert run("sid", write_config(workspace["root"], "typed.json", config)) == 3
         assert key in capsys.readouterr().err
+
+    def test_null_lambda_init_accepted(self, workspace):
+        config = {
+            "dataset": workspace["dataset"],
+            "model": CNN,
+            "outputs": str(workspace["root"] / "o"),
+            **estimator_patch(lambda_init=None, max_steps=4, max_rounds=1),
+        }
+        assert run("sid", write_config(workspace["root"], "null.json", config)) in (0, 2)
 
     @pytest.mark.parametrize(
         "raw",

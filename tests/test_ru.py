@@ -219,6 +219,21 @@ class TestEstimateRu:
         assert res.H_hat_total == res.H_hat_i.sum()
         assert (res.H_hat_i >= R.RU_FLOOR - 1e-12).all()
 
+    @pytest.mark.parametrize("lambda_init,first", [(None, 1.0), (0.3, 0.3)])
+    def test_lambda_start(self, monkeypatch, lambda_init, first):
+        # the 2*alpha/n_live start is for SID's entropy term only
+        seen = []
+        ru_loss = R.ru_loss
+
+        def recording(model, dec, layer, x, sigma, lam, *rest):
+            seen.append(lam)
+            return ru_loss(model, dec, layer, x, sigma, lam, *rest)
+
+        monkeypatch.setattr(R, "ru_loss", recording)
+        cfg = SidConfig(seed=0, lambda_init=lambda_init, max_steps=1, max_rounds=1, certify_samples=64)
+        R.estimate_ru(identity_model(4), identity_decoder(4), "id", np.full(4, 0.5), cfg)
+        assert seen[0] == first
+
     def test_layer_mismatch_rejected(self):
         g = identity_model(3)
         dec = identity_decoder(3, layer="other")
