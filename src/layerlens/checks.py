@@ -10,7 +10,7 @@ def _is_real(value) -> bool:
 
 
 # field annotation -> accepts the value
-_TYPE_CHECKS = {
+TYPE_CHECKS = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "float": _is_real,
     "float | None": lambda v: v is None or _is_real(v),
@@ -24,5 +24,5 @@ def check_field_types(obj) -> None:
     does not match its annotation."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if not _TYPE_CHECKS[f.type](value):
+        if not TYPE_CHECKS[f.type](value):
             raise TypeError(f"{f.name} must be {f.type}, got {value!r}")

@@ -27,6 +27,7 @@ from . import __version__, lltn
 from . import data as D
 from . import model as M
 from . import report as REP
+from .checks import TYPE_CHECKS
 from .ru import estimate_ru, train_decoder
 from .sid import DegenerateLayerError, SidConfig, estimate_sid
 from .train import TrainConfig, TrainingDiverged, train
@@ -36,15 +37,14 @@ EXIT_NON_CONFORMANT = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 
-_SID_FIELDS = {f.name for f in dataclasses.fields(SidConfig)}
-_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
 
 _SECTION_KEYS = {
     "dataset": {"format", "path", "images", "labels"},
     "model": {"architecture", "input_shape", "classes", "checkpoint", "seed"},
-    "estimator": _SID_FIELDS - {"seed"},
-    "train": _TRAIN_FIELDS - {"seed"},
-    "decoder": _TRAIN_FIELDS - {"seed"},
+    "estimator": {f.name for f in dataclasses.fields(SidConfig)} - {"seed"},
+    "train": _TRAIN_KEYS,
+    "decoder": _TRAIN_KEYS,
     "mask": {"pgm", "bbox"},
     "coherency": {"layer", "factor", "diagnostic"},
     "damage": {"positions", "n_filters"},
@@ -52,16 +52,8 @@ _SECTION_KEYS = {
     "report": {"models"},
 }
 
-_VERB_SECTIONS = {
-    "train": {"dataset", "model", "train", "outputs", "seed"},
-    "sid": {"dataset", "model", "estimator", "layers", "inputs", "outputs", "seed"},
-    "ru": {"dataset", "model", "estimator", "decoder", "layers", "inputs", "outputs", "seed"},
-    "concentration": {"dataset", "model", "estimator", "layers", "inputs", "mask", "outputs", "seed"},
-    "coherency": {"dataset", "model", "estimator", "coherency", "inputs", "outputs", "seed"},
-    "damage": {"dataset", "model", "estimator", "train", "damage", "layers", "inputs", "outputs", "seed"},
-    "sweep": {"estimator", "sweep", "layers", "dataset", "inputs", "outputs", "seed"},
-    "report": {"estimator", "report", "layers", "dataset", "inputs", "outputs", "seed"},
-}
+# every verb reads these; main resolves them before the verb runs
+_RUN_KEYS = {"dataset", "outputs", "seed"}
 
 
 class ConfigError(ValueError):
@@ -69,8 +61,7 @@ class ConfigError(ValueError):
 
 
 def _validate(config: dict, verb: str) -> None:
-    allowed = _VERB_SECTIONS[verb]
-    unknown = set(config) - allowed
+    unknown = set(config) - _RUN_KEYS - _VERBS[verb][1]
     if unknown:
         raise ConfigError(f"unknown config keys for {verb!r}: {sorted(unknown)}")
     for section, keys in _SECTION_KEYS.items():
@@ -83,21 +74,28 @@ def _validate(config: dict, verb: str) -> None:
             raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_is_int = TYPE_CHECKS["int"]
 
 
-def _int_field(value, key: str) -> int:
-    if not _is_int(value):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+def _field(value, key: str, kind: str):
+    """`value`, if it has the type `kind` names in `checks.TYPE_CHECKS`."""
+    if not TYPE_CHECKS[kind](value):
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
     return value
+
+
+def _distinct(values: list, key: str) -> list:
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{key} repeats {repeated}")
+    return values
 
 
 def _resolve_seed(config: dict, args) -> int:
     if args.seed is not None:
         return int(args.seed)
     if "seed" in config:
-        return _int_field(config["seed"], "seed")
+        return _field(config["seed"], "seed", "int")
     env = os.environ.get("LAYERLENS_SEED")
     if env is not None:
         try:
@@ -107,59 +105,28 @@ def _resolve_seed(config: dict, args) -> int:
     return 0
 
 
+def _out_dir(config: dict, args) -> Path:
+    out = args.out or _field(config.get("outputs", ""), "outputs", "str")
+    if not out:
+        raise ConfigError("no output directory (set outputs in config or pass --out)")
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _load_dataset(section: dict):
     fmt = section.get("format")
     if fmt == "cifar10":
         if "path" not in section:
             raise ConfigError("dataset.format=cifar10 requires dataset.path")
-        return D.load_cifar10(section["path"])
+        return D.load_cifar10(_field(section["path"], "dataset.path", "str"))
     if fmt == "lltn":
         if "images" not in section or "labels" not in section:
             raise ConfigError("dataset.format=lltn requires dataset.images and dataset.labels")
-        return D.load_lltn_pair(section["images"], section["labels"])
-    raise ConfigError(f"unknown dataset.format {fmt!r} (expected cifar10 or lltn)")
-
-
-def _check_input_shape(model: M.ModelGraph, images: np.ndarray) -> None:
-    if tuple(images.shape[1:]) != model.input_shape:
-        raise ConfigError(
-            f"model input_shape {list(model.input_shape)} does not match the dataset's "
-            f"images {list(images.shape[1:])}"
+        return D.load_lltn_pair(
+            _field(section["images"], "dataset.images", "str"), _field(section["labels"], "dataset.labels", "str")
         )
-
-
-def _load_model(section: dict, seed: int, images: np.ndarray) -> tuple[M.ModelGraph, dict]:
-    if "checkpoint" in section:
-        model, meta = M.load_checkpoint(section["checkpoint"])
-    elif "architecture" not in section:
-        raise ConfigError("model needs either a checkpoint or an architecture name")
-    else:
-        input_shape = section.get("input_shape", [3, 8, 8])
-        if not isinstance(input_shape, list) or not all(_is_int(n) and n > 0 for n in input_shape):
-            raise ConfigError(f"model.input_shape must be a list of positive integers, got {input_shape!r}")
-        classes = _int_field(section.get("classes", 4), "model.classes")
-        model_seed = _int_field(section.get("seed", seed), "model.seed")
-        model = M.build_architecture(section["architecture"], tuple(input_shape), classes, seed=model_seed)
-        meta = {}
-    _check_input_shape(model, images)
-    return model, meta
-
-
-def _estimator_config(config: dict, seed: int, args) -> SidConfig:
-    fields = dict(config.get("estimator", {}))
-    if args.alpha is not None:
-        fields["alpha"] = float(args.alpha)
-    try:
-        return SidConfig(seed=seed, **fields)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad estimator config: {err}") from err
-
-
-def _train_config(section: dict, seed: int) -> TrainConfig:
-    try:
-        return TrainConfig(seed=seed, **section)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad training config: {err}") from err
+    raise ConfigError(f"unknown dataset.format {fmt!r} (expected cifar10 or lltn)")
 
 
 def _check_layer(name, model: M.ModelGraph, key: str) -> str:
@@ -168,71 +135,108 @@ def _check_layer(name, model: M.ModelGraph, key: str) -> str:
     return name
 
 
-def _layers(config: dict, model: M.ModelGraph) -> list[str]:
-    layers = config.get("layers", "all")
-    if layers == "all":
-        return model.layer_names()
-    if not isinstance(layers, list) or not layers:
-        raise ConfigError("layers must be a non-empty list of names or \"all\"")
-    return [_check_layer(name, model, "layers") for name in layers]
+@dataclasses.dataclass
+class Run:
+    """One invocation, resolved by `main` before its verb runs: the validated
+    config, the flags, the seed, the output directory and the dataset."""
 
+    config: dict
+    args: argparse.Namespace
+    verb: str
+    seed: int
+    out: Path
+    images: np.ndarray
+    labels: np.ndarray
 
-def _inputs(config: dict, images: np.ndarray) -> list[int]:
-    idx = config.get("inputs", [0])
-    if not isinstance(idx, list) or not idx or not all(map(_is_int, idx)):
-        raise ConfigError(f"inputs must be a non-empty list of integer dataset indices, got {idx!r}")
-    bad = [i for i in idx if not 0 <= i < len(images)]
-    if bad:
-        raise ConfigError(f"input indices out of range: {bad}")
-    return list(idx)
+    def _fits(self, model: M.ModelGraph) -> M.ModelGraph:
+        if tuple(self.images.shape[1:]) != model.input_shape:
+            raise ConfigError(
+                f"model input_shape {list(model.input_shape)} does not match the dataset's "
+                f"images {list(self.images.shape[1:])}"
+            )
+        return model
 
+    def load_checkpoint(self, path: str) -> tuple[M.ModelGraph, dict]:
+        model, meta = M.load_checkpoint(path)
+        return self._fits(model), meta
 
-def _out_dir(config: dict, args) -> Path:
-    out = args.out or config.get("outputs")
-    if not out:
-        raise ConfigError("no output directory (set outputs in config or pass --out)")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    def load_model(self) -> tuple[M.ModelGraph, dict]:
+        section = self.config.get("model", {})
+        if "checkpoint" in section:
+            return self.load_checkpoint(_field(section["checkpoint"], "model.checkpoint", "str"))
+        if "architecture" not in section:
+            raise ConfigError("model needs either a checkpoint or an architecture name")
+        input_shape = section.get("input_shape", [3, 8, 8])
+        if not isinstance(input_shape, list) or not all(_is_int(n) and n > 0 for n in input_shape):
+            raise ConfigError(f"model.input_shape must be a list of positive integers, got {input_shape!r}")
+        classes = _field(section.get("classes", 4), "model.classes", "int")
+        model_seed = _field(section.get("seed", self.seed), "model.seed", "int")
+        architecture = _field(section["architecture"], "model.architecture", "str")
+        return self._fits(M.build_architecture(architecture, tuple(input_shape), classes, seed=model_seed)), {}
 
+    def layers(self, model: M.ModelGraph) -> list[str]:
+        layers = self.config.get("layers", "all")
+        if layers == "all":
+            return model.layer_names()
+        if not isinstance(layers, list) or not layers:
+            raise ConfigError("layers must be a non-empty list of names or \"all\"")
+        return _distinct([_check_layer(name, model, "layers") for name in layers], "layers")
 
-def _write_resolved(out: Path, verb: str, config: dict, seed: int) -> None:
-    resolved = dict(config)
-    resolved["seed"] = seed
-    resolved["tool_version"] = __version__
-    resolved["command"] = verb
-    lltn.write_json(out / "resolved_config.json", resolved)
+    def inputs(self) -> list[int]:
+        idx = self.config.get("inputs", [0])
+        if not isinstance(idx, list) or not idx or not all(map(_is_int, idx)):
+            raise ConfigError(f"inputs must be a non-empty list of integer dataset indices, got {idx!r}")
+        bad = [i for i in idx if not 0 <= i < len(self.images)]
+        if bad:
+            raise ConfigError(f"input indices out of range: {bad}")
+        return _distinct(list(idx), "inputs")
 
+    def estimator_config(self) -> SidConfig:
+        fields = dict(self.config.get("estimator", {}))
+        if self.args.alpha is not None:
+            fields["alpha"] = float(self.args.alpha)
+        try:
+            return SidConfig(seed=self.seed, **fields)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad estimator config: {err}") from err
 
-def _emit_heatmap(H_i: np.ndarray, input_shape: tuple, path: Path) -> None:
-    field = np.asarray(H_i).reshape(input_shape)
-    grid = REP.channel_mean(field)
-    if grid.ndim == 1:
-        grid = grid.reshape(1, -1)
-    REP.export_heatmap(grid, path)
+    def train_config(self, section: str, default: dict) -> TrainConfig:
+        try:
+            return TrainConfig(seed=self.seed, **self.config.get(section, default))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad training config: {err}") from err
+
+    def write_resolved(self) -> None:
+        resolved = dict(self.config, seed=self.seed, tool_version=__version__, command=self.verb)
+        lltn.write_json(self.out / "resolved_config.json", resolved)
+
+    def grid(self, models: list, layers: list, picks: list, cfg: SidConfig, mask=None) -> REP.LayerwiseReport:
+        """The layerwise grid of `models` x `layers` over the picked inputs,
+        written to {verb}.csv."""
+        rep = REP.layerwise_report(models, layers, self.images[picks], cfg, mask=mask, jobs=self.args.jobs)
+        REP.export_csv(rep, self.out / f"{self.verb}.csv")
+        return rep
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each takes the resolved Run and returns whether every estimate met
+# its budget (or the coherency check passed)
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(config: dict, args) -> int:
-    seed = _resolve_seed(config, args)
-    out = _out_dir(config, args)
-    images, labels = _load_dataset(config.get("dataset", {}))
-    model, meta = _load_model(config.get("model", {}), seed, images)
+def cmd_train(run: Run) -> bool:
+    model, meta = run.load_model()
     start_epoch = int(meta.get("epoch", -1)) + 1 if meta else 0
-    cfg = _train_config(config.get("train", {}), seed)
-    _write_resolved(out, "train", config, seed)
+    cfg = run.train_config("train", {})
+    run.write_resolved()
     trained, trace = train(
-        model, (images, labels), cfg, checkpoint_dir=out / "checkpoints", start_epoch=start_epoch
+        model, (run.images, run.labels), cfg, checkpoint_dir=run.out / "checkpoints", start_epoch=start_epoch
     )
     rows = "".join(f"{start_epoch + i},{loss!r}\n" for i, loss in enumerate(trace))
-    lltn.atomic_write(out / "loss.csv", ("epoch,loss\n" + rows).encode())
-    M.save_checkpoint(trained, out / "final", meta={"epoch": start_epoch + cfg.epochs - 1, "loss": trace[-1] if trace else None, "seed": seed})
+    lltn.atomic_write(run.out / "loss.csv", ("epoch,loss\n" + rows).encode())
+    M.save_checkpoint(trained, run.out / "final", meta={"epoch": start_epoch + cfg.epochs - 1, "loss": trace[-1] if trace else None, "seed": run.seed})
     print(f"trained {cfg.epochs} epochs; final loss {trace[-1] if trace else float('nan')}")
-    return EXIT_OK
+    return True
 
 
 def _estimate_and_save(cell, model: M.ModelGraph, cfg: SidConfig, out: Path, verb: str):
@@ -245,49 +249,38 @@ def _estimate_and_save(cell, model: M.ModelGraph, cfg: SidConfig, out: Path, ver
     else:
         res = estimate_sid(model, layer, image, cfg)
     res.save(out, stem)
-    _emit_heatmap(res.entropy_map, model.input_shape, out / f"{stem}.pgm")
+    grid = REP.channel_mean(res.entropy_map.reshape(model.input_shape))
+    REP.export_heatmap(grid.reshape(1, -1) if grid.ndim == 1 else grid, out / f"{stem}.pgm")
     return stem, float(res.entropy_map.sum()), res.conformant
 
 
-def _run_estimates(config: dict, args, verb: str) -> int:
-    seed = _resolve_seed(config, args)
-    out = _out_dir(config, args)
-    images, _ = _load_dataset(config.get("dataset", {}))
-    model, _ = _load_model(config.get("model", {}), seed, images)
-    layers = _layers(config, model)
-    picks = _inputs(config, images)
-    cfg = _estimator_config(config, seed, args)
-    _write_resolved(out, verb, config, seed)
+def cmd_estimate(run: Run) -> bool:
+    """sid or ru: one estimate per (layer, input)."""
+    model, _ = run.load_model()
+    layers = run.layers(model)
+    picks = run.inputs()
+    cfg = run.estimator_config()
+    run.write_resolved()
 
     decoders = {}
-    if verb == "ru":
-        dec_cfg = _train_config(config.get("decoder", {"epochs": 30, "learning_rate": 0.01, "loss": "mse"}), seed)
+    if run.verb == "ru":
+        dec_cfg = run.train_config("decoder", {"epochs": 30, "learning_rate": 0.01, "loss": "mse"})
         for layer in layers:
-            dec = train_decoder(model, layer, images, dec_cfg)
-            M.save_checkpoint(dec.graph, out / f"decoder_{layer}", meta={"layer": layer, "val_mse": dec.val_mse, "seed": seed})
+            dec = train_decoder(model, layer, run.images, dec_cfg)
+            M.save_checkpoint(dec.graph, run.out / f"decoder_{layer}", meta={"layer": layer, "val_mse": dec.val_mse, "seed": run.seed})
             decoders[layer] = dec
 
-    cells = [(layer, i, images[i], decoders.get(layer)) for layer in layers for i in picks]
-    run = partial(_estimate_and_save, model=model, cfg=cfg, out=out, verb=verb)
-    results = REP.parallel_map(run, cells, args.jobs)
+    cells = [(layer, i, run.images[i], decoders.get(layer)) for layer in layers for i in picks]
+    estimate = partial(_estimate_and_save, model=model, cfg=cfg, out=run.out, verb=run.verb)
+    results = REP.parallel_map(estimate, cells, run.args.jobs)
     for stem, total, conformant in results:
         print(f"{stem}: total={total:.4f} conformant={conformant}")
-    return EXIT_OK if all(ok for _, _, ok in results) else EXIT_NON_CONFORMANT
-
-
-def cmd_sid(config: dict, args) -> int:
-    return _run_estimates(config, args, "sid")
-
-
-def cmd_ru(config: dict, args) -> int:
-    return _run_estimates(config, args, "ru")
+    return all(ok for _, _, ok in results)
 
 
 def _load_mask(section: dict, spatial_shape: tuple) -> REP.Mask:
     if "pgm" in section:
-        if not isinstance(section["pgm"], str):
-            raise ConfigError(f"mask.pgm must be a path string, got {section['pgm']!r}")
-        mask = REP.Mask.from_pgm(section["pgm"])
+        mask = REP.Mask.from_pgm(_field(section["pgm"], "mask.pgm", "str"))
     elif "bbox" in section:
         b = section["bbox"]
         if not isinstance(b, dict) or not all(_is_int(b.get(k)) and b[k] >= 0 for k in "xywh"):
@@ -303,93 +296,81 @@ def _load_mask(section: dict, spatial_shape: tuple) -> REP.Mask:
         raise ConfigError(f"mask: {err}") from err
 
 
-def cmd_concentration(config: dict, args) -> int:
-    seed = _resolve_seed(config, args)
-    out = _out_dir(config, args)
-    images, _ = _load_dataset(config.get("dataset", {}))
-    model, _ = _load_model(config.get("model", {}), seed, images)
-    layers = _layers(config, model)
-    picks = _inputs(config, images)
-    cfg = _estimator_config(config, seed, args)
+def cmd_concentration(run: Run) -> bool:
+    model, _ = run.load_model()
+    layers = run.layers(model)
+    picks = run.inputs()
+    cfg = run.estimator_config()
     spatial = model.input_shape[-2:] if len(model.input_shape) == 3 else model.input_shape
-    mask = _load_mask(config.get("mask", {}), spatial)
-    _write_resolved(out, "concentration", config, seed)
-    rep = REP.layerwise_report(
-        [("model", model)], layers, images[picks], cfg, mask=mask, jobs=args.jobs
-    )
-    REP.export_csv(rep, out / "concentration.csv")
+    mask = _load_mask(run.config.get("mask", {}), spatial)
+    run.write_resolved()
+    rep = run.grid([("model", model)], layers, picks, cfg, mask=mask)
     for r in rep.records:
         print(f"{r.layer}: concentration={r.concentration}")
-    return EXIT_OK if all(r.conformant for r in rep.records) else EXIT_NON_CONFORMANT
+    return rep.conformant
 
 
-def cmd_coherency(config: dict, args) -> int:
-    seed = _resolve_seed(config, args)
-    out = _out_dir(config, args)
-    images, _ = _load_dataset(config.get("dataset", {}))
-    model, _ = _load_model(config.get("model", {}), seed, images)
-    picks = _inputs(config, images)
-    section = config.get("coherency", {})
+def cmd_coherency(run: Run) -> bool:
+    model, _ = run.load_model()
+    picks = run.inputs()
+    section = run.config.get("coherency", {})
     if section.get("layer") is None:
         raise ConfigError("coherency.layer is required")
     layer = _check_layer(section["layer"], model, "coherency.layer")
     factor = section.get("factor", 4.0)
     if isinstance(factor, bool) or not isinstance(factor, (int, float)) or not 0 < factor < math.inf:
         raise ConfigError(f"coherency.factor must be a positive finite number, got {factor!r}")
-    cfg = _estimator_config(config, seed, args)
-    if section.get("diagnostic"):
+    cfg = run.estimator_config()
+    if _field(section.get("diagnostic", False), "coherency.diagnostic", "bool"):
         cfg = dataclasses.replace(cfg, normalize=False)
-    _write_resolved(out, "coherency", config, seed)
+    run.write_resolved()
     try:
-        rep = REP.coherency_check(model, layer, images[picks[0]], cfg, factor=float(factor))
+        rep = REP.coherency_check(model, layer, run.images[picks[0]], cfg, factor=float(factor))
     except M.RescaleError as err:
         raise ConfigError(str(err)) from err
-    lltn.write_json(out / "coherency.json", rep.to_json())
+    lltn.write_json(run.out / "coherency.json", rep.to_json())
     records = [
         REP.LayerRecord.from_results(mid, layer, "inputs[1]", [res])
         for mid, res in (("original", rep.result_original), ("rescaled", rep.result_rescaled))
     ]
-    REP.export_csv(REP.LayerwiseReport(records=records), out / "coherency.csv")
+    REP.export_csv(REP.LayerwiseReport(records=records), run.out / "coherency.csv")
     print(
         f"coherency {layer}: max |dH|={rep.max_abs_delta_h:.3e} "
         f"output diff={rep.output_max_diff:.3e} -> {'PASS' if rep.passed else 'FAIL'}"
     )
-    return EXIT_OK if rep.passed else EXIT_NON_CONFORMANT
+    return rep.passed
 
 
-def cmd_damage(config: dict, args) -> int:
-    seed = _resolve_seed(config, args)
-    out = _out_dir(config, args)
-    images, labels = _load_dataset(config.get("dataset", {}))
-    section = config.get("damage", {})
+def cmd_damage(run: Run) -> bool:
+    section = run.config.get("damage", {})
     positions = section.get("positions", [1])
-    if not isinstance(positions, list) or not all(map(_is_int, positions)):
-        raise ConfigError(f"damage.positions must be a list of integers, got {positions!r}")
+    if not isinstance(positions, list) or not positions or not all(map(_is_int, positions)):
+        raise ConfigError(f"damage.positions must be a non-empty list of integers, got {positions!r}")
+    _distinct(positions, "damage.positions")
     n_filters = section.get("n_filters", 8)
     if not _is_int(n_filters) or n_filters < 1:
         raise ConfigError(f"damage.n_filters must be a positive integer, got {n_filters!r}")
-    base, _ = _load_model(config.get("model", {}), seed, images)
-    if config.get("layers") in (None, "all"):
+    base, _ = run.load_model()
+    if run.config.get("layers") in (None, "all"):
         layers = [s.name for s in base.layers if s.kind == "residual_block"]
         if not layers:
             raise ConfigError("model has no residual blocks; give layers explicitly")
     else:
-        layers = _layers(config, base)
-    picks = _inputs(config, images)
-    train_cfg = _train_config(config.get("train", {"epochs": 5, "learning_rate": 0.02}), seed)
-    cfg = _estimator_config(config, seed, args)
-    damaged_graphs = [(p, M.insert_block(base, position=p, n_filters=n_filters, seed=seed)) for p in positions]
-    _write_resolved(out, "damage", config, seed)
+        layers = run.layers(base)
+    picks = run.inputs()
+    train_cfg = run.train_config("train", {"epochs": 5, "learning_rate": 0.02})
+    cfg = run.estimator_config()
+    damaged_graphs = [(p, M.insert_block(base, position=p, n_filters=n_filters, seed=run.seed)) for p in positions]
+    run.write_resolved()
 
-    original, _ = train(base, (images, labels), train_cfg)
+    data = (run.images, run.labels)
+    original, _ = train(base, data, train_cfg)
     models = [("original", original)]
     for p, graph in damaged_graphs:
-        damaged, _ = train(graph, (images, labels), train_cfg)
+        damaged, _ = train(graph, data, train_cfg)
         models.append((f"damaged@{p}", damaged))
 
-    rep = REP.layerwise_report(models, layers, images[picks], cfg, jobs=args.jobs)
-    REP.export_csv(rep, out / "damage.csv")
-
+    rep = run.grid(models, layers, picks, cfg)
     by_model = {mid: {r.layer: r.H_total for r in rep.records if r.model == mid} for mid, _ in models}
     deltas = {
         mid: {layer: by_model[mid][layer] - by_model["original"][layer] for layer in layers}
@@ -397,65 +378,60 @@ def cmd_damage(config: dict, args) -> int:
         if mid != "original"
     }
     # the direction is recorded, deliberately never asserted
-    lltn.write_json(out / "damage_summary.json", {"delta_H_total_vs_original": deltas})
+    lltn.write_json(run.out / "damage_summary.json", {"delta_H_total_vs_original": deltas})
     for mid, d in deltas.items():
         mean_delta = float(np.mean(list(d.values())))
         print(f"{mid}: mean delta H_total vs original = {mean_delta:+.4f}")
-    return EXIT_OK if all(r.conformant for r in rep.records) else EXIT_NON_CONFORMANT
+    return rep.conformant
 
 
-def _run_grid(config: dict, args, verb: str, checkpoints: list) -> int:
-    """Layerwise grid over saved checkpoints, written to {verb}.csv.
-    `checkpoints` lists (model id, checkpoint path) pairs; an id of None
-    names the model after the epoch in its checkpoint metadata."""
-    seed = _resolve_seed(config, args)
-    out = _out_dir(config, args)
-    images, _ = _load_dataset(config.get("dataset", {}))
-    picks = _inputs(config, images)
-    cfg = _estimator_config(config, seed, args)
+def _checkpoint_grid(run: Run, checkpoints: list) -> bool:
+    """The layerwise grid over saved checkpoints, listed as (model id, path)
+    pairs; an id of None names the model after the epoch in its checkpoint
+    metadata."""
+    picks = run.inputs()
+    cfg = run.estimator_config()
     models = []
     for mid, path in checkpoints:
-        graph, meta = M.load_checkpoint(path)
-        _check_input_shape(graph, images)
+        graph, meta = run.load_checkpoint(path)
         if mid is None:
             mid = f"epoch_{meta.get('epoch', Path(path).name)}"
         models.append((mid, graph))
-    layers = _layers(config, models[0][1])
-    _write_resolved(out, verb, config, seed)
-    rep = REP.layerwise_report(models, layers, images[picks], cfg, jobs=args.jobs)
-    REP.export_csv(rep, out / f"{verb}.csv")
-    print(f"{verb}: {len(models)} models x {len(layers)} layers done")
-    return EXIT_OK if all(r.conformant for r in rep.records) else EXIT_NON_CONFORMANT
+    layers = run.layers(models[0][1])
+    run.write_resolved()
+    rep = run.grid(models, layers, picks, cfg)
+    print(f"{run.verb}: {len(models)} models x {len(layers)} layers done")
+    return rep.conformant
 
 
-def cmd_sweep(config: dict, args) -> int:
-    paths = config.get("sweep", {}).get("checkpoints", [])
+def cmd_sweep(run: Run) -> bool:
+    paths = run.config.get("sweep", {}).get("checkpoints", [])
+    if not isinstance(paths, list) or not all(isinstance(path, str) for path in paths):
+        raise ConfigError(f"sweep.checkpoints must be a list of checkpoint paths, got {paths!r}")
     if not paths:
         raise ConfigError("empty sweep: sweep.checkpoints lists no checkpoint directories")
-    return _run_grid(config, args, "sweep", [(None, path) for path in paths])
+    return _checkpoint_grid(run, [(None, path) for path in paths])
 
 
-def cmd_report(config: dict, args) -> int:
-    entries = config.get("report", {}).get("models", [])
+def cmd_report(run: Run) -> bool:
+    entries = run.config.get("report", {}).get("models", [])
     if not entries:
         raise ConfigError("report.models lists no models")
-    for entry in entries:
-        if not isinstance(entry, dict) or "checkpoint" not in entry:
-            raise ConfigError(f"report.models entry {entry!r} needs a \"checkpoint\" path")
-    return _run_grid(
-        config, args, "report", [(str(e.get("id", e["checkpoint"])), e["checkpoint"]) for e in entries]
-    )
+    if not isinstance(entries, list) or not all(isinstance(e, dict) and isinstance(e.get("checkpoint"), str) for e in entries):
+        raise ConfigError(f"report.models must list objects with a \"checkpoint\" path, got {entries!r}")
+    return _checkpoint_grid(run, [(str(e.get("id", e["checkpoint"])), e["checkpoint"]) for e in entries])
 
 
+# verb -> (function, the top-level config keys it reads besides _RUN_KEYS)
 _VERBS = {
-    "train": cmd_train,
-    "sid": cmd_sid,
-    "ru": cmd_ru,
-    "concentration": cmd_concentration,
-    "coherency": cmd_coherency,
-    "damage": cmd_damage,
-    "sweep": cmd_sweep,
-    "report": cmd_report,
+    "train": (cmd_train, {"model", "train"}),
+    "sid": (cmd_estimate, {"model", "estimator", "layers", "inputs"}),
+    "ru": (cmd_estimate, {"model", "estimator", "decoder", "layers", "inputs"}),
+    "concentration": (cmd_concentration, {"model", "estimator", "layers", "inputs", "mask"}),
+    "coherency": (cmd_coherency, {"model", "estimator", "coherency", "inputs"}),
+    "damage": (cmd_damage, {"model", "estimator", "train", "damage", "layers", "inputs"}),
+    "sweep": (cmd_sweep, {"estimator", "sweep", "layers", "inputs"}),
+    "report": (cmd_report, {"estimator", "report", "layers", "inputs"}),
 }
 
 
@@ -493,7 +469,9 @@ def main(argv=None) -> int:
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
         _validate(config, args.verb)
-        return _VERBS[args.verb](config, args)
+        seed = _resolve_seed(config, args)
+        run = Run(config, args, args.verb, seed, _out_dir(config, args), *_load_dataset(config.get("dataset", {})))
+        return EXIT_OK if _VERBS[args.verb][0](run) else EXIT_NON_CONFORMANT
     except (ConfigError, M.BuildError, M.UnknownLayerError, M.RescaleError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -204,8 +204,8 @@ def _param_layout(spec: LayerSpec, in_shape: tuple) -> list[tuple[str, tuple, in
     return layout + [("conv2_weight", (ch, ch, 3, 3), ch * 9), ("conv2_bias", (ch,), 0)]
 
 
-def _init_params(spec: LayerSpec, in_shape: tuple, seed: int) -> dict:
-    rng = RngStream(derive_seed(seed, f"init/{spec.name}"))
+def _init_params(spec: LayerSpec, in_shape: tuple, seed: int, tag: str = "init") -> dict:
+    rng = RngStream(derive_seed(seed, f"{tag}/{spec.name}"))
     return {
         name: _he_uniform(rng, shape, fan_in) if fan_in else np.zeros(shape)
         for name, shape, fan_in in _param_layout(spec, in_shape)
@@ -396,22 +396,9 @@ def insert_block(
         params[f"{base}_conv1"] = {"weight": eye.copy(), "bias": np.zeros(m_channels)}
         params[f"{base}_conv2"] = {"weight": eye.copy(), "bias": np.zeros(m_channels)}
     else:
-        params[f"{base}_conv1"] = {
-            "weight": _he_uniform(
-                RngStream(derive_seed(seed, f"insert/{base}_conv1")),
-                (n_filters, m_channels, 1, 1),
-                m_channels,
-            ),
-            "bias": np.zeros(n_filters),
-        }
-        params[f"{base}_conv2"] = {
-            "weight": _he_uniform(
-                RngStream(derive_seed(seed, f"insert/{base}_conv2")),
-                (m_channels, n_filters, 1, 1),
-                n_filters,
-            ),
-            "bias": np.zeros(m_channels),
-        }
+        h_w = model.layer_shape(model.layers[at].name)[1:]
+        for spec, channels in ((new_specs[0], m_channels), (new_specs[2], n_filters)):
+            params[spec.name] = _init_params(spec, (channels, *h_w), seed, tag="insert")
     params[f"{base}_relu1"] = {}
     params[f"{base}_relu2"] = {}
     return ModelGraph(model.input_shape, layers, params)

@@ -186,6 +186,10 @@ class LayerRecord:
 class LayerwiseReport:
     records: list[LayerRecord]
 
+    @property
+    def conformant(self) -> bool:
+        return all(r.conformant for r in self.records)
+
 
 def _estimate_cell(model: ModelGraph, layer: str, inputs: np.ndarray, cfg: SidConfig) -> list[SidResult]:
     return [estimate_sid(model, layer, x, cfg) for x in inputs]

@@ -610,6 +610,14 @@ class TestConfigHandling:
             ("coherency", {"coherency": {"layer": ["conv1"]}}, "coherency.layer"),
             ("coherency", {"coherency": {"layer": "nope"}}, "coherency.layer"),
             ("sid", estimator_patch(lambda_init=0), "lambda_init"),
+            ("sid", {"layers": ["conv1"] * 4}, "layers"),
+            ("sid", {"layers": ["conv1"], "inputs": [1, 0, 1]}, "inputs"),
+            ("damage", {"model": RESNET, "damage": {"positions": [1, 1]}}, "damage.positions"),
+            ("damage", {"model": RESNET, "damage": {"positions": []}}, "damage.positions"),
+            ("coherency", {"coherency": {"layer": "conv1", "diagnostic": "false"}}, "coherency.diagnostic"),
+            ("sweep", {"sweep": {"checkpoints": [5]}}, "sweep.checkpoints"),
+            ("sweep", {"sweep": {"checkpoints": "abc"}}, "sweep.checkpoints"),
+            ("report", {"report": {"models": [{"checkpoint": 5}]}}, "report.models"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):
@@ -620,6 +628,8 @@ class TestConfigHandling:
             "outputs": str(workspace["root"] / "o"),
             **patch,
         }
+        if verb in ("sweep", "report"):  # these load their models from checkpoints
+            del config["model"]
         assert run(verb, write_config(workspace["root"], "value.json", config)) == 3
         assert key in capsys.readouterr().err
 
@@ -630,6 +640,12 @@ class TestConfigHandling:
             ({"model": dict(CNN, classes="x")}, "model.classes"),
             ({"estimator": dict(TINY_ESTIMATOR, max_steps="x")}, "max_steps"),
             ({"estimator": dict(TINY_ESTIMATOR, lambda_init="x")}, "lambda_init"),
+            ({"outputs": 5}, "outputs"),
+            ({"dataset": {"format": "lltn", "images": 5, "labels": "l.lltn"}}, "dataset.images"),
+            ({"dataset": {"format": "lltn", "images": "i.lltn", "labels": 5}}, "dataset.labels"),
+            ({"dataset": {"format": "cifar10", "path": 5}}, "dataset.path"),
+            ({"model": {"checkpoint": 5}}, "model.checkpoint"),
+            ({"model": dict(CNN, architecture=["x"])}, "model.architecture"),
         ],
     )
     def test_value_of_wrong_type_is_config_error(self, workspace, capsys, patch, key):
@@ -643,6 +659,19 @@ class TestConfigHandling:
         }
         assert run("sid", write_config(workspace["root"], "typed.json", config)) == 3
         assert key in capsys.readouterr().err
+
+    def test_repeated_layers_rejected_before_any_pool(self, workspace, capsys, pool_recorder):
+        # two workers would write the same sid_conv1_0.* files at once
+        config = {
+            "dataset": workspace["dataset"],
+            "model": CNN,
+            "estimator": dict(TINY_ESTIMATOR),
+            "layers": ["conv1", "conv2", "conv1"],
+            "outputs": str(workspace["root"] / "o"),
+        }
+        assert run("sid", write_config(workspace["root"], "twice.json", config), "--jobs", "2") == 3
+        assert "layers repeats ['conv1']" in capsys.readouterr().err
+        assert pool_recorder == []
 
     def test_null_lambda_init_accepted(self, workspace):
         config = {

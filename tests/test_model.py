@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,19 @@ class TestInsertBlock:
         damaged = M.insert_block(g, position=1, n_filters=16, identity_init=True)
         x = Tensor(np_rng.normal(size=(3, 8, 8)))
         np.testing.assert_allclose(damaged.forward(x).data, g.forward(x).data, rtol=0, atol=0)
+
+    def test_random_init_pinned(self):
+        # the inserted convs' parameters at seed 3 on the damage study's tiny-resnet;
+        # a change here moves every damaged model the damage verb trains
+        g = M.tiny_resnet(input_shape=(1, 8, 8), classes=4, seed=3)
+        h = hashlib.sha256()
+        for position in (1, 2):
+            damaged = M.insert_block(g, position=position, n_filters=8, seed=3)
+            for layer in (f"inserted{position}_conv1", f"inserted{position}_conv2"):
+                for name, a in sorted(damaged.params[layer].items()):
+                    h.update(f"{layer}/{name}{a.shape}".encode())
+                    h.update(a.tobytes())
+        assert h.hexdigest() == "3f3dccafd9a075e07cdc8f15f01657c3ec76331f70e4b845a04d60a8afce4dfd"
 
     def test_invalid_position(self):
         g = self._resnet16()
