@@ -2,11 +2,12 @@
 """Time the conv kernels at the shapes the estimators run.
 
 For each (B, C, K) at an 8x8 input, 3x3 kernels, stride 1, pad 1, prints the
-microseconds per call of conv2d forward, of conv2d's input gradient (the
-shipped choice, the two exact formulations it picks between, and the
-reference: a GEMM plus a kh*kw loop of scatter-adds) and of transpose_conv2d,
-and the largest difference of the shipped and the flipped input gradient
-from the reference.
+microseconds per call of conv2d forward with its bias, as ModelGraph calls it,
+of conv2d's input gradient (the shipped choice, the two exact formulations it
+picks between, and the reference: a GEMM plus a kh*kw loop of scatter-adds)
+and of transpose_conv2d; the largest difference of the shipped and the
+flipped input gradient from the reference; and the largest difference of the
+biased forward from conv2d plus a reshaped-bias add, which must read 0.0.
 
     PYTHONPATH=src python scripts/bench_conv.py [--seconds 0.3]
 """
@@ -58,18 +59,22 @@ def main():
     rng = np.random.default_rng(0)
     print(f"input {HW[0]}x{HW[1]}, kernel {KSIZE}x{KSIZE}, stride {STRIDE}, pad {PAD}; us per call")
     print(f"{'B':>4} {'C':>2} {'K':>2} | {'forward':>8} | {'in-grad':>8} {'loop':>8} "
-          f"{'scatter':>8} {'flipped':>8} | {'transpose':>9} | max diff vs loop: shipped, flipped")
+          f"{'scatter':>8} {'flipped':>8} | {'transpose':>9} | max diff vs loop: shipped, flipped"
+          " | forward vs conv+add")
     for b, c, k in SHAPES:
         x = T.Tensor(rng.normal(size=(b, c) + HW))
         kern = rng.normal(size=(k, c, KSIZE, KSIZE))
         kt = T.Tensor(kern)
+        bt = T.Tensor(rng.normal(size=k))
+        fused = T.conv2d(x, kt, STRIDE, PAD, bt).data
+        composed = T.add(T.conv2d(x, kt, STRIDE, PAD), T.reshape(bt, (k, 1, 1))).data
         g = rng.normal(size=(b, k) + HW)
         gt = T.Tensor(g)
         want = loop_scatter(g, kern, HW, STRIDE, PAD)
         shipped = T._conv_input_grad(g, kern, HW, STRIDE, PAD)
         flipped = T._flipped_adjoint(g, kern, STRIDE, PAD)
         t = {
-            "forward": lambda: T.conv2d(x, kt, STRIDE, PAD),
+            "forward": lambda: T.conv2d(x, kt, STRIDE, PAD, bt),
             "in-grad": lambda: T._conv_input_grad(g, kern, HW, STRIDE, PAD),
             "loop": lambda: loop_scatter(g, kern, HW, STRIDE, PAD),
             "scatter": lambda: T._scatter_adjoint(g, kern, HW, STRIDE, PAD),
@@ -80,7 +85,8 @@ def main():
         print(f"{b:>4} {c:>2} {k:>2} | {us['forward']:8.0f} | {us['in-grad']:8.0f} "
               f"{us['loop']:8.0f} {us['scatter']:8.0f} {us['flipped']:8.0f} | "
               f"{us['transpose']:9.0f} | "
-              f"{np.abs(shipped - want).max():.1e}, {np.abs(flipped - want).max():.1e}")
+              f"{np.abs(shipped - want).max():.1e}, {np.abs(flipped - want).max():.1e} | "
+              f"{np.abs(fused - composed).max()}")
 
 
 if __name__ == "__main__":

@@ -385,10 +385,10 @@ def cmd_damage(run: Run) -> bool:
     return rep.conformant
 
 
-def _checkpoint_grid(run: Run, checkpoints: list) -> bool:
-    """The layerwise grid over saved checkpoints, listed as (model id, path)
-    pairs; an id of None names the model after the epoch in its checkpoint
-    metadata."""
+def _checkpoint_grid(run: Run, checkpoints: list, key: str) -> bool:
+    """The layerwise grid over saved checkpoints, listed under config `key` as
+    (model id, path) pairs; an id of None names the model after the epoch in
+    its checkpoint metadata. Each model must get a name of its own."""
     picks = run.inputs()
     cfg = run.estimator_config()
     models = []
@@ -397,6 +397,7 @@ def _checkpoint_grid(run: Run, checkpoints: list) -> bool:
         if mid is None:
             mid = f"epoch_{meta.get('epoch', Path(path).name)}"
         models.append((mid, graph))
+    _distinct([mid for mid, _ in models], f"{key}: model name")
     layers = run.layers(models[0][1])
     run.write_resolved()
     rep = run.grid(models, layers, picks, cfg)
@@ -410,7 +411,7 @@ def cmd_sweep(run: Run) -> bool:
         raise ConfigError(f"sweep.checkpoints must be a list of checkpoint paths, got {paths!r}")
     if not paths:
         raise ConfigError("empty sweep: sweep.checkpoints lists no checkpoint directories")
-    return _checkpoint_grid(run, [(None, path) for path in paths])
+    return _checkpoint_grid(run, [(None, path) for path in paths], "sweep.checkpoints")
 
 
 def cmd_report(run: Run) -> bool:
@@ -419,7 +420,8 @@ def cmd_report(run: Run) -> bool:
         raise ConfigError("report.models lists no models")
     if not isinstance(entries, list) or not all(isinstance(e, dict) and isinstance(e.get("checkpoint"), str) for e in entries):
         raise ConfigError(f"report.models must list objects with a \"checkpoint\" path, got {entries!r}")
-    return _checkpoint_grid(run, [(str(e.get("id", e["checkpoint"])), e["checkpoint"]) for e in entries])
+    models = [(str(e.get("id", e["checkpoint"])), e["checkpoint"]) for e in entries]
+    return _checkpoint_grid(run, models, "report.models")
 
 
 # verb -> (function, the top-level config keys it reads besides _RUN_KEYS)

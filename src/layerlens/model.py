@@ -314,32 +314,20 @@ class ModelGraph:
             out = T.add(T.matmul(x2, p["weight"]), p["bias"])
             return out if batched else T.reshape(out, (spec.units,))
         if kind == "conv":
-            return self._bias_add(
-                T.conv2d(x, p["weight"], spec.stride, spec.padding), p["bias"]
-            )
+            return T.conv2d(x, p["weight"], spec.stride, spec.padding, p["bias"])
         if kind == "transpose_conv":
-            return self._bias_add(
-                T.transpose_conv2d(x, p["weight"], spec.stride, spec.padding), p["bias"]
-            )
+            return T.transpose_conv2d(x, p["weight"], spec.stride, spec.padding, p["bias"])
         if kind == "residual_block":
             if spec.upsample:
-                m = T.relu(self._bias_add(T.transpose_conv2d(x, p["up_weight"], 2, 1), p["up_bias"]))
-                m = self._bias_add(T.conv2d(m, p["conv2_weight"], 1, 1), p["conv2_bias"])
-                s = self._bias_add(T.transpose_conv2d(x, p["skip_weight"], 2, 0), p["skip_bias"])
+                m = T.relu(T.transpose_conv2d(x, p["up_weight"], 2, 1, p["up_bias"]))
+                m = T.conv2d(m, p["conv2_weight"], 1, 1, p["conv2_bias"])
+                s = T.transpose_conv2d(x, p["skip_weight"], 2, 0, p["skip_bias"])
             else:
-                m = T.relu(self._bias_add(T.conv2d(x, p["conv1_weight"], 1, 1), p["conv1_bias"]))
-                m = self._bias_add(T.conv2d(m, p["conv2_weight"], 1, 1), p["conv2_bias"])
-                if "skip_weight" in p:
-                    s = self._bias_add(T.conv2d(x, p["skip_weight"], 1, 0), p["skip_bias"])
-                else:
-                    s = x
+                m = T.relu(T.conv2d(x, p["conv1_weight"], 1, 1, p["conv1_bias"]))
+                m = T.conv2d(m, p["conv2_weight"], 1, 1, p["conv2_bias"])
+                s = T.conv2d(x, p["skip_weight"], 1, 0, p["skip_bias"]) if "skip_weight" in p else x
             return T.relu(T.add(m, s))
         raise BuildError(f"unknown layer kind {kind!r}")
-
-    @staticmethod
-    def _bias_add(y: Tensor, bias: Tensor) -> Tensor:
-        k = bias.shape[0]
-        return T.add(y, T.reshape(bias, (k, 1, 1)))
 
 
 def build(specs: list[LayerSpec], input_shape, seed: int = 0) -> ModelGraph:

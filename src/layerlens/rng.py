@@ -44,12 +44,19 @@ class RngStream:
         g = self._generator()
         self.counter += 1
         pairs = (n + 1) // 2
-        u1 = 1.0 - g.random(pairs)  # in (0, 1], keeps log finite
-        u2 = g.random(pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return z.reshape(shape)
+        r = g.random(pairs)
+        np.subtract(1.0, r, out=r)  # in (0, 1], keeps log finite
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = g.random(pairs)
+        theta *= 2.0 * np.pi
+        z = np.empty(2 * pairs)  # cosines in the first half, sines in the second
+        np.cos(theta, out=z[:pairs])
+        np.sin(theta, out=z[pairs:])
+        z[:pairs] *= r
+        z[pairs:] *= r
+        return z[:n].reshape(shape)
 
     def uniform(self, shape) -> np.ndarray:
         """Uniform [0,1) draws; advances the counter by one."""
@@ -72,5 +79,7 @@ class RngStream:
 
 
 def gaussian(rng: RngStream, shape) -> Tensor:
-    """i.i.d. standard-normal tensor; deterministic under fixed (seed, counter)."""
-    return Tensor(rng.normal(shape))
+    """i.i.d. standard-normal constant tensor; deterministic under fixed (seed,
+    counter). Box-Muller output is finite by construction, so it is wrapped
+    without a copy or a check."""
+    return Tensor.wrap(rng.normal(shape))

@@ -198,11 +198,11 @@ def ru_loss(
 
     def entropy(x, log_sigma, fp):
         recon = decoder.forward(fp)
-        err = T.sub(recon, Tensor(x))
-        err_sq_mean = T.mul(T.reduce_sum(T.mul(err, err), axis=0), Tensor(1.0 / samples))
+        err = T.sub(recon, Tensor.wrap(x))
+        err_sq_mean = T.mul(T.reduce_sum(T.mul(err, err), axis=0), Tensor.wrap(1.0 / samples))
         floored = T.clip_min(err_sq_mean, _VAR_FLOOR)
-        per_unit = T.add(T.log(floored), Tensor(GAUSSIAN_ENTROPY_CONST))
-        return T.mul(T.reduce_sum(per_unit), Tensor(0.5))
+        per_unit = T.add(T.log(floored), Tensor.wrap(GAUSSIAN_ENTROPY_CONST))
+        return T.mul(T.reduce_sum(per_unit), Tensor.wrap(0.5))
 
     return _entropy_loss(
         model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, entropy, f0

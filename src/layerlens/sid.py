@@ -156,11 +156,20 @@ def clean_feature(model: ModelGraph, layer: str, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_chunked(model: ModelGraph, xs: np.ndarray, layer: str) -> np.ndarray:
-    outs = []
+    """The layer's features of a batch, forwarded _CERT_CHUNK rows at a time
+    into one array."""
+    out = None
     with T.no_grad():
         for lo in range(0, len(xs), _CERT_CHUNK):
-            outs.append(model.forward(Tensor(xs[lo : lo + _CERT_CHUNK]), to_layer=layer).data)
-    return np.concatenate(outs)
+            f = model.forward(Tensor(xs[lo : lo + _CERT_CHUNK]), to_layer=layer).data
+            if out is None:
+                if len(f) == len(xs):
+                    return f
+                out = np.empty((len(xs),) + f.shape[1:])
+            out[lo : lo + len(f)] = f
+    if out is None:
+        raise ValueError("no rows to forward")
+    return out
 
 
 def _mean_sq_deviation(
@@ -170,10 +179,13 @@ def _mean_sq_deviation(
     feature under input noise scale * N(0, I), from `samples` draws of rng."""
     x = np.asarray(x, dtype=np.float64)
     f0 = clean_feature(model, layer, x)
-    noise = rng.normal((samples,) + x.shape)
-    fp = _forward_chunked(model, x[None] + scale * noise, layer)
-    diff = (fp - f0).reshape(samples, -1)
-    return float((diff * diff).sum() / samples)
+    xs = rng.normal((samples,) + x.shape)
+    xs *= scale
+    xs += x
+    dev = _forward_chunked(model, xs, layer)
+    dev -= f0
+    dev *= dev
+    return float(dev.sum() / samples)
 
 
 def feature_baseline(
@@ -221,14 +233,15 @@ def _entropy_loss(
     x = np.asarray(x, dtype=np.float64)
     if f0 is None:
         f0 = clean_feature(model, layer, x)
+    # x (checked by clean_feature), f0, the noise and the scalars are the
+    # estimator's own constants: wrapped, not copied; each op checks its result
     log_sigma = Tensor(sigma.log_sigma, requires_grad=True)
     sig = T.exp(log_sigma)
     noise = gaussian(rng, (samples,) + x.shape)
-    fp = model.forward(T.add(Tensor(x), T.mul(sig, noise)), to_layer=layer)
-    diff = T.sub(fp, Tensor(f0))
+    fp = model.forward(T.add(Tensor.wrap(x), T.mul(sig, noise)), to_layer=layer)
     denom = delta_f_sq if normalize else 1.0
-    fit = T.mul(T.reduce_sum(T.mul(diff, diff)), Tensor(1.0 / (samples * denom)))
-    loss = T.sub(fit, T.mul(entropy(x, log_sigma, fp), Tensor(lam)))
+    fit = T.sum_sq_diff(fp, Tensor.wrap(f0), 1.0 / (samples * denom))
+    loss = T.sub(fit, T.mul(entropy(x, log_sigma, fp), Tensor.wrap(lam)))
     grads = T.backward(loss)
     return loss.item(), grads[log_sigma]
 
@@ -250,7 +263,7 @@ def sid_loss(
     `f0`, the clean feature, is computed when not given."""
 
     def entropy(x, log_sigma, fp):
-        return T.reduce_sum(T.add(log_sigma, Tensor(GAUSSIAN_ENTROPY_CONST)))
+        return T.reduce_sum(T.add(log_sigma, Tensor.wrap(GAUSSIAN_ENTROPY_CONST)))
 
     return _entropy_loss(
         model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, entropy, f0

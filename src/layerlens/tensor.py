@@ -30,6 +30,7 @@ __all__ = [
     "relu",
     "mse",
     "reduce_sum",
+    "sum_sq_diff",
     "log",
     "exp",
     "reshape",
@@ -135,6 +136,8 @@ def _result(data: np.ndarray, parents: Iterable[tuple], op: str) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to `shape` (trailing-dim rules)."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -298,8 +301,28 @@ def _batched(x: Tensor):
     raise ShapeError(f"expected 3-D or 4-D spatial tensor, got shape {x.shape}")
 
 
-def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of (B,C,H,W) or (C,H,W) with kernels (K,C,kh,kw)."""
+def _add_bias(out: np.ndarray, bias, squeeze: bool, op: str) -> tuple:
+    """Add a per-channel bias to a fresh (B,K,H,W) conv output in place and
+    return its (tensor, gradient) parent, or no parent without a bias. The
+    gradient sums the batch axis, then the spatial ones: the order in which
+    broadcasting a (K,1,1) bias onto the output would sum them."""
+    if bias is None:
+        return ()
+    bias = _as_tensor(bias)
+    K = out.shape[1]
+    if bias.shape != (K,):
+        raise ShapeError(f"{op}: bias must have shape ({K},), got {bias.shape}")
+    out += bias.data.reshape(K, 1, 1)
+
+    def grad_b(g):
+        return (g if squeeze else g.sum(axis=0)).sum(axis=(1, 2))
+
+    return ((bias, grad_b),)
+
+
+def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+    """Cross-correlation of (B,C,H,W) or (C,H,W) with kernels (K,C,kh,kw),
+    plus a per-channel bias (K,) when given."""
     x, kernels = _as_tensor(x), _as_tensor(kernels)
     xd, squeeze = _batched(x)
     if kernels.data.ndim != 4:
@@ -328,16 +351,16 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
         gW = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0)
         return gW.reshape(K, C, kh, kw)
 
-    if squeeze:
-        out = out[0]
-    return _result(out, ((x, grad_x), (kernels, grad_k)), "conv2d")
+    parents = ((x, grad_x), (kernels, grad_k)) + _add_bias(out, bias, squeeze, "conv2d")
+    return _result(out[0] if squeeze else out, parents, "conv2d")
 
 
-def transpose_conv2d(y, kernels, stride: int = 1, padding: int = 0) -> Tensor:
-    """Exact adjoint of conv2d with the same kernels/stride/padding.
+def transpose_conv2d(y, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+    """Exact adjoint of conv2d with the same kernels/stride/padding, plus a
+    per-channel bias (C,) when given.
 
     Maps (B,K,H',W') back to (B,C,H,W) with H = (H'-1)*stride + kh - 2*padding,
-    so that <conv2d(x), y> == <x, transpose_conv2d(y)> for all x, y.
+    so that <conv2d(x), y> == <x, transpose_conv2d(y)> for all x, y (no bias).
     """
     y, kernels = _as_tensor(y), _as_tensor(kernels)
     yd, squeeze = _batched(y)
@@ -370,9 +393,8 @@ def transpose_conv2d(y, kernels, stride: int = 1, padding: int = 0) -> Tensor:
         gW = np.matmul(yf, gradient_columns(g).transpose(0, 2, 1)).sum(axis=0)
         return gW.reshape(K, C, kh, kw)
 
-    if squeeze:
-        out = out[0]
-    return _result(out, ((y, grad_y), (kernels, grad_k)), "transpose_conv2d")
+    parents = ((y, grad_y), (kernels, grad_k)) + _add_bias(out, bias, squeeze, "transpose_conv2d")
+    return _result(out[0] if squeeze else out, parents, "transpose_conv2d")
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +436,29 @@ def reduce_sum(x, axis=None) -> Tensor:
         return np.broadcast_to(g_exp, shape).copy()
 
     return _result(data, ((x, grad_x),), "reduce_sum")
+
+
+def sum_sq_diff(a, b, scale: float) -> Tensor:
+    """scale * sum((a - b)**2) with b broadcast against a, as one node. Its value
+    and gradients carry the bits of the sub -> mul -> reduce_sum -> mul chain
+    it stands for."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    try:
+        with np.errstate(all="ignore"):  # non-finite results raise NumericalError below
+            d = a.data - b.data
+            data = np.asarray((d * d).sum() * scale)
+    except ValueError as err:
+        raise ShapeError(f"sum_sq_diff: incompatible shapes {a.shape} and {b.shape}") from err
+
+    def grad_d(g):
+        t = (g * scale) * d
+        return t + t
+
+    parents = (
+        (a, lambda g: _unbroadcast(grad_d(g), a.data.shape)),
+        (b, lambda g: _unbroadcast(-grad_d(g), b.data.shape)),
+    )
+    return _result(data, parents, "sum_sq_diff")
 
 
 def log(x) -> Tensor:

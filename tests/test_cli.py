@@ -6,6 +6,7 @@ import pytest
 
 from layerlens import cli
 from layerlens import data as D
+from layerlens import model as M
 from layerlens.cli import main
 
 TINY_ESTIMATOR = {
@@ -456,8 +457,6 @@ class TestSweepVerb:
 
 class TestReportVerb:
     def _checkpoints(self, root):
-        from layerlens import model as M
-
         paths = []
         for seed in (1, 2):
             path = root / f"ckpt{seed}"
@@ -618,6 +617,11 @@ class TestConfigHandling:
             ("sweep", {"sweep": {"checkpoints": [5]}}, "sweep.checkpoints"),
             ("sweep", {"sweep": {"checkpoints": "abc"}}, "sweep.checkpoints"),
             ("report", {"report": {"models": [{"checkpoint": 5}]}}, "report.models"),
+            # @ckpt/a and @ckpt/b: two checkpoints whose metadata both say epoch 1
+            ("sweep", {"sweep": {"checkpoints": ["@ckpt/a", "@ckpt/a"]}}, "sweep.checkpoints"),
+            ("sweep", {"sweep": {"checkpoints": ["@ckpt/a", "@ckpt/b"]}}, "sweep.checkpoints"),
+            ("report", {"report": {"models": [{"id": "m", "checkpoint": "@ckpt/a"}, {"id": "m", "checkpoint": "@ckpt/b"}]}}, "report.models"),
+            ("report", {"report": {"models": [{"checkpoint": "@ckpt/a"}, {"checkpoint": "@ckpt/a"}]}}, "report.models"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):
@@ -630,6 +634,10 @@ class TestConfigHandling:
         }
         if verb in ("sweep", "report"):  # these load their models from checkpoints
             del config["model"]
+            ckpt = workspace["root"] / "ckpt"
+            for name in ("a", "b"):
+                M.save_checkpoint(M.tiny_cnn((1, 8, 8), 4, seed=1), ckpt / name, {"epoch": 1})
+            config = json.loads(json.dumps(config).replace("@ckpt", str(ckpt)))
         assert run(verb, write_config(workspace["root"], "value.json", config)) == 3
         assert key in capsys.readouterr().err
 

@@ -1,3 +1,7 @@
+import hashlib
+
+import pytest
+
 from layerlens.rng import RngStream, derive_seed, gaussian
 
 
@@ -50,3 +54,19 @@ def test_uniform_and_permutation_deterministic():
     assert (p1 == p2).all()
     u = RngStream(9).uniform((4,))
     assert ((0.0 <= u) & (u < 1.0)).all()
+
+
+@pytest.mark.parametrize(
+    "n,digest",
+    [
+        (1, "41f7538f0e9183d26c5658a32d82470847f5c33ccc5e936df8ac4bcd3fe63b57"),
+        (7, "809a14152cdd3b4e5343a4501c371ff3c48538113d805b4f52425cb0e675037f"),
+        (2048, "c14c07a5243329d67648380961a9d21f3ae70061ca3aafb5079538160a2db0ce"),
+        (65536, "7460721c1d4dcb2944c244906795b1e43cca0f2a18bd0b6dffdf8421b386040c"),
+    ],
+)
+def test_normal_draws_pinned(n, digest):
+    # sha256 of the float64 bytes, taken from the allocate-per-step Box-Muller
+    # (1 - u1, log, sqrt, then a concatenate of r*cos and r*sin)
+    z = RngStream(3, 5).normal(n)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from layerlens import data as D
 from layerlens import model as M
 from layerlens import sid as S
+from layerlens import tensor as T
 from layerlens.rng import RngStream
 
 C = S.GAUSSIAN_ENTROPY_CONST
@@ -416,3 +418,56 @@ class TestOneRoundAtDefaultStart:
         assert res.conformant
         assert res.steps_used == max_steps
         assert res.lambda_final == 2 * cfg.alpha / x.size
+
+
+def _stem_loss_site():
+    """tiny-resnet/stem at the first four-class image, with a non-uniform sigma."""
+    images, _ = D.make_fourclass_images(n=8, shape=(1, 8, 8), seed=3)
+    x = images[0]
+    sigma = S.SigmaField(np.log(0.02) + 0.1 * np.sin(np.arange(x.size)).reshape(x.shape))
+    return M.tiny_resnet((1, 8, 8), 4, seed=3), x, sigma
+
+
+def test_sid_loss_pinned():
+    # value and gradient bytes taken from the op-per-step loss (sub, mul,
+    # reduce_sum and mul for the fit term; conv, reshape and add for the stem)
+    model, x, sigma = _stem_loss_site()
+    value, grad = S.sid_loss(model, "stem", x, sigma, 0.05, 0.003, 32, RngStream(3))
+    assert value.hex() == "0x1.17a191aa25bd8p+7"
+    assert hashlib.sha256(grad.tobytes()).hexdigest() == (
+        "cb81634778a212c898ce0595ec64c182566ebda60ce519275df04f83a3368024"
+    )
+
+
+class TestTapeNodes:
+    """Leanness guard: the number of op results (tensor._result calls) in the
+    hot path. One default sid_loss at tiny-resnet/stem, given f0, recorded 14
+    when the conv bias was a reshape and an add and the fit term a sub, mul,
+    reduce_sum and mul; it records 9 (exp, mul, add, conv2d, sum_sq_diff, the
+    entropy's add and reduce_sum, the lambda mul and the final sub). A conv
+    layer's forward went from 3 to 1."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        count = [0]
+        result = T._result
+
+        def counting(*args):
+            count[0] += 1
+            return result(*args)
+
+        monkeypatch.setattr(T, "_result", counting)
+        return count
+
+    def test_sid_loss(self, monkeypatch):
+        model, x, sigma = _stem_loss_site()
+        f0 = S.clean_feature(model, "stem", x)
+        count = self._count(monkeypatch)
+        S.sid_loss(model, "stem", x, sigma, 0.05, 0.003, 32, RngStream(3), f0=f0)
+        assert count[0] == 9
+
+    def test_conv_layer_forward(self, monkeypatch):
+        model, x, _ = _stem_loss_site()
+        count = self._count(monkeypatch)
+        model.forward(np.repeat(x[None], 4, axis=0), to_layer="stem")
+        assert count[0] == 1

@@ -258,6 +258,46 @@ class TestTransposeConv2d:
         assert calls == [(16, 8, 8, 8)]
 
 
+class TestBiasInsideConv:
+    """A bias operand gives the bits of the conv-plus-add composition it
+    replaces: forward, and the input, kernel and bias gradients."""
+
+    @pytest.mark.parametrize("op", ["conv2d", "transpose_conv2d"])
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_matches_conv_plus_reshaped_add(self, op, batched, stride, pad, np_rng):
+        conv = getattr(T, op)
+        c, k = 2, 3
+        in_ch, out_ch = (c, k) if op == "conv2d" else (k, c)
+        x0 = np_rng.normal(size=((4,) if batched else ()) + (in_ch, 7, 7))
+        k0 = np_rng.normal(size=(k, c, 3, 3))
+        b0 = np_rng.normal(size=out_ch)
+        out_shape = conv(T.Tensor(x0), T.Tensor(k0), stride, pad).shape
+        g = T.Tensor(np_rng.normal(size=out_shape))
+
+        def run(fused):
+            x, kk, b = (T.Tensor(a, requires_grad=True) for a in (x0, k0, b0))
+            if fused:
+                out = conv(x, kk, stride, pad, b)
+            else:
+                out = T.add(conv(x, kk, stride, pad), T.reshape(b, (out_ch, 1, 1)))
+            T.backward(T.reduce_sum(T.mul(out, g)))
+            return out.data, x.grad, kk.grad, b.grad
+
+        for got, want in zip(run(True), run(False)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_bias_of_wrong_shape_rejected(self, np_rng):
+        x = T.Tensor(np_rng.normal(size=(2, 5, 5)))
+        k = T.Tensor(np_rng.normal(size=(3, 2, 3, 3)))
+        with pytest.raises(T.ShapeError, match="bias"):
+            T.conv2d(x, k, 1, 1, T.Tensor(np.zeros(2)))
+        with pytest.raises(T.ShapeError, match="bias"):
+            T.transpose_conv2d(T.Tensor(np.zeros((3, 5, 5))), k, 1, 1, T.Tensor(np.zeros(3)))
+
+
 def scatter_input_grad(g, kernels, x_shape, stride, pad):
     """Reference adjoint of conv2d in its input: the kh*kw scatter-add of the
     kernel columns, one tap at a time."""
@@ -330,6 +370,29 @@ class TestPointwiseAndReduce:
         T.backward(T.reduce_sum(fn(x)))
         fd = finite_diff(lambda v: T.reduce_sum(fn(T.Tensor(v))).item(), x0)
         assert rel_err(x.grad, fd) <= 1e-8
+
+    def test_sum_sq_diff_matches_its_chain(self, np_rng):
+        # one node, the bits of sub -> mul -> reduce_sum -> mul, b broadcast
+        a0 = np_rng.normal(size=(5, 3, 4))
+        b0 = np_rng.normal(size=(3, 4))
+        scale = 1.0 / 7.3
+
+        def run(fused):
+            a, b = T.Tensor(a0, requires_grad=True), T.Tensor(b0, requires_grad=True)
+            if fused:
+                out = T.sum_sq_diff(a, b, scale)
+            else:
+                d = T.sub(a, b)
+                out = T.mul(T.reduce_sum(T.mul(d, d)), T.Tensor(scale))
+            T.backward(T.mul(out, T.Tensor(1.7)))
+            return out.data, a.grad, b.grad
+
+        for got, want in zip(run(True), run(False)):
+            assert np.array_equal(got, want)
+
+    def test_unbroadcast_passes_same_shape_through(self, np_rng):
+        g = np_rng.normal(size=(3, 4))
+        assert T._unbroadcast(g, (3, 4)) is g
 
     def test_clip_min(self):
         x = T.Tensor([1e-20, 2.0], requires_grad=True)
