@@ -264,15 +264,13 @@ class ModelGraph:
 
     # -- forward ------------------------------------------------------------
 
-    def _wrap_params(self) -> dict:
-        return {ln: {pn: Tensor.wrap(a) for pn, a in d.items()} for ln, d in self.params.items()}
-
     def forward(self, x, to_layer: str | None = None, param_tensors: dict | None = None) -> Tensor:
         """Evaluate the chain up to (and including) `to_layer`, or fully.
 
         Accepts a single sample shaped like input_shape or a batch with one
         extra leading dim. Differentiable w.r.t. x and any param tensors that
-        require grad.
+        require grad; without `param_tensors`, each layer's parameters are
+        wrapped as constants when the forward reaches that layer.
         """
         xt = x if isinstance(x, Tensor) else Tensor(x)
         ishape = tuple(xt.shape)
@@ -286,17 +284,18 @@ class ModelGraph:
             return xt
         if to_layer is not None and to_layer not in self._shapes:
             raise UnknownLayerError(to_layer)
-        pt = param_tensors if param_tensors is not None else self._wrap_params()
         values: dict = {}
         cur = xt
         for spec in self.layers:
-            cur = self._apply(spec, cur, values, pt, batched)
+            cur = self._apply(spec, cur, values, param_tensors, batched)
             values[spec.name] = cur
             if spec.name == to_layer:
                 return cur
         return cur
 
-    def _apply(self, spec: LayerSpec, x: Tensor, values: dict, pt: dict, batched: bool) -> Tensor:
+    def _apply(
+        self, spec: LayerSpec, x: Tensor, values: dict, pt: dict | None, batched: bool
+    ) -> Tensor:
         kind = spec.kind
         if kind == "relu":
             return T.relu(x)
@@ -308,7 +307,10 @@ class ModelGraph:
             return T.reshape(x, target)
         if kind == "add_skip":
             return T.add(x, values[spec.source])
-        p = pt[spec.name]
+        if pt is None:
+            p = {pn: Tensor.wrap(a) for pn, a in self.params[spec.name].items()}
+        else:
+            p = pt[spec.name]
         if kind == "dense":
             x2 = x if batched else T.reshape(x, (1, x.shape[0]))
             out = T.add(T.matmul(x2, p["weight"]), p["bias"])

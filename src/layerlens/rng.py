@@ -1,15 +1,15 @@
 """Counter-based random streams for reproducible noise sampling.
 
-Each draw call re-keys a Philox generator with (seed, counter) and transforms
-uniform doubles through Box-Muller, so identical (seed, counter) pairs yield
-bit-identical tensors regardless of what was drawn before, across runs and
-across platforms sharing the same floating-point rounding mode.
+Each draw call re-keys the stream's Philox generator with (seed, counter) and
+transforms uniform doubles through Box-Muller, so identical (seed, counter)
+pairs yield bit-identical tensors regardless of what was drawn before, across
+runs and across platforms sharing the same floating-point rounding mode.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,14 +28,34 @@ def derive_seed(seed: int, tag: str) -> int:
 
 @dataclass
 class RngStream:
-    """A (seed, counter) pair; the counter is the index of the next draw."""
+    """A (seed, counter) pair; the counter is the index of the next draw.
+
+    Each stream owns one Philox generator. A draw resets its state to what
+    Philox(key=seed | counter << 64) starts from, which costs a fraction of
+    constructing one; no state is shared between streams."""
 
     seed: int
     counter: int = 0
+    _bits: np.random.Philox = field(init=False, repr=False, compare=False)
+    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
+    _state: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._bits = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bits)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,  # buffer spent: the next draw computes a fresh block
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def _generator(self) -> np.random.Generator:
-        key = (int(self.seed) & _MASK64) | (int(self.counter) & _MASK64) << 64
-        return np.random.Generator(np.random.Philox(key=key))
+        self._state["state"]["key"][:] = (int(self.seed) & _MASK64, int(self.counter) & _MASK64)
+        self._bits.state = self._state
+        return self._gen
 
     def normal(self, shape) -> np.ndarray:
         """Standard-normal draws via Box-Muller; advances the counter by one."""

@@ -196,7 +196,7 @@ def ru_loss(
     reconstruction variances (shared draws lower the gradient variance).
     `f0`, the clean feature, is computed when not given."""
 
-    def entropy(x, log_sigma, fp):
+    def entropy(x, fp):
         recon = decoder.forward(fp)
         err = T.sub(recon, Tensor.wrap(x))
         err_sq_mean = T.mul(T.reduce_sum(T.mul(err, err), axis=0), Tensor.wrap(1.0 / samples))

@@ -23,8 +23,8 @@ from . import lltn
 from . import tensor as T
 from .checks import check_field_types
 from .model import ModelGraph
-from .rng import RngStream, gaussian
-from .tensor import Tensor
+from .rng import RngStream
+from .tensor import Tensor, _check_finite
 
 GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -208,6 +208,12 @@ def feature_baseline(
     return value
 
 
+def _checked(value, op: str):
+    """`value`, after checking that it is finite as the result of `op`."""
+    _check_finite(value, op)
+    return value
+
+
 def _entropy_loss(
     model: ModelGraph,
     layer: str,
@@ -218,14 +224,21 @@ def _entropy_loss(
     samples: int,
     rng: RngStream,
     normalize: bool,
-    entropy: Callable[[np.ndarray, Tensor, Tensor], Tensor],
+    entropy: Callable[[np.ndarray, Tensor], Tensor] | None,
     f0: np.ndarray | None,
 ) -> tuple[float, np.ndarray]:
     """fit - lam * entropy and its gradient w.r.t. log_sigma, from `samples`
-    fresh reparameterized draws. The fit term is the mean squared deviation
-    from the clean feature f0 (computed here when None) over delta_f_sq;
-    `entropy(x, log_sigma, fp)` builds the entropy being maximized from the
-    perturbed feature fp."""
+    fresh reparameterized draws x' = x + sigma * noise. The fit term is the
+    mean squared deviation from the clean feature f0 (computed here when None)
+    over delta_f_sq. `entropy(x, fp)` builds the entropy being maximized from
+    the perturbed feature fp; None means the perturbation's own Gaussian
+    entropy, sum(log_sigma + C).
+
+    The tape starts at x': it records the network and what `entropy` builds.
+    The sigma chain and the Gaussian entropy are computed here with the
+    arithmetic their tape nodes would do, each value checked under that node's
+    name, and the pathwise gradient is sigma * sum_b(dL/dx'_b * noise_b), plus
+    -lam for the Gaussian entropy."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     if delta_f_sq <= 0:
@@ -233,17 +246,33 @@ def _entropy_loss(
     x = np.asarray(x, dtype=np.float64)
     if f0 is None:
         f0 = clean_feature(model, layer, x)
-    # x (checked by clean_feature), f0, the noise and the scalars are the
-    # estimator's own constants: wrapped, not copied; each op checks its result
-    log_sigma = Tensor(sigma.log_sigma, requires_grad=True)
-    sig = T.exp(log_sigma)
-    noise = gaussian(rng, (samples,) + x.shape)
-    fp = model.forward(T.add(Tensor.wrap(x), T.mul(sig, noise)), to_layer=layer)
+    log_sigma = sigma.log_sigma
+    _check_finite(log_sigma, "tensor")
+    noise = rng.normal((samples,) + x.shape)
+    with np.errstate(all="ignore"):  # non-finite values raise NumericalError
+        sig = _checked(np.exp(log_sigma), "exp")
+        xp = _checked(sig * noise, "mul")
+        xp += x
+    # x' is the tape's one leaf that takes a gradient; f0 is wrapped, not copied
+    xp = Tensor.wrap(_checked(xp, "add"), requires_grad=True)
+    fp = model.forward(xp, to_layer=layer)
     denom = delta_f_sq if normalize else 1.0
     fit = T.sum_sq_diff(fp, Tensor.wrap(f0), 1.0 / (samples * denom))
-    loss = T.sub(fit, T.mul(entropy(x, log_sigma, fp), Tensor.wrap(lam)))
-    grads = T.backward(loss)
-    return loss.item(), grads[log_sigma]
+    if entropy is None:
+        with np.errstate(all="ignore"):
+            h = _checked(log_sigma + GAUSSIAN_ENTROPY_CONST, "add")
+            h = _checked(h.sum(), "reduce_sum")
+            value = _checked(fit.data - _checked(h * lam, "mul"), "sub")
+        loss = fit
+    else:
+        loss = T.sub(fit, T.mul(entropy(x, fp), Tensor.wrap(lam)))
+        value = loss.data
+    grad_xp = T.backward(loss)[xp]
+    grad = _checked((grad_xp * noise).sum(axis=0), "backward") * sig
+    _check_finite(grad, "backward")
+    if entropy is None:
+        grad += -1.0 * lam
+    return float(value), grad
 
 
 def sid_loss(
@@ -260,13 +289,10 @@ def sid_loss(
 ) -> tuple[float, np.ndarray]:
     """One stochastic evaluation of the maximum-entropy loss and its gradient
     w.r.t. log_sigma, using `samples` fresh reparameterized draws from rng.
-    `f0`, the clean feature, is computed when not given."""
-
-    def entropy(x, log_sigma, fp):
-        return T.reduce_sum(T.add(log_sigma, Tensor.wrap(GAUSSIAN_ENTROPY_CONST)))
-
+    `f0`, the clean feature, is computed when not given. The entropy is the
+    perturbation's own, sum(log_sigma + C); its gradient is 1 per unit."""
     return _entropy_loss(
-        model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, entropy, f0
+        model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, None, f0
     )
 
 
@@ -348,21 +374,27 @@ def find_dead_units(model: ModelGraph, layer: str, x: np.ndarray, scale: float) 
     feature unchanged. For such units the fit term can never push back, so
     the max-entropy optimum is the sigma cap itself.
 
-    The unperturbed input rides along in the probe batch so everything goes
-    through the same batched kernels; a dust tolerance absorbs the float
-    reassociation noise of whatever BLAS happens to run underneath.
+    The 2n probe rows (unit i up in row 2i, down in row 2i+1) are built and
+    forwarded _CERT_CHUNK at a time, keeping only each row's largest absolute
+    feature deviation, so memory does not grow with n^2. A dust tolerance
+    absorbs the float reassociation noise between the batched probes and the
+    clean forward, whatever BLAS happens to run underneath.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    probes = np.repeat(x[None], 2 * n + 1, axis=0).reshape(2 * n + 1, -1)
-    idx = np.arange(n)
-    probes[2 * idx, idx] += scale
-    probes[2 * idx + 1, idx] -= scale
-    fp = _forward_chunked(model, probes.reshape((2 * n + 1,) + x.shape), layer)
-    f0 = fp[-1]
-    diff = np.abs(fp[:-1] - f0).reshape(2 * n, -1).max(axis=1).reshape(n, 2)
+    f0 = clean_feature(model, layer, x)
+    dev = np.empty(2 * n)
+    with T.no_grad():
+        for lo in range(0, 2 * n, _CERT_CHUNK):
+            rows = np.arange(lo, min(lo + _CERT_CHUNK, 2 * n))
+            m = len(rows)
+            probes = np.repeat(x.reshape(1, n), m, axis=0)
+            probes[np.arange(m), rows // 2] += np.where(rows % 2, -scale, scale)
+            d = model.forward(Tensor(probes.reshape((m,) + x.shape)), to_layer=layer).data - f0
+            np.abs(d, out=d)
+            dev[lo : lo + m] = d.reshape(m, -1).max(axis=1)
     tol = 1e-9 * max(1.0, float(np.abs(f0).max()))
-    return np.flatnonzero(diff.max(axis=1) <= tol)
+    return np.flatnonzero(dev.reshape(n, 2).max(axis=1) <= tol)
 
 
 def fit_sigma(

@@ -85,13 +85,14 @@ class Tensor:
         self._parents: tuple = ()
 
     @classmethod
-    def wrap(cls, arr: np.ndarray) -> "Tensor":
-        """A constant leaf sharing a float64 array's memory, with no copy and
-        no finite check. Ops never mutate their inputs, and each op checks its
-        result, so a NaN or Inf in `arr` still aborts the op that reads it."""
+    def wrap(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
+        """A leaf sharing a float64 array's memory, with no copy and no finite
+        check: a constant unless `requires_grad`. Ops never mutate their
+        inputs, and each op checks its result, so a NaN or Inf in `arr` still
+        aborts the op that reads it."""
         out = cls.__new__(cls)
         out.data = np.asarray(arr, dtype=np.float64)
-        out.requires_grad = False
+        out.requires_grad = requires_grad
         out.grad = None
         out._parents = ()
         return out

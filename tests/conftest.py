@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 
+from layerlens import data as D
+from layerlens import model as M
+from layerlens import ru as R
+from layerlens import sid as S
+from layerlens.train import TrainConfig
+
 
 def finite_diff(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function at x (relative step)."""
@@ -54,3 +60,16 @@ def pool_recorder(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     return pools
+
+
+@pytest.fixture(scope="session")
+def ru_loss_site():
+    """tiny-cnn/conv2 at the first four-class image with a one-epoch decoder
+    and the non-uniform sigma of test_sid's stem site: (model, decoder graph,
+    x, sigma)."""
+    images, _ = D.make_fourclass_images(n=8, shape=(1, 8, 8), seed=3)
+    x = images[0]
+    sigma = S.SigmaField(np.log(0.02) + 0.1 * np.sin(np.arange(x.size)).reshape(x.shape))
+    model = M.tiny_cnn((1, 8, 8), 4, seed=3)
+    decoder = R.train_decoder(model, "conv2", images, TrainConfig(epochs=1, seed=3))
+    return model, decoder.graph, x, sigma

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from layerlens.rng import RngStream, derive_seed, gaussian
@@ -70,3 +71,29 @@ def test_normal_draws_pinned(n, digest):
     # (1 - u1, log, sqrt, then a concatenate of r*cos and r*sin)
     z = RngStream(3, 5).normal(n)
     assert hashlib.sha256(z.tobytes()).hexdigest() == digest
+
+
+def test_uniform_and_permutation_pinned():
+    # sha256 of the bytes, taken with a Philox generator constructed per draw
+    u = RngStream(3, 5).uniform(7)
+    p = RngStream(9).permutation(50)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == (
+        "952768005ad5a6305b85c7ad0440b173b016d45377b7033a2208092d11bfe127"
+    )
+    assert hashlib.sha256(p.tobytes()).hexdigest() == (
+        "be0237970ccbc0c8e264149aeb85ebc50e44a5a021115d2029d1ee982f044f5c"
+    )
+
+
+def test_interleaved_streams_keep_no_state_across_draws():
+    # each stream re-keys its own generator per draw: drawing from one stream
+    # between two draws of another changes nothing, whatever the draw kind
+    a, b = RngStream(11), RngStream(12, counter=4)
+    draws = [
+        (a, "normal", 5), (b, "uniform", 3), (a, "permutation", 9),
+        (b, "normal", 4), (a, "uniform", 6), (b, "permutation", 7),
+    ]
+    for stream, kind, n in draws:
+        fresh = RngStream(stream.seed, stream.counter)
+        got = getattr(stream, kind)(n)
+        assert np.array_equal(got, getattr(fresh, kind)(n)), (stream.seed, kind)

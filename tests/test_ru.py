@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -156,6 +157,17 @@ class TestRuLoss:
         given = R.ru_loss(*args, RngStream(4), True, clean_feature(g, "conv2", x))
         assert inside[0] == given[0]
         assert np.array_equal(inside[1], given[1])
+
+
+def test_ru_loss_pinned(ru_loss_site):
+    # value and gradient bytes taken with the sigma chain (exp, mul, add) on
+    # the tape and a Philox generator constructed per draw
+    model, dec, x, sigma = ru_loss_site
+    value, grad = R.ru_loss(model, dec, "conv2", x, sigma, 0.3, 0.003, 32, RngStream(3))
+    assert value.hex() == "0x1.599f379fce04ep+7"
+    assert hashlib.sha256(grad.tobytes()).hexdigest() == (
+        "72851c50f243a39d10a63765b2f93e3033885f3ab84808a49da17ce951ccc0ca"
+    )
 
 
 class TestEstimateRu:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from layerlens import data as D
 from layerlens import model as M
+from layerlens import ru as R
 from layerlens import sid as S
 from layerlens import tensor as T
 from layerlens.rng import RngStream
@@ -378,6 +380,23 @@ class TestLambdaStart:
         assert len(S.find_dead_units(g, "head", x, S.default_sigma_cap(x))) == 12
         assert _first_lambda(g, "head", x, cfg) == 2 * cfg.alpha / 4
 
+    def test_dead_units_in_bounded_memory(self):
+        # a 3x16x16 input to a wide dense head: 1536 probe rows in 12 chunks,
+        # dead units in five of them. Building every probe row and feature at
+        # once peaked at 85 MB here
+        g = M.build([M.flatten("f"), M.dense("head", 2048)], (3, 16, 16), seed=0)
+        dead = np.array([0, 100, 300, 301, 767])
+        g.params["head"]["weight"][dead] = 0.0
+        x = np.linspace(-1.0, 1.0, 768).reshape(3, 16, 16)
+        tracemalloc.start()
+        try:
+            got = S.find_dead_units(g, "head", x, S.default_sigma_cap(x))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, dead)
+        assert peak < 40e6
+
     def test_explicit_value_overrides(self):
         cfg = S.SidConfig(seed=0, lambda_init=0.3, **self.QUICK)
         assert _first_lambda(identity_model(6), "id", np.linspace(0.1, 0.6, 6), cfg) == 0.3
@@ -443,9 +462,12 @@ class TestTapeNodes:
     """Leanness guard: the number of op results (tensor._result calls) in the
     hot path. One default sid_loss at tiny-resnet/stem, given f0, recorded 14
     when the conv bias was a reshape and an add and the fit term a sub, mul,
-    reduce_sum and mul; it records 9 (exp, mul, add, conv2d, sum_sq_diff, the
-    entropy's add and reduce_sum, the lambda mul and the final sub). A conv
-    layer's forward went from 3 to 1."""
+    reduce_sum and mul, then 9 (exp, mul, add, conv2d, sum_sq_diff, the
+    entropy's add and reduce_sum, the lambda mul and the final sub). Now the
+    tape starts at the perturbed input and the Gaussian entropy is off it: 2
+    (conv2d, sum_sq_diff). One ru_loss at tiny-cnn/conv2 recorded 34 with the
+    sigma chain (exp, mul, add) on the tape and records 31. A conv layer's
+    forward went from 3 to 1."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -464,10 +486,33 @@ class TestTapeNodes:
         f0 = S.clean_feature(model, "stem", x)
         count = self._count(monkeypatch)
         S.sid_loss(model, "stem", x, sigma, 0.05, 0.003, 32, RngStream(3), f0=f0)
-        assert count[0] == 9
+        assert count[0] == 2
+
+    def test_ru_loss(self, monkeypatch, ru_loss_site):
+        model, dec, x, sigma = ru_loss_site
+        f0 = S.clean_feature(model, "conv2", x)
+        count = self._count(monkeypatch)
+        R.ru_loss(model, dec, "conv2", x, sigma, 0.3, 0.003, 32, RngStream(3), f0=f0)
+        assert count[0] == 31
 
     def test_conv_layer_forward(self, monkeypatch):
         model, x, _ = _stem_loss_site()
         count = self._count(monkeypatch)
         model.forward(np.repeat(x[None], 4, axis=0), to_layer="stem")
         assert count[0] == 1
+
+    def test_forward_wraps_only_the_layers_it_runs(self, monkeypatch):
+        # the whole network's parameters were wrapped up front: 20 at tiny-resnet
+        model, x, _ = _stem_loss_site()
+        wrapped = []
+        wrap = T.Tensor.wrap.__func__
+
+        def recording(cls, arr, *args, **kwargs):
+            wrapped.append(arr)
+            return wrap(cls, arr, *args, **kwargs)
+
+        monkeypatch.setattr(T.Tensor, "wrap", classmethod(recording))
+        model.forward(x, to_layer="stem")
+        stem = model.params["stem"]
+        assert len(wrapped) == 2
+        assert wrapped[0] is stem["weight"] and wrapped[1] is stem["bias"]
