@@ -202,7 +202,7 @@ class Run:
 
     def train_config(self, section: str, default: dict) -> TrainConfig:
         try:
-            return TrainConfig(seed=self.seed, **self.config.get(section, default))
+            return TrainConfig(seed=self.seed, **{**default, **self.config.get(section, {})})
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad training config: {err}") from err
 
@@ -285,6 +285,8 @@ def _load_mask(section: dict, spatial_shape: tuple) -> REP.Mask:
         b = section["bbox"]
         if not isinstance(b, dict) or not all(_is_int(b.get(k)) and b[k] >= 0 for k in "xywh"):
             raise ConfigError(f"mask.bbox needs non-negative integers x, y, w and h, got {b!r}")
+        if b["x"] + b["w"] > spatial_shape[1] or b["y"] + b["h"] > spatial_shape[0]:
+            raise ConfigError(f"mask.bbox {b!r} overhangs the {spatial_shape[0]}x{spatial_shape[1]} input")
         mask = REP.Mask.from_bbox(b["x"], b["y"], b["w"], b["h"], spatial_shape)
     else:
         raise ConfigError("mask needs either a pgm path or a bbox object")

@@ -70,13 +70,6 @@ def make_blobs(n: int = 200, seed: int = 0, separation: float = 6.0):
     return x[order], y[order]
 
 
-def make_linear_regression(n: int = 64, slope: float = 2.0, seed: int = 0):
-    """Noiseless y = slope * x pairs, each a length-1 feature vector."""
-    rng = RngStream(derive_seed(seed, "linreg"))
-    x = rng.normal((n, 1))
-    return x, slope * x
-
-
 def make_fourclass_images(n: int = 128, shape=(1, 8, 8), seed: int = 0):
     """Four-class 8x8 images: each class lights up one quadrant plus noise."""
     c, h, w = shape
@@ -90,14 +83,6 @@ def make_fourclass_images(n: int = 128, shape=(1, 8, 8), seed: int = 0):
         images[i, :, r : r + hh, cc : cc + hw] += 1.0
     order = RngStream(derive_seed(seed, "fourclass/shuffle")).permutation(n)
     return images[order], labels[order]
-
-
-def make_linear_manifold(n: int = 256, dim: int = 8, rank: int = 3, seed: int = 0):
-    """Points x = B z lying on a rank-`rank` linear manifold in R^dim."""
-    rng = RngStream(derive_seed(seed, "manifold"))
-    basis = rng.normal((rank, dim))
-    z = rng.normal((n, rank))
-    return z @ basis
 
 
 def train_val_split(n: int, val_fraction: float = 0.1, seed: int = 0):

@@ -259,9 +259,6 @@ class ModelGraph:
         params = {ln: {pn: arr.copy() for pn, arr in d.items()} for ln, d in self.params.items()}
         return ModelGraph(self.input_shape, [LayerSpec(**asdict(s)) for s in self.layers], params)
 
-    def parameter_count(self, name: str) -> int:
-        return sum(arr.size for arr in self.params.get(name, {}).values())
-
     # -- forward ------------------------------------------------------------
 
     def forward(self, x, to_layer: str | None = None, param_tensors: dict | None = None) -> Tensor:
@@ -345,13 +342,7 @@ def build(specs: list[LayerSpec], input_shape, seed: int = 0) -> ModelGraph:
 # ---------------------------------------------------------------------------
 
 
-def insert_block(
-    model: ModelGraph,
-    position: int,
-    n_filters: int = 8,
-    seed: int = 0,
-    identity_init: bool = False,
-) -> ModelGraph:
+def insert_block(model: ModelGraph, position: int, n_filters: int = 8, seed: int = 0) -> ModelGraph:
     """Insert a skip-less bottleneck (1x1 conv -> relu -> 1x1 conv -> relu)
     between residual blocks `position` and `position`+1 (1-based).
 
@@ -369,9 +360,7 @@ def insert_block(
             f"got {position}"
         )
     at = block_idx[position - 1]
-    m_channels = model.layer_shape(model.layers[at].name)[0]
-    if identity_init and n_filters != m_channels:
-        raise ValueError("identity_init requires n_filters == input channel count")
+    m_channels, *h_w = model.layer_shape(model.layers[at].name)
     base = f"inserted{position}"
     new_specs = [
         conv(f"{base}_conv1", n_filters, 1),
@@ -381,14 +370,8 @@ def insert_block(
     ]
     layers = model.layers[: at + 1] + new_specs + model.layers[at + 1 :]
     params = {ln: {pn: a.copy() for pn, a in d.items()} for ln, d in model.params.items()}
-    if identity_init:
-        eye = np.eye(m_channels).reshape(m_channels, m_channels, 1, 1)
-        params[f"{base}_conv1"] = {"weight": eye.copy(), "bias": np.zeros(m_channels)}
-        params[f"{base}_conv2"] = {"weight": eye.copy(), "bias": np.zeros(m_channels)}
-    else:
-        h_w = model.layer_shape(model.layers[at].name)[1:]
-        for spec, channels in ((new_specs[0], m_channels), (new_specs[2], n_filters)):
-            params[spec.name] = _init_params(spec, (channels, *h_w), seed, tag="insert")
+    for spec, channels in ((new_specs[0], m_channels), (new_specs[2], n_filters)):
+        params[spec.name] = _init_params(spec, (channels, *h_w), seed, tag="insert")
     params[f"{base}_relu1"] = {}
     params[f"{base}_relu2"] = {}
     return ModelGraph(model.input_shape, layers, params)

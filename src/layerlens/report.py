@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 from dataclasses import dataclass, fields
@@ -54,9 +53,6 @@ class Mask:
     @classmethod
     def from_pgm(cls, path) -> "Mask":
         return cls(read_pgm(path) > 127)
-
-    def to_pgm(self, path) -> None:
-        write_pgm(path, np.where(self.inside, 255, 0).astype(np.uint8))
 
 
 def channel_mean(H_i: np.ndarray) -> np.ndarray:
@@ -356,12 +352,3 @@ def export_heatmap(H_i: np.ndarray, path) -> None:
     sidecar = {"min": lo, "max": hi, "height": field.shape[0], "width": field.shape[1]}
     path = Path(path)
     write_json(path.with_name(path.name + ".json"), sidecar)
-
-
-def read_heatmap(path) -> np.ndarray:
-    """Reconstruct the entropy map from a PGM and its sidecar (quantized)."""
-    path = Path(path)
-    grid = read_pgm(path).astype(np.float64)
-    sidecar = json.loads(path.with_name(path.name + ".json").read_text())
-    lo, hi = sidecar["min"], sidecar["max"]
-    return lo + grid / 255.0 * (hi - lo)

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -93,13 +91,3 @@ class RngStream:
     def spawn(self, tag: str) -> "RngStream":
         """Independent child stream; deterministic in (seed, tag)."""
         return RngStream(derive_seed(self.seed, tag), 0)
-
-    def copy(self) -> "RngStream":
-        return RngStream(self.seed, self.counter)
-
-
-def gaussian(rng: RngStream, shape) -> Tensor:
-    """i.i.d. standard-normal constant tensor; deterministic under fixed (seed,
-    counter). Box-Muller output is finite by construction, so it is wrapped
-    without a copy or a check."""
-    return Tensor.wrap(rng.normal(shape))

@@ -51,9 +51,6 @@ class SigmaField:
     def sigma(self) -> np.ndarray:
         return np.exp(self.log_sigma)
 
-    def copy(self) -> "SigmaField":
-        return SigmaField(self.log_sigma.copy())
-
 
 @dataclass
 class SidConfig:

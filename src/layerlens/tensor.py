@@ -4,7 +4,7 @@ Everything is double precision and row-major. Ops are pure (inputs are never
 mutated) and abort with NumericalError the moment a NaN or Inf shows up,
 instead of letting it propagate. Gradients are recorded as closures on the
 output node; `backward` runs a topological sweep from a scalar loss and
-populates `.grad` on every tensor that requires it.
+returns a {tensor: gradient} map over the tensors that require one.
 """
 
 from __future__ import annotations
@@ -74,14 +74,13 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 class Tensor:
     """N-dimensional float64 array, optionally tracked for autodiff."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents")
+    __slots__ = ("data", "requires_grad", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)  # copy: callers keep ownership
         _check_finite(arr, "tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._parents: tuple = ()
 
     @classmethod
@@ -93,7 +92,6 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = np.asarray(arr, dtype=np.float64)
         out.requires_grad = requires_grad
-        out.grad = None
         out._parents = ()
         return out
 
@@ -110,9 +108,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data.copy()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -125,7 +120,6 @@ def _result(data: np.ndarray, parents: Iterable[tuple], op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     if _grad_enabled():
         kept = tuple((p, fn) for p, fn in parents if p.requires_grad)
     else:
@@ -146,10 +140,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
-
-
-def ones_like(t: Tensor) -> Tensor:
-    return Tensor(np.ones_like(t.data))
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +177,6 @@ def div(a, b) -> Tensor:
     return _elementwise(
         "div", a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y)
     )
-
-
-def elementwise(kind: str, a, b) -> Tensor:
-    """Dispatch add/sub/mul/div by name."""
-    try:
-        fn = {"add": add, "sub": sub, "mul": mul, "div": div}[kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise kind {kind!r}") from None
-    return fn(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +504,8 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
 def backward(loss: Tensor) -> dict:
     """Reverse-mode sweep from a scalar loss.
 
-    Populates `.grad` (same shape as value) on every requires_grad ancestor
-    and returns a {tensor: gradient} map. The recorded graph is freed.
+    Returns a {tensor: gradient} map, each gradient shaped like its tensor's
+    value, over every requires_grad ancestor. The recorded graph is freed.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -565,9 +546,7 @@ def backward(loss: Tensor) -> dict:
     for tid, g in grads.items():
         t = by_id[tid]
         if t.requires_grad:
-            g = np.asarray(g, dtype=np.float64).reshape(t.data.shape)
-            t.grad = g
-            out[t] = g
+            out[t] = np.asarray(g, dtype=np.float64).reshape(t.data.shape)
     for t in topo:  # free the tape
         t._parents = ()
     return out

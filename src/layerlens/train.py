@@ -121,17 +121,13 @@ def train(
             }
             try:
                 loss = _batch_loss(trained, pt, images[idx], targets[idx], cfg.loss)
-                T.backward(loss)
+                grad_of = T.backward(loss)
             except T.NumericalError as err:
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch starting {lo}: {err}"
                 ) from err
-            grads = {
-                (ln, pn): t.grad
-                for ln, d in pt.items()
-                for pn, t in d.items()
-                if t.grad is not None
-            }
+            grads = {(ln, pn): grad_of[t] for ln, d in pt.items() for pn, t in d.items() if t in grad_of}
+            del grad_of  # it also holds every activation of the batch and its gradient
             opt.step(flat, grads)
             losses.append(loss.item())
         for (ln, pn), arr in flat.items():
@@ -145,9 +141,3 @@ def train(
                 meta={"epoch": epoch, "loss": mean_loss, "seed": cfg.seed},
             )
     return trained, trace
-
-
-def accuracy(model: ModelGraph, images: np.ndarray, labels: np.ndarray) -> float:
-    with T.no_grad():
-        logits = model.forward(Tensor(images))
-    return float((logits.data.argmax(axis=1) == labels).mean())

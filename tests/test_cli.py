@@ -8,6 +8,7 @@ from layerlens import cli
 from layerlens import data as D
 from layerlens import model as M
 from layerlens.cli import main
+from layerlens.train import TrainConfig
 
 TINY_ESTIMATOR = {
     "max_steps": 40,
@@ -622,6 +623,7 @@ class TestConfigHandling:
             ("sweep", {"sweep": {"checkpoints": ["@ckpt/a", "@ckpt/b"]}}, "sweep.checkpoints"),
             ("report", {"report": {"models": [{"id": "m", "checkpoint": "@ckpt/a"}, {"id": "m", "checkpoint": "@ckpt/b"}]}}, "report.models"),
             ("report", {"report": {"models": [{"checkpoint": "@ckpt/a"}, {"checkpoint": "@ckpt/a"}]}}, "report.models"),
+            ("concentration", {"layers": ["conv1"], "mask": {"bbox": {"x": 6, "y": 6, "w": 4, "h": 4}}}, "mask.bbox"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):
@@ -640,6 +642,30 @@ class TestConfigHandling:
             config = json.loads(json.dumps(config).replace("@ckpt", str(ckpt)))
         assert run(verb, write_config(workspace["root"], "value.json", config)) == 3
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb,patch,want",
+        [
+            ("ru", {"model": CNN, "layers": ["conv1"], "decoder": {"batch_size": 8}}, (30, 0.01, 8)),
+            ("damage", {"model": RESNET, "train": {"epochs": 3}}, (3, 0.02, 16)),
+        ],
+    )
+    def test_partial_training_section_keeps_the_verbs_other_defaults(self, workspace, monkeypatch, verb, patch, want):
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def record(*args):
+            seen.extend(a for a in args if isinstance(a, TrainConfig))
+            raise Stop
+
+        monkeypatch.setattr(cli, "train", record)
+        monkeypatch.setattr(cli, "train_decoder", record)
+        config = {"dataset": workspace["dataset"], "outputs": str(workspace["root"] / "o"), **patch}
+        with pytest.raises(Stop):
+            run(verb, write_config(workspace["root"], "partial.json", config))
+        assert (seen[0].epochs, seen[0].learning_rate, seen[0].batch_size) == want
 
     @pytest.mark.parametrize(
         "patch,key",

@@ -1,0 +1,35 @@
+"""The package carries only what the program runs: every function, class and
+method defined under src/layerlens is named somewhere else in the program,
+that is in src/, scripts/ or perfbench/. Code only the tests call belongs in
+the tests."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAM = ("src", "scripts", "perfbench")
+
+
+def definitions(tree: ast.Module):
+    """Module-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (m.name for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def test_every_definition_in_src_is_used_by_the_program():
+    defined = Counter(
+        name
+        for path in sorted((ROOT / "src" / "layerlens").glob("*.py"))
+        for name in definitions(ast.parse(path.read_text()))
+        if not (name.startswith("__") and name.endswith("__"))
+    )
+    text = "\n".join(p.read_text() for d in PROGRAM for p in sorted((ROOT / d).rglob("*.py")))
+    only_defined = sorted(
+        name for name, n in defined.items() if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= n
+    )
+    assert only_defined == []

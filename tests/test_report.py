@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -228,7 +229,9 @@ class TestHeatmap:
     def test_round_trip_within_quantization(self, tmp_path, np_rng):
         field = np_rng.normal(size=(6, 7)) * 3.0
         R.export_heatmap(field, tmp_path / "h.pgm")
-        back = R.read_heatmap(tmp_path / "h.pgm")
+        grid = R.read_pgm(tmp_path / "h.pgm")
+        bounds = json.loads((tmp_path / "h.pgm.json").read_text())
+        back = bounds["min"] + grid / 255.0 * (bounds["max"] - bounds["min"])
         span = field.max() - field.min()
         assert np.abs(back - field).max() <= span / 255.0
 
@@ -238,7 +241,7 @@ class TestHeatmap:
 
     def test_mask_pgm_round_trip(self, tmp_path):
         m = R.Mask.from_bbox(1, 0, 2, 2, (3, 4))
-        m.to_pgm(tmp_path / "mask.pgm")
+        R.write_pgm(tmp_path / "mask.pgm", np.where(m.inside, 255, 0).astype(np.uint8))
         back = R.Mask.from_pgm(tmp_path / "mask.pgm")
         assert (back.inside == m.inside).all()
 

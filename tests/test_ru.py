@@ -8,7 +8,7 @@ import pytest
 from layerlens import lltn
 from layerlens import model as M
 from layerlens import ru as R
-from layerlens.rng import RngStream
+from layerlens.rng import RngStream, derive_seed
 from layerlens.sid import GAUSSIAN_ENTROPY_CONST as C
 from layerlens.sid import SidConfig, SidResult, SigmaField, clean_feature, estimate_sid
 from layerlens.train import TrainConfig
@@ -44,6 +44,14 @@ def splat_decoder(n, layer="sum"):
     return R.DecoderSpec(graph=g, layer=layer, val_mse=float("nan"))
 
 
+def make_linear_manifold(n: int = 256, dim: int = 8, rank: int = 3, seed: int = 0):
+    """Points x = B z lying on a rank-`rank` linear manifold in R^dim."""
+    rng = RngStream(derive_seed(seed, "manifold"))
+    basis = rng.normal((rank, dim))
+    z = rng.normal((n, rank))
+    return z @ basis
+
+
 class TestMakeDecoder:
     def test_output_shape_equals_input_shape_for_every_layer(self):
         g = M.tiny_cnn(input_shape=(3, 8, 8), classes=4)
@@ -70,8 +78,6 @@ class TestTrainDecoder:
     def test_linear_decoder_recovers_identity_layer(self):
         # exactly invertible construction: feature IS the input, so a linear
         # decoder can reach zero reconstruction error on the manifold
-        from layerlens.data import make_linear_manifold
-
         n = 8
         g = identity_model(n)
         xs = make_linear_manifold(n=256, dim=n, rank=3, seed=2)

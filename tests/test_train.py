@@ -1,15 +1,31 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from layerlens import data as D
 from layerlens import model as M
-from layerlens.train import TrainConfig, TrainingDiverged, accuracy, train
+from layerlens import tensor as T
+from layerlens.rng import RngStream, derive_seed
+from layerlens.train import TrainConfig, TrainingDiverged, train
+
+
+def make_linear_regression(n: int = 64, slope: float = 2.0, seed: int = 0):
+    """Noiseless y = slope * x pairs, each a length-1 feature vector."""
+    x = RngStream(derive_seed(seed, "linreg")).normal((n, 1))
+    return x, slope * x
+
+
+def accuracy(model: M.ModelGraph, images: np.ndarray, labels: np.ndarray) -> float:
+    with T.no_grad():
+        logits = model.forward(T.Tensor(images))
+    return float((logits.data.argmax(axis=1) == labels).mean())
 
 
 class TestTrain:
     def test_linear_regression_recovers_slope(self):
         # closed-form least squares on noiseless y=2x gives exactly 2
-        x, y = D.make_linear_regression(n=64, slope=2.0, seed=1)
+        x, y = make_linear_regression(n=64, slope=2.0, seed=1)
         w_star = float(np.linalg.lstsq(x, y, rcond=None)[0][0, 0])
         assert w_star == pytest.approx(2.0, abs=1e-12)
 
@@ -27,14 +43,14 @@ class TestTrain:
         assert accuracy(trained, x, y) >= 0.99
 
     def test_zero_epochs_leaves_parameters_unchanged(self):
-        x, y = D.make_linear_regression(n=8)
+        x, y = make_linear_regression(n=8)
         g = M.build([M.dense("w", 1)], (1,), seed=3)
         trained, trace = train(g, (x, y), TrainConfig(epochs=0, loss="mse"))
         assert trace == []
         assert (trained.params["w"]["weight"] == g.params["w"]["weight"]).all()
 
     def test_divergence_aborts_with_diagnostic(self):
-        x, y = D.make_linear_regression(n=32)
+        x, y = make_linear_regression(n=32)
         g = M.build([M.dense("w", 1)], (1,), seed=3)
         cfg = TrainConfig(optimizer="sgd", learning_rate=1e12, epochs=10, loss="mse")
         with pytest.raises(TrainingDiverged, match="epoch"):
@@ -48,7 +64,7 @@ class TestTrain:
         assert (a.params["h"]["weight"] == b.params["h"]["weight"]).all()
 
     def test_checkpoints_emitted_per_epoch(self, tmp_path):
-        x, y = D.make_linear_regression(n=16)
+        x, y = make_linear_regression(n=16)
         g = M.build([M.dense("w", 1)], (1,), seed=0)
         train(g, (x, y), TrainConfig(epochs=3, loss="mse"), checkpoint_dir=tmp_path)
         dirs = sorted(p.name for p in tmp_path.iterdir())
@@ -57,7 +73,7 @@ class TestTrain:
         assert meta["epoch"] == 2
 
     def test_resume_continues_epoch_numbering(self, tmp_path):
-        x, y = D.make_linear_regression(n=16)
+        x, y = make_linear_regression(n=16)
         g = M.build([M.dense("w", 1)], (1,), seed=0)
         trained, _ = train(g, (x, y), TrainConfig(epochs=2, loss="mse"), checkpoint_dir=tmp_path)
         train(trained, (x, y), TrainConfig(epochs=2, loss="mse"), checkpoint_dir=tmp_path, start_epoch=2)
@@ -85,6 +101,18 @@ class TestCnnTraining:
         trained, trace = train(g, (x, y), cfg)
         assert accuracy(trained, x, y) >= 0.95
         assert trace[-1] < trace[0]
+
+    def test_one_epoch_parameters_pinned(self):
+        # every parameter's bits after one epoch of tiny-cnn on the four-class set
+        x, y = D.make_fourclass_images(n=32, seed=3)
+        g = M.tiny_cnn(input_shape=(1, 8, 8), seed=3)
+        trained, _ = train(g, (x, y), TrainConfig(epochs=1, batch_size=16, seed=3))
+        h = hashlib.sha256()
+        for layer in sorted(trained.params):
+            for name in sorted(trained.params[layer]):
+                h.update(f"{layer}/{name}".encode())
+                h.update(np.ascontiguousarray(trained.params[layer][name]).tobytes())
+        assert h.hexdigest() == "0ce7a2928dd2320fe0ec7b9e95d4dea1e2c6422154301e47ea2d61c4c04ba87e"
 
 
 class TestDatasets:
