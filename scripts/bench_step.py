@@ -4,11 +4,12 @@
 For a preset (tiny-cnn or tiny-resnet at 1x8x8, seeded like the benchmark's
 images and models), a layer and an estimator (sid or ru), prints:
 - the median milliseconds of one step: one loss-and-gradient evaluation at
-  sigma = tau and the default starting lambda, with the clean feature given,
-  as fit_sigma runs it;
+  sigma = tau and the default starting lambda, with the clean feature and
+  the linearised control variate given, as fit_sigma runs it;
 - the tape nodes (op results) that one step records;
-- the split of one default estimate's wall time into baseline, dead-unit
-  probe, steps, certification, pixel_ru (ru only) and the rest.
+- the split of one default estimate's wall time into Jacobian probe,
+  baseline, dead-unit probe, steps, certification, pixel_ru (ru only) and
+  the rest.
 
 ru uses a one-epoch decoder: a step costs the same whatever the decoder learned.
 
@@ -75,12 +76,15 @@ def main():
     else:
         lam = 2.0 * cfg.alpha / x.size
     f0 = S.clean_feature(model, layer, x)
-    delta_f_sq = S.feature_baseline(model, layer, x, cfg.tau, cfg.baseline_samples)
+    surrogate = S.linear_surrogate(model, layer, x, cfg.tau)
+    delta_f_sq = S.feature_baseline(
+        model, layer, x, cfg.tau, cfg.baseline_samples, surrogate=surrogate
+    )
     sigma = S.SigmaField.constant(x.shape, cfg.tau)
     rng = RngStream(args.seed)
 
     def step():
-        common = (sigma, lam, delta_f_sq, cfg.samples_per_step, rng, cfg.normalize, f0)
+        common = (sigma, lam, delta_f_sq, cfg.samples_per_step, rng, cfg.normalize, f0, surrogate)
         if args.estimator == "ru":
             return R.ru_loss(model, decoder.graph, layer, x, *common)
         return S.sid_loss(model, layer, x, *common)
@@ -107,6 +111,7 @@ def main():
 
     totals = defaultdict(float)
     targets = [
+        (S, "linear_surrogate", "jacobian probe"),
         (S, "feature_baseline", "baseline"),
         (S, "find_dead_units", "dead-unit probe"),
         (S, "certify_epsilon", "certification"),

@@ -285,9 +285,10 @@ def _load_mask(section: dict, spatial_shape: tuple) -> REP.Mask:
         b = section["bbox"]
         if not isinstance(b, dict) or not all(_is_int(b.get(k)) and b[k] >= 0 for k in "xywh"):
             raise ConfigError(f"mask.bbox needs non-negative integers x, y, w and h, got {b!r}")
-        if b["x"] + b["w"] > spatial_shape[1] or b["y"] + b["h"] > spatial_shape[0]:
-            raise ConfigError(f"mask.bbox {b!r} overhangs the {spatial_shape[0]}x{spatial_shape[1]} input")
-        mask = REP.Mask.from_bbox(b["x"], b["y"], b["w"], b["h"], spatial_shape)
+        try:
+            mask = REP.Mask.from_bbox(b["x"], b["y"], b["w"], b["h"], spatial_shape)
+        except REP.MaskError as err:
+            raise ConfigError(f"mask.bbox: {err}") from err
     else:
         raise ConfigError("mask needs either a pgm path or a bbox object")
     if mask.inside.shape != tuple(spatial_shape):

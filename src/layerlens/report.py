@@ -46,6 +46,10 @@ class Mask:
 
     @classmethod
     def from_bbox(cls, x: int, y: int, w: int, h: int, shape: tuple) -> "Mask":
+        if min(x, y, w, h) < 0 or x + w > shape[1] or y + h > shape[0]:
+            raise MaskError(
+                f"bbox x={x} y={y} w={w} h={h} does not fit the {shape[0]}x{shape[1]} grid"
+            )
         grid = np.zeros(shape, dtype=bool)
         grid[y : y + h, x : x + w] = True
         return cls(grid)

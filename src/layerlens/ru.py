@@ -31,6 +31,7 @@ from .sid import (
     EstimateResult,
     SidConfig,
     SigmaField,
+    Surrogate,
     _entropy_loss,
     _forward_chunked,
     clean_feature,
@@ -189,12 +190,14 @@ def ru_loss(
     rng: RngStream,
     normalize: bool = True,
     f0: np.ndarray | None = None,
+    surrogate: Surrogate | None = None,
 ) -> tuple[float, np.ndarray]:
     """Stochastic reconstruction-entropy loss and gradient w.r.t. log_sigma.
 
     One set of draws feeds both the feature-deviation term and the per-unit
     reconstruction variances (shared draws lower the gradient variance).
-    `f0`, the clean feature, is computed when not given."""
+    `f0`, the clean feature, is computed when not given; `surrogate` is the
+    feature-deviation term's control variate (None: plain)."""
 
     def entropy(x, fp):
         recon = decoder.forward(fp)
@@ -205,7 +208,7 @@ def ru_loss(
         return T.mul(T.reduce_sum(per_unit), Tensor.wrap(0.5))
 
     return _entropy_loss(
-        model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, entropy, f0
+        model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, entropy, f0, surrogate
     )
 
 
@@ -225,10 +228,10 @@ def estimate_ru(
     dec = decoder.graph
     f0 = clean_feature(model, layer, x)  # once, not at every step
 
-    def loss(sigma, lam, delta_f_sq, rng):
+    def loss(sigma, lam, delta_f_sq, rng, surrogate):
         return ru_loss(
             model, dec, layer, x, sigma, lam, delta_f_sq, cfg.samples_per_step, rng,
-            cfg.normalize, f0,
+            cfg.normalize, f0, surrogate,
         )
 
     sigma, fit = fit_sigma(model, layer, x, cfg, loss)

@@ -28,7 +28,13 @@ from .tensor import Tensor, _check_finite
 
 GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2.0 * math.pi * math.e)
 
-_CERT_CHUNK = 128  # forward batch bound for held-out evaluation
+_CERT_CHUNK = 128  # row bound for every batched forward and surrogate product
+# Inputs with more units get the zero surrogate (plain Monte Carlo). Measured
+# at tiny-cnn/conv2 and tiny-resnet/block3 (2 cores): at 3x16x16 the Jacobian
+# probe takes 0.27-0.72 s, under half of what the 120 steps it saves take; at
+# 1x32x32 it takes 2.1-6.2 s, as long as those steps at conv2, and peaks at
+# 180-205 MB
+_SURROGATE_MAX_UNITS = 768
 
 
 class DegenerateLayerError(RuntimeError):
@@ -57,8 +63,8 @@ class SidConfig:
     alpha: float = 1.5
     tau: float = 0.01
     samples_per_step: int = 32
-    max_steps: int = 200  # inner Adam steps per lambda round
-    sigma_lr: float = 0.05
+    max_steps: int = 80  # inner Adam steps per lambda round
+    sigma_lr: float = 0.1
     # Starting entropy weight. None -> 2*alpha/n_live over the units not found
     # dead, where the budget holds for a locally linear feature (fit_sigma);
     # estimate_ru and normalize=False start at 1.0 instead.
@@ -146,6 +152,40 @@ def entropy_field(sigma: SigmaField) -> np.ndarray:
     return sigma.log_sigma + GAUSSIAN_ENTROPY_CONST
 
 
+class Surrogate:
+    """The linearised control variate l(z) = |L z|^2 = z^T G z of a feature's
+    squared deviation f(x + z) - f(x), with G = L^T L = J^T J for the
+    Jacobian J at x (Miller et al., "Reducing Reparameterization Gradient
+    Variance", NeurIPS 2017). For z = sigma * noise its mean is exactly
+    sum(sigma_i^2 * c_i), c = diag G. Every Monte Carlo term of the fit
+    subtracts l on its own draws and adds that mean back, so it stays
+    unbiased for any L; the closer l tracks the deviation, the smaller its
+    variance, down to none on a linear feature. An L with no rows is the
+    zero surrogate, which leaves plain Monte Carlo bit for bit."""
+
+    def __init__(self, factor: np.ndarray):
+        self.factor = np.ascontiguousarray(factor)  # L, (rank, n)
+        # L^T in C order: OpenBLAS runs a (128 x 64) @ (64 x 64) product on
+        # one core, but on two when the right operand is a transposed view
+        self.factor_t = np.ascontiguousarray(factor.T)
+        self.c = (factor * factor).sum(axis=0)
+
+    @classmethod
+    def zero(cls, n: int) -> "Surrogate":
+        return cls(np.zeros((0, n)))
+
+    def mean(self, scale) -> float:
+        """E l(scale * noise): sum(scale_i^2 * c_i), for a scalar or per-unit scale."""
+        return float((np.square(np.ravel(scale)) * self.c).sum())
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        """L z_b for each row z_b of a (draws, n) batch, _CERT_CHUNK rows per product."""
+        out = np.empty((len(z), len(self.factor)))
+        for lo in range(0, len(z), _CERT_CHUNK):
+            out[lo : lo + _CERT_CHUNK] = z[lo : lo + _CERT_CHUNK] @ self.factor_t
+        return out
+
+
 def clean_feature(model: ModelGraph, layer: str, x: np.ndarray) -> np.ndarray:
     """The layer's feature f0 at the unperturbed input (no graph recorded)."""
     with T.no_grad():
@@ -170,19 +210,29 @@ def _forward_chunked(model: ModelGraph, xs: np.ndarray, layer: str) -> np.ndarra
 
 
 def _mean_sq_deviation(
-    model: ModelGraph, layer: str, x, scale, samples: int, rng: RngStream
+    model: ModelGraph,
+    layer: str,
+    x,
+    scale,
+    samples: int,
+    rng: RngStream,
+    surrogate: Surrogate | None,
 ) -> float:
     """Monte Carlo mean squared deviation of the layer's feature from the clean
-    feature under input noise scale * N(0, I), from `samples` draws of rng."""
+    feature under input noise scale * N(0, I), from `samples` draws of rng,
+    with `surrogate` as control variate (None: plain)."""
     x = np.asarray(x, dtype=np.float64)
+    if surrogate is None:
+        surrogate = Surrogate.zero(x.size)
     f0 = clean_feature(model, layer, x)
     xs = rng.normal((samples,) + x.shape)
     xs *= scale
+    ell = np.square(surrogate.project(xs.reshape(samples, -1))).sum()  # sum_b l(z_b)
     xs += x
     dev = _forward_chunked(model, xs, layer)
     dev -= f0
     dev *= dev
-    return float(dev.sum() / samples)
+    return float((dev.sum() - ell) / samples + surrogate.mean(scale))
 
 
 def feature_baseline(
@@ -192,12 +242,14 @@ def feature_baseline(
     tau: float,
     samples: int = 1024,
     rng: RngStream | None = None,
+    surrogate: Surrogate | None = None,
 ) -> float:
-    """delta_f^2: mean squared feature deviation under isotropic noise std tau."""
+    """delta_f^2: mean squared feature deviation under isotropic noise std tau,
+    with `surrogate` as control variate (None: plain Monte Carlo)."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     rng = rng if rng is not None else RngStream(0)
-    value = _mean_sq_deviation(model, layer, x, tau, samples, rng)
+    value = _mean_sq_deviation(model, layer, x, tau, samples, rng, surrogate)
     if value <= 0.0:
         raise DegenerateLayerError(
             f"layer {layer!r} feature is constant under input noise; SID undefined"
@@ -223,6 +275,7 @@ def _entropy_loss(
     normalize: bool,
     entropy: Callable[[np.ndarray, Tensor], Tensor] | None,
     f0: np.ndarray | None,
+    surrogate: Surrogate | None,
 ) -> tuple[float, np.ndarray]:
     """fit - lam * entropy and its gradient w.r.t. log_sigma, from `samples`
     fresh reparameterized draws x' = x + sigma * noise. The fit term is the
@@ -235,7 +288,12 @@ def _entropy_loss(
     The sigma chain and the Gaussian entropy are computed here with the
     arithmetic their tape nodes would do, each value checked under that node's
     name, and the pathwise gradient is sigma * sum_b(dL/dx'_b * noise_b), plus
-    -lam for the Gaussian entropy."""
+    -lam for the Gaussian entropy.
+
+    `surrogate` (None: the zero one) is the fit term's control variate, off
+    the tape: its draws' mean l(z_b) / delta_f_sq leaves the value and dL/dx'_b
+    loses 2 G z_b / (samples * delta_f_sq); its exact mean sum(sigma^2 c) /
+    delta_f_sq comes back, with gradient 2 sigma^2 c / delta_f_sq."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     if delta_f_sq <= 0:
@@ -243,18 +301,22 @@ def _entropy_loss(
     x = np.asarray(x, dtype=np.float64)
     if f0 is None:
         f0 = clean_feature(model, layer, x)
+    if surrogate is None:
+        surrogate = Surrogate.zero(x.size)
     log_sigma = sigma.log_sigma
     _check_finite(log_sigma, "tensor")
     noise = rng.normal((samples,) + x.shape)
     with np.errstate(all="ignore"):  # non-finite values raise NumericalError
         sig = _checked(np.exp(log_sigma), "exp")
         xp = _checked(sig * noise, "mul")
+        u = surrogate.project(xp.reshape(samples, -1))  # L z_b
         xp += x
     # x' is the tape's one leaf that takes a gradient; f0 is wrapped, not copied
     xp = Tensor.wrap(_checked(xp, "add"), requires_grad=True)
     fp = model.forward(xp, to_layer=layer)
     denom = delta_f_sq if normalize else 1.0
-    fit = T.sum_sq_diff(fp, Tensor.wrap(f0), 1.0 / (samples * denom))
+    scale = 1.0 / (samples * denom)
+    fit = T.sum_sq_diff(fp, Tensor.wrap(f0), scale)
     if entropy is None:
         with np.errstate(all="ignore"):
             h = _checked(log_sigma + GAUSSIAN_ENTROPY_CONST, "add")
@@ -264,9 +326,12 @@ def _entropy_loss(
     else:
         loss = T.sub(fit, T.mul(entropy(x, fp), Tensor.wrap(lam)))
         value = loss.data
+    value = value - (u * u).sum() * scale + surrogate.mean(sig) / denom
     grad_xp = T.backward(loss)[xp]
+    grad_xp = grad_xp - (2.0 * scale * (u @ surrogate.factor)).reshape(grad_xp.shape)
     grad = _checked((grad_xp * noise).sum(axis=0), "backward") * sig
     _check_finite(grad, "backward")
+    grad += 2.0 * sig * sig * surrogate.c.reshape(sig.shape) / denom
     if entropy is None:
         grad += -1.0 * lam
     return float(value), grad
@@ -283,13 +348,15 @@ def sid_loss(
     rng: RngStream,
     normalize: bool = True,
     f0: np.ndarray | None = None,
+    surrogate: Surrogate | None = None,
 ) -> tuple[float, np.ndarray]:
     """One stochastic evaluation of the maximum-entropy loss and its gradient
     w.r.t. log_sigma, using `samples` fresh reparameterized draws from rng.
-    `f0`, the clean feature, is computed when not given. The entropy is the
+    `f0`, the clean feature, is computed when not given; `surrogate` is the
+    fit term's control variate (None: plain). The entropy is the
     perturbation's own, sum(log_sigma + C); its gradient is 1 per unit."""
     return _entropy_loss(
-        model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, None, f0
+        model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, None, f0, surrogate
     )
 
 
@@ -300,9 +367,11 @@ def certify_epsilon(
     sigma: SigmaField,
     samples: int,
     rng: RngStream,
+    surrogate: Surrogate | None = None,
 ) -> float:
-    """Low-variance epsilon estimate from held-out draws (no gradient)."""
-    return _mean_sq_deviation(model, layer, x, sigma.sigma, samples, rng)
+    """Low-variance epsilon estimate from held-out draws (no gradient), with
+    `surrogate` as control variate (None: plain Monte Carlo)."""
+    return _mean_sq_deviation(model, layer, x, sigma.sigma, samples, rng, surrogate)
 
 
 def lambda_adapt(lam: float, epsilon_achieved: float, target: float) -> float:
@@ -366,32 +435,65 @@ def default_sigma_cap(x: np.ndarray) -> float:
     return 10.0 * (span if span > 0 else 1.0)
 
 
+def _probe(model: ModelGraph, layer: str, x: np.ndarray, scale: float):
+    """The layer's flattened features at the 2n probe rows x +- scale * e_i
+    (unit i up in row 2i, down in row 2i+1), built and forwarded _CERT_CHUNK
+    rows at a time: yields (first row, features) per chunk, so memory does not
+    grow with n^2."""
+    n = x.size
+    for lo in range(0, 2 * n, _CERT_CHUNK):
+        rows = np.arange(lo, min(lo + _CERT_CHUNK, 2 * n))
+        m = len(rows)
+        probes = np.repeat(x.reshape(1, n), m, axis=0)
+        probes[np.arange(m), rows // 2] += np.where(rows % 2, -scale, scale)
+        with T.no_grad():
+            f = model.forward(Tensor(probes.reshape((m,) + x.shape)), to_layer=layer).data
+        yield lo, f.reshape(m, -1)
+
+
 def find_dead_units(model: ModelGraph, layer: str, x: np.ndarray, scale: float) -> np.ndarray:
     """Flat indices of input units whose +-scale perturbation leaves the
     feature unchanged. For such units the fit term can never push back, so
     the max-entropy optimum is the sigma cap itself.
 
-    The 2n probe rows (unit i up in row 2i, down in row 2i+1) are built and
-    forwarded _CERT_CHUNK at a time, keeping only each row's largest absolute
-    feature deviation, so memory does not grow with n^2. A dust tolerance
-    absorbs the float reassociation noise between the batched probes and the
-    clean forward, whatever BLAS happens to run underneath.
+    Keeps only each probe row's largest absolute feature deviation. A dust
+    tolerance absorbs the float reassociation noise between the batched
+    probes and the clean forward, whatever BLAS happens to run underneath.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    f0 = clean_feature(model, layer, x)
+    f0 = clean_feature(model, layer, x).reshape(-1)
     dev = np.empty(2 * n)
-    with T.no_grad():
-        for lo in range(0, 2 * n, _CERT_CHUNK):
-            rows = np.arange(lo, min(lo + _CERT_CHUNK, 2 * n))
-            m = len(rows)
-            probes = np.repeat(x.reshape(1, n), m, axis=0)
-            probes[np.arange(m), rows // 2] += np.where(rows % 2, -scale, scale)
-            d = model.forward(Tensor(probes.reshape((m,) + x.shape)), to_layer=layer).data - f0
-            np.abs(d, out=d)
-            dev[lo : lo + m] = d.reshape(m, -1).max(axis=1)
+    for lo, f in _probe(model, layer, x, scale):
+        d = f - f0
+        np.abs(d, out=d)
+        dev[lo : lo + len(d)] = d.max(axis=1)
     tol = 1e-9 * max(1.0, float(np.abs(f0).max()))
     return np.flatnonzero(dev.reshape(n, 2).max(axis=1) <= tol)
+
+
+def linear_surrogate(model: ModelGraph, layer: str, x: np.ndarray, h: float) -> Surrogate:
+    """The control variate of the feature linearised at x: J by central
+    differences (f(x + h e_i) - f(x - h e_i)) / 2h over the 2n probe rows,
+    and L the triangular factor of J's QR, so L^T L = J^T J with at most n
+    rows. Inputs over _SURROGATE_MAX_UNITS units get the zero surrogate.
+
+    The QR runs n rows of J at a time, each step factoring the last factor
+    stacked on the next rows: one QR of all of J uses every core for a 512 x
+    64 J, these (2n x n) steps use one."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
+    if n > _SURROGATE_MAX_UNITS:
+        return Surrogate.zero(n)
+    J = None  # (feature size, n)
+    for lo, f in _probe(model, layer, x, h):
+        if J is None:
+            J = np.empty((f.shape[1], n))
+        J[:, lo // 2 : (lo + len(f)) // 2] = ((f[0::2] - f[1::2]) / (2.0 * h)).T
+    L = np.zeros((0, n))
+    for lo in range(0, len(J), n):
+        L = np.linalg.qr(np.concatenate([L, J[lo : lo + n]]), mode="r")
+    return Surrogate(L)
 
 
 def fit_sigma(
@@ -399,14 +501,16 @@ def fit_sigma(
     layer: str,
     x: np.ndarray,
     cfg: SidConfig,
-    loss: Callable[[SigmaField, float, float, RngStream], tuple[float, np.ndarray]],
+    loss: Callable[[SigmaField, float, float, RngStream, Surrogate], tuple[float, np.ndarray]],
 ) -> tuple[SigmaField, dict]:
     """The sigma fit both estimators share. Learn sigma by gradient descent at
     fixed lambda, adapting lambda between rounds until the held-out feature
     deviation hits alpha * delta_f^2 within tolerance. Dead units run away to
-    the sigma cap. `loss(sigma, lam, delta_f_sq, rng)` returns one stochastic
-    (value, gradient w.r.t. log_sigma) of the objective; it is all that
-    differs between the estimators. Returns the learned sigma and the
+    the sigma cap. `loss(sigma, lam, delta_f_sq, rng, surrogate)` returns one
+    stochastic (value, gradient w.r.t. log_sigma) of the objective; it is all
+    that differs between the estimators. The feature's linear surrogate
+    (linear_surrogate, at h = tau) is the control variate of the baseline,
+    every certification and every step. Returns the learned sigma and the
     EstimateResult fields.
 
     lambda starts at cfg.lambda_init when given. Otherwise it starts at
@@ -418,8 +522,9 @@ def fit_sigma(
     no delta_f^2 and the rule does not apply; lambda starts at 1.0."""
     x = np.asarray(x, dtype=np.float64)
     root = RngStream(cfg.seed)
+    surrogate = linear_surrogate(model, layer, x, cfg.tau)
     delta_f_sq = feature_baseline(
-        model, layer, x, cfg.tau, cfg.baseline_samples, root.spawn("est/baseline")
+        model, layer, x, cfg.tau, cfg.baseline_samples, root.spawn("est/baseline"), surrogate
     )
     target = cfg.alpha * delta_f_sq
     cap = cfg.sigma_cap if cfg.sigma_cap is not None else default_sigma_cap(x)
@@ -445,7 +550,7 @@ def fit_sigma(
         tail_sum = np.zeros_like(sigma.log_sigma)
         tail_count = 0
         for step in range(cfg.max_steps):
-            _, grad = loss(sigma, lam, delta_f_sq, step_rng)
+            _, grad = loss(sigma, lam, delta_f_sq, step_rng, surrogate)
             sigma.log_sigma = np.minimum(adam.step(sigma.log_sigma, grad), log_cap)
             steps_used += 1
             if step >= tail_from:
@@ -455,7 +560,7 @@ def fit_sigma(
             # Polyak tail average damps the stochastic equilibrium jitter
             sigma.log_sigma = np.minimum(tail_sum / tail_count, log_cap)
         epsilon = certify_epsilon(
-            model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout")
+            model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout"), surrogate
         )
         if abs(epsilon - target) <= cfg.lambda_tolerance * target:
             conformant = True
@@ -473,7 +578,7 @@ def fit_sigma(
             sigma.log_sigma,
         )
         epsilon = certify_epsilon(
-            model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout")
+            model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout"), surrogate
         )
         conformant = abs(epsilon - target) <= cfg.lambda_tolerance * target
     return sigma, dict(
@@ -494,9 +599,10 @@ def estimate_sid(model: ModelGraph, layer: str, x, cfg: SidConfig) -> SidResult:
     x = np.asarray(x, dtype=np.float64)
     f0 = clean_feature(model, layer, x)  # once, not at every step
 
-    def loss(sigma, lam, delta_f_sq, rng):
+    def loss(sigma, lam, delta_f_sq, rng, surrogate):
         return sid_loss(
-            model, layer, x, sigma, lam, delta_f_sq, cfg.samples_per_step, rng, cfg.normalize, f0
+            model, layer, x, sigma, lam, delta_f_sq, cfg.samples_per_step, rng, cfg.normalize, f0,
+            surrogate,
         )
 
     sigma, fit = fit_sigma(model, layer, x, cfg, loss)

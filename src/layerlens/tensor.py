@@ -504,8 +504,10 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
 def backward(loss: Tensor) -> dict:
     """Reverse-mode sweep from a scalar loss.
 
-    Returns a {tensor: gradient} map, each gradient shaped like its tensor's
-    value, over every requires_grad ancestor. The recorded graph is freed.
+    Returns a {tensor: gradient} map over the requires_grad leaves the loss
+    depends on, each gradient shaped like its tensor's value. An intermediate
+    gradient is dropped once it has reached its parents. The recorded graph
+    is freed.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -531,10 +533,13 @@ def backward(loss: Tensor) -> dict:
                 stack.append((parent, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    by_id: dict[int, Tensor] = {id(t): t for t in topo}
+    out: dict[Tensor, np.ndarray] = {}
     for node in reversed(topo):
-        g = grads.get(id(node))
+        g = grads.pop(id(node), None)
         if g is None:
+            continue
+        if not node._parents:
+            out[node] = np.asarray(g, dtype=np.float64).reshape(node.data.shape)
             continue
         for parent, fn in node._parents:
             contribution = fn(g)
@@ -542,11 +547,6 @@ def backward(loss: Tensor) -> dict:
             prev = grads.get(id(parent))
             grads[id(parent)] = contribution if prev is None else prev + contribution
 
-    out: dict[Tensor, np.ndarray] = {}
-    for tid, g in grads.items():
-        t = by_id[tid]
-        if t.requires_grad:
-            out[t] = np.asarray(g, dtype=np.float64).reshape(t.data.shape)
     for t in topo:  # free the tape
         t._parents = ()
     return out

@@ -64,6 +64,14 @@ class TestConcentration:
         with pytest.raises(R.MaskError):
             R.concentration(np.ones((3, 3)), R.Mask(np.array([[True, False]])))
 
+    @pytest.mark.parametrize("box", [(6, 6, 4, 4), (0, 5, 2, 4), (5, 0, 4, 2), (-1, 0, 2, 2)])
+    def test_bbox_that_does_not_fit_rejected(self, box):
+        with pytest.raises(R.MaskError, match="does not fit the 8x8 grid"):
+            R.Mask.from_bbox(*box, (8, 8))
+
+    def test_bbox_flush_with_the_edge_fits(self):
+        assert R.Mask.from_bbox(4, 4, 4, 4, (8, 8)).inside.sum() == 16
+
     def test_dead_background_is_positive(self):
         # background input units have zero outgoing weights: they get capped,
         # high entropies, so background-minus-foreground is strictly positive

@@ -445,6 +445,19 @@ class TestBackward:
         T.backward(y)
         assert y._parents == ()
 
+    def test_returns_only_leaf_gradients(self):
+        # intermediate activations' gradients are dropped once they reach
+        # their parents; the leaves' gradients keep their bits
+        w = T.Tensor([[0.5, -1.0], [2.0, 0.25]], requires_grad=True)
+        x = T.Tensor([[1.0, 2.0]], requires_grad=True)
+        h = T.relu(T.matmul(x, w))
+        loss = T.reduce_sum(T.mul(h, h))
+        grads = T.backward(loss)
+        assert set(grads) == {w, x}
+        hv = np.maximum(x.data @ w.data, 0.0)
+        np.testing.assert_array_equal(grads[w], x.data.T @ (2.0 * hv))
+        np.testing.assert_array_equal(grads[x], (2.0 * hv) @ w.data.T)
+
     def test_diamond_graph_accumulates(self):
         x = T.Tensor([3.0], requires_grad=True)
         y = T.mul(x, x)
