@@ -29,12 +29,6 @@ from .tensor import Tensor, _check_finite
 GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2.0 * math.pi * math.e)
 
 _CERT_CHUNK = 128  # row bound for every batched forward and surrogate product
-# Inputs with more units get the zero surrogate (plain Monte Carlo). Measured
-# at tiny-cnn/conv2 and tiny-resnet/block3 (2 cores): at 3x16x16 the Jacobian
-# probe takes 0.27-0.72 s, under half of what the 120 steps it saves take; at
-# 1x32x32 it takes 2.1-6.2 s, as long as those steps at conv2, and peaks at
-# 180-205 MB
-_SURROGATE_MAX_UNITS = 768
 
 
 class DegenerateLayerError(RuntimeError):
@@ -153,37 +147,35 @@ def entropy_field(sigma: SigmaField) -> np.ndarray:
 
 
 class Surrogate:
-    """The linearised control variate l(z) = |L z|^2 = z^T G z of a feature's
-    squared deviation f(x + z) - f(x), with G = L^T L = J^T J for the
-    Jacobian J at x (Miller et al., "Reducing Reparameterization Gradient
-    Variance", NeurIPS 2017). For z = sigma * noise its mean is exactly
-    sum(sigma_i^2 * c_i), c = diag G. Every Monte Carlo term of the fit
-    subtracts l on its own draws and adds that mean back, so it stays
-    unbiased for any L; the closer l tracks the deviation, the smaller its
-    variance, down to none on a linear feature. An L with no rows is the
-    zero surrogate, which leaves plain Monte Carlo bit for bit."""
+    """The linearised control variate l(z) = z^T G z of a feature's squared
+    deviation f(x + z) - f(x), with G = J^T J for the Jacobian J at x (Miller
+    et al., "Reducing Reparameterization Gradient Variance", NeurIPS 2017).
+    For z = sigma * noise its mean is exactly sum(sigma_i^2 * c_i), c = diag G.
+    Every Monte Carlo term of the fit subtracts l on its own draws and adds
+    that mean back, so it stays unbiased for any symmetric G; the closer l
+    tracks the deviation, the smaller its variance, down to none on a linear
+    feature."""
 
-    def __init__(self, factor: np.ndarray):
-        self.factor = np.ascontiguousarray(factor)  # L, (rank, n)
-        # L^T in C order: OpenBLAS runs a (128 x 64) @ (64 x 64) product on
-        # one core, but on two when the right operand is a transposed view
-        self.factor_t = np.ascontiguousarray(factor.T)
-        self.c = (factor * factor).sum(axis=0)
-
-    @classmethod
-    def zero(cls, n: int) -> "Surrogate":
-        return cls(np.zeros((0, n)))
+    def __init__(self, gram: np.ndarray):
+        self.gram = np.ascontiguousarray(gram)  # G, (n, n), symmetric
+        self.c = np.diagonal(self.gram).copy()
 
     def mean(self, scale) -> float:
         """E l(scale * noise): sum(scale_i^2 * c_i), for a scalar or per-unit scale."""
         return float((np.square(np.ravel(scale)) * self.c).sum())
 
-    def project(self, z: np.ndarray) -> np.ndarray:
-        """L z_b for each row z_b of a (draws, n) batch, _CERT_CHUNK rows per product."""
-        out = np.empty((len(z), len(self.factor)))
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """G z_b for each row z_b of a (draws, n) batch, _CERT_CHUNK rows per
+        product: l(z_b) = z_b . G z_b and its gradient is 2 G z_b."""
+        out = np.empty_like(z)
         for lo in range(0, len(z), _CERT_CHUNK):
-            out[lo : lo + _CERT_CHUNK] = z[lo : lo + _CERT_CHUNK] @ self.factor_t
+            np.matmul(z[lo : lo + _CERT_CHUNK], self.gram, out=out[lo : lo + _CERT_CHUNK])
         return out
+
+    def total(self, z: np.ndarray) -> float:
+        """sum_b l(z_b) over the rows of a (draws, n) batch, without keeping G z."""
+        chunks = (z[lo : lo + _CERT_CHUNK] for lo in range(0, len(z), _CERT_CHUNK))
+        return sum(float(np.vdot(chunk, chunk @ self.gram)) for chunk in chunks)
 
 
 def clean_feature(model: ModelGraph, layer: str, x: np.ndarray) -> np.ndarray:
@@ -222,16 +214,18 @@ def _mean_sq_deviation(
     feature under input noise scale * N(0, I), from `samples` draws of rng,
     with `surrogate` as control variate (None: plain)."""
     x = np.asarray(x, dtype=np.float64)
-    if surrogate is None:
-        surrogate = Surrogate.zero(x.size)
     f0 = clean_feature(model, layer, x)
     xs = rng.normal((samples,) + x.shape)
     xs *= scale
-    ell = np.square(surrogate.project(xs.reshape(samples, -1))).sum()  # sum_b l(z_b)
+    if surrogate is not None:
+        z = xs.reshape(samples, -1)
+        ell = surrogate.total(z)  # sum_b l(z_b)
     xs += x
     dev = _forward_chunked(model, xs, layer)
     dev -= f0
     dev *= dev
+    if surrogate is None:
+        return float(dev.sum() / samples)
     return float((dev.sum() - ell) / samples + surrogate.mean(scale))
 
 
@@ -290,7 +284,7 @@ def _entropy_loss(
     name, and the pathwise gradient is sigma * sum_b(dL/dx'_b * noise_b), plus
     -lam for the Gaussian entropy.
 
-    `surrogate` (None: the zero one) is the fit term's control variate, off
+    `surrogate` (None: plain) is the fit term's control variate, off
     the tape: its draws' mean l(z_b) / delta_f_sq leaves the value and dL/dx'_b
     loses 2 G z_b / (samples * delta_f_sq); its exact mean sum(sigma^2 c) /
     delta_f_sq comes back, with gradient 2 sigma^2 c / delta_f_sq."""
@@ -301,15 +295,16 @@ def _entropy_loss(
     x = np.asarray(x, dtype=np.float64)
     if f0 is None:
         f0 = clean_feature(model, layer, x)
-    if surrogate is None:
-        surrogate = Surrogate.zero(x.size)
     log_sigma = sigma.log_sigma
     _check_finite(log_sigma, "tensor")
     noise = rng.normal((samples,) + x.shape)
     with np.errstate(all="ignore"):  # non-finite values raise NumericalError
         sig = _checked(np.exp(log_sigma), "exp")
         xp = _checked(sig * noise, "mul")
-        u = surrogate.project(xp.reshape(samples, -1))  # L z_b
+        if surrogate is not None:
+            z = xp.reshape(samples, -1)
+            gz = surrogate.apply(z)
+            ell = np.vdot(z, gz)  # sum_b l(z_b), before z becomes x'
         xp += x
     # x' is the tape's one leaf that takes a gradient; f0 is wrapped, not copied
     xp = Tensor.wrap(_checked(xp, "add"), requires_grad=True)
@@ -326,12 +321,15 @@ def _entropy_loss(
     else:
         loss = T.sub(fit, T.mul(entropy(x, fp), Tensor.wrap(lam)))
         value = loss.data
-    value = value - (u * u).sum() * scale + surrogate.mean(sig) / denom
     grad_xp = T.backward(loss)[xp]
-    grad_xp = grad_xp - (2.0 * scale * (u @ surrogate.factor)).reshape(grad_xp.shape)
+    if surrogate is not None:
+        value = value - ell * scale + surrogate.mean(sig) / denom
+        gz *= 2.0 * scale
+        grad_xp = grad_xp - gz.reshape(grad_xp.shape)
     grad = _checked((grad_xp * noise).sum(axis=0), "backward") * sig
     _check_finite(grad, "backward")
-    grad += 2.0 * sig * sig * surrogate.c.reshape(sig.shape) / denom
+    if surrogate is not None:
+        grad += 2.0 * sig * sig * surrogate.c.reshape(sig.shape) / denom
     if entropy is None:
         grad += -1.0 * lam
     return float(value), grad
@@ -475,25 +473,27 @@ def find_dead_units(model: ModelGraph, layer: str, x: np.ndarray, scale: float) 
 def linear_surrogate(model: ModelGraph, layer: str, x: np.ndarray, h: float) -> Surrogate:
     """The control variate of the feature linearised at x: J by central
     differences (f(x + h e_i) - f(x - h e_i)) / 2h over the 2n probe rows,
-    and L the triangular factor of J's QR, so L^T L = J^T J with at most n
-    rows. Inputs over _SURROGATE_MAX_UNITS units get the zero surrogate.
-
-    The QR runs n rows of J at a time, each step factoring the last factor
-    stacked on the next rows: one QR of all of J uses every core for a 512 x
-    64 J, these (2n x n) steps use one."""
+    and G = J^T J summed over blocks of _CERT_CHUNK feature rows. Each block
+    keeps only the columns of J it depends on (a conv feature's rows see a
+    patch of the input), which sets both the memory and the cost."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    if n > _SURROGATE_MAX_UNITS:
-        return Surrogate.zero(n)
-    J = None  # (feature size, n)
+    blocks = None  # per feature block: its units' indices and rows of J^T
     for lo, f in _probe(model, layer, x, h):
-        if J is None:
-            J = np.empty((f.shape[1], n))
-        J[:, lo // 2 : (lo + len(f)) // 2] = ((f[0::2] - f[1::2]) / (2.0 * h)).T
-    L = np.zeros((0, n))
-    for lo in range(0, len(J), n):
-        L = np.linalg.qr(np.concatenate([L, J[lo : lo + n]]), mode="r")
-    return Surrogate(L)
+        jt = (f[0::2] - f[1::2]) / (2.0 * h)  # J^T rows of units lo/2, lo/2 + 1, ...
+        units = np.arange(lo // 2, lo // 2 + len(jt))
+        if blocks is None:
+            blocks = [([], []) for _ in range(0, jt.shape[1], _CERT_CHUNK)]
+        for k, (index, rows) in enumerate(blocks):
+            part = jt[:, k * _CERT_CHUNK : (k + 1) * _CERT_CHUNK]
+            live = part.any(axis=1)
+            index.append(units[live])
+            rows.append(part[live])
+    gram = np.zeros((n, n))
+    while blocks:
+        index, rows = map(np.concatenate, blocks.pop())
+        gram[np.ix_(index, index)] += rows @ rows.T  # one rank-k update
+    return Surrogate(gram)
 
 
 def fit_sigma(
