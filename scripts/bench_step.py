@@ -4,8 +4,9 @@
 For a preset (tiny-cnn or tiny-resnet at 1x8x8, seeded like the benchmark's
 images and models), a layer and an estimator (sid or ru), prints:
 - the median milliseconds of one step: one loss-and-gradient evaluation at
-  sigma = tau and the default starting lambda, with the clean feature and
-  the linearised control variate given, as fit_sigma runs it;
+  sigma = tau and the default starting lambda (2*alpha/n_live for sid, 1.0
+  for ru), with the clean feature, the linearised control variate and the
+  baseline's delta_f^2 that fit_sigma hands its loss;
 - the tape nodes (op results) that one step records;
 - the split of one default estimate's wall time into Jacobian probe,
   baseline, dead-unit probe, steps, certification, pixel_ru (ru only) and
@@ -20,6 +21,7 @@ import argparse
 import contextlib
 import time
 from collections import defaultdict
+from functools import partial
 
 import numpy as np
 
@@ -72,22 +74,23 @@ def main():
     cfg = S.SidConfig(seed=args.seed)
     if args.estimator == "ru":
         decoder = R.train_decoder(model, layer, images, TrainConfig(epochs=1, seed=args.seed))
+        loss = partial(R.ru_loss, model, decoder.graph, layer, x)
         lam = 1.0
     else:
-        lam = 2.0 * cfg.alpha / x.size
+        loss = partial(S.sid_loss, model, layer, x)
+        dead = S.find_dead_units(model, layer, x, S.default_sigma_cap(x))
+        lam = 2.0 * cfg.alpha / max(x.size - dead.size, 1)
     f0 = S.clean_feature(model, layer, x)
     surrogate = S.linear_surrogate(model, layer, x, cfg.tau)
     delta_f_sq = S.feature_baseline(
-        model, layer, x, cfg.tau, cfg.baseline_samples, surrogate=surrogate
+        model, layer, x, cfg.tau, cfg.baseline_samples, RngStream(args.seed).spawn("est/baseline"),
+        surrogate,
     )
     sigma = S.SigmaField.constant(x.shape, cfg.tau)
     rng = RngStream(args.seed)
 
     def step():
-        common = (sigma, lam, delta_f_sq, cfg.samples_per_step, rng, cfg.normalize, f0, surrogate)
-        if args.estimator == "ru":
-            return R.ru_loss(model, decoder.graph, layer, x, *common)
-        return S.sid_loss(model, layer, x, *common)
+        return loss(sigma, lam, delta_f_sq, cfg.samples_per_step, rng, f0, surrogate)
 
     nodes = [0]
     result = T._result

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .sid import (
     Surrogate,
     _entropy_loss,
     _forward_chunked,
-    clean_feature,
     fit_sigma,
 )
 
@@ -147,13 +147,6 @@ def train_decoder(
 # ---------------------------------------------------------------------------
 
 
-def _reconstruct_chunked(
-    model: ModelGraph, decoder: ModelGraph, xs: np.ndarray, layer: str
-) -> np.ndarray:
-    feats = _forward_chunked(model, xs, layer)
-    return _forward_chunked(decoder, feats, None)
-
-
 def pixel_ru(
     model: ModelGraph,
     decoder: ModelGraph,
@@ -169,7 +162,8 @@ def pixel_ru(
     """
     x = np.asarray(x, dtype=np.float64)
     noise = rng.normal((samples,) + x.shape)
-    recon = _reconstruct_chunked(model, decoder, x[None] + sigma.sigma * noise, layer)
+    feats = _forward_chunked(model, x[None] + sigma.sigma * noise, layer)
+    recon = _forward_chunked(decoder, feats, None)
     if recon.shape[1:] != x.shape:
         raise T.ShapeError(f"decoder output {recon.shape[1:]} does not match input {x.shape}")
     err_sq = ((recon - x) ** 2).mean(axis=0)
@@ -185,19 +179,17 @@ def ru_loss(
     x: np.ndarray,
     sigma: SigmaField,
     lam: float,
-    delta_f_sq: float,
+    fit_scale: float,
     samples: int,
     rng: RngStream,
-    normalize: bool = True,
-    f0: np.ndarray | None = None,
-    surrogate: Surrogate | None = None,
+    f0: np.ndarray,
+    surrogate: Surrogate,
 ) -> tuple[float, np.ndarray]:
-    """Stochastic reconstruction-entropy loss and gradient w.r.t. log_sigma.
+    """Stochastic reconstruction-entropy loss and gradient w.r.t. log_sigma
+    (fit_sigma's loss contract).
 
     One set of draws feeds both the feature-deviation term and the per-unit
-    reconstruction variances (shared draws lower the gradient variance).
-    `f0`, the clean feature, is computed when not given; `surrogate` is the
-    feature-deviation term's control variate (None: plain)."""
+    reconstruction variances (shared draws lower the gradient variance)."""
 
     def entropy(x, fp):
         recon = decoder.forward(fp)
@@ -208,7 +200,7 @@ def ru_loss(
         return T.mul(T.reduce_sum(per_unit), Tensor.wrap(0.5))
 
     return _entropy_loss(
-        model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, entropy, f0, surrogate
+        model, layer, x, sigma, lam, fit_scale, samples, rng, entropy, f0, surrogate
     )
 
 
@@ -226,15 +218,7 @@ def estimate_ru(
         cfg = replace(cfg, lambda_init=1.0)
     x = np.asarray(x, dtype=np.float64)
     dec = decoder.graph
-    f0 = clean_feature(model, layer, x)  # once, not at every step
-
-    def loss(sigma, lam, delta_f_sq, rng, surrogate):
-        return ru_loss(
-            model, dec, layer, x, sigma, lam, delta_f_sq, cfg.samples_per_step, rng,
-            cfg.normalize, f0, surrogate,
-        )
-
-    sigma, fit = fit_sigma(model, layer, x, cfg, loss)
+    sigma, fit = fit_sigma(model, layer, x, cfg, partial(ru_loss, model, dec, layer, x))
     H_hat_i, clamped = pixel_ru(
         model, dec, layer, x, sigma, cfg.certify_samples, RngStream(cfg.seed).spawn("ru/pixel")
     )

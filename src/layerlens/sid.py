@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -69,11 +70,11 @@ class SidConfig:
     max_rounds: int = 20  # lambda adaptation budget
     baseline_samples: int = 1024
     certify_samples: int = 1024  # held-out draws for reported epsilon / H_hat
-    # Diagnostic only. False drops the delta_f^2 divisor AND pins lambda at
-    # lambda_init (1.0 when None) for a single round (no adaptation, no
-    # constraint projection): adaptation would partially re-absorb the missing
-    # normalization, hiding exactly the scale-dependence this mode exists to
-    # expose.
+    # Diagnostic only. False divides the fit term by 1 instead of delta_f^2
+    # AND pins lambda at lambda_init (1.0 when None) for a single round (no
+    # adaptation, no constraint projection): adaptation would partially
+    # re-absorb the missing normalization, hiding exactly the scale-dependence
+    # this mode exists to expose.
     normalize: bool = True
 
     def __post_init__(self):
@@ -208,24 +209,20 @@ def _mean_sq_deviation(
     scale,
     samples: int,
     rng: RngStream,
-    surrogate: Surrogate | None,
+    surrogate: Surrogate,
 ) -> float:
     """Monte Carlo mean squared deviation of the layer's feature from the clean
     feature under input noise scale * N(0, I), from `samples` draws of rng,
-    with `surrogate` as control variate (None: plain)."""
+    with `surrogate` as control variate."""
     x = np.asarray(x, dtype=np.float64)
     f0 = clean_feature(model, layer, x)
     xs = rng.normal((samples,) + x.shape)
     xs *= scale
-    if surrogate is not None:
-        z = xs.reshape(samples, -1)
-        ell = surrogate.total(z)  # sum_b l(z_b)
+    ell = surrogate.total(xs.reshape(samples, -1))  # sum_b l(z_b)
     xs += x
     dev = _forward_chunked(model, xs, layer)
     dev -= f0
     dev *= dev
-    if surrogate is None:
-        return float(dev.sum() / samples)
     return float((dev.sum() - ell) / samples + surrogate.mean(scale))
 
 
@@ -234,15 +231,14 @@ def feature_baseline(
     layer: str,
     x: np.ndarray,
     tau: float,
-    samples: int = 1024,
-    rng: RngStream | None = None,
-    surrogate: Surrogate | None = None,
+    samples: int,
+    rng: RngStream,
+    surrogate: Surrogate,
 ) -> float:
     """delta_f^2: mean squared feature deviation under isotropic noise std tau,
-    with `surrogate` as control variate (None: plain Monte Carlo)."""
+    with `surrogate` as control variate."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    rng = rng if rng is not None else RngStream(0)
     value = _mean_sq_deviation(model, layer, x, tau, samples, rng, surrogate)
     if value <= 0.0:
         raise DegenerateLayerError(
@@ -263,20 +259,19 @@ def _entropy_loss(
     x: np.ndarray,
     sigma: SigmaField,
     lam: float,
-    delta_f_sq: float,
+    fit_scale: float,
     samples: int,
     rng: RngStream,
-    normalize: bool,
     entropy: Callable[[np.ndarray, Tensor], Tensor] | None,
-    f0: np.ndarray | None,
-    surrogate: Surrogate | None,
+    f0: np.ndarray,
+    surrogate: Surrogate,
 ) -> tuple[float, np.ndarray]:
     """fit - lam * entropy and its gradient w.r.t. log_sigma, from `samples`
     fresh reparameterized draws x' = x + sigma * noise. The fit term is the
-    mean squared deviation from the clean feature f0 (computed here when None)
-    over delta_f_sq. `entropy(x, fp)` builds the entropy being maximized from
-    the perturbed feature fp; None means the perturbation's own Gaussian
-    entropy, sum(log_sigma + C).
+    mean squared deviation from the clean feature f0 over fit_scale.
+    `entropy(x, fp)` builds the entropy being maximized from the perturbed
+    feature fp; None means the perturbation's own Gaussian entropy,
+    sum(log_sigma + C).
 
     The tape starts at x': it records the network and what `entropy` builds.
     The sigma chain and the Gaussian entropy are computed here with the
@@ -284,33 +279,29 @@ def _entropy_loss(
     name, and the pathwise gradient is sigma * sum_b(dL/dx'_b * noise_b), plus
     -lam for the Gaussian entropy.
 
-    `surrogate` (None: plain) is the fit term's control variate, off
-    the tape: its draws' mean l(z_b) / delta_f_sq leaves the value and dL/dx'_b
-    loses 2 G z_b / (samples * delta_f_sq); its exact mean sum(sigma^2 c) /
-    delta_f_sq comes back, with gradient 2 sigma^2 c / delta_f_sq."""
+    `surrogate` is the fit term's control variate, off the tape: its draws'
+    mean l(z_b) / fit_scale leaves the value and dL/dx'_b loses
+    2 G z_b / (samples * fit_scale); its exact mean sum(sigma^2 c) / fit_scale
+    comes back, with gradient 2 sigma^2 c / fit_scale."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    if delta_f_sq <= 0:
-        raise ValueError("delta_f_sq must be positive")
+    if fit_scale <= 0:
+        raise ValueError("fit_scale must be positive")
     x = np.asarray(x, dtype=np.float64)
-    if f0 is None:
-        f0 = clean_feature(model, layer, x)
     log_sigma = sigma.log_sigma
     _check_finite(log_sigma, "tensor")
     noise = rng.normal((samples,) + x.shape)
     with np.errstate(all="ignore"):  # non-finite values raise NumericalError
         sig = _checked(np.exp(log_sigma), "exp")
         xp = _checked(sig * noise, "mul")
-        if surrogate is not None:
-            z = xp.reshape(samples, -1)
-            gz = surrogate.apply(z)
-            ell = np.vdot(z, gz)  # sum_b l(z_b), before z becomes x'
+        z = xp.reshape(samples, -1)
+        gz = surrogate.apply(z)
+        ell = np.vdot(z, gz)  # sum_b l(z_b), before z becomes x'
         xp += x
     # x' is the tape's one leaf that takes a gradient; f0 is wrapped, not copied
     xp = Tensor.wrap(_checked(xp, "add"), requires_grad=True)
     fp = model.forward(xp, to_layer=layer)
-    denom = delta_f_sq if normalize else 1.0
-    scale = 1.0 / (samples * denom)
+    scale = 1.0 / (samples * fit_scale)
     fit = T.sum_sq_diff(fp, Tensor.wrap(f0), scale)
     if entropy is None:
         with np.errstate(all="ignore"):
@@ -322,14 +313,12 @@ def _entropy_loss(
         loss = T.sub(fit, T.mul(entropy(x, fp), Tensor.wrap(lam)))
         value = loss.data
     grad_xp = T.backward(loss)[xp]
-    if surrogate is not None:
-        value = value - ell * scale + surrogate.mean(sig) / denom
-        gz *= 2.0 * scale
-        grad_xp = grad_xp - gz.reshape(grad_xp.shape)
+    value = value - ell * scale + surrogate.mean(sig) / fit_scale
+    gz *= 2.0 * scale
+    grad_xp = grad_xp - gz.reshape(grad_xp.shape)
     grad = _checked((grad_xp * noise).sum(axis=0), "backward") * sig
     _check_finite(grad, "backward")
-    if surrogate is not None:
-        grad += 2.0 * sig * sig * surrogate.c.reshape(sig.shape) / denom
+    grad += 2.0 * sig * sig * surrogate.c.reshape(sig.shape) / fit_scale
     if entropy is None:
         grad += -1.0 * lam
     return float(value), grad
@@ -341,21 +330,17 @@ def sid_loss(
     x: np.ndarray,
     sigma: SigmaField,
     lam: float,
-    delta_f_sq: float,
+    fit_scale: float,
     samples: int,
     rng: RngStream,
-    normalize: bool = True,
-    f0: np.ndarray | None = None,
-    surrogate: Surrogate | None = None,
+    f0: np.ndarray,
+    surrogate: Surrogate,
 ) -> tuple[float, np.ndarray]:
     """One stochastic evaluation of the maximum-entropy loss and its gradient
-    w.r.t. log_sigma, using `samples` fresh reparameterized draws from rng.
-    `f0`, the clean feature, is computed when not given; `surrogate` is the
-    fit term's control variate (None: plain). The entropy is the
-    perturbation's own, sum(log_sigma + C); its gradient is 1 per unit."""
-    return _entropy_loss(
-        model, layer, x, sigma, lam, delta_f_sq, samples, rng, normalize, None, f0, surrogate
-    )
+    w.r.t. log_sigma, using `samples` fresh reparameterized draws from rng
+    (fit_sigma's loss contract). The entropy is the perturbation's own,
+    sum(log_sigma + C); its gradient is 1 per unit."""
+    return _entropy_loss(model, layer, x, sigma, lam, fit_scale, samples, rng, None, f0, surrogate)
 
 
 def certify_epsilon(
@@ -368,7 +353,10 @@ def certify_epsilon(
     surrogate: Surrogate | None = None,
 ) -> float:
     """Low-variance epsilon estimate from held-out draws (no gradient), with
-    `surrogate` as control variate (None: plain Monte Carlo)."""
+    `surrogate` as control variate. None is plain Monte Carlo: the zero
+    surrogate, which subtracts and adds back nothing."""
+    if surrogate is None:
+        surrogate = Surrogate(np.zeros((sigma.log_sigma.size,) * 2))
     return _mean_sq_deviation(model, layer, x, sigma.sigma, samples, rng, surrogate)
 
 
@@ -501,17 +489,24 @@ def fit_sigma(
     layer: str,
     x: np.ndarray,
     cfg: SidConfig,
-    loss: Callable[[SigmaField, float, float, RngStream, Surrogate], tuple[float, np.ndarray]],
+    loss: Callable[
+        [SigmaField, float, float, int, RngStream, np.ndarray, Surrogate], tuple[float, np.ndarray]
+    ],
 ) -> tuple[SigmaField, dict]:
     """The sigma fit both estimators share. Learn sigma by gradient descent at
     fixed lambda, adapting lambda between rounds until the held-out feature
     deviation hits alpha * delta_f^2 within tolerance. Dead units run away to
-    the sigma cap. `loss(sigma, lam, delta_f_sq, rng, surrogate)` returns one
-    stochastic (value, gradient w.r.t. log_sigma) of the objective; it is all
-    that differs between the estimators. The feature's linear surrogate
-    (linear_surrogate, at h = tau) is the control variate of the baseline,
-    every certification and every step. Returns the learned sigma and the
-    EstimateResult fields.
+    the sigma cap. The feature's linear surrogate (linear_surrogate, at
+    h = tau) is the control variate of the baseline, every certification and
+    every step. Returns the learned sigma and the EstimateResult fields.
+
+    The loss is all that differs between the estimators, and every decision
+    about it is made here: `loss(sigma, lam, fit_scale, samples, rng, f0,
+    surrogate)` returns one stochastic (value, gradient w.r.t. log_sigma) of
+    fit / fit_scale - lam * entropy from `samples` fresh draws of rng, where
+    fit is the mean squared deviation of the perturbed feature from the clean
+    feature f0, with `surrogate` as its control variate. fit_scale is the
+    measured delta_f^2, or 1.0 when cfg.normalize is False.
 
     lambda starts at cfg.lambda_init when given. Otherwise it starts at
     2*alpha/n_live, n_live being the units not found dead: for a locally
@@ -522,10 +517,12 @@ def fit_sigma(
     no delta_f^2 and the rule does not apply; lambda starts at 1.0."""
     x = np.asarray(x, dtype=np.float64)
     root = RngStream(cfg.seed)
+    f0 = clean_feature(model, layer, x)
     surrogate = linear_surrogate(model, layer, x, cfg.tau)
     delta_f_sq = feature_baseline(
         model, layer, x, cfg.tau, cfg.baseline_samples, root.spawn("est/baseline"), surrogate
     )
+    fit_scale = delta_f_sq if cfg.normalize else 1.0
     target = cfg.alpha * delta_f_sq
     cap = cfg.sigma_cap if cfg.sigma_cap is not None else default_sigma_cap(x)
     log_cap = math.log(cap)
@@ -545,12 +542,14 @@ def fit_sigma(
     epsilon = math.nan
     tail_from = cfg.max_steps // 2
     rounds = cfg.max_rounds if cfg.normalize else 1
-    for _ in range(rounds):
+    for round_ in range(rounds):
+        if round_:  # moved only when a round is fit at it: lambda_final is what was fit
+            lam = search.update(lam, epsilon, target)
         adam = _AdamState(sigma.log_sigma.shape, cfg.sigma_lr, cfg.max_steps)
         tail_sum = np.zeros_like(sigma.log_sigma)
         tail_count = 0
         for step in range(cfg.max_steps):
-            _, grad = loss(sigma, lam, delta_f_sq, step_rng, surrogate)
+            _, grad = loss(sigma, lam, fit_scale, cfg.samples_per_step, step_rng, f0, surrogate)
             sigma.log_sigma = np.minimum(adam.step(sigma.log_sigma, grad), log_cap)
             steps_used += 1
             if step >= tail_from:
@@ -565,8 +564,6 @@ def fit_sigma(
         if abs(epsilon - target) <= cfg.lambda_tolerance * target:
             conformant = True
             break
-        if cfg.normalize:
-            lam = search.update(lam, epsilon, target)
     if cfg.normalize and epsilon > 0:
         # project the non-capped units onto the constraint surface along the
         # uniform scaling direction (capped units contribute nothing to
@@ -597,14 +594,6 @@ def estimate_sid(model: ModelGraph, layer: str, x, cfg: SidConfig) -> SidResult:
     """Strict information discarding: fit_sigma maximizing the entropy of the
     input perturbation itself."""
     x = np.asarray(x, dtype=np.float64)
-    f0 = clean_feature(model, layer, x)  # once, not at every step
-
-    def loss(sigma, lam, delta_f_sq, rng, surrogate):
-        return sid_loss(
-            model, layer, x, sigma, lam, delta_f_sq, cfg.samples_per_step, rng, cfg.normalize, f0,
-            surrogate,
-        )
-
-    sigma, fit = fit_sigma(model, layer, x, cfg, loss)
+    sigma, fit = fit_sigma(model, layer, x, cfg, partial(sid_loss, model, layer, x))
     H_i = entropy_field(sigma)
     return SidResult(H_i=H_i, H_total=float(H_i.sum()), **fit)

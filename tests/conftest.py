@@ -25,6 +25,12 @@ def finite_diff(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return grad
 
 
+def zero_surrogate(x) -> S.Surrogate:
+    """The control variate with G = 0: it subtracts and adds back nothing, so
+    a Monte Carlo term given it is the plain estimate, bit for bit."""
+    return S.Surrogate(np.zeros((np.size(x), np.size(x))))
+
+
 def rel_err(got: np.ndarray, want: np.ndarray) -> float:
     denom = max(float(np.linalg.norm(want)), 1e-300)
     return float(np.linalg.norm(got - want)) / denom

@@ -22,11 +22,14 @@ from layerlens.sid import (
     GAUSSIAN_ENTROPY_CONST as C,
     SidConfig,
     SigmaField,
+    clean_feature,
     default_sigma_cap,
     estimate_sid,
     pixel_entropy,
     sid_loss,
 )
+
+from conftest import zero_surrogate
 
 CONFORMANCE_LEDGER: list[tuple[str, float, float, bool]] = []
 
@@ -213,11 +216,15 @@ def test_criterion_4_gradient_correctness():
     x = RngStream(11).normal((1, 5, 5)) * 0.5
     sigma = SigmaField.constant((1, 5, 5), 0.01)
     lam, dfs, samples = 0.4, 1e-3, 8
+    plain = dict(f0=clean_feature(g, "c2", x), surrogate=zero_surrogate(x))
 
-    _, grad_sid = sid_loss(g, "c2", x, sigma, lam, dfs, samples, rng=RngStream(21, counter=0))
+    _, grad_sid = sid_loss(
+        g, "c2", x, sigma, lam, dfs, samples, rng=RngStream(21, counter=0), **plain
+    )
     fd_sid = finite_diff(
         lambda v: sid_loss(
-            g, "c2", x, SigmaField(v.reshape(1, 5, 5)), lam, dfs, samples, rng=RngStream(21, counter=0)
+            g, "c2", x, SigmaField(v.reshape(1, 5, 5)), lam, dfs, samples,
+            rng=RngStream(21, counter=0), **plain,
         )[0],
         sigma.log_sigma.ravel().copy(),
     )
@@ -225,7 +232,7 @@ def test_criterion_4_gradient_correctness():
 
     decoder = make_decoder(g.layer_shape("c2"), g.input_shape, seed=4)
     _, grad_ru = ru_loss(
-        g, decoder, "c2", x, sigma, lam, dfs, samples, rng=RngStream(22, counter=0)
+        g, decoder, "c2", x, sigma, lam, dfs, samples, rng=RngStream(22, counter=0), **plain
     )
     fd_ru = finite_diff(
         lambda v: ru_loss(
@@ -238,6 +245,7 @@ def test_criterion_4_gradient_correctness():
             dfs,
             samples,
             rng=RngStream(22, counter=0),
+            **plain,
         )[0],
         sigma.log_sigma.ravel().copy(),
     )

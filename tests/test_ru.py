@@ -13,6 +13,8 @@ from layerlens.sid import GAUSSIAN_ENTROPY_CONST as C
 from layerlens.sid import SidConfig, SidResult, SigmaField, clean_feature, estimate_sid
 from layerlens.train import TrainConfig
 
+from conftest import zero_surrogate
+
 
 def identity_model(n):
     g = M.build([M.dense("id", n)], (n,), seed=0)
@@ -152,24 +154,12 @@ class TestPixelRu:
         assert np.abs(h - expected).max() <= 0.05
 
 
-class TestRuLoss:
-    def test_precomputed_clean_feature_is_bit_identical(self):
-        g = M.tiny_cnn(input_shape=(1, 8, 8), seed=3)
-        dec = R.make_decoder(g.layer_shape("conv2"), g.input_shape, seed=1)
-        x = RngStream(5).normal((1, 8, 8))
-        sigma = SigmaField.constant((1, 8, 8), 0.05)
-        args = (g, dec, "conv2", x, sigma, 0.7, 1e-3, 8)
-        inside = R.ru_loss(*args, RngStream(4))
-        given = R.ru_loss(*args, RngStream(4), True, clean_feature(g, "conv2", x))
-        assert inside[0] == given[0]
-        assert np.array_equal(inside[1], given[1])
-
-
 def test_ru_loss_pinned(ru_loss_site):
     # value and gradient bytes taken with the sigma chain (exp, mul, add) on
     # the tape and a Philox generator constructed per draw
     model, dec, x, sigma = ru_loss_site
-    value, grad = R.ru_loss(model, dec, "conv2", x, sigma, 0.3, 0.003, 32, RngStream(3))
+    plain = (clean_feature(model, "conv2", x), zero_surrogate(x))
+    value, grad = R.ru_loss(model, dec, "conv2", x, sigma, 0.3, 0.003, 32, RngStream(3), *plain)
     assert value.hex() == "0x1.599f379fce04ep+7"
     assert hashlib.sha256(grad.tobytes()).hexdigest() == (
         "72851c50f243a39d10a63765b2f93e3033885f3ab84808a49da17ce951ccc0ca"

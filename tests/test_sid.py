@@ -14,6 +14,8 @@ from layerlens import sid as S
 from layerlens import tensor as T
 from layerlens.rng import RngStream
 
+from conftest import zero_surrogate
+
 C = S.GAUSSIAN_ENTROPY_CONST
 
 
@@ -77,26 +79,28 @@ class TestFeatureBaseline:
         g = identity_model(4)
         x = np.array([0.1, 0.2, 0.3, 0.4])
         tau = 0.01
-        dfs = S.feature_baseline(g, "id", x, tau, samples=1000, rng=RngStream(3))
+        dfs = S.feature_baseline(g, "id", x, tau, 1000, RngStream(3), zero_surrogate(x))
         assert dfs == pytest.approx(4 * tau * tau, rel=0.05)
 
     def test_constant_network_is_degenerate(self):
         g = M.build([M.dense("dead", 3)], (3,), seed=0)
         g.params["dead"]["weight"] = np.zeros((3, 3))
+        x = np.ones(3)
         with pytest.raises(S.DegenerateLayerError, match="dead"):
-            S.feature_baseline(g, "dead", np.ones(3), 0.01, samples=100, rng=RngStream(0))
+            S.feature_baseline(g, "dead", x, 0.01, 100, RngStream(0), zero_surrogate(x))
 
     def test_linear_network_gives_frobenius_norm(self):
         A = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
         g = linear_model(A)
         x = np.array([0.2, -0.4])
         tau = 0.05
-        dfs = S.feature_baseline(g, "lin", x, tau, samples=2000, rng=RngStream(5))
+        dfs = S.feature_baseline(g, "lin", x, tau, 2000, RngStream(5), zero_surrogate(x))
         assert dfs == pytest.approx(tau * tau * (A * A).sum(), rel=0.05)
 
     def test_non_positive_tau_rejected(self):
+        x = np.zeros(2)
         with pytest.raises(ValueError):
-            S.feature_baseline(identity_model(2), "id", np.zeros(2), 0.0)
+            S.feature_baseline(identity_model(2), "id", x, 0.0, 16, RngStream(0), zero_surrogate(x))
 
 
 class TestSidLoss:
@@ -104,7 +108,8 @@ class TestSidLoss:
         g = identity_model(3)
         x = np.zeros(3)
         sigma = S.SigmaField.constant((3,), 0.02)
-        loss, _ = S.sid_loss(g, "id", x, sigma, 0.0, 1e-4, samples=16, rng=RngStream(1))
+        f0 = S.clean_feature(g, "id", x)
+        loss, _ = S.sid_loss(g, "id", x, sigma, 0.0, 1e-4, 16, RngStream(1), f0, zero_surrogate(x))
         assert loss >= 0.0
 
     def test_identity_closed_form_with_common_draws(self):
@@ -114,8 +119,9 @@ class TestSidLoss:
         x = np.array([0.3, -0.1, 0.2, 0.0])
         sigma = S.SigmaField.constant((n,), s_val)
 
+        f0 = S.clean_feature(g, "id", x)
         loss, grad = S.sid_loss(
-            g, "id", x, sigma, lam, dfs, samples, rng=RngStream(9, counter=5)
+            g, "id", x, sigma, lam, dfs, samples, RngStream(9, counter=5), f0, zero_surrogate(x)
         )
         noise = RngStream(9, counter=5).normal((samples, n))  # same (seed, counter)
 
@@ -140,28 +146,19 @@ class TestSidLoss:
         x = RngStream(11).normal((1, 5, 5)) * 0.5
         sigma = S.SigmaField.constant((1, 5, 5), 0.01)
         lam, dfs, samples = 0.4, 1e-3, 8
+        plain = (S.clean_feature(g, "c2", x), zero_surrogate(x))
 
         def loss_at(log_sigma_flat):
             sf = S.SigmaField(log_sigma_flat.reshape(1, 5, 5))
-            val, _ = S.sid_loss(g, "c2", x, sf, lam, dfs, samples, rng=RngStream(21, counter=0))
+            val, _ = S.sid_loss(g, "c2", x, sf, lam, dfs, samples, RngStream(21, counter=0), *plain)
             return val
 
-        _, grad = S.sid_loss(g, "c2", x, sigma, lam, dfs, samples, rng=RngStream(21, counter=0))
+        _, grad = S.sid_loss(g, "c2", x, sigma, lam, dfs, samples, RngStream(21, counter=0), *plain)
 
         from conftest import finite_diff, rel_err
 
         fd = finite_diff(loss_at, sigma.log_sigma.ravel().copy())
         assert rel_err(grad.ravel(), fd) <= 1e-4
-
-    def test_precomputed_clean_feature_is_bit_identical(self):
-        g = M.tiny_cnn(input_shape=(1, 8, 8), seed=3)
-        x = RngStream(5).normal((1, 8, 8))
-        sigma = S.SigmaField.constant((1, 8, 8), 0.05)
-        args = (g, "conv2", x, sigma, 0.7, 1e-3, 8)
-        inside = S.sid_loss(*args, RngStream(4))
-        given = S.sid_loss(*args, RngStream(4), True, S.clean_feature(g, "conv2", x))
-        assert inside[0] == given[0]
-        assert np.array_equal(inside[1], given[1])
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -174,6 +171,8 @@ class TestSidLoss:
                 1e-4,
                 4,
                 RngStream(0),
+                np.zeros(2),
+                zero_surrogate(np.zeros(2)),
             )
 
 
@@ -214,7 +213,7 @@ class TestEstimateSid:
         x = np.array([0.3, -0.2, 0.8, 0.1])
         seed = 0
         dfs = S.feature_baseline(
-            g, "id", x, 0.01, 16384, RngStream(seed).spawn("est/baseline")
+            g, "id", x, 0.01, 16384, RngStream(seed).spawn("est/baseline"), zero_surrogate(x)
         )
         cfg = S.SidConfig(
             alpha=0.04 / dfs,
@@ -349,14 +348,10 @@ class TestEstimateSid:
 def _first_lambda(model, layer, x, cfg) -> float:
     """The lambda of fit_sigma's first loss call."""
     seen = []
-    f0 = S.clean_feature(model, layer, x)
 
-    def loss(sigma, lam, delta_f_sq, rng, surrogate):
+    def loss(sigma, lam, *rest):
         seen.append(lam)
-        return S.sid_loss(
-            model, layer, x, sigma, lam, delta_f_sq, cfg.samples_per_step, rng, cfg.normalize, f0,
-            surrogate,
-        )
+        return S.sid_loss(model, layer, x, sigma, lam, *rest)
 
     S.fit_sigma(model, layer, x, cfg, loss)
     return seen[0]
@@ -407,6 +402,34 @@ class TestLambdaStart:
         assert _first_lambda(identity_model(6), "id", np.linspace(0.1, 0.6, 6), cfg) == 1.0
 
 
+def _recorded_steps(monkeypatch, module, name) -> list[tuple]:
+    """The arguments of every call to module.name (sid_loss or ru_loss) that
+    the estimators make while the test runs."""
+    calls = []
+    step = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("max_rounds,fit_at", [(1, [0.5]), (2, [0.5, 0.25])])
+def test_lambda_final_is_the_lambda_fit_at(monkeypatch, max_rounds, fit_at):
+    # at tiny-resnet/block1 neither round meets the budget, so the rounds run
+    # out; lambda_final used to be the search's next lambda, never fit at
+    # (0.25 after one round, 0.125 after two)
+    images, _ = D.make_fourclass_images(n=8, shape=(1, 8, 8), seed=3)
+    model = M.tiny_resnet((1, 8, 8), 4, seed=3)
+    steps = _recorded_steps(monkeypatch, S, "sid_loss")
+    cfg = S.SidConfig(seed=3, max_rounds=max_rounds, lambda_init=0.5)
+    res = S.estimate_sid(model, "block1", images[0], cfg)
+    assert list(dict.fromkeys(args[4] for args in steps)) == fit_at
+    assert res.lambda_final == fit_at[-1]
+
+
 def _guard_site(name, seed):
     if name == "linear":  # criterion 2's map: n=8, condition number 10, and its input
         rng = np.random.default_rng(7)
@@ -452,11 +475,43 @@ def test_sid_loss_pinned():
     # value and gradient bytes taken from the op-per-step loss (sub, mul,
     # reduce_sum and mul for the fit term; conv, reshape and add for the stem)
     model, x, sigma = _stem_loss_site()
-    value, grad = S.sid_loss(model, "stem", x, sigma, 0.05, 0.003, 32, RngStream(3))
+    plain = (S.clean_feature(model, "stem", x), zero_surrogate(x))
+    value, grad = S.sid_loss(model, "stem", x, sigma, 0.05, 0.003, 32, RngStream(3), *plain)
     assert value.hex() == "0x1.17a191aa25bd8p+7"
     assert hashlib.sha256(grad.tobytes()).hexdigest() == (
         "cb81634778a212c898ce0595ec64c182566ebda60ce519275df04f83a3368024"
     )
+
+
+@pytest.mark.parametrize("estimator", ["sid", "ru"])
+def test_unnormalized_diagnostic_is_the_step_at_divisor_one(monkeypatch, ru_loss_site, estimator):
+    # normalize=False hands every step the fit divisor 1.0 and still reports
+    # the measured delta_f^2. The sigma bytes were taken when the step took a
+    # normalize flag of its own and the diagnostic set it to False
+    if estimator == "sid":
+        model, x, _ = _stem_loss_site()
+        layer, module, name = "stem", S, "sid_loss"
+        digest = "45f760098b6a57d02803db2debcd59e0570ae55c32d6ff286cebc7aff9b2ac60"
+    else:
+        model, dec, x, _ = ru_loss_site
+        layer, module, name = "conv2", R, "ru_loss"
+        digest = "e4c825b2f3081d1ad5007e0996020d1a6f481ea734311169035bf708ba051bc0"
+    cfg = S.SidConfig(
+        seed=3, normalize=False, max_steps=20, baseline_samples=256, certify_samples=256
+    )
+    steps = _recorded_steps(monkeypatch, module, name)
+    if estimator == "sid":
+        res = S.estimate_sid(model, layer, x, cfg)
+    else:
+        res = R.estimate_ru(model, R.DecoderSpec(dec, layer, 0.0), layer, x, cfg)
+    # fit_scale, samples, rng, f0, surrogate end both step signatures
+    assert {args[-5] for args in steps} == {1.0}
+    surrogate = S.linear_surrogate(model, layer, x, cfg.tau)
+    baseline = RngStream(cfg.seed).spawn("est/baseline")
+    assert res.delta_f_sq == S.feature_baseline(
+        model, layer, x, cfg.tau, cfg.baseline_samples, baseline, surrogate
+    )
+    assert hashlib.sha256(res.sigma.tobytes()).hexdigest() == digest
 
 
 class TestTapeNodes:
@@ -484,16 +539,16 @@ class TestTapeNodes:
 
     def test_sid_loss(self, monkeypatch):
         model, x, sigma = _stem_loss_site()
-        f0 = S.clean_feature(model, "stem", x)
+        plain = (S.clean_feature(model, "stem", x), zero_surrogate(x))
         count = self._count(monkeypatch)
-        S.sid_loss(model, "stem", x, sigma, 0.05, 0.003, 32, RngStream(3), f0=f0)
+        S.sid_loss(model, "stem", x, sigma, 0.05, 0.003, 32, RngStream(3), *plain)
         assert count[0] == 2
 
     def test_ru_loss(self, monkeypatch, ru_loss_site):
         model, dec, x, sigma = ru_loss_site
-        f0 = S.clean_feature(model, "conv2", x)
+        plain = (S.clean_feature(model, "conv2", x), zero_surrogate(x))
         count = self._count(monkeypatch)
-        R.ru_loss(model, dec, "conv2", x, sigma, 0.3, 0.003, 32, RngStream(3), f0=f0)
+        R.ru_loss(model, dec, "conv2", x, sigma, 0.3, 0.003, 32, RngStream(3), *plain)
         assert count[0] == 31
 
     def test_conv_layer_forward(self, monkeypatch):
@@ -604,8 +659,8 @@ class TestControlVariate:
         )
         args = (model, "block1", x, sigma, 0.04, dfs, 32)
         agree(
-            [S.sid_loss(*args, r, True, f0)[1] for r in streams],
-            [S.sid_loss(*args, r, True, f0, surrogate)[1] for r in streams],
+            [S.sid_loss(*args, r, f0, zero_surrogate(x))[1] for r in streams],
+            [S.sid_loss(*args, r, f0, surrogate)[1] for r in streams],
         )
 
     def test_products_run_in_chunks(self):
@@ -629,12 +684,13 @@ class TestControlVariate:
         surrogate = S.linear_surrogate(g, "c2", x, 0.01)
         sigma = S.SigmaField.constant((1, 5, 5), 0.01)
         lam, dfs, samples = 0.4, 1e-3, 8
+        f0 = S.clean_feature(g, "c2", x)
 
         def loss_at(log_sigma_flat):
             sf = S.SigmaField(log_sigma_flat.reshape(1, 5, 5))
-            return S.sid_loss(g, "c2", x, sf, lam, dfs, samples, RngStream(21), True, None, surrogate)[0]
+            return S.sid_loss(g, "c2", x, sf, lam, dfs, samples, RngStream(21), f0, surrogate)[0]
 
-        _, grad = S.sid_loss(g, "c2", x, sigma, lam, dfs, samples, RngStream(21), True, None, surrogate)
+        _, grad = S.sid_loss(g, "c2", x, sigma, lam, dfs, samples, RngStream(21), f0, surrogate)
 
         from conftest import finite_diff, rel_err
 
