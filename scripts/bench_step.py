@@ -2,15 +2,13 @@
 """Time one estimator step, and the phases of one default estimate, at a layer.
 
 For a preset (tiny-cnn or tiny-resnet at 1x8x8, seeded like the benchmark's
-images and models), a layer and an estimator (sid or ru), prints:
-- the median milliseconds of one step: one loss-and-gradient evaluation at
-  sigma = tau and the default starting lambda (2*alpha/n_live for sid, 1.0
-  for ru), with the clean feature, the linearised control variate and the
-  baseline's delta_f^2 that fit_sigma hands its loss;
+images and models), a layer and an estimator (sid or ru), runs one default
+estimate and prints:
+- the median milliseconds of one step: the estimate's first
+  loss-and-gradient evaluation, replayed with the arguments fit_sigma gave it;
 - the tape nodes (op results) that one step records;
-- the split of one default estimate's wall time into Jacobian probe,
-  baseline, dead-unit probe, steps, certification, pixel_ru (ru only) and
-  the rest.
+- the split of the estimate's wall time into Jacobian probe, baseline,
+  dead-unit probe, steps, certification, pixel_ru (ru only) and the rest.
 
 ru uses a one-epoch decoder: a step costs the same whatever the decoder learned.
 
@@ -19,9 +17,11 @@ ru uses a one-epoch decoder: a step costs the same whatever the decoder learned.
 
 import argparse
 import contextlib
+import copy
 import time
 from collections import defaultdict
 from functools import partial
+from unittest import mock
 
 import numpy as np
 
@@ -35,13 +35,19 @@ from layerlens.train import TrainConfig
 
 
 @contextlib.contextmanager
-def timed(targets, totals):
+def timed(targets, totals, first_step):
     """Accumulate the wall time of each (module, attribute, phase) call into
-    totals[phase] while the block runs."""
+    totals[phase] while the block runs, and append the first "steps" call to
+    first_step as a partial of the unwrapped function."""
     saved = [(module, name, getattr(module, name)) for module, name, _ in targets]
 
     def wrapper(fn, phase):
         def call(*args, **kwargs):
+            if phase == "steps" and not first_step:
+                # copies: the fit rebinds sigma.log_sigma and advances the stream
+                kept = [copy.deepcopy(a) if isinstance(a, (S.SigmaField, RngStream)) else a
+                        for a in args]
+                first_step.append(partial(fn, *kept, **kwargs))
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
@@ -59,14 +65,14 @@ def timed(targets, totals):
             setattr(module, name, fn)
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("preset", choices=sorted(M.ARCHITECTURES))
     ap.add_argument("layer")
     ap.add_argument("estimator", choices=("sid", "ru"))
     ap.add_argument("--seconds", type=float, default=2.0, help="timing budget for steps")
     ap.add_argument("--seed", type=int, default=3)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     images, _ = D.make_fourclass_images(n=96, shape=(1, 8, 8), seed=args.seed)
     model = M.build_architecture(args.preset, (1, 8, 8), 4, seed=args.seed)
@@ -74,45 +80,9 @@ def main():
     cfg = S.SidConfig(seed=args.seed)
     if args.estimator == "ru":
         decoder = R.train_decoder(model, layer, images, TrainConfig(epochs=1, seed=args.seed))
-        loss = partial(R.ru_loss, model, decoder.graph, layer, x)
-        lam = 1.0
-    else:
-        loss = partial(S.sid_loss, model, layer, x)
-        dead = S.find_dead_units(model, layer, x, S.default_sigma_cap(x))
-        lam = 2.0 * cfg.alpha / max(x.size - dead.size, 1)
-    f0 = S.clean_feature(model, layer, x)
-    surrogate = S.linear_surrogate(model, layer, x, cfg.tau)
-    delta_f_sq = S.feature_baseline(
-        model, layer, x, cfg.tau, cfg.baseline_samples, RngStream(args.seed).spawn("est/baseline"),
-        surrogate,
-    )
-    sigma = S.SigmaField.constant(x.shape, cfg.tau)
-    rng = RngStream(args.seed)
-
-    def step():
-        return loss(sigma, lam, delta_f_sq, cfg.samples_per_step, rng, f0, surrogate)
-
-    nodes = [0]
-    result = T._result
-
-    def counting(*a):
-        nodes[0] += 1
-        return result(*a)
-
-    T._result = counting
-    try:
-        step()
-    finally:
-        T._result = result
-
-    times = []
-    t_end = time.perf_counter() + args.seconds
-    while time.perf_counter() < t_end:
-        t0 = time.perf_counter()
-        step()
-        times.append(time.perf_counter() - t0)
 
     totals = defaultdict(float)
+    first_step = []
     targets = [
         (S, "linear_surrogate", "jacobian probe"),
         (S, "feature_baseline", "baseline"),
@@ -123,16 +93,28 @@ def main():
         targets += [(R, "ru_loss", "steps"), (R, "pixel_ru", "pixel_ru")]
     else:
         targets += [(S, "sid_loss", "steps")]
-    with timed(targets, totals):
+    with timed(targets, totals, first_step):
         t0 = time.perf_counter()
         if args.estimator == "ru":
             res = R.estimate_ru(model, decoder, layer, x, cfg)
         else:
             res = S.estimate_sid(model, layer, x, cfg)
         wall = time.perf_counter() - t0
+    step = first_step[0]
+
+    with mock.patch.object(T, "_result", wraps=T._result) as result:
+        step()
+    nodes = result.call_count
+
+    times = []
+    t_end = time.perf_counter() + args.seconds
+    while time.perf_counter() < t_end:
+        t0 = time.perf_counter()
+        step()
+        times.append(time.perf_counter() - t0)
 
     print(f"{args.preset}/{layer} {args.estimator}: {1e3 * float(np.median(times)):.3f} ms per step "
-          f"(median of {len(times)}), {nodes[0]} tape nodes per step")
+          f"(median of {len(times)}), {nodes} tape nodes per step")
     print(f"one default estimate: {wall:.3f} s, {res.steps_used} steps, "
           f"conformant {res.conformant}")
     for phase, secs in sorted(totals.items(), key=lambda kv: -kv[1]):

@@ -446,9 +446,13 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
     graph_file = path / "graph.json"
     if not graph_file.exists():
         raise FileNotFoundError(f"no checkpoint at {path} (missing graph.json)")
-    graph = json.loads(graph_file.read_text())
-    specs = [LayerSpec.from_json(d) for d in graph["layers"]]
-    model = ModelGraph(tuple(graph["input_shape"]), specs, {})
+    graph = _read_json(graph_file)
+    try:  # not an object, input_shape or layers missing, or an entry LayerSpec rejects
+        specs = [LayerSpec.from_json(d) for d in graph["layers"]]
+        input_shape = tuple(graph["input_shape"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise lltn.LltnError(f"malformed layer graph in {graph_file}: {err!r}") from err
+    model = ModelGraph(input_shape, specs, {})
     for spec, in_shape in model.layer_inputs():
         model.params[spec.name] = {}
         for pn, shape, _ in _param_layout(spec, in_shape):
@@ -459,8 +463,17 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
                 )
             model.params[spec.name][pn] = arr
     meta_file = path / "meta.json"
-    meta = json.loads(meta_file.read_text()) if meta_file.exists() else {}
+    meta = _read_json(meta_file) if meta_file.exists() else {}
+    if not isinstance(meta, dict):
+        raise lltn.LltnError(f"{meta_file} must hold a JSON object")
     return model, meta
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except ValueError as err:  # undecodable bytes or JSON
+        raise lltn.LltnError(f"malformed JSON in {path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ class Mask:
 
     @classmethod
     def from_bbox(cls, x: int, y: int, w: int, h: int, shape: tuple) -> "Mask":
+        if len(shape) != 2:
+            raise MaskError(f"a bbox needs a 2-D input grid, not shape {tuple(shape)}")
         if min(x, y, w, h) < 0 or x + w > shape[1] or y + h > shape[0]:
             raise MaskError(
                 f"bbox x={x} y={y} w={w} h={h} does not fit the {shape[0]}x{shape[1]} grid"

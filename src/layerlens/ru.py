@@ -182,7 +182,6 @@ def ru_loss(
     fit_scale: float,
     samples: int,
     rng: RngStream,
-    f0: np.ndarray,
     surrogate: Surrogate,
 ) -> tuple[float, np.ndarray]:
     """Stochastic reconstruction-entropy loss and gradient w.r.t. log_sigma
@@ -199,9 +198,7 @@ def ru_loss(
         per_unit = T.add(T.log(floored), Tensor.wrap(GAUSSIAN_ENTROPY_CONST))
         return T.mul(T.reduce_sum(per_unit), Tensor.wrap(0.5))
 
-    return _entropy_loss(
-        model, layer, x, sigma, lam, fit_scale, samples, rng, entropy, f0, surrogate
-    )
+    return _entropy_loss(model, layer, x, sigma, lam, fit_scale, samples, rng, entropy, surrogate)
 
 
 def estimate_ru(

@@ -148,16 +148,17 @@ def entropy_field(sigma: SigmaField) -> np.ndarray:
 
 
 class Surrogate:
-    """The linearised control variate l(z) = z^T G z of a feature's squared
-    deviation f(x + z) - f(x), with G = J^T J for the Jacobian J at x (Miller
-    et al., "Reducing Reparameterization Gradient Variance", NeurIPS 2017).
-    For z = sigma * noise its mean is exactly sum(sigma_i^2 * c_i), c = diag G.
-    Every Monte Carlo term of the fit subtracts l on its own draws and adds
-    that mean back, so it stays unbiased for any symmetric G; the closer l
-    tracks the deviation, the smaller its variance, down to none on a linear
-    feature."""
+    """The feature linearised at x, f(x + z) ~ f0 + J z: the clean feature f0
+    that every Monte Carlo term of the fit measures its deviation from, and
+    G = J^T J, whose l(z) = z^T G z is that deviation's control variate
+    (Miller et al., "Reducing Reparameterization Gradient Variance", NeurIPS
+    2017). For z = sigma * noise its mean is exactly sum(sigma_i^2 * c_i),
+    c = diag G. Every term subtracts l on its own draws and adds that mean
+    back, so it stays unbiased for any symmetric G; the closer l tracks the
+    deviation, the smaller its variance, down to none on a linear feature."""
 
-    def __init__(self, gram: np.ndarray):
+    def __init__(self, f0: np.ndarray, gram: np.ndarray):
+        self.f0 = f0  # the clean feature f(x), unbatched
         self.gram = np.ascontiguousarray(gram)  # G, (n, n), symmetric
         self.c = np.diagonal(self.gram).copy()
 
@@ -212,16 +213,15 @@ def _mean_sq_deviation(
     surrogate: Surrogate,
 ) -> float:
     """Monte Carlo mean squared deviation of the layer's feature from the clean
-    feature under input noise scale * N(0, I), from `samples` draws of rng,
-    with `surrogate` as control variate."""
+    feature surrogate.f0 under input noise scale * N(0, I), from `samples`
+    draws of rng, with `surrogate` as control variate."""
     x = np.asarray(x, dtype=np.float64)
-    f0 = clean_feature(model, layer, x)
     xs = rng.normal((samples,) + x.shape)
     xs *= scale
     ell = surrogate.total(xs.reshape(samples, -1))  # sum_b l(z_b)
     xs += x
     dev = _forward_chunked(model, xs, layer)
-    dev -= f0
+    dev -= surrogate.f0
     dev *= dev
     return float((dev.sum() - ell) / samples + surrogate.mean(scale))
 
@@ -263,12 +263,11 @@ def _entropy_loss(
     samples: int,
     rng: RngStream,
     entropy: Callable[[np.ndarray, Tensor], Tensor] | None,
-    f0: np.ndarray,
     surrogate: Surrogate,
 ) -> tuple[float, np.ndarray]:
     """fit - lam * entropy and its gradient w.r.t. log_sigma, from `samples`
     fresh reparameterized draws x' = x + sigma * noise. The fit term is the
-    mean squared deviation from the clean feature f0 over fit_scale.
+    mean squared deviation from the clean feature surrogate.f0 over fit_scale.
     `entropy(x, fp)` builds the entropy being maximized from the perturbed
     feature fp; None means the perturbation's own Gaussian entropy,
     sum(log_sigma + C).
@@ -302,7 +301,7 @@ def _entropy_loss(
     xp = Tensor.wrap(_checked(xp, "add"), requires_grad=True)
     fp = model.forward(xp, to_layer=layer)
     scale = 1.0 / (samples * fit_scale)
-    fit = T.sum_sq_diff(fp, Tensor.wrap(f0), scale)
+    fit = T.sum_sq_diff(fp, Tensor.wrap(surrogate.f0), scale)
     if entropy is None:
         with np.errstate(all="ignore"):
             h = _checked(log_sigma + GAUSSIAN_ENTROPY_CONST, "add")
@@ -333,14 +332,13 @@ def sid_loss(
     fit_scale: float,
     samples: int,
     rng: RngStream,
-    f0: np.ndarray,
     surrogate: Surrogate,
 ) -> tuple[float, np.ndarray]:
     """One stochastic evaluation of the maximum-entropy loss and its gradient
     w.r.t. log_sigma, using `samples` fresh reparameterized draws from rng
     (fit_sigma's loss contract). The entropy is the perturbation's own,
     sum(log_sigma + C); its gradient is 1 per unit."""
-    return _entropy_loss(model, layer, x, sigma, lam, fit_scale, samples, rng, None, f0, surrogate)
+    return _entropy_loss(model, layer, x, sigma, lam, fit_scale, samples, rng, None, surrogate)
 
 
 def certify_epsilon(
@@ -353,10 +351,11 @@ def certify_epsilon(
     surrogate: Surrogate | None = None,
 ) -> float:
     """Low-variance epsilon estimate from held-out draws (no gradient), with
-    `surrogate` as control variate. None is plain Monte Carlo: the zero
-    surrogate, which subtracts and adds back nothing."""
+    `surrogate` as control variate. None is plain Monte Carlo: the zero-G
+    linearisation at the clean feature, which subtracts and adds back nothing."""
     if surrogate is None:
-        surrogate = Surrogate(np.zeros((sigma.log_sigma.size,) * 2))
+        n = sigma.log_sigma.size
+        surrogate = Surrogate(clean_feature(model, layer, x), np.zeros((n, n)))
     return _mean_sq_deviation(model, layer, x, sigma.sigma, samples, rng, surrogate)
 
 
@@ -403,7 +402,7 @@ class _AdamState:
         self.v = np.zeros(shape)
         self.t = 0
         self.lr = lr
-        self.steps = max(steps, 1)
+        self.steps = steps
 
     def step(self, value: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
@@ -437,10 +436,12 @@ def _probe(model: ModelGraph, layer: str, x: np.ndarray, scale: float):
         yield lo, f.reshape(m, -1)
 
 
-def find_dead_units(model: ModelGraph, layer: str, x: np.ndarray, scale: float) -> np.ndarray:
+def find_dead_units(
+    model: ModelGraph, layer: str, x: np.ndarray, scale: float, f0: np.ndarray
+) -> np.ndarray:
     """Flat indices of input units whose +-scale perturbation leaves the
-    feature unchanged. For such units the fit term can never push back, so
-    the max-entropy optimum is the sigma cap itself.
+    feature unchanged from the clean feature f0. For such units the fit term
+    can never push back, so the max-entropy optimum is the sigma cap itself.
 
     Keeps only each probe row's largest absolute feature deviation. A dust
     tolerance absorbs the float reassociation noise between the batched
@@ -448,7 +449,7 @@ def find_dead_units(model: ModelGraph, layer: str, x: np.ndarray, scale: float) 
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    f0 = clean_feature(model, layer, x).reshape(-1)
+    f0 = np.reshape(f0, -1)
     dev = np.empty(2 * n)
     for lo, f in _probe(model, layer, x, scale):
         d = f - f0
@@ -459,11 +460,12 @@ def find_dead_units(model: ModelGraph, layer: str, x: np.ndarray, scale: float) 
 
 
 def linear_surrogate(model: ModelGraph, layer: str, x: np.ndarray, h: float) -> Surrogate:
-    """The control variate of the feature linearised at x: J by central
-    differences (f(x + h e_i) - f(x - h e_i)) / 2h over the 2n probe rows,
-    and G = J^T J summed over blocks of _CERT_CHUNK feature rows. Each block
-    keeps only the columns of J it depends on (a conv feature's rows see a
-    patch of the input), which sets both the memory and the cost."""
+    """The feature linearised at x: f0 from the one clean forward of an
+    estimate, J by central differences (f(x + h e_i) - f(x - h e_i)) / 2h over
+    the 2n probe rows, and G = J^T J summed over blocks of _CERT_CHUNK feature
+    rows. Each block keeps only the columns of J it depends on (a conv
+    feature's rows see a patch of the input), which sets both the memory and
+    the cost."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     blocks = None  # per feature block: its units' indices and rows of J^T
@@ -481,7 +483,7 @@ def linear_surrogate(model: ModelGraph, layer: str, x: np.ndarray, h: float) -> 
     while blocks:
         index, rows = map(np.concatenate, blocks.pop())
         gram[np.ix_(index, index)] += rows @ rows.T  # one rank-k update
-    return Surrogate(gram)
+    return Surrogate(clean_feature(model, layer, x), gram)
 
 
 def fit_sigma(
@@ -489,23 +491,23 @@ def fit_sigma(
     layer: str,
     x: np.ndarray,
     cfg: SidConfig,
-    loss: Callable[
-        [SigmaField, float, float, int, RngStream, np.ndarray, Surrogate], tuple[float, np.ndarray]
-    ],
+    loss: Callable[[SigmaField, float, float, int, RngStream, Surrogate], tuple[float, np.ndarray]],
 ) -> tuple[SigmaField, dict]:
     """The sigma fit both estimators share. Learn sigma by gradient descent at
     fixed lambda, adapting lambda between rounds until the held-out feature
     deviation hits alpha * delta_f^2 within tolerance. Dead units run away to
-    the sigma cap. The feature's linear surrogate (linear_surrogate, at
-    h = tau) is the control variate of the baseline, every certification and
-    every step. Returns the learned sigma and the EstimateResult fields.
+    the sigma cap. The feature's linearisation at x (linear_surrogate, at
+    h = tau) is built once: its f0 is the clean feature that the dead-unit
+    probe, the baseline, every certification and every step compare against,
+    and its G = J^T J their control variate. Returns the learned sigma and the
+    EstimateResult fields.
 
     The loss is all that differs between the estimators, and every decision
-    about it is made here: `loss(sigma, lam, fit_scale, samples, rng, f0,
+    about it is made here: `loss(sigma, lam, fit_scale, samples, rng,
     surrogate)` returns one stochastic (value, gradient w.r.t. log_sigma) of
     fit / fit_scale - lam * entropy from `samples` fresh draws of rng, where
-    fit is the mean squared deviation of the perturbed feature from the clean
-    feature f0, with `surrogate` as its control variate. fit_scale is the
+    fit is the mean squared deviation of the perturbed feature from
+    surrogate.f0, with `surrogate` as its control variate. fit_scale is the
     measured delta_f^2, or 1.0 when cfg.normalize is False.
 
     lambda starts at cfg.lambda_init when given. Otherwise it starts at
@@ -517,7 +519,6 @@ def fit_sigma(
     no delta_f^2 and the rule does not apply; lambda starts at 1.0."""
     x = np.asarray(x, dtype=np.float64)
     root = RngStream(cfg.seed)
-    f0 = clean_feature(model, layer, x)
     surrogate = linear_surrogate(model, layer, x, cfg.tau)
     delta_f_sq = feature_baseline(
         model, layer, x, cfg.tau, cfg.baseline_samples, root.spawn("est/baseline"), surrogate
@@ -527,7 +528,7 @@ def fit_sigma(
     cap = cfg.sigma_cap if cfg.sigma_cap is not None else default_sigma_cap(x)
     log_cap = math.log(cap)
     sigma = SigmaField.constant(x.shape, cfg.tau)  # start at the probe scale: near-feasible
-    dead = find_dead_units(model, layer, x, cap)
+    dead = find_dead_units(model, layer, x, cap, surrogate.f0)
     sigma.log_sigma.reshape(-1)[dead] = log_cap  # their optimum; the clamp keeps them there
     if cfg.lambda_init is not None:
         lam = cfg.lambda_init
@@ -539,7 +540,6 @@ def fit_sigma(
     step_rng = root.spawn("est/steps")
     steps_used = 0
     conformant = False
-    epsilon = math.nan
     tail_from = cfg.max_steps // 2
     rounds = cfg.max_rounds if cfg.normalize else 1
     for round_ in range(rounds):
@@ -547,17 +547,14 @@ def fit_sigma(
             lam = search.update(lam, epsilon, target)
         adam = _AdamState(sigma.log_sigma.shape, cfg.sigma_lr, cfg.max_steps)
         tail_sum = np.zeros_like(sigma.log_sigma)
-        tail_count = 0
         for step in range(cfg.max_steps):
-            _, grad = loss(sigma, lam, fit_scale, cfg.samples_per_step, step_rng, f0, surrogate)
+            _, grad = loss(sigma, lam, fit_scale, cfg.samples_per_step, step_rng, surrogate)
             sigma.log_sigma = np.minimum(adam.step(sigma.log_sigma, grad), log_cap)
             steps_used += 1
             if step >= tail_from:
                 tail_sum += sigma.log_sigma
-                tail_count += 1
-        if tail_count:
-            # Polyak tail average damps the stochastic equilibrium jitter
-            sigma.log_sigma = np.minimum(tail_sum / tail_count, log_cap)
+        # Polyak tail average damps the stochastic equilibrium jitter
+        sigma.log_sigma = np.minimum(tail_sum / (cfg.max_steps - tail_from), log_cap)
         epsilon = certify_epsilon(
             model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout"), surrogate
         )

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -25,10 +28,18 @@ def finite_diff(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def zero_surrogate(x) -> S.Surrogate:
-    """The control variate with G = 0: it subtracts and adds back nothing, so
-    a Monte Carlo term given it is the plain estimate, bit for bit."""
-    return S.Surrogate(np.zeros((np.size(x), np.size(x))))
+def zero_surrogate(model, layer, x) -> S.Surrogate:
+    """The layer's linearisation at x with G = 0: the clean feature, and a
+    control variate that subtracts and adds back nothing, so a Monte Carlo
+    term given it is the plain estimate, bit for bit."""
+    return S.Surrogate(S.clean_feature(model, layer, x), np.zeros((np.size(x), np.size(x))))
+
+
+def result_digest(res) -> str:
+    """sha256 of an estimate's sorted-key result JSON followed by its entropy map."""
+    h = hashlib.sha256(json.dumps(res.to_json(), sort_keys=True).encode())
+    h.update(res.entropy_map.tobytes())
+    return h.hexdigest()
 
 
 def rel_err(got: np.ndarray, want: np.ndarray) -> float:

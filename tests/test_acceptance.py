@@ -22,7 +22,6 @@ from layerlens.sid import (
     GAUSSIAN_ENTROPY_CONST as C,
     SidConfig,
     SigmaField,
-    clean_feature,
     default_sigma_cap,
     estimate_sid,
     pixel_entropy,
@@ -216,7 +215,7 @@ def test_criterion_4_gradient_correctness():
     x = RngStream(11).normal((1, 5, 5)) * 0.5
     sigma = SigmaField.constant((1, 5, 5), 0.01)
     lam, dfs, samples = 0.4, 1e-3, 8
-    plain = dict(f0=clean_feature(g, "c2", x), surrogate=zero_surrogate(x))
+    plain = dict(surrogate=zero_surrogate(g, "c2", x))
 
     _, grad_sid = sid_loss(
         g, "c2", x, sigma, lam, dfs, samples, rng=RngStream(21, counter=0), **plain

@@ -751,6 +751,39 @@ class TestConfigHandling:
         assert run("concentration", write_config(root, "pgm_mask.json", config)) == 3
         assert "mask shape" in capsys.readouterr().err
 
+    def test_bbox_mask_on_a_flat_input_is_config_error(self, workspace, capsys):
+        root = workspace["root"]
+        ip, lp = D.save_lltn_pair(root / "flat", np.linspace(0.0, 1.0, 32).reshape(8, 4), np.arange(8) % 4)
+        M.save_checkpoint(M.build([M.dense("fc", 3)], (4,), seed=0), root / "flat_ck")
+        config = {
+            "dataset": {"format": "lltn", "images": str(ip), "labels": str(lp)},
+            "model": {"checkpoint": str(root / "flat_ck")},
+            "estimator": dict(TINY_ESTIMATOR),
+            "layers": ["fc"],
+            "mask": {"bbox": {"x": 0, "y": 0, "w": 1, "h": 1}},
+            "outputs": str(root / "o"),
+        }
+        assert run("concentration", write_config(root, "flat_mask.json", config)) == 3
+        assert "mask.bbox" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "graph_text",
+        ['{"input_shape": [1, 8, 8], "layers": [', '{"input_shape": [1, 8, 8], "layers": [{"kind": "relu", "name": "r", "warp": 9}]}'],
+    )
+    def test_malformed_checkpoint_is_io_error(self, workspace, capsys, graph_text):
+        root = workspace["root"]
+        M.save_checkpoint(M.tiny_cnn((1, 8, 8), 4, seed=1), root / "ck")
+        (root / "ck" / "graph.json").write_text(graph_text)
+        config = {
+            "dataset": workspace["dataset"],
+            "model": {"checkpoint": str(root / "ck")},
+            "estimator": dict(TINY_ESTIMATOR),
+            "layers": ["conv1"],
+            "outputs": str(root / "o"),
+        }
+        assert run("sid", write_config(root, "bad_ck.json", config)) == 4
+        assert "graph.json" in capsys.readouterr().err
+
     def test_unknown_section_key_rejected(self, workspace):
         cfg = write_config(
             workspace["root"],

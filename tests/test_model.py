@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -263,6 +264,38 @@ class TestCheckpoint:
         M.save_checkpoint(g, tmp_path / "ck")
         lltn.write(tmp_path / "ck" / "conv2__bias.lltn", np.zeros(5))
         with pytest.raises(lltn.LltnError, match=r"conv2\.bias has shape \(5,\), expected \(8,\)"):
+            M.load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize(
+        "name,edit",
+        [
+            ("graph.json", lambda g: "{not json"),
+            ("graph.json", lambda g: b"\xff\xfe"),
+            ("meta.json", lambda g: "[1, 2"),
+            ("meta.json", lambda g: [1, 2]),
+            ("graph.json", lambda g: {k: v for k, v in g.items() if k != "input_shape"}),
+            ("graph.json", lambda g: {k: v for k, v in g.items() if k != "layers"}),
+            ("graph.json", lambda g: g["layers"]),
+            ("graph.json", lambda g: dict(g, layers=[dict(g["layers"][0], warp=9)])),
+            ("graph.json", lambda g: dict(g, layers=[5])),
+            ("graph.json", lambda g: dict(g, input_shape=5)),
+        ],
+        ids=[
+            "undecodable-json", "undecodable-bytes", "undecodable-meta", "meta-not-an-object", "no-input-shape",
+            "no-layers", "not-an-object", "unknown-layer-key", "layer-not-an-object",
+            "input-shape-not-a-list",
+        ],
+    )
+    def test_malformed_json_rejected(self, tmp_path, name, edit):
+        M.save_checkpoint(M.tiny_cnn(seed=2), tmp_path / "ck")
+        graph = json.loads((tmp_path / "ck" / "graph.json").read_text())
+        bad = edit(graph)
+        target = tmp_path / "ck" / name
+        if isinstance(bad, bytes):
+            target.write_bytes(bad)
+        else:
+            target.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        with pytest.raises(lltn.LltnError, match=name):
             M.load_checkpoint(tmp_path / "ck")
 
     def test_missing_checkpoint(self, tmp_path):

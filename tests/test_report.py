@@ -69,6 +69,10 @@ class TestConcentration:
         with pytest.raises(R.MaskError, match="does not fit the 8x8 grid"):
             R.Mask.from_bbox(*box, (8, 8))
 
+    def test_bbox_on_a_flat_input_rejected(self):
+        with pytest.raises(R.MaskError, match="2-D input grid"):
+            R.Mask.from_bbox(0, 0, 1, 1, (4,))
+
     def test_bbox_flush_with_the_edge_fits(self):
         assert R.Mask.from_bbox(4, 4, 4, 4, (8, 8)).inside.sum() == 16
 

@@ -10,10 +10,10 @@ from layerlens import model as M
 from layerlens import ru as R
 from layerlens.rng import RngStream, derive_seed
 from layerlens.sid import GAUSSIAN_ENTROPY_CONST as C
-from layerlens.sid import SidConfig, SidResult, SigmaField, clean_feature, estimate_sid
+from layerlens.sid import SidConfig, SidResult, SigmaField, estimate_sid
 from layerlens.train import TrainConfig
 
-from conftest import zero_surrogate
+from conftest import result_digest, zero_surrogate
 
 
 def identity_model(n):
@@ -158,12 +158,22 @@ def test_ru_loss_pinned(ru_loss_site):
     # value and gradient bytes taken with the sigma chain (exp, mul, add) on
     # the tape and a Philox generator constructed per draw
     model, dec, x, sigma = ru_loss_site
-    plain = (clean_feature(model, "conv2", x), zero_surrogate(x))
-    value, grad = R.ru_loss(model, dec, "conv2", x, sigma, 0.3, 0.003, 32, RngStream(3), *plain)
+    plain = zero_surrogate(model, "conv2", x)
+    value, grad = R.ru_loss(model, dec, "conv2", x, sigma, 0.3, 0.003, 32, RngStream(3), plain)
     assert value.hex() == "0x1.599f379fce04ep+7"
     assert hashlib.sha256(grad.tobytes()).hexdigest() == (
         "72851c50f243a39d10a63765b2f93e3033885f3ab84808a49da17ce951ccc0ca"
     )
+
+
+def test_estimate_ru_pinned(ru_loss_site):
+    # result bytes of a two-round estimate, taken when the baseline, the
+    # dead-unit probe and every certification forwarded the clean input
+    # for themselves
+    model, dec, x, _ = ru_loss_site
+    res = R.estimate_ru(model, R.DecoderSpec(dec, "conv2", 0.0), "conv2", x, SidConfig(seed=3, max_steps=10))
+    assert res.steps_used == 20
+    assert result_digest(res) == "5431dc77796b42d1748f98ee5df39e2d15d6ff31de448d201ee71f3bfdc18f2a"
 
 
 class TestEstimateRu:

@@ -14,7 +14,7 @@ from layerlens import sid as S
 from layerlens import tensor as T
 from layerlens.rng import RngStream
 
-from conftest import zero_surrogate
+from conftest import result_digest, zero_surrogate
 
 C = S.GAUSSIAN_ENTROPY_CONST
 
@@ -79,7 +79,7 @@ class TestFeatureBaseline:
         g = identity_model(4)
         x = np.array([0.1, 0.2, 0.3, 0.4])
         tau = 0.01
-        dfs = S.feature_baseline(g, "id", x, tau, 1000, RngStream(3), zero_surrogate(x))
+        dfs = S.feature_baseline(g, "id", x, tau, 1000, RngStream(3), zero_surrogate(g, "id", x))
         assert dfs == pytest.approx(4 * tau * tau, rel=0.05)
 
     def test_constant_network_is_degenerate(self):
@@ -87,20 +87,20 @@ class TestFeatureBaseline:
         g.params["dead"]["weight"] = np.zeros((3, 3))
         x = np.ones(3)
         with pytest.raises(S.DegenerateLayerError, match="dead"):
-            S.feature_baseline(g, "dead", x, 0.01, 100, RngStream(0), zero_surrogate(x))
+            S.feature_baseline(g, "dead", x, 0.01, 100, RngStream(0), zero_surrogate(g, "dead", x))
 
     def test_linear_network_gives_frobenius_norm(self):
         A = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
         g = linear_model(A)
         x = np.array([0.2, -0.4])
         tau = 0.05
-        dfs = S.feature_baseline(g, "lin", x, tau, 2000, RngStream(5), zero_surrogate(x))
+        dfs = S.feature_baseline(g, "lin", x, tau, 2000, RngStream(5), zero_surrogate(g, "lin", x))
         assert dfs == pytest.approx(tau * tau * (A * A).sum(), rel=0.05)
 
     def test_non_positive_tau_rejected(self):
-        x = np.zeros(2)
+        g, x = identity_model(2), np.zeros(2)
         with pytest.raises(ValueError):
-            S.feature_baseline(identity_model(2), "id", x, 0.0, 16, RngStream(0), zero_surrogate(x))
+            S.feature_baseline(g, "id", x, 0.0, 16, RngStream(0), zero_surrogate(g, "id", x))
 
 
 class TestSidLoss:
@@ -108,8 +108,8 @@ class TestSidLoss:
         g = identity_model(3)
         x = np.zeros(3)
         sigma = S.SigmaField.constant((3,), 0.02)
-        f0 = S.clean_feature(g, "id", x)
-        loss, _ = S.sid_loss(g, "id", x, sigma, 0.0, 1e-4, 16, RngStream(1), f0, zero_surrogate(x))
+        plain = zero_surrogate(g, "id", x)
+        loss, _ = S.sid_loss(g, "id", x, sigma, 0.0, 1e-4, 16, RngStream(1), plain)
         assert loss >= 0.0
 
     def test_identity_closed_form_with_common_draws(self):
@@ -119,9 +119,8 @@ class TestSidLoss:
         x = np.array([0.3, -0.1, 0.2, 0.0])
         sigma = S.SigmaField.constant((n,), s_val)
 
-        f0 = S.clean_feature(g, "id", x)
         loss, grad = S.sid_loss(
-            g, "id", x, sigma, lam, dfs, samples, RngStream(9, counter=5), f0, zero_surrogate(x)
+            g, "id", x, sigma, lam, dfs, samples, RngStream(9, counter=5), zero_surrogate(g, "id", x)
         )
         noise = RngStream(9, counter=5).normal((samples, n))  # same (seed, counter)
 
@@ -146,14 +145,14 @@ class TestSidLoss:
         x = RngStream(11).normal((1, 5, 5)) * 0.5
         sigma = S.SigmaField.constant((1, 5, 5), 0.01)
         lam, dfs, samples = 0.4, 1e-3, 8
-        plain = (S.clean_feature(g, "c2", x), zero_surrogate(x))
+        plain = zero_surrogate(g, "c2", x)
 
         def loss_at(log_sigma_flat):
             sf = S.SigmaField(log_sigma_flat.reshape(1, 5, 5))
-            val, _ = S.sid_loss(g, "c2", x, sf, lam, dfs, samples, RngStream(21, counter=0), *plain)
+            val, _ = S.sid_loss(g, "c2", x, sf, lam, dfs, samples, RngStream(21, counter=0), plain)
             return val
 
-        _, grad = S.sid_loss(g, "c2", x, sigma, lam, dfs, samples, RngStream(21, counter=0), *plain)
+        _, grad = S.sid_loss(g, "c2", x, sigma, lam, dfs, samples, RngStream(21, counter=0), plain)
 
         from conftest import finite_diff, rel_err
 
@@ -161,18 +160,18 @@ class TestSidLoss:
         assert rel_err(grad.ravel(), fd) <= 1e-4
 
     def test_negative_lambda_rejected(self):
+        g, x = identity_model(2), np.zeros(2)
         with pytest.raises(ValueError):
             S.sid_loss(
-                identity_model(2),
+                g,
                 "id",
-                np.zeros(2),
+                x,
                 S.SigmaField.constant((2,), 0.01),
                 -1.0,
                 1e-4,
                 4,
                 RngStream(0),
-                np.zeros(2),
-                zero_surrogate(np.zeros(2)),
+                zero_surrogate(g, "id", x),
             )
 
 
@@ -213,7 +212,7 @@ class TestEstimateSid:
         x = np.array([0.3, -0.2, 0.8, 0.1])
         seed = 0
         dfs = S.feature_baseline(
-            g, "id", x, 0.01, 16384, RngStream(seed).spawn("est/baseline"), zero_surrogate(x)
+            g, "id", x, 0.01, 16384, RngStream(seed).spawn("est/baseline"), zero_surrogate(g, "id", x)
         )
         cfg = S.SidConfig(
             alpha=0.04 / dfs,
@@ -373,7 +372,8 @@ class TestLambdaStart:
         g.params["head"]["weight"][~inside.reshape(-1), :] = 0.0
         x = RngStream(5).normal((1, 4, 4)) * 0.3
         cfg = S.SidConfig(seed=1, **self.QUICK)
-        assert len(S.find_dead_units(g, "head", x, S.default_sigma_cap(x))) == 12
+        f0 = S.clean_feature(g, "head", x)
+        assert len(S.find_dead_units(g, "head", x, S.default_sigma_cap(x), f0)) == 12
         assert _first_lambda(g, "head", x, cfg) == 2 * cfg.alpha / 4
 
     def test_dead_units_in_bounded_memory(self):
@@ -384,9 +384,10 @@ class TestLambdaStart:
         dead = np.array([0, 100, 300, 301, 767])
         g.params["head"]["weight"][dead] = 0.0
         x = np.linspace(-1.0, 1.0, 768).reshape(3, 16, 16)
+        f0 = S.clean_feature(g, "head", x)
         tracemalloc.start()
         try:
-            got = S.find_dead_units(g, "head", x, S.default_sigma_cap(x))
+            got = S.find_dead_units(g, "head", x, S.default_sigma_cap(x), f0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -403,8 +404,8 @@ class TestLambdaStart:
 
 
 def _recorded_steps(monkeypatch, module, name) -> list[tuple]:
-    """The arguments of every call to module.name (sid_loss or ru_loss) that
-    the estimators make while the test runs."""
+    """The arguments of every call to module.name (sid_loss, ru_loss or
+    clean_feature) that the estimators make while the test runs."""
     calls = []
     step = getattr(module, name)
 
@@ -475,12 +476,41 @@ def test_sid_loss_pinned():
     # value and gradient bytes taken from the op-per-step loss (sub, mul,
     # reduce_sum and mul for the fit term; conv, reshape and add for the stem)
     model, x, sigma = _stem_loss_site()
-    plain = (S.clean_feature(model, "stem", x), zero_surrogate(x))
-    value, grad = S.sid_loss(model, "stem", x, sigma, 0.05, 0.003, 32, RngStream(3), *plain)
+    plain = zero_surrogate(model, "stem", x)
+    value, grad = S.sid_loss(model, "stem", x, sigma, 0.05, 0.003, 32, RngStream(3), plain)
     assert value.hex() == "0x1.17a191aa25bd8p+7"
     assert hashlib.sha256(grad.tobytes()).hexdigest() == (
         "cb81634778a212c898ce0595ec64c182566ebda60ce519275df04f83a3368024"
     )
+
+
+@pytest.mark.parametrize(
+    "layer,digest",
+    [
+        ("stem", "c1e9de3fd9513a761e1da2c18012aa5c8e904ea3b90f29bbae6b0a9f3b0cca2d"),
+        ("block1", "c549c42244fbbbd11cee774b69a816d9d8b493f5ca296ed55092425ace0d7133"),
+    ],
+)
+def test_estimate_sid_pinned(layer, digest):
+    # default-config result bytes, taken when the baseline, the dead-unit
+    # probe and every certification forwarded the clean input for themselves
+    model, x, _ = _stem_loss_site()
+    assert result_digest(S.estimate_sid(model, layer, x, S.SidConfig(seed=3))) == digest
+
+
+@pytest.mark.parametrize("estimator", ["sid", "ru"])
+def test_one_clean_forward_per_estimate(monkeypatch, ru_loss_site, estimator):
+    # the linearisation's f0 serves the whole estimate. Forwarding it per
+    # Monte Carlo term took 5 clean forwards for SID's one lambda round here
+    # and 6 for RU's two
+    model, dec, x, _ = ru_loss_site
+    calls = _recorded_steps(monkeypatch, S, "clean_feature")
+    cfg = S.SidConfig(seed=3, max_steps=10, baseline_samples=256, certify_samples=256)
+    if estimator == "sid":
+        S.estimate_sid(model, "conv2", x, cfg)
+    else:
+        R.estimate_ru(model, R.DecoderSpec(dec, "conv2", 0.0), "conv2", x, cfg)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("estimator", ["sid", "ru"])
@@ -504,8 +534,8 @@ def test_unnormalized_diagnostic_is_the_step_at_divisor_one(monkeypatch, ru_loss
         res = S.estimate_sid(model, layer, x, cfg)
     else:
         res = R.estimate_ru(model, R.DecoderSpec(dec, layer, 0.0), layer, x, cfg)
-    # fit_scale, samples, rng, f0, surrogate end both step signatures
-    assert {args[-5] for args in steps} == {1.0}
+    # fit_scale, samples, rng, surrogate end both step signatures
+    assert {args[-4] for args in steps} == {1.0}
     surrogate = S.linear_surrogate(model, layer, x, cfg.tau)
     baseline = RngStream(cfg.seed).spawn("est/baseline")
     assert res.delta_f_sq == S.feature_baseline(
@@ -539,16 +569,16 @@ class TestTapeNodes:
 
     def test_sid_loss(self, monkeypatch):
         model, x, sigma = _stem_loss_site()
-        plain = (S.clean_feature(model, "stem", x), zero_surrogate(x))
+        plain = zero_surrogate(model, "stem", x)
         count = self._count(monkeypatch)
-        S.sid_loss(model, "stem", x, sigma, 0.05, 0.003, 32, RngStream(3), *plain)
+        S.sid_loss(model, "stem", x, sigma, 0.05, 0.003, 32, RngStream(3), plain)
         assert count[0] == 2
 
     def test_ru_loss(self, monkeypatch, ru_loss_site):
         model, dec, x, sigma = ru_loss_site
-        plain = (S.clean_feature(model, "conv2", x), zero_surrogate(x))
+        plain = zero_surrogate(model, "conv2", x)
         count = self._count(monkeypatch)
-        R.ru_loss(model, dec, "conv2", x, sigma, 0.3, 0.003, 32, RngStream(3), *plain)
+        R.ru_loss(model, dec, "conv2", x, sigma, 0.3, 0.003, 32, RngStream(3), plain)
         assert count[0] == 31
 
     def test_conv_layer_forward(self, monkeypatch):
@@ -642,7 +672,6 @@ class TestControlVariate:
         model = M.tiny_resnet((1, 8, 8), 4, seed=3)
         surrogate = S.linear_surrogate(model, "block1", x, 0.01)
         sigma = S.SigmaField(np.log(0.01) + 0.3 * np.sin(np.arange(x.size)).reshape(x.shape))
-        f0 = S.clean_feature(model, "block1", x)
         dfs = S.feature_baseline(model, "block1", x, 0.01, 1024, RngStream(1), surrogate)
 
         def agree(plain, cv):
@@ -658,9 +687,10 @@ class TestControlVariate:
             [S.certify_epsilon(model, "block1", x, sigma, 256, r, surrogate) for r in streams],
         )
         args = (model, "block1", x, sigma, 0.04, dfs, 32)
+        plain = zero_surrogate(model, "block1", x)
         agree(
-            [S.sid_loss(*args, r, f0, zero_surrogate(x))[1] for r in streams],
-            [S.sid_loss(*args, r, f0, surrogate)[1] for r in streams],
+            [S.sid_loss(*args, r, plain)[1] for r in streams],
+            [S.sid_loss(*args, r, surrogate)[1] for r in streams],
         )
 
     def test_products_run_in_chunks(self):
@@ -684,13 +714,12 @@ class TestControlVariate:
         surrogate = S.linear_surrogate(g, "c2", x, 0.01)
         sigma = S.SigmaField.constant((1, 5, 5), 0.01)
         lam, dfs, samples = 0.4, 1e-3, 8
-        f0 = S.clean_feature(g, "c2", x)
 
         def loss_at(log_sigma_flat):
             sf = S.SigmaField(log_sigma_flat.reshape(1, 5, 5))
-            return S.sid_loss(g, "c2", x, sf, lam, dfs, samples, RngStream(21), f0, surrogate)[0]
+            return S.sid_loss(g, "c2", x, sf, lam, dfs, samples, RngStream(21), surrogate)[0]
 
-        _, grad = S.sid_loss(g, "c2", x, sigma, lam, dfs, samples, RngStream(21), f0, surrogate)
+        _, grad = S.sid_loss(g, "c2", x, sigma, lam, dfs, samples, RngStream(21), surrogate)
 
         from conftest import finite_diff, rel_err
 
