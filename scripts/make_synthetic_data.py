@@ -11,13 +11,13 @@ from pathlib import Path
 from layerlens import data as D
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="data", help="output directory")
     ap.add_argument("--n", type=int, default=256, help="samples per dataset")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--channels", type=int, default=1, choices=(1, 3))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.out)
     images, labels = D.make_fourclass_images(n=args.n, shape=(args.channels, 8, 8), seed=args.seed)

@@ -16,12 +16,12 @@ from layerlens.rng import RngStream
 from layerlens.sid import SidConfig
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--layer", default="conv1")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--steps", type=int, default=150)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     model = M.tiny_cnn(input_shape=(3, 8, 8), classes=4, seed=11)
     x = RngStream(42).normal((3, 8, 8)) * 0.5

@@ -15,13 +15,13 @@ from layerlens import data as D
 from layerlens.cli import main as cli_main
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="damage_demo")
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--epochs", type=int, default=3)
     ap.add_argument("--n-filters", type=int, default=8)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

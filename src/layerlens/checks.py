@@ -1,8 +1,13 @@
-"""Type checks for the configuration dataclasses, driven by their annotations."""
+"""Type checks for the configuration and layer-spec dataclasses, driven by
+their annotations."""
 
 from __future__ import annotations
 
 from dataclasses import fields
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -11,11 +16,14 @@ def _is_real(value) -> bool:
 
 # field annotation -> accepts the value
 TYPE_CHECKS = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "int": _is_int,
+    "int | None": lambda v: v is None or _is_int(v),
     "float": _is_real,
     "float | None": lambda v: v is None or _is_real(v),
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
+    "str | None": lambda v: v is None or isinstance(v, str),
+    "tuple | None": lambda v: v is None or isinstance(v, tuple),
 }
 
 

@@ -42,7 +42,9 @@ _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
 _SECTION_KEYS = {
     "dataset": {"format", "path", "images", "labels"},
     "model": {"architecture", "input_shape", "classes", "checkpoint", "seed"},
-    "estimator": {f.name for f in dataclasses.fields(SidConfig)} - {"seed"},
+    # normalize is set only by coherency.diagnostic: elsewhere it would write
+    # scale-dependent numbers that no output records
+    "estimator": {f.name for f in dataclasses.fields(SidConfig)} - {"seed", "normalize"},
     "train": _TRAIN_KEYS,
     "decoder": _TRAIN_KEYS,
     "mask": {"pgm", "bbox"},
@@ -226,7 +228,7 @@ class Run:
 
 def cmd_train(run: Run) -> bool:
     model, meta = run.load_model()
-    start_epoch = int(meta.get("epoch", -1)) + 1 if meta else 0
+    start_epoch = meta.get("epoch", -1) + 1
     cfg = run.train_config("train", {})
     run.write_resolved()
     trained, trace = train(
@@ -234,7 +236,10 @@ def cmd_train(run: Run) -> bool:
     )
     rows = "".join(f"{start_epoch + i},{loss!r}\n" for i, loss in enumerate(trace))
     lltn.atomic_write(run.out / "loss.csv", ("epoch,loss\n" + rows).encode())
-    M.save_checkpoint(trained, run.out / "final", meta={"epoch": start_epoch + cfg.epochs - 1, "loss": trace[-1] if trace else None, "seed": run.seed})
+    meta = {"loss": trace[-1] if trace else None, "seed": run.seed}
+    if start_epoch + cfg.epochs:  # the last epoch trained, when there is one
+        meta["epoch"] = start_epoch + cfg.epochs - 1
+    M.save_checkpoint(trained, run.out / "final", meta=meta)
     print(f"trained {cfg.epochs} epochs; final loss {trace[-1] if trace else float('nan')}")
     return True
 

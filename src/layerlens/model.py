@@ -18,6 +18,7 @@ import numpy as np
 
 from . import lltn
 from . import tensor as T
+from .checks import TYPE_CHECKS, check_field_types
 from .rng import RngStream, derive_seed
 from .tensor import Tensor
 
@@ -25,6 +26,8 @@ INPUT_LAYER = "input"  # reserved pseudo-layer name: the unmodified input
 
 _LINEAR_KINDS = {"dense", "conv", "transpose_conv"}  # rescalable, parameterized
 _HOMOGENEOUS_KINDS = {"relu", "flatten"}  # safe to sit between a rescaled pair
+
+_is_int = TYPE_CHECKS["int"]
 
 
 class BuildError(ValueError):
@@ -105,6 +108,23 @@ def add_skip(name: str, source: str) -> LayerSpec:
 # ---------------------------------------------------------------------------
 # shape inference
 # ---------------------------------------------------------------------------
+
+
+def _check_spec(spec: LayerSpec) -> None:
+    """BuildError unless every field of `spec` has its annotated type, every
+    size is positive and the padding is not negative."""
+    try:
+        check_field_types(spec)
+    except TypeError as err:
+        raise BuildError(f"layer {spec.name!r}: {err}") from None
+    for name in ("channels", "kernel", "stride", "units"):
+        value = getattr(spec, name)
+        if value is not None and value < 1:
+            raise BuildError(f"layer {spec.name!r}: {name} must be positive, got {value}")
+    if spec.padding < 0:
+        raise BuildError(f"layer {spec.name!r}: padding must be non-negative, got {spec.padding}")
+    if spec.shape is not None and not all(_is_int(n) and n > 0 for n in spec.shape):
+        raise BuildError(f"layer {spec.name!r}: shape must be positive integers, got {list(spec.shape)}")
 
 
 def _conv_out(h: int, k: int, s: int, p: int, name: str) -> int:
@@ -231,9 +251,12 @@ class ModelGraph:
             raise BuildError(f"duplicate layer names: {dupes}")
         if INPUT_LAYER in names:
             raise BuildError(f"layer name {INPUT_LAYER!r} is reserved")
+        if not all(_is_int(n) and n > 0 for n in self.input_shape):
+            raise BuildError(f"input_shape must be positive integers, got {list(self.input_shape)}")
         shapes: dict = {}
         cur = self.input_shape
         for spec in self.layers:
+            _check_spec(spec)
             cur = _infer_shape(spec, cur, shapes)
             shapes[spec.name] = cur
         return shapes
@@ -447,12 +470,11 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
     if not graph_file.exists():
         raise FileNotFoundError(f"no checkpoint at {path} (missing graph.json)")
     graph = _read_json(graph_file)
-    try:  # not an object, input_shape or layers missing, or an entry LayerSpec rejects
+    try:  # not an object, input_shape or layers missing, or layers that do not build
         specs = [LayerSpec.from_json(d) for d in graph["layers"]]
-        input_shape = tuple(graph["input_shape"])
+        model = ModelGraph(tuple(graph["input_shape"]), specs, {})
     except (KeyError, TypeError, ValueError) as err:
         raise lltn.LltnError(f"malformed layer graph in {graph_file}: {err!r}") from err
-    model = ModelGraph(input_shape, specs, {})
     for spec, in_shape in model.layer_inputs():
         model.params[spec.name] = {}
         for pn, shape, _ in _param_layout(spec, in_shape):
@@ -466,6 +488,9 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
     meta = _read_json(meta_file) if meta_file.exists() else {}
     if not isinstance(meta, dict):
         raise lltn.LltnError(f"{meta_file} must hold a JSON object")
+    epoch = meta.get("epoch", 0)  # the last epoch trained; `train` resumes after it
+    if not (_is_int(epoch) and epoch >= 0):
+        raise lltn.LltnError(f"{meta_file}: epoch must be a non-negative integer, got {epoch!r}")
     return model, meta
 
 

@@ -209,13 +209,11 @@ def estimate_ru(
     per-unit H_hat from held-out draws."""
     if decoder.layer != layer:
         raise ValueError(f"decoder was trained for layer {decoder.layer!r}, not {layer!r}")
-    if cfg.lambda_init is None:
-        # fit_sigma's 2*alpha/n_live start solves SID's entropy term only; RU's
-        # searches end nearer 1 and took more steps from that start than from 1.0
-        cfg = replace(cfg, lambda_init=1.0)
     x = np.asarray(x, dtype=np.float64)
     dec = decoder.graph
-    sigma, fit = fit_sigma(model, layer, x, cfg, partial(ru_loss, model, dec, layer, x))
+    # lambda starts at 1.0: fit_sigma's 2*alpha/n_live start solves SID's
+    # entropy term only; RU's searches end nearer 1 and took more steps from it
+    sigma, fit = fit_sigma(model, layer, x, cfg, partial(ru_loss, model, dec, layer, x), 1.0)
     H_hat_i, clamped = pixel_ru(
         model, dec, layer, x, sigma, cfg.certify_samples, RngStream(cfg.seed).spawn("ru/pixel")
     )

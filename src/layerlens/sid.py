@@ -60,26 +60,23 @@ class SidConfig:
     samples_per_step: int = 32
     max_steps: int = 80  # inner Adam steps per lambda round
     sigma_lr: float = 0.1
-    # Starting entropy weight. None -> 2*alpha/n_live over the units not found
-    # dead, where the budget holds for a locally linear feature (fit_sigma);
-    # estimate_ru and normalize=False start at 1.0 instead.
-    lambda_init: float | None = None
     lambda_tolerance: float = 0.05  # relative epsilon tolerance for conformance
     sigma_cap: float | None = None  # None -> 10x input dynamic range
     seed: int = 0
     max_rounds: int = 20  # lambda adaptation budget
     baseline_samples: int = 1024
     certify_samples: int = 1024  # held-out draws for reported epsilon / H_hat
-    # Diagnostic only. False divides the fit term by 1 instead of delta_f^2
-    # AND pins lambda at lambda_init (1.0 when None) for a single round (no
-    # adaptation, no constraint projection): adaptation would partially
-    # re-absorb the missing normalization, hiding exactly the scale-dependence
-    # this mode exists to expose.
+    # Diagnostic only, set by coherency_check's caller (the CLI's
+    # coherency.diagnostic). False divides the fit term by 1 instead of
+    # delta_f^2 AND fits one round at lambda 1.0 (no adaptation, no constraint
+    # projection): adaptation would partially re-absorb the missing
+    # normalization, hiding exactly the scale-dependence this mode exists to
+    # expose.
     normalize: bool = True
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("alpha", "tau", "sigma_lr", "lambda_init", "sigma_cap"):
+        for name in ("alpha", "tau", "sigma_lr", "sigma_cap"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -359,29 +356,22 @@ def certify_epsilon(
     return _mean_sq_deviation(model, layer, x, sigma.sigma, samples, rng, surrogate)
 
 
-def lambda_adapt(lam: float, epsilon_achieved: float, target: float) -> float:
-    """Single multiplicative step: scale lambda by a factor in [0.5, 2] that
-    moves the achieved feature deviation toward the target."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if target <= 0:
-        raise ValueError("target must be positive")
-    if epsilon_achieved <= 0:
-        return lam * 2.0
-    factor = min(2.0, max(0.5, target / epsilon_achieved))
-    return lam * factor
-
-
 class LambdaSearch:
-    """Multiplicative search that switches to geometric bisection once the
-    target is straddled. epsilon(lambda) is monotone increasing: more entropy
+    """The one rule for the entropy weight lambda, from the first round's
+    lambda on. Multiplicative steps until the target is straddled, then
+    geometric bisection. epsilon(lambda) is monotone increasing: more entropy
     pressure widens sigma and with it the feature deviation."""
 
-    def __init__(self):
+    def __init__(self, lam: float):
+        self.lam = lam  # the lambda last handed out
         self.below: float | None = None  # largest lambda seen with eps < target
         self.above: float | None = None  # smallest lambda seen with eps > target
 
-    def update(self, lam: float, epsilon_achieved: float, target: float) -> float:
+    def update(self, epsilon_achieved: float, target: float) -> float:
+        """The next lambda, given the deviation achieved at the current one:
+        sqrt(below * above) once bracketed, else the current lambda times
+        target/epsilon clamped to [0.5, 2] (2 when epsilon <= 0)."""
+        lam = self.lam
         if epsilon_achieved == target:
             return lam
         if epsilon_achieved < target:
@@ -389,8 +379,12 @@ class LambdaSearch:
         else:
             self.above = lam if self.above is None else min(self.above, lam)
         if self.below is not None and self.above is not None and self.below < self.above:
-            return math.sqrt(self.below * self.above)
-        return lambda_adapt(lam, epsilon_achieved, target)
+            self.lam = math.sqrt(self.below * self.above)
+        elif epsilon_achieved <= 0:
+            self.lam = lam * 2.0
+        else:
+            self.lam = lam * min(2.0, max(0.5, target / epsilon_achieved))
+        return self.lam
 
 
 class _AdamState:
@@ -492,6 +486,7 @@ def fit_sigma(
     x: np.ndarray,
     cfg: SidConfig,
     loss: Callable[[SigmaField, float, float, int, RngStream, Surrogate], tuple[float, np.ndarray]],
+    lambda_start: float | None = None,
 ) -> tuple[SigmaField, dict]:
     """The sigma fit both estimators share. Learn sigma by gradient descent at
     fixed lambda, adapting lambda between rounds until the held-out feature
@@ -510,7 +505,8 @@ def fit_sigma(
     surrogate.f0, with `surrogate` as its control variate. fit_scale is the
     measured delta_f^2, or 1.0 when cfg.normalize is False.
 
-    lambda starts at cfg.lambda_init when given. Otherwise it starts at
+    LambdaSearch moves lambda between rounds, from lambda_start when the
+    caller gives one (estimate_ru: 1.0). Otherwise lambda starts at
     2*alpha/n_live, n_live being the units not found dead: for a locally
     linear feature with c_i = |J e_i|^2 the optimum of
     fit/delta_f^2 - lambda*sum(ln sigma_i) has sigma_i^2*c_i = lambda*delta_f^2/2,
@@ -530,13 +526,9 @@ def fit_sigma(
     sigma = SigmaField.constant(x.shape, cfg.tau)  # start at the probe scale: near-feasible
     dead = find_dead_units(model, layer, x, cap, surrogate.f0)
     sigma.log_sigma.reshape(-1)[dead] = log_cap  # their optimum; the clamp keeps them there
-    if cfg.lambda_init is not None:
-        lam = cfg.lambda_init
-    elif cfg.normalize:
-        lam = 2.0 * cfg.alpha / max(x.size - dead.size, 1)
-    else:
-        lam = 1.0
-    search = LambdaSearch()
+    if lambda_start is None:
+        lambda_start = 2.0 * cfg.alpha / max(x.size - dead.size, 1) if cfg.normalize else 1.0
+    search = LambdaSearch(lambda_start)
     step_rng = root.spawn("est/steps")
     steps_used = 0
     conformant = False
@@ -544,11 +536,11 @@ def fit_sigma(
     rounds = cfg.max_rounds if cfg.normalize else 1
     for round_ in range(rounds):
         if round_:  # moved only when a round is fit at it: lambda_final is what was fit
-            lam = search.update(lam, epsilon, target)
+            search.update(epsilon, target)
         adam = _AdamState(sigma.log_sigma.shape, cfg.sigma_lr, cfg.max_steps)
         tail_sum = np.zeros_like(sigma.log_sigma)
         for step in range(cfg.max_steps):
-            _, grad = loss(sigma, lam, fit_scale, cfg.samples_per_step, step_rng, surrogate)
+            _, grad = loss(sigma, search.lam, fit_scale, cfg.samples_per_step, step_rng, surrogate)
             sigma.log_sigma = np.minimum(adam.step(sigma.log_sigma, grad), log_cap)
             steps_used += 1
             if step >= tail_from:
@@ -578,7 +570,7 @@ def fit_sigma(
     return sigma, dict(
         epsilon_achieved=epsilon,
         delta_f_sq=delta_f_sq,
-        lambda_final=lam,
+        lambda_final=search.lam,
         steps_used=steps_used,
         capped_units=[int(i) for i in np.flatnonzero(sigma.log_sigma >= log_cap - 1e-12)],
         conformant=conformant,

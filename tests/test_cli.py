@@ -109,6 +109,22 @@ class TestTrainVerb:
         names = sorted(p.name for p in (root / "second" / "checkpoints").iterdir())
         assert names == ["epoch_002", "epoch_003"]
 
+    def test_zero_epochs_leave_a_resumable_checkpoint(self, workspace):
+        # no epoch ran, so the final checkpoint names none and a resume starts at 0
+        root = workspace["root"]
+        base = {
+            "dataset": workspace["dataset"],
+            "model": {"architecture": "tiny-cnn", "input_shape": [1, 8, 8], "classes": 4},
+            "train": {"epochs": 0},
+            "outputs": str(root / "first"),
+        }
+        assert run("train", write_config(root, "a.json", base)) == 0
+        assert "epoch" not in M.load_checkpoint(root / "first" / "final")[1]
+        resumed = dict(base, model={"checkpoint": str(root / "first" / "final")}, train={"epochs": 1})
+        resumed["outputs"] = str(root / "second")
+        assert run("train", write_config(root, "b.json", resumed)) == 0
+        assert [p.name for p in (root / "second" / "checkpoints").iterdir()] == ["epoch_000"]
+
     def test_same_seed_identical_final_checkpoint(self, workspace):
         root = workspace["root"]
         base = {
@@ -597,8 +613,10 @@ class TestConfigHandling:
             ("sid", estimator_patch(alpha=float("nan")), "alpha"),
             ("sid", estimator_patch(alpha=float("inf")), "alpha"),
             ("sid", estimator_patch(tau=float("inf")), "tau"),
-            ("sid", estimator_patch(lambda_init=float("nan")), "lambda_init"),
-            ("sid", estimator_patch(lambda_init=float("inf")), "lambda_init"),
+            # not estimator keys: no config key sets lambda, and only
+            # coherency.diagnostic sets normalize
+            ("sid", estimator_patch(lambda_init=1.0), "lambda_init"),
+            ("sid", estimator_patch(normalize=False), "normalize"),
             ("sid", estimator_patch(sigma_cap=-1.0), "sigma_cap"),
             ("sid", estimator_patch(sigma_cap=float("nan")), "sigma_cap"),
             ("sid", estimator_patch(sigma_lr=-0.05), "sigma_lr"),
@@ -609,7 +627,7 @@ class TestConfigHandling:
             ("coherency", {"coherency": {"layer": 5}}, "coherency.layer"),
             ("coherency", {"coherency": {"layer": ["conv1"]}}, "coherency.layer"),
             ("coherency", {"coherency": {"layer": "nope"}}, "coherency.layer"),
-            ("sid", estimator_patch(lambda_init=0), "lambda_init"),
+            ("sid", estimator_patch(lambda_init=None), "lambda_init"),
             ("sid", {"layers": ["conv1"] * 4}, "layers"),
             ("sid", {"layers": ["conv1"], "inputs": [1, 0, 1]}, "inputs"),
             ("damage", {"model": RESNET, "damage": {"positions": [1, 1]}}, "damage.positions"),
@@ -673,7 +691,7 @@ class TestConfigHandling:
             ({"seed": "x"}, "seed"),
             ({"model": dict(CNN, classes="x")}, "model.classes"),
             ({"estimator": dict(TINY_ESTIMATOR, max_steps="x")}, "max_steps"),
-            ({"estimator": dict(TINY_ESTIMATOR, lambda_init="x")}, "lambda_init"),
+            ({"estimator": dict(TINY_ESTIMATOR, sigma_cap="x")}, "sigma_cap"),
             ({"outputs": 5}, "outputs"),
             ({"dataset": {"format": "lltn", "images": 5, "labels": "l.lltn"}}, "dataset.images"),
             ({"dataset": {"format": "lltn", "images": "i.lltn", "labels": 5}}, "dataset.labels"),
@@ -706,15 +724,6 @@ class TestConfigHandling:
         assert run("sid", write_config(workspace["root"], "twice.json", config), "--jobs", "2") == 3
         assert "layers repeats ['conv1']" in capsys.readouterr().err
         assert pool_recorder == []
-
-    def test_null_lambda_init_accepted(self, workspace):
-        config = {
-            "dataset": workspace["dataset"],
-            "model": CNN,
-            "outputs": str(workspace["root"] / "o"),
-            **estimator_patch(lambda_init=None, max_steps=4, max_rounds=1),
-        }
-        assert run("sid", write_config(workspace["root"], "null.json", config)) in (0, 2)
 
     @pytest.mark.parametrize(
         "raw",
@@ -768,7 +777,14 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "graph_text",
-        ['{"input_shape": [1, 8, 8], "layers": [', '{"input_shape": [1, 8, 8], "layers": [{"kind": "relu", "name": "r", "warp": 9}]}'],
+        [
+            '{"input_shape": [1, 8, 8], "layers": [',
+            '{"input_shape": [1, 8, 8], "layers": [{"kind": "relu", "name": "r", "warp": 9}]}',
+            '{"input_shape": "abc", "layers": [{"kind": "relu", "name": "r"}]}',
+            '{"input_shape": [1, 8, 8], "layers": [{"kind": "nope", "name": "conv1"}]}',
+            '{"input_shape": [1, 8, 8], "layers": [{"kind": "conv", "name": "conv1", "channels": "x", "kernel": 3}]}',
+            '{"input_shape": [1, 8, 8], "layers": [{"kind": "conv", "name": "conv1", "channels": 8, "kernel": -3}]}',
+        ],
     )
     def test_malformed_checkpoint_is_io_error(self, workspace, capsys, graph_text):
         root = workspace["root"]
@@ -783,6 +799,20 @@ class TestConfigHandling:
         }
         assert run("sid", write_config(root, "bad_ck.json", config)) == 4
         assert "graph.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epoch", ["x", None])
+    def test_bad_checkpoint_epoch_is_io_error(self, workspace, capsys, epoch):
+        # train resumes after the checkpoint's epoch, so it must be an integer
+        root = workspace["root"]
+        M.save_checkpoint(M.tiny_cnn((1, 8, 8), 4, seed=1), root / "ck", {"epoch": epoch})
+        config = {
+            "dataset": workspace["dataset"],
+            "model": {"checkpoint": str(root / "ck")},
+            "train": {"epochs": 1},
+            "outputs": str(root / "o"),
+        }
+        assert run("train", write_config(root, "bad_epoch.json", config)) == 4
+        assert "meta.json" in capsys.readouterr().err
 
     def test_unknown_section_key_rejected(self, workspace):
         cfg = write_config(

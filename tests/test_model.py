@@ -223,6 +223,11 @@ class TestRescalePair:
             M.rescale_pair(M.tiny_cnn(), "relu1")
 
 
+def _first_layer(graph: dict, **fields) -> dict:
+    """`graph` with `fields` set on its first layer."""
+    return dict(graph, layers=[dict(graph["layers"][0], **fields)] + graph["layers"][1:])
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical_forward(self, tmp_path, np_rng):
         g = M.tiny_resnet(seed=9)
@@ -279,11 +284,19 @@ class TestCheckpoint:
             ("graph.json", lambda g: dict(g, layers=[dict(g["layers"][0], warp=9)])),
             ("graph.json", lambda g: dict(g, layers=[5])),
             ("graph.json", lambda g: dict(g, input_shape=5)),
+            ("graph.json", lambda g: dict(g, input_shape="abc")),
+            ("graph.json", lambda g: _first_layer(g, kind="nope")),
+            ("graph.json", lambda g: _first_layer(g, channels="x")),
+            ("graph.json", lambda g: _first_layer(g, kernel=-3)),
+            ("meta.json", lambda g: {"epoch": "x"}),
+            ("meta.json", lambda g: {"epoch": None}),
+            ("meta.json", lambda g: {"epoch": -1}),
         ],
         ids=[
             "undecodable-json", "undecodable-bytes", "undecodable-meta", "meta-not-an-object", "no-input-shape",
             "no-layers", "not-an-object", "unknown-layer-key", "layer-not-an-object",
-            "input-shape-not-a-list",
+            "input-shape-not-a-list", "input-shape-a-string", "unknown-kind", "channels-not-an-int",
+            "negative-kernel", "epoch-not-an-int", "epoch-null", "negative-epoch",
         ],
     )
     def test_malformed_json_rejected(self, tmp_path, name, edit):

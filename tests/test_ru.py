@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from layerlens import model as M
 from layerlens import ru as R
 from layerlens.rng import RngStream, derive_seed
 from layerlens.sid import GAUSSIAN_ENTROPY_CONST as C
-from layerlens.sid import SidConfig, SidResult, SigmaField, estimate_sid
+from layerlens.sid import SidConfig, SidResult, SigmaField, estimate_sid, fit_sigma
 from layerlens.train import TrainConfig
 
 from conftest import result_digest, zero_surrogate
@@ -237,9 +238,10 @@ class TestEstimateRu:
         assert res.H_hat_total == res.H_hat_i.sum()
         assert (res.H_hat_i >= R.RU_FLOOR - 1e-12).all()
 
-    @pytest.mark.parametrize("lambda_init,first", [(None, 1.0), (0.3, 0.3)])
-    def test_lambda_start(self, monkeypatch, lambda_init, first):
-        # the 2*alpha/n_live start is for SID's entropy term only
+    @pytest.mark.parametrize("lambda_start,first", [(None, 1.0), (0.3, 0.3)])
+    def test_lambda_start(self, monkeypatch, lambda_start, first):
+        # the 2*alpha/n_live start is for SID's entropy term only: estimate_ru
+        # starts at 1.0, and fit_sigma at whatever start its caller gives
         seen = []
         ru_loss = R.ru_loss
 
@@ -248,8 +250,13 @@ class TestEstimateRu:
             return ru_loss(model, dec, layer, x, sigma, lam, *rest)
 
         monkeypatch.setattr(R, "ru_loss", recording)
-        cfg = SidConfig(seed=0, lambda_init=lambda_init, max_steps=1, max_rounds=1, certify_samples=64)
-        R.estimate_ru(identity_model(4), identity_decoder(4), "id", np.full(4, 0.5), cfg)
+        g, dec, x = identity_model(4), identity_decoder(4), np.full(4, 0.5)
+        cfg = SidConfig(seed=0, max_steps=1, max_rounds=1, certify_samples=64)
+        if lambda_start is None:
+            R.estimate_ru(g, dec, "id", x, cfg)
+        else:
+            loss = partial(R.ru_loss, g, dec.graph, "id", x)
+            fit_sigma(g, "id", x, cfg, loss, lambda_start)
         assert seen[0] == first
 
     def test_layer_mismatch_rejected(self):

@@ -1,12 +1,15 @@
 """The scripts under scripts/ against the program they call.
 
-scripts/bench_step.py replays the first step call of a real estimate, so a
-change to fit_sigma's loss contract that the script does not follow fails
-here rather than only when someone next runs the script.
+Each script is run small, so a change to the program that a script does not
+follow (fit_sigma's loss contract for scripts/bench_step.py, SidConfig for the
+coherency demo, the data writers for the dataset script) fails here rather
+than only when someone next runs the script.
 """
 
 import importlib.util
 from pathlib import Path
+
+from layerlens import data as D
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -25,3 +28,19 @@ def test_bench_step_runs(capsys):
     assert "80 steps, conformant True" in out
     for phase in ("jacobian probe", "baseline", "dead-unit probe", "steps", "certification"):
         assert f"  {phase} " in out
+
+
+def test_coherency_demo_runs(capsys):
+    _load("run_coherency_demo").main(["--steps", "10"])
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert out[0].strip().startswith("normalized:") and out[0].endswith("PASS")
+    assert out[1].strip().startswith("diagnostic (no normalization):")
+
+
+def test_make_synthetic_data_runs(tmp_path, capsys):
+    _load("make_synthetic_data").main(["--out", str(tmp_path), "--n", "8", "--channels", "3"])
+    images, labels = D.load_lltn_pair(tmp_path / "fourclass_images.lltn", tmp_path / "fourclass_labels.lltn")
+    assert images.shape == (8, 3, 8, 8) and labels.shape == (8,)
+    images, labels = D.load_lltn_pair(tmp_path / "blobs_images.lltn", tmp_path / "blobs_labels.lltn")
+    assert images.shape == (8, 2) and labels.shape == (8,)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -177,22 +178,23 @@ class TestSidLoss:
 
 class TestLambdaAdapt:
     def test_fixed_point(self):
-        assert S.lambda_adapt(2.0, 0.5, 0.5) == 2.0
+        assert S.LambdaSearch(2.0).update(0.5, 0.5) == 2.0
 
     def test_increases_when_epsilon_below_target(self):
-        assert S.lambda_adapt(1.0, 0.4, 0.5) > 1.0
-        assert S.lambda_adapt(1.0, 0.5, 0.4) < 1.0
+        assert S.LambdaSearch(1.0).update(0.4, 0.5) > 1.0
+        assert S.LambdaSearch(1.0).update(0.5, 0.4) < 1.0
 
     def test_factor_bounded(self):
-        assert S.lambda_adapt(1.0, 1e-9, 1.0) == 2.0
-        assert S.lambda_adapt(1.0, 1.0, 1e-9) == 0.5
+        assert S.LambdaSearch(1.0).update(1e-9, 1.0) == 2.0
+        assert S.LambdaSearch(1.0).update(1.0, 1e-9) == 0.5
 
     def test_search_switches_to_bisection(self):
-        search = S.LambdaSearch()
-        lam = search.update(1.0, 0.1, 1.0)  # below target -> grow
-        assert lam == 2.0
-        lam = search.update(4.0, 2.0, 1.0)  # above target -> bracketed now
-        assert lam == pytest.approx(2.0)  # sqrt(1 * 4)
+        # below the target at 1 and 2, above it at 4: the bracket is (2, 4)
+        search = S.LambdaSearch(1.0)
+        assert search.update(0.1, 1.0) == 2.0  # below target -> grow
+        assert search.update(0.2, 1.0) == 4.0  # still below -> grow, bound 2
+        assert search.update(2.0, 1.0) == pytest.approx(math.sqrt(2 * 4))  # bracketed now
+        assert (search.below, search.above) == (2.0, 4.0)
 
     def test_converges_within_twenty_rounds_on_identity(self):
         g = identity_model(4)
@@ -327,9 +329,6 @@ class TestEstimateSid:
             ("alpha", math.nan),
             ("alpha", math.inf),
             ("tau", math.inf),
-            ("lambda_init", math.nan),
-            ("lambda_init", math.inf),
-            ("lambda_init", 0.0),
             ("sigma_cap", -1.0),
             ("sigma_cap", math.nan),
             ("sigma_lr", -0.05),
@@ -341,10 +340,10 @@ class TestEstimateSid:
         for name, value in bad_values:
             with pytest.raises(ValueError, match=name):
                 S.SidConfig(**{name: value})
-        assert S.SidConfig(lambda_init=None, sigma_cap=None).lambda_init is None
+        assert S.SidConfig(sigma_cap=None).sigma_cap is None
 
 
-def _first_lambda(model, layer, x, cfg) -> float:
+def _first_lambda(model, layer, x, cfg, lambda_start=None) -> float:
     """The lambda of fit_sigma's first loss call."""
     seen = []
 
@@ -352,7 +351,7 @@ def _first_lambda(model, layer, x, cfg) -> float:
         seen.append(lam)
         return S.sid_loss(model, layer, x, sigma, lam, *rest)
 
-    S.fit_sigma(model, layer, x, cfg, loss)
+    S.fit_sigma(model, layer, x, cfg, loss, lambda_start)
     return seen[0]
 
 
@@ -395,8 +394,8 @@ class TestLambdaStart:
         assert peak < 40e6
 
     def test_explicit_value_overrides(self):
-        cfg = S.SidConfig(seed=0, lambda_init=0.3, **self.QUICK)
-        assert _first_lambda(identity_model(6), "id", np.linspace(0.1, 0.6, 6), cfg) == 0.3
+        cfg = S.SidConfig(seed=0, **self.QUICK)
+        assert _first_lambda(identity_model(6), "id", np.linspace(0.1, 0.6, 6), cfg, 0.3) == 0.3
 
     def test_unnormalized_diagnostic_starts_at_one(self):
         cfg = S.SidConfig(seed=0, normalize=False, **self.QUICK)
@@ -425,10 +424,11 @@ def test_lambda_final_is_the_lambda_fit_at(monkeypatch, max_rounds, fit_at):
     images, _ = D.make_fourclass_images(n=8, shape=(1, 8, 8), seed=3)
     model = M.tiny_resnet((1, 8, 8), 4, seed=3)
     steps = _recorded_steps(monkeypatch, S, "sid_loss")
-    cfg = S.SidConfig(seed=3, max_rounds=max_rounds, lambda_init=0.5)
-    res = S.estimate_sid(model, "block1", images[0], cfg)
+    cfg = S.SidConfig(seed=3, max_rounds=max_rounds)
+    x = images[0]
+    _, fit = S.fit_sigma(model, "block1", x, cfg, partial(S.sid_loss, model, "block1", x), 0.5)
     assert list(dict.fromkeys(args[4] for args in steps)) == fit_at
-    assert res.lambda_final == fit_at[-1]
+    assert fit["lambda_final"] == fit_at[-1]
 
 
 def _guard_site(name, seed):
