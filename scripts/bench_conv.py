@@ -51,10 +51,10 @@ def per_call_us(fn, seconds: float) -> float:
     return float(np.median(means)) * 1e6
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seconds", type=float, default=0.3, help="timing budget per kernel")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rng = np.random.default_rng(0)
     print(f"input {HW[0]}x{HW[1]}, kernel {KSIZE}x{KSIZE}, stride {STRIDE}, pad {PAD}; us per call")

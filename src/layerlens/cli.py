@@ -422,13 +422,27 @@ def cmd_sweep(run: Run) -> bool:
     return _checkpoint_grid(run, [(None, path) for path in paths], "sweep.checkpoints")
 
 
+def _is_report_model(entry) -> bool:
+    """A report.models entry: a string "checkpoint" and, if given, a non-empty
+    string "id" (the model's name, which defaults to the checkpoint path)."""
+    return (
+        isinstance(entry, dict)
+        and set(entry) <= {"id", "checkpoint"}
+        and isinstance(entry.get("checkpoint"), str)
+        and ("id" not in entry or (isinstance(entry["id"], str) and entry["id"] != ""))
+    )
+
+
 def cmd_report(run: Run) -> bool:
     entries = run.config.get("report", {}).get("models", [])
     if not entries:
         raise ConfigError("report.models lists no models")
-    if not isinstance(entries, list) or not all(isinstance(e, dict) and isinstance(e.get("checkpoint"), str) for e in entries):
-        raise ConfigError(f"report.models must list objects with a \"checkpoint\" path, got {entries!r}")
-    models = [(str(e.get("id", e["checkpoint"])), e["checkpoint"]) for e in entries]
+    if not isinstance(entries, list) or not all(map(_is_report_model, entries)):
+        raise ConfigError(
+            "report.models must list objects with a \"checkpoint\" path and, optionally, "
+            f"a non-empty string \"id\", got {entries!r}"
+        )
+    models = [(e.get("id", e["checkpoint"]), e["checkpoint"]) for e in entries]
     return _checkpoint_grid(run, models, "report.models")
 
 

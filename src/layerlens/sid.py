@@ -414,43 +414,44 @@ def default_sigma_cap(x: np.ndarray) -> float:
     return 10.0 * (span if span > 0 else 1.0)
 
 
-def _probe(model: ModelGraph, layer: str, x: np.ndarray, scale: float):
-    """The layer's flattened features at the 2n probe rows x +- scale * e_i
-    (unit i up in row 2i, down in row 2i+1), built and forwarded _CERT_CHUNK
-    rows at a time: yields (first row, features) per chunk, so memory does not
-    grow with n^2."""
+def _probe(model: ModelGraph, layer: str, x: np.ndarray, scale: float, units: np.ndarray):
+    """The layer's flattened features at the probe rows x +- scale * e_i of the
+    flat indices i in `units` (units[j] up in row 2j, down in row 2j+1), built
+    and forwarded _CERT_CHUNK rows at a time: yields (first row, features) per
+    chunk, so memory does not grow with n^2."""
     n = x.size
-    for lo in range(0, 2 * n, _CERT_CHUNK):
-        rows = np.arange(lo, min(lo + _CERT_CHUNK, 2 * n))
+    for lo in range(0, 2 * len(units), _CERT_CHUNK):
+        rows = np.arange(lo, min(lo + _CERT_CHUNK, 2 * len(units)))
         m = len(rows)
         probes = np.repeat(x.reshape(1, n), m, axis=0)
-        probes[np.arange(m), rows // 2] += np.where(rows % 2, -scale, scale)
+        probes[np.arange(m), units[rows // 2]] += np.where(rows % 2, -scale, scale)
         with T.no_grad():
             f = model.forward(Tensor(probes.reshape((m,) + x.shape)), to_layer=layer).data
         yield lo, f.reshape(m, -1)
 
 
 def find_dead_units(
-    model: ModelGraph, layer: str, x: np.ndarray, scale: float, f0: np.ndarray
+    model: ModelGraph, layer: str, x: np.ndarray, scale: float, surrogate: Surrogate
 ) -> np.ndarray:
-    """Flat indices of input units whose +-scale perturbation leaves the
-    feature unchanged from the clean feature f0. For such units the fit term
-    can never push back, so the max-entropy optimum is the sigma cap itself.
+    """Flat indices of input units that do not move the feature: the fit term
+    never pushes back on them, so their max-entropy optimum is the sigma cap.
+    A unit with a non-zero column of J (surrogate.c_i > 0) moves it at +-tau,
+    so only the flat ones (c_i == 0) are probed, at +-scale, against surrogate.f0.
 
     Keeps only each probe row's largest absolute feature deviation. A dust
     tolerance absorbs the float reassociation noise between the batched
     probes and the clean forward, whatever BLAS happens to run underneath.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    f0 = np.reshape(f0, -1)
-    dev = np.empty(2 * n)
-    for lo, f in _probe(model, layer, x, scale):
+    flat = np.flatnonzero(surrogate.c == 0)
+    f0 = np.reshape(surrogate.f0, -1)
+    dev = np.empty(2 * flat.size)
+    for lo, f in _probe(model, layer, x, scale, flat):
         d = f - f0
         np.abs(d, out=d)
         dev[lo : lo + len(d)] = d.max(axis=1)
     tol = 1e-9 * max(1.0, float(np.abs(f0).max()))
-    return np.flatnonzero(dev.reshape(n, 2).max(axis=1) <= tol)
+    return flat[dev.reshape(-1, 2).max(axis=1) <= tol]
 
 
 def linear_surrogate(model: ModelGraph, layer: str, x: np.ndarray, h: float) -> Surrogate:
@@ -463,7 +464,7 @@ def linear_surrogate(model: ModelGraph, layer: str, x: np.ndarray, h: float) -> 
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     blocks = None  # per feature block: its units' indices and rows of J^T
-    for lo, f in _probe(model, layer, x, h):
+    for lo, f in _probe(model, layer, x, h, np.arange(n)):
         jt = (f[0::2] - f[1::2]) / (2.0 * h)  # J^T rows of units lo/2, lo/2 + 1, ...
         units = np.arange(lo // 2, lo // 2 + len(jt))
         if blocks is None:
@@ -492,10 +493,10 @@ def fit_sigma(
     fixed lambda, adapting lambda between rounds until the held-out feature
     deviation hits alpha * delta_f^2 within tolerance. Dead units run away to
     the sigma cap. The feature's linearisation at x (linear_surrogate, at
-    h = tau) is built once: its f0 is the clean feature that the dead-unit
-    probe, the baseline, every certification and every step compare against,
-    and its G = J^T J their control variate. Returns the learned sigma and the
-    EstimateResult fields.
+    h = tau) is the estimate's one probe: its zero columns of J name the only
+    units find_dead_units forwards at the cap, its f0 is what that probe, the
+    baseline, every certification and every step compare against, and its
+    G = J^T J their control variate. Returns sigma and the EstimateResult fields.
 
     The loss is all that differs between the estimators, and every decision
     about it is made here: `loss(sigma, lam, fit_scale, samples, rng,
@@ -524,14 +525,13 @@ def fit_sigma(
     cap = cfg.sigma_cap if cfg.sigma_cap is not None else default_sigma_cap(x)
     log_cap = math.log(cap)
     sigma = SigmaField.constant(x.shape, cfg.tau)  # start at the probe scale: near-feasible
-    dead = find_dead_units(model, layer, x, cap, surrogate.f0)
+    dead = find_dead_units(model, layer, x, cap, surrogate)
     sigma.log_sigma.reshape(-1)[dead] = log_cap  # their optimum; the clamp keeps them there
     if lambda_start is None:
         lambda_start = 2.0 * cfg.alpha / max(x.size - dead.size, 1) if cfg.normalize else 1.0
     search = LambdaSearch(lambda_start)
     step_rng = root.spawn("est/steps")
     steps_used = 0
-    conformant = False
     tail_from = cfg.max_steps // 2
     rounds = cfg.max_rounds if cfg.normalize else 1
     for round_ in range(rounds):
@@ -551,7 +551,6 @@ def fit_sigma(
             model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout"), surrogate
         )
         if abs(epsilon - target) <= cfg.lambda_tolerance * target:
-            conformant = True
             break
     if cfg.normalize and epsilon > 0:
         # project the non-capped units onto the constraint surface along the
@@ -566,14 +565,13 @@ def fit_sigma(
         epsilon = certify_epsilon(
             model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout"), surrogate
         )
-        conformant = abs(epsilon - target) <= cfg.lambda_tolerance * target
     return sigma, dict(
         epsilon_achieved=epsilon,
         delta_f_sq=delta_f_sq,
         lambda_final=search.lam,
         steps_used=steps_used,
         capped_units=[int(i) for i in np.flatnonzero(sigma.log_sigma >= log_cap - 1e-12)],
-        conformant=conformant,
+        conformant=abs(epsilon - target) <= cfg.lambda_tolerance * target,
         seed=cfg.seed,
         sigma=sigma.sigma,
     )

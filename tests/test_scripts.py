@@ -1,7 +1,8 @@
 """The scripts under scripts/ against the program they call.
 
 Each script is run small, so a change to the program that a script does not
-follow (fit_sigma's loss contract for scripts/bench_step.py, SidConfig for the
+follow (fit_sigma's loss contract for scripts/bench_step.py, the conv
+kernels' private formulations for scripts/bench_conv.py, SidConfig for the
 coherency demo, the data writers for the dataset script) fails here rather
 than only when someone next runs the script.
 """
@@ -28,6 +29,19 @@ def test_bench_step_runs(capsys):
     assert "80 steps, conformant True" in out
     for phase in ("jacobian probe", "baseline", "dead-unit probe", "steps", "certification"):
         assert f"  {phase} " in out
+
+
+def test_bench_conv_runs(capsys):
+    bench = _load("bench_conv")
+    bench.main(["--seconds", "0.01"])
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == len(bench.SHAPES)
+    for row in rows:
+        *_, grad_diffs, forward_diff = row.split("|")
+        # the input gradients agree with the reference loop to rounding, and
+        # the biased forward equals conv2d plus a reshaped-bias add exactly
+        assert max(float(d) for d in grad_diffs.split(",")) < 1e-12
+        assert forward_diff.strip() == "0.0"
 
 
 def test_coherency_demo_runs(capsys):

@@ -371,22 +371,23 @@ class TestLambdaStart:
         g.params["head"]["weight"][~inside.reshape(-1), :] = 0.0
         x = RngStream(5).normal((1, 4, 4)) * 0.3
         cfg = S.SidConfig(seed=1, **self.QUICK)
-        f0 = S.clean_feature(g, "head", x)
-        assert len(S.find_dead_units(g, "head", x, S.default_sigma_cap(x), f0)) == 12
+        surrogate = S.linear_surrogate(g, "head", x, cfg.tau)
+        assert len(S.find_dead_units(g, "head", x, S.default_sigma_cap(x), surrogate)) == 12
         assert _first_lambda(g, "head", x, cfg) == 2 * cfg.alpha / 4
 
     def test_dead_units_in_bounded_memory(self):
         # a 3x16x16 input to a wide dense head: 1536 probe rows in 12 chunks,
         # dead units in five of them. Building every probe row and feature at
-        # once peaked at 85 MB here
+        # once peaked at 85 MB here. The linearisation forwards all of them
+        # and the dead-unit probe only the five flat units' rows
         g = M.build([M.flatten("f"), M.dense("head", 2048)], (3, 16, 16), seed=0)
         dead = np.array([0, 100, 300, 301, 767])
         g.params["head"]["weight"][dead] = 0.0
         x = np.linspace(-1.0, 1.0, 768).reshape(3, 16, 16)
-        f0 = S.clean_feature(g, "head", x)
         tracemalloc.start()
         try:
-            got = S.find_dead_units(g, "head", x, S.default_sigma_cap(x), f0)
+            surrogate = S.linear_surrogate(g, "head", x, S.SidConfig().tau)
+            got = S.find_dead_units(g, "head", x, S.default_sigma_cap(x), surrogate)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -400,6 +401,43 @@ class TestLambdaStart:
     def test_unnormalized_diagnostic_starts_at_one(self):
         cfg = S.SidConfig(seed=0, normalize=False, **self.QUICK)
         assert _first_lambda(identity_model(6), "id", np.linspace(0.1, 0.6, 6), cfg) == 1.0
+
+
+def _tent_model():
+    """dense(4) -> relu -> dense(1) on two inputs: input 0 feeds the ReLU tent
+    relu(t) - 2 relu(t - 1) + relu(t - 2), which rises from t = 0 and is back at
+    0 from t = 2 on, and input 1 a ReLU that is linear around 0."""
+    g = M.build([M.dense("h", 4), M.relu("r"), M.dense("out", 1)], (2,), seed=0)
+    g.params["h"]["weight"] = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    g.params["h"]["bias"] = np.array([0.0, -1.0, -2.0, 1.0])
+    g.params["out"]["weight"] = np.array([[1.0], [-2.0], [1.0], [1.0]])
+    g.params["out"]["bias"] = np.zeros(1)
+    return g
+
+
+def test_unit_that_moves_the_feature_at_tau_is_not_dead():
+    # at x = 0 the tent input moves the feature at +-tau but is back at f0 at
+    # +-cap (10). Probed at the cap alone it was called dead and pinned there,
+    # and the fit ended non-conformant with input 1 crushed to sigma 7.6e-6
+    g, x = _tent_model(), np.zeros(2)
+    cfg = S.SidConfig(seed=0)
+    surrogate = S.linear_surrogate(g, "out", x, cfg.tau)
+    assert S.find_dead_units(g, "out", x, S.default_sigma_cap(x), surrogate).size == 0
+    res = S.estimate_sid(g, "out", x, cfg)
+    assert res.conformant
+    assert res.capped_units == []
+
+
+def test_dead_unit_probe_forwards_nothing_when_no_unit_is_flat(monkeypatch):
+    # every column of J at tiny-resnet/stem is non-zero; probing all 2n rows
+    # at the cap took one forward here
+    model, x, _ = _stem_loss_site()
+    surrogate = S.linear_surrogate(model, "stem", x, S.SidConfig().tau)
+    calls = []
+    forward = M.ModelGraph.forward
+    monkeypatch.setattr(M.ModelGraph, "forward", lambda *a, **k: calls.append(a) or forward(*a, **k))
+    assert S.find_dead_units(model, "stem", x, S.default_sigma_cap(x), surrogate).size == 0
+    assert calls == []
 
 
 def _recorded_steps(monkeypatch, module, name) -> list[tuple]:
