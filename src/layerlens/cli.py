@@ -208,6 +208,25 @@ class Run:
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad training config: {err}") from err
 
+    def train_targets(self, model: M.ModelGraph, cfg: TrainConfig) -> None:
+        """ConfigError unless `model` can train on the dataset's labels under
+        cfg.loss: cross-entropy takes 1-D integer labels in [0, n) for a flat
+        output of n classes, mse takes targets shaped like the output."""
+        out = model.layer_shape(model.layers[-1].name) if model.layers else model.input_shape
+        labels = self.labels
+        if cfg.loss == "mse":
+            need, fits = "targets shaped like the model output", labels.shape[1:] == out
+        else:
+            need = "1-D integer labels in [0, n) for a flat output of n classes"
+            fits = len(out) == 1 and labels.ndim == 1 and labels.dtype.kind in "iu"
+            fits = fits and bool(((labels >= 0) & (labels < out[0])).all())
+        if not fits:
+            span = f" from {labels.min()} to {labels.max()}" if labels.size else ""
+            raise ConfigError(
+                f"train.loss {cfg.loss!r} needs {need}: model output {list(out)}, "
+                f"labels {list(labels.shape)}{span}"
+            )
+
     def write_resolved(self) -> None:
         resolved = dict(self.config, seed=self.seed, tool_version=__version__, command=self.verb)
         lltn.write_json(self.out / "resolved_config.json", resolved)
@@ -230,6 +249,7 @@ def cmd_train(run: Run) -> bool:
     model, meta = run.load_model()
     start_epoch = meta.get("epoch", -1) + 1
     cfg = run.train_config("train", {})
+    run.train_targets(model, cfg)
     run.write_resolved()
     trained, trace = train(
         model, (run.images, run.labels), cfg, checkpoint_dir=run.out / "checkpoints", start_epoch=start_epoch
@@ -270,6 +290,8 @@ def cmd_estimate(run: Run) -> bool:
     decoders = {}
     if run.verb == "ru":
         dec_cfg = run.train_config("decoder", {"epochs": 30, "learning_rate": 0.01, "loss": "mse"})
+        if dec_cfg.loss != "mse":  # a decoder learns to reconstruct its input
+            raise ConfigError(f"decoder.loss must be \"mse\", got {dec_cfg.loss!r}")
         for layer in layers:
             dec = train_decoder(model, layer, run.images, dec_cfg)
             M.save_checkpoint(dec.graph, run.out / f"decoder_{layer}", meta={"layer": layer, "val_mse": dec.val_mse, "seed": run.seed})
@@ -367,6 +389,7 @@ def cmd_damage(run: Run) -> bool:
         layers = run.layers(base)
     picks = run.inputs()
     train_cfg = run.train_config("train", {"epochs": 5, "learning_rate": 0.02})
+    run.train_targets(base, train_cfg)
     cfg = run.estimator_config()
     damaged_graphs = [(p, M.insert_block(base, position=p, n_filters=n_filters, seed=run.seed)) for p in positions]
     run.write_resolved()

@@ -287,19 +287,17 @@ class ModelGraph:
     def forward(self, x, to_layer: str | None = None, param_tensors: dict | None = None) -> Tensor:
         """Evaluate the chain up to (and including) `to_layer`, or fully.
 
-        Accepts a single sample shaped like input_shape or a batch with one
-        extra leading dim. Differentiable w.r.t. x and any param tensors that
-        require grad; without `param_tensors`, each layer's parameters are
-        wrapped as constants when the forward reaches that layer.
+        Takes a batch: one leading axis over samples shaped like input_shape
+        (a single sample x goes in as x[None]). Differentiable w.r.t. x and
+        any param tensors that require grad; without `param_tensors`, each
+        layer's parameters are wrapped as constants when the forward reaches
+        that layer.
         """
         xt = x if isinstance(x, Tensor) else Tensor(x)
-        ishape = tuple(xt.shape)
-        if ishape == self.input_shape:
-            batched = False
-        elif len(ishape) == len(self.input_shape) + 1 and ishape[1:] == self.input_shape:
-            batched = True
-        else:
-            raise T.ShapeError(f"input shape {ishape} does not match model {self.input_shape}")
+        if xt.shape[1:] != self.input_shape:
+            raise T.ShapeError(
+                f"input shape {tuple(xt.shape)} is not a batch of model input {self.input_shape}"
+            )
         if to_layer == INPUT_LAYER:
             return xt
         if to_layer is not None and to_layer not in self._shapes:
@@ -307,24 +305,18 @@ class ModelGraph:
         values: dict = {}
         cur = xt
         for spec in self.layers:
-            cur = self._apply(spec, cur, values, param_tensors, batched)
+            cur = self._apply(spec, cur, values, param_tensors)
             values[spec.name] = cur
             if spec.name == to_layer:
                 return cur
         return cur
 
-    def _apply(
-        self, spec: LayerSpec, x: Tensor, values: dict, pt: dict | None, batched: bool
-    ) -> Tensor:
+    def _apply(self, spec: LayerSpec, x: Tensor, values: dict, pt: dict | None) -> Tensor:
         kind = spec.kind
         if kind == "relu":
             return T.relu(x)
-        if kind == "flatten":
-            n = int(np.prod(x.shape[1:] if batched else x.shape))
-            return T.reshape(x, (x.shape[0], n) if batched else (n,))
-        if kind == "reshape":
-            target = (x.shape[0],) + tuple(spec.shape) if batched else tuple(spec.shape)
-            return T.reshape(x, target)
+        if kind in ("flatten", "reshape"):
+            return T.reshape(x, (x.shape[0],) + self._shapes[spec.name])
         if kind == "add_skip":
             return T.add(x, values[spec.source])
         if pt is None:
@@ -332,9 +324,7 @@ class ModelGraph:
         else:
             p = pt[spec.name]
         if kind == "dense":
-            x2 = x if batched else T.reshape(x, (1, x.shape[0]))
-            out = T.add(T.matmul(x2, p["weight"]), p["bias"])
-            return out if batched else T.reshape(out, (spec.units,))
+            return T.add(T.matmul(x, p["weight"]), p["bias"])
         if kind == "conv":
             return T.conv2d(x, p["weight"], spec.stride, spec.padding, p["bias"])
         if kind == "transpose_conv":

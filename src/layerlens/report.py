@@ -118,9 +118,8 @@ def coherency_check(
     failure mode the normalization exists to prevent."""
     x = np.asarray(x, dtype=np.float64)
     rescaled = rescale_pair(model, layer, factor)
-    with T.no_grad():
-        y0 = model.forward(Tensor(x)).data
-        y1 = rescaled.forward(Tensor(x)).data
+    y0 = model.forward(Tensor(x[None])).data
+    y1 = rescaled.forward(Tensor(x[None])).data
     output_max_diff = float(np.abs(y0 - y1).max())
     r0 = estimate_sid(model, layer, x, cfg)
     r1 = estimate_sid(rescaled, layer, x, cfg)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import train_val_split
-from .model import ModelGraph, build, conv, dense, relu, reshape, residual_block
+from .model import ModelGraph, build, conv, dense, flatten, relu, reshape, residual_block
 from .rng import RngStream
 from .sid import (
     GAUSSIAN_ENTROPY_CONST,
@@ -43,8 +43,7 @@ from .sid import certify_epsilon, feature_baseline, find_dead_units  # noqa: F40
 from .tensor import Tensor
 from .train import TrainConfig, train
 
-RU_FLOOR = math.log(1e-6) + GAUSSIAN_ENTROPY_CONST  # clamp for zero-error units
-_VAR_FLOOR = 1e-12  # matching floor on the per-unit empirical variance
+_VAR_FLOOR = 1e-12  # floor on the per-unit empirical variance (entropy ln(1e-6) + C)
 
 
 @dataclass
@@ -61,7 +60,7 @@ class RuResult(EstimateResult):
     H_hat_i: np.ndarray
     H_hat_total: float
     decoder_mse: float
-    clamped_units: list[int]  # units floored at RU_FLOOR
+    clamped_units: list[int]  # units whose error variance is floored at _VAR_FLOOR
 
     _map = "H_hat_i"
 
@@ -76,7 +75,8 @@ def make_decoder(feature_shape: tuple, input_shape: tuple, seed: int = 0) -> Mod
 
     Spatial features get three residual blocks (transposed-conv upsampling in
     the leading blocks when the feature map is smaller than the input) and a
-    final 3x3 conv; flat features get a two-layer MLP reshaped to input shape.
+    final 3x3 conv; any other feature gets a two-layer MLP (after a flatten
+    when the feature has more than one axis) reshaped to input shape.
     """
     feature_shape, input_shape = tuple(feature_shape), tuple(input_shape)
     if len(feature_shape) == 3 and len(input_shape) == 3:
@@ -95,19 +95,17 @@ def make_decoder(feature_shape: tuple, input_shape: tuple, seed: int = 0) -> Mod
             specs.append(residual_block(f"dec_block{i + 1}", width, upsample=i < n_up))
         specs.append(conv("dec_out", ic, 3, padding=1))
         return build(specs, feature_shape, seed=seed)
-    flat = int(np.prod(feature_shape))
     target = int(np.prod(input_shape))
     hidden = max(2 * target, 16)
-    return build(
-        [
-            dense("dec_fc1", hidden),
-            relu("dec_relu1"),
-            dense("dec_fc2", target),
-            reshape("dec_out", input_shape),
-        ],
-        (flat,) if len(feature_shape) != 1 else feature_shape,
-        seed=seed,
-    )
+    specs = [
+        dense("dec_fc1", hidden),
+        relu("dec_relu1"),
+        dense("dec_fc2", target),
+        reshape("dec_out", input_shape),
+    ]
+    if len(feature_shape) > 1:
+        specs.insert(0, flatten("dec_flat"))
+    return build(specs, feature_shape, seed=seed)
 
 
 def train_decoder(
@@ -132,12 +130,10 @@ def train_decoder(
     feats = _forward_chunked(model, images, layer)
     if feats.shape[1:] != tuple(feature_shape):
         raise ValueError(f"feature shape mismatch: {feats.shape[1:]} vs {feature_shape}")
-    flat_feats = feats.reshape(len(images), -1) if len(feature_shape) == 1 else feats
     train_idx, val_idx = train_val_split(len(images), 0.1, seed=cfg.seed)
     mse_cfg = replace(cfg, loss="mse")
-    trained, _ = train(decoder, (flat_feats[train_idx], images[train_idx]), mse_cfg)
-    with T.no_grad():
-        recon = trained.forward(Tensor(flat_feats[val_idx]))
+    trained, _ = train(decoder, (feats[train_idx], images[train_idx]), mse_cfg)
+    recon = trained.forward(Tensor(feats[val_idx]))
     val_mse = float(np.mean((recon.data - images[val_idx]) ** 2))
     return DecoderSpec(graph=trained, layer=layer, val_mse=val_mse)
 

@@ -178,23 +178,21 @@ class Surrogate:
 
 
 def clean_feature(model: ModelGraph, layer: str, x: np.ndarray) -> np.ndarray:
-    """The layer's feature f0 at the unperturbed input (no graph recorded)."""
-    with T.no_grad():
-        return model.forward(Tensor(x), to_layer=layer).data
+    """The layer's feature f0 at the unperturbed input, unbatched."""
+    return model.forward(Tensor(x[None]), to_layer=layer).data[0]
 
 
 def _forward_chunked(model: ModelGraph, xs: np.ndarray, layer: str) -> np.ndarray:
     """The layer's features of a batch, forwarded _CERT_CHUNK rows at a time
     into one array."""
     out = None
-    with T.no_grad():
-        for lo in range(0, len(xs), _CERT_CHUNK):
-            f = model.forward(Tensor(xs[lo : lo + _CERT_CHUNK]), to_layer=layer).data
-            if out is None:
-                if len(f) == len(xs):
-                    return f
-                out = np.empty((len(xs),) + f.shape[1:])
-            out[lo : lo + len(f)] = f
+    for lo in range(0, len(xs), _CERT_CHUNK):
+        f = model.forward(Tensor(xs[lo : lo + _CERT_CHUNK]), to_layer=layer).data
+        if out is None:
+            if len(f) == len(xs):
+                return f
+            out = np.empty((len(xs),) + f.shape[1:])
+        out[lo : lo + len(f)] = f
     if out is None:
         raise ValueError("no rows to forward")
     return out
@@ -425,8 +423,7 @@ def _probe(model: ModelGraph, layer: str, x: np.ndarray, scale: float, units: np
         m = len(rows)
         probes = np.repeat(x.reshape(1, n), m, axis=0)
         probes[np.arange(m), units[rows // 2]] += np.where(rows % 2, -scale, scale)
-        with T.no_grad():
-            f = model.forward(Tensor(probes.reshape((m,) + x.shape)), to_layer=layer).data
+        f = model.forward(Tensor(probes.reshape((m,) + x.shape)), to_layer=layer).data
         yield lo, f.reshape(m, -1)
 
 

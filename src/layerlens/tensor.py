@@ -2,15 +2,15 @@
 
 Everything is double precision and row-major. Ops are pure (inputs are never
 mutated) and abort with NumericalError the moment a NaN or Inf shows up,
-instead of letting it propagate. Gradients are recorded as closures on the
-output node; `backward` runs a topological sweep from a scalar loss and
-returns a {tensor: gradient} map over the tensors that require one.
+instead of letting it propagate. There is one mode: an op's result keeps an
+operand, with the closure of its gradient, exactly when that operand requires
+a gradient, so a forward of constant leaves records no tape at all. `backward`
+runs a topological sweep from a scalar loss and returns a {tensor: gradient}
+map over the tensors that require one. Convolutions take batches (B,C,H,W).
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from typing import Callable, Iterable
 
 import numpy as np
@@ -19,7 +19,6 @@ __all__ = [
     "Tensor",
     "NumericalError",
     "ShapeError",
-    "no_grad",
     "add",
     "sub",
     "mul",
@@ -46,24 +45,6 @@ class NumericalError(ArithmeticError):
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-_GRAD_STATE = threading.local()  # per-thread so parallel estimation runs don't race
-
-
-def _grad_enabled() -> bool:
-    return getattr(_GRAD_STATE, "enabled", True)
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the block (pure forward evaluation)."""
-    prev = _grad_enabled()
-    _GRAD_STATE.enabled = False
-    try:
-        yield
-    finally:
-        _GRAD_STATE.enabled = prev
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -120,12 +101,8 @@ def _result(data: np.ndarray, parents: Iterable[tuple], op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    if _grad_enabled():
-        kept = tuple((p, fn) for p, fn in parents if p.requires_grad)
-    else:
-        kept = ()
-    out._parents = kept
-    out.requires_grad = bool(kept)
+    out._parents = tuple((p, fn) for p, fn in parents if p.requires_grad)
+    out.requires_grad = bool(out._parents)
     return out
 
 
@@ -274,16 +251,7 @@ def _conv_input_grad(g: np.ndarray, kernels: np.ndarray, hw: tuple, stride: int,
     return _flipped_adjoint(g, kernels, stride, pad)
 
 
-def _batched(x: Tensor):
-    """Promote (C,H,W) to (1,C,H,W); report whether we did."""
-    if x.data.ndim == 3:
-        return x.data[None], True
-    if x.data.ndim == 4:
-        return x.data, False
-    raise ShapeError(f"expected 3-D or 4-D spatial tensor, got shape {x.shape}")
-
-
-def _add_bias(out: np.ndarray, bias, squeeze: bool, op: str) -> tuple:
+def _add_bias(out: np.ndarray, bias, op: str) -> tuple:
     """Add a per-channel bias to a fresh (B,K,H,W) conv output in place and
     return its (tensor, gradient) parent, or no parent without a bias. The
     gradient sums the batch axis, then the spatial ones: the order in which
@@ -295,22 +263,19 @@ def _add_bias(out: np.ndarray, bias, squeeze: bool, op: str) -> tuple:
     if bias.shape != (K,):
         raise ShapeError(f"{op}: bias must have shape ({K},), got {bias.shape}")
     out += bias.data.reshape(K, 1, 1)
-
-    def grad_b(g):
-        return (g if squeeze else g.sum(axis=0)).sum(axis=(1, 2))
-
-    return ((bias, grad_b),)
+    return ((bias, lambda g: g.sum(axis=0).sum(axis=(1, 2))),)
 
 
 def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
-    """Cross-correlation of (B,C,H,W) or (C,H,W) with kernels (K,C,kh,kw),
-    plus a per-channel bias (K,) when given."""
+    """Cross-correlation of a batch (B,C,H,W) with kernels (K,C,kh,kw), plus
+    a per-channel bias (K,) when given; a single (C,H,W) sample takes x[None]."""
     x, kernels = _as_tensor(x), _as_tensor(kernels)
-    xd, squeeze = _batched(x)
+    if x.data.ndim != 4:
+        raise ShapeError(f"conv2d: input must be 4-D (B,C,H,W), got {x.shape}")
     if kernels.data.ndim != 4:
         raise ShapeError(f"conv2d: kernels must be 4-D (K,C,kh,kw), got {kernels.shape}")
     K, C, kh, kw = kernels.shape
-    B, Cx, H, W = xd.shape
+    B, Cx, H, W = x.shape
     if Cx != C:
         raise ShapeError(f"conv2d: channel mismatch, input {Cx} vs kernels {C}")
     if kh > H + 2 * padding or kw > W + 2 * padding:
@@ -320,36 +285,36 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
             f"conv2d: non-integer output size for input {H}x{W}, "
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}"
         )
-    cols, oh, ow = _im2col(xd, kh, kw, stride, padding)
+    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
     Wm = kernels.data.reshape(K, C * kh * kw)
     out = np.matmul(Wm, cols).reshape(B, K, oh, ow)
 
     def grad_x(g):
-        gx = _conv_input_grad(g.reshape(B, K, oh, ow), kernels.data, (H, W), stride, padding)
-        return gx[0] if squeeze else gx
+        return _conv_input_grad(g, kernels.data, (H, W), stride, padding)
 
     def grad_k(g):
-        gf = g.reshape(-1, K, oh * ow)
-        gW = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0)
+        gW = np.matmul(g.reshape(B, K, oh * ow), cols.transpose(0, 2, 1)).sum(axis=0)
         return gW.reshape(K, C, kh, kw)
 
-    parents = ((x, grad_x), (kernels, grad_k)) + _add_bias(out, bias, squeeze, "conv2d")
-    return _result(out[0] if squeeze else out, parents, "conv2d")
+    parents = ((x, grad_x), (kernels, grad_k)) + _add_bias(out, bias, "conv2d")
+    return _result(out, parents, "conv2d")
 
 
 def transpose_conv2d(y, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     """Exact adjoint of conv2d with the same kernels/stride/padding, plus a
     per-channel bias (C,) when given.
 
-    Maps (B,K,H',W') back to (B,C,H,W) with H = (H'-1)*stride + kh - 2*padding,
-    so that <conv2d(x), y> == <x, transpose_conv2d(y)> for all x, y (no bias).
+    Maps a batch (B,K,H',W') back to (B,C,H,W) with H = (H'-1)*stride + kh -
+    2*padding, so that <conv2d(x), y> == <x, transpose_conv2d(y)> for all x, y
+    (no bias).
     """
     y, kernels = _as_tensor(y), _as_tensor(kernels)
-    yd, squeeze = _batched(y)
+    if y.data.ndim != 4:
+        raise ShapeError(f"transpose_conv2d: input must be 4-D (B,K,H,W), got {y.shape}")
     if kernels.data.ndim != 4:
         raise ShapeError(f"transpose_conv2d: kernels must be 4-D, got {kernels.shape}")
     K, C, kh, kw = kernels.shape
-    B, Ky, Hy, Wy = yd.shape
+    B, Ky, Hy, Wy = y.shape
     if Ky != K:
         raise ShapeError(f"transpose_conv2d: channel mismatch, input {Ky} vs kernels {K}")
     H = (Hy - 1) * stride + kh - 2 * padding
@@ -357,26 +322,25 @@ def transpose_conv2d(y, kernels, stride: int = 1, padding: int = 0, bias=None) -
     if H < 1 or W < 1:
         raise ShapeError("transpose_conv2d: output size would be empty")
     Wm = kernels.data.reshape(K, C * kh * kw)
-    yf = yd.reshape(B, K, Hy * Wy)
-    out = _conv_input_grad(yd, kernels.data, (H, W), stride, padding)
+    yf = y.data.reshape(B, K, Hy * Wy)
+    out = _conv_input_grad(y.data, kernels.data, (H, W), stride, padding)
 
     last = [None, None]  # (gradient, its columns): both closures get the same g
 
     def gradient_columns(g):
         if last[0] is not g:
-            last[:] = [g, _im2col(g[None] if squeeze else g, kh, kw, stride, padding)[0]]
+            last[:] = [g, _im2col(g, kh, kw, stride, padding)[0]]
         return last[1]
 
     def grad_y(g):
-        gy = np.matmul(Wm, gradient_columns(g)).reshape(B, K, Hy, Wy)
-        return gy[0] if squeeze else gy
+        return np.matmul(Wm, gradient_columns(g)).reshape(B, K, Hy, Wy)
 
     def grad_k(g):
         gW = np.matmul(yf, gradient_columns(g).transpose(0, 2, 1)).sum(axis=0)
         return gW.reshape(K, C, kh, kw)
 
-    parents = ((y, grad_y), (kernels, grad_k)) + _add_bias(out, bias, squeeze, "transpose_conv2d")
-    return _result(out[0] if squeeze else out, parents, "transpose_conv2d")
+    parents = ((y, grad_y), (kernels, grad_k)) + _add_bias(out, bias, "transpose_conv2d")
+    return _result(out, parents, "transpose_conv2d")
 
 
 # ---------------------------------------------------------------------------

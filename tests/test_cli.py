@@ -39,6 +39,12 @@ def workspace(tmp_path):
     }
 
 
+def relabelled(name: str) -> dict:
+    """A dataset section for the workspace's images under the labels that
+    test_malformed_value_is_config_error saves as `name` in @relabel."""
+    return {"format": "lltn", "images": f"@relabel/{name}_images.lltn", "labels": f"@relabel/{name}_labels.lltn"}
+
+
 def write_config(root: Path, name: str, config: dict) -> str:
     path = root / name
     path.write_text(json.dumps(config, indent=2))
@@ -645,6 +651,12 @@ class TestConfigHandling:
             ("report", {"report": {"models": [{"id": None, "checkpoint": "@ckpt/a"}]}}, "report.models"),
             ("report", {"report": {"models": [{"idd": "x", "checkpoint": "@ckpt/a"}]}}, "report.models"),
             ("report", {"report": {"models": [{"id": 5, "checkpoint": "@ckpt/a"}]}}, "report.models"),
+            # training targets that do not fit the model and its loss
+            ("train", {"model": dict(CNN, classes=2)}, "train.loss"),
+            ("train", {"train": {"loss": "mse"}}, "train.loss"),
+            ("damage", {"model": RESNET, "dataset": relabelled("onehot")}, "train.loss"),
+            ("damage", {"model": RESNET, "dataset": relabelled("negative")}, "train.loss"),
+            ("ru", {"layers": ["conv1"], "decoder": {"loss": "cross_entropy"}}, "decoder.loss"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):
@@ -661,6 +673,13 @@ class TestConfigHandling:
             for name in ("a", "b"):
                 M.save_checkpoint(M.tiny_cnn((1, 8, 8), 4, seed=1), ckpt / name, {"epoch": 1})
             config = json.loads(json.dumps(config).replace("@ckpt", str(ckpt)))
+        if verb == "train":
+            del config["estimator"]
+        if "@relabel" in json.dumps(config):
+            labels = D.load_lltn_pair(workspace["dataset"]["images"], workspace["dataset"]["labels"])[1]
+            for name, other in (("onehot", np.eye(4)[labels]), ("negative", labels - 1)):
+                D.save_lltn_pair(workspace["root"] / name, workspace["images"], other)
+            config = json.loads(json.dumps(config).replace("@relabel", str(workspace["root"])))
         assert run(verb, write_config(workspace["root"], "value.json", config)) == 3
         assert key in capsys.readouterr().err
 

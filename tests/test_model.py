@@ -28,7 +28,7 @@ class TestBuild:
         b = np_rng.normal(size=4)
         g.params["d"]["weight"] = W
         g.params["d"]["bias"] = b
-        x = np_rng.normal(size=4)
+        x = np_rng.normal(size=(1, 4))
         out = g.forward(Tensor(x))
         np.testing.assert_allclose(out.data, x @ W + b, rtol=0, atol=1e-15)
 
@@ -70,42 +70,56 @@ class TestBuild:
 class TestForwardTo:
     def test_input_passthrough(self, np_rng):
         g = M.tiny_cnn()
-        x = np_rng.normal(size=(3, 8, 8))
+        x = np_rng.normal(size=(1, 3, 8, 8))
         out = g.forward(Tensor(x), to_layer=M.INPUT_LAYER)
         np.testing.assert_array_equal(out.data, x)
 
     def test_identity_relu_net_preserves_nonnegative_input(self, np_rng):
         g = _identity_dense_chain(n=5, depth=3)
-        x = np.abs(np_rng.normal(size=5))
+        x = np.abs(np_rng.normal(size=(1, 5)))
         out = g.forward(Tensor(x))
         np.testing.assert_allclose(out.data, x, rtol=0, atol=0)
 
     def test_prefix_equals_full_forward(self, np_rng):
         # equivalence oracle: evaluating to the last layer is the full forward
         g = M.tiny_cnn()
-        x = Tensor(np_rng.normal(size=(3, 8, 8)))
+        x = Tensor(np_rng.normal(size=(1, 3, 8, 8)))
         full = g.forward(x)
         last = g.forward(x, to_layer=g.layer_names()[-1])
         np.testing.assert_array_equal(full.data, last.data)
         for name in g.layer_names():
             prefix = g.forward(x, to_layer=name)
-            assert prefix.shape == g.layer_shape(name)
+            assert prefix.shape == (1,) + g.layer_shape(name)
 
     def test_unknown_layer(self):
         with pytest.raises(M.UnknownLayerError):
-            M.tiny_cnn().forward(Tensor(np.zeros((3, 8, 8))), to_layer="nope")
+            M.tiny_cnn().forward(Tensor(np.zeros((1, 3, 8, 8))), to_layer="nope")
 
     def test_batched_forward_matches_single(self, np_rng):
+        # a batch of B equals B batches of one
         g = M.tiny_resnet()
         xs = np_rng.normal(size=(3, 1, 8, 8))
         batched = g.forward(Tensor(xs), to_layer="block2")
         for i in range(3):
-            single = g.forward(Tensor(xs[i]), to_layer="block2")
-            np.testing.assert_allclose(batched.data[i], single.data, rtol=0, atol=0)
+            single = g.forward(Tensor(xs[i : i + 1]), to_layer="block2")
+            np.testing.assert_allclose(batched.data[i : i + 1], single.data, rtol=0, atol=0)
+
+    def test_tape_only_where_a_leaf_needs_a_gradient(self, np_rng):
+        # constant leaves (the input and the wrapped parameters) record nothing
+        g = M.tiny_cnn()
+        xs = np_rng.normal(size=(2, 3, 8, 8))
+        out = g.forward(Tensor(xs))
+        assert not out.requires_grad and out._parents == ()
+        tracked = g.forward(Tensor(xs, requires_grad=True))
+        assert tracked.requires_grad and tracked._parents != ()
+        np.testing.assert_array_equal(tracked.data, out.data)
 
     def test_wrong_input_shape_rejected(self):
         with pytest.raises(T.ShapeError):
             M.tiny_cnn().forward(Tensor(np.zeros((1, 8, 8))))
+        # one unbatched sample: the forward takes a batch only
+        with pytest.raises(T.ShapeError, match=r"\(3, 8, 8\)"):
+            M.tiny_cnn().forward(Tensor(np.zeros((3, 8, 8))))
 
     # numpy warns on inf * 0 inside the conv GEMM before the op rejects the NaN
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -117,7 +131,7 @@ class TestForwardTo:
         g = M.tiny_cnn()
         g.params[layer][param].reshape(-1)[0] = bad
         with pytest.raises(T.NumericalError):
-            g.forward(Tensor(np.ones((3, 8, 8))))
+            g.forward(Tensor(np.ones((1, 3, 8, 8))))
 
 
 class TestInsertBlock:
@@ -148,7 +162,7 @@ class TestInsertBlock:
         damaged = M.insert_block(g, position=1, n_filters=8)
         for name in g.layer_names():
             assert damaged.layer_shape(name) == g.layer_shape(name)
-        x = Tensor(np_rng.normal(size=(3, 8, 8)))
+        x = Tensor(np_rng.normal(size=(1, 3, 8, 8)))
         assert damaged.forward(x).shape == g.forward(x).shape
 
     def test_identity_init_is_noop_on_outputs(self, np_rng):
@@ -156,7 +170,7 @@ class TestInsertBlock:
         damaged = M.insert_block(g, position=1, n_filters=16)
         for layer in ("inserted1_conv1", "inserted1_conv2"):
             damaged.params[layer] = {"weight": np.eye(16).reshape(16, 16, 1, 1), "bias": np.zeros(16)}
-        x = Tensor(np_rng.normal(size=(3, 8, 8)))
+        x = Tensor(np_rng.normal(size=(1, 3, 8, 8)))
         np.testing.assert_allclose(damaged.forward(x).data, g.forward(x).data, rtol=0, atol=0)
 
     def test_random_init_pinned(self):
@@ -188,7 +202,7 @@ class TestRescalePair:
     def test_output_preserved_and_feature_scaled(self, np_rng):
         g = M.tiny_cnn(seed=5)
         scaled = M.rescale_pair(g, "conv1", factor=4.0)
-        x = Tensor(np_rng.normal(size=(3, 8, 8)))
+        x = Tensor(np_rng.normal(size=(1, 3, 8, 8)))
         y0, y1 = g.forward(x), scaled.forward(x)
         assert np.abs(y0.data - y1.data).max() <= 1e-10
         f0 = g.forward(x, to_layer="conv1")
@@ -198,7 +212,7 @@ class TestRescalePair:
     def test_dense_successor_after_flatten(self, np_rng):
         g = M.tiny_cnn(seed=5)
         scaled = M.rescale_pair(g, "conv2", factor=4.0)
-        x = Tensor(np_rng.normal(size=(3, 8, 8)))
+        x = Tensor(np_rng.normal(size=(1, 3, 8, 8)))
         assert np.abs(g.forward(x).data - scaled.forward(x).data).max() <= 1e-10
 
     def test_inverse_restores_parameters(self):
@@ -234,7 +248,7 @@ class TestCheckpoint:
         M.save_checkpoint(g, tmp_path / "ck", meta={"epoch": 3, "loss": 0.5, "seed": 9})
         loaded, meta = M.load_checkpoint(tmp_path / "ck")
         assert meta["epoch"] == 3
-        x = Tensor(np_rng.normal(size=(1, 8, 8)))
+        x = Tensor(np_rng.normal(size=(1, 1, 8, 8)))
         np.testing.assert_array_equal(g.forward(x).data, loaded.forward(x).data)
 
     def test_truncated_parameter_file_rejected(self, tmp_path):
@@ -330,8 +344,8 @@ class TestDecoderStyleGraphs:
             seed=1,
         )
         assert g.layer_shape("up") == (4, 8, 8)
-        out = g.forward(Tensor(np_rng.normal(size=(4, 4, 4))))
-        assert out.shape == (1, 8, 8)
+        out = g.forward(Tensor(np_rng.normal(size=(1, 4, 4, 4))))
+        assert out.shape == (1, 1, 8, 8)
 
     def test_reshape_layer_and_add_skip(self, np_rng):
         g = M.build(
@@ -345,8 +359,8 @@ class TestDecoderStyleGraphs:
             (8,),
             seed=1,
         )
-        out = g.forward(Tensor(np_rng.normal(size=8)))
-        assert out.shape == (1, 4, 4)
+        out = g.forward(Tensor(np_rng.normal(size=(1, 8))))
+        assert out.shape == (1, 1, 4, 4)
 
     def test_add_skip_unknown_source(self):
         with pytest.raises(M.BuildError, match="not found"):

@@ -16,6 +16,8 @@ from layerlens.train import TrainConfig
 
 from conftest import result_digest, zero_surrogate
 
+RU_FLOOR = math.log(1e-6) + C  # a unit's entropy at the 1e-12 floor on its error variance
+
 
 def identity_model(n):
     g = M.build([M.dense("id", n)], (n,), seed=0)
@@ -58,17 +60,17 @@ def make_linear_manifold(n: int = 256, dim: int = 8, rank: int = 3, seed: int = 
 class TestMakeDecoder:
     def test_output_shape_equals_input_shape_for_every_layer(self):
         g = M.tiny_cnn(input_shape=(3, 8, 8), classes=4)
-        x = RngStream(3).normal((3, 8, 8))
+        x = RngStream(3).normal((1, 3, 8, 8))
         for layer in g.layer_names():
             feat_shape = g.layer_shape(layer)
             dec = R.make_decoder(feat_shape, g.input_shape, seed=1)
             feat = g.forward(x, to_layer=layer)
             out = dec.forward(feat)
-            assert out.shape == g.input_shape, layer
+            assert out.shape == (1,) + g.input_shape, layer
 
     def test_upsampling_path(self):
         dec = R.make_decoder((4, 4, 4), (3, 8, 8), seed=0)
-        assert dec.forward(RngStream(0).normal((4, 4, 4))).shape == (3, 8, 8)
+        assert dec.forward(RngStream(0).normal((1, 4, 4, 4))).shape == (1, 3, 8, 8)
         specs = {s.name: s for s in dec.layers}
         assert specs["dec_block1"].upsample and not specs["dec_block2"].upsample
 
@@ -103,10 +105,23 @@ class TestTrainDecoder:
         from layerlens.sid import _forward_chunked
 
         feats = _forward_chunked(g, xs, "conv2")
-        with T.no_grad():
-            recon = untrained.forward(T.Tensor(feats))
+        recon = untrained.forward(T.Tensor(feats))
         untrained_mse = float(np.mean((recon.data - xs) ** 2))
         assert trained.val_mse < untrained_mse
+
+    @pytest.mark.parametrize("layer", ["img", "c"])
+    def test_spatial_feature_of_a_flat_input(self, layer):
+        # the MLP decoder flattens a feature with more than one axis; it took
+        # (N,1,4,4) features on a (16,) input and raised ShapeError
+        g = M.build([M.dense("d", 16), M.reshape("img", (1, 4, 4)), M.conv("c", 2, 3, padding=1)], (16,), seed=1)
+        xs = RngStream(5).normal((32, 16))
+        cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=2, seed=0, loss="mse")
+        dec = R.train_decoder(g, layer, xs, cfg)
+        assert dec.graph.layers[0].kind == "flatten"
+        assert dec.graph.input_shape == g.layer_shape(layer)
+        res = R.estimate_ru(g, dec, layer, xs[0], SidConfig(seed=2, max_steps=20, max_rounds=1))
+        assert res.H_hat_i.shape == (16,)
+        assert np.isfinite(res.H_hat_i).all()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -134,7 +149,7 @@ class TestPixelRu:
         dec.params["dec"]["bias"] = x.copy()  # g(.) = x exactly
         h, clamped = R.pixel_ru(g, dec, "id", x, SigmaField.constant((n,), 0.05), 256, RngStream(1))
         assert clamped.tolist() == [0, 1, 2, 3]
-        np.testing.assert_allclose(h, R.RU_FLOOR, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h, RU_FLOOR, rtol=0, atol=1e-12)
 
     def test_sum_network_conditional_mean_decoder_closed_form(self):
         # least-squares reconstruction of x_i from the sum feature under
@@ -236,7 +251,7 @@ class TestEstimateRu:
             g, identity_decoder(n), "id", np.full(n, 0.5), SidConfig(seed=3, max_steps=30, max_rounds=2)
         )
         assert res.H_hat_total == res.H_hat_i.sum()
-        assert (res.H_hat_i >= R.RU_FLOOR - 1e-12).all()
+        assert (res.H_hat_i >= RU_FLOOR - 1e-12).all()
 
     @pytest.mark.parametrize("lambda_start,first", [(None, 1.0), (0.3, 0.3)])
     def test_lambda_start(self, monkeypatch, lambda_start, first):

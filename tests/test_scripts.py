@@ -3,14 +3,19 @@
 Each script is run small, so a change to the program that a script does not
 follow (fit_sigma's loss contract for scripts/bench_step.py, the conv
 kernels' private formulations for scripts/bench_conv.py, SidConfig for the
-coherency demo, the data writers for the dataset script) fails here rather
-than only when someone next runs the script.
+coherency demo, the damage config's keys for the damage demo, the data
+writers for the dataset script) fails here rather than only when someone next
+runs the script.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
+from layerlens import cli
 from layerlens import data as D
+from layerlens.sid import SidConfig
+from layerlens.train import TrainConfig
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -50,6 +55,22 @@ def test_coherency_demo_runs(capsys):
     assert len(out) == 2
     assert out[0].strip().startswith("normalized:") and out[0].endswith("PASS")
     assert out[1].strip().startswith("diagnostic (no normalization):")
+
+
+def test_damage_demo_config_is_valid(tmp_path, capsys):
+    # the demo's config goes through the CLI's checks, not its 9-cell grid
+    demo = _load("run_damage_demo")
+
+    def checked_only(argv):
+        config = json.loads(Path(argv[argv.index("--config") + 1]).read_text())
+        cli._validate(config, "damage")
+        SidConfig(**config["estimator"])
+        TrainConfig(**config["train"])
+        return 0
+
+    demo.cli_main = checked_only
+    demo.main(["--out", str(tmp_path)])
+    assert capsys.readouterr().out.rstrip().endswith("(exit 0)")
 
 
 def test_make_synthetic_data_runs(tmp_path, capsys):

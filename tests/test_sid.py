@@ -636,7 +636,7 @@ class TestTapeNodes:
             return wrap(cls, arr, *args, **kwargs)
 
         monkeypatch.setattr(T.Tensor, "wrap", classmethod(recording))
-        model.forward(x, to_layer="stem")
+        model.forward(x[None], to_layer="stem")
         stem = model.params["stem"]
         assert len(wrapped) == 2
         assert wrapped[0] is stem["weight"] and wrapped[1] is stem["bias"]
