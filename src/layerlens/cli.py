@@ -150,17 +150,16 @@ class Run:
     images: np.ndarray
     labels: np.ndarray
 
-    def _fits(self, model: M.ModelGraph) -> M.ModelGraph:
-        if tuple(self.images.shape[1:]) != model.input_shape:
+    def _fits(self, input_shape, key: str) -> None:
+        if tuple(input_shape) != self.images.shape[1:]:
             raise ConfigError(
-                f"model input_shape {list(model.input_shape)} does not match the dataset's "
-                f"images {list(self.images.shape[1:])}"
+                f"{key} {list(input_shape)} does not match the dataset's images {list(self.images.shape[1:])}"
             )
-        return model
 
     def load_checkpoint(self, path: str) -> tuple[M.ModelGraph, dict]:
         model, meta = M.load_checkpoint(path)
-        return self._fits(model), meta
+        self._fits(model.input_shape, "model input_shape")
+        return model, meta
 
     def load_model(self) -> tuple[M.ModelGraph, dict]:
         section = self.config.get("model", {})
@@ -168,13 +167,14 @@ class Run:
             return self.load_checkpoint(_field(section["checkpoint"], "model.checkpoint", "str"))
         if "architecture" not in section:
             raise ConfigError("model needs either a checkpoint or an architecture name")
-        input_shape = section.get("input_shape", [3, 8, 8])
+        input_shape = section.get("input_shape", list(self.images.shape[1:]))
         if not isinstance(input_shape, list) or not all(_is_int(n) and n > 0 for n in input_shape):
             raise ConfigError(f"model.input_shape must be a list of positive integers, got {input_shape!r}")
+        self._fits(input_shape, "model.input_shape")  # before the build allocates parameters for it
         classes = _field(section.get("classes", 4), "model.classes", "int")
         model_seed = _field(section.get("seed", self.seed), "model.seed", "int")
         architecture = _field(section["architecture"], "model.architecture", "str")
-        return self._fits(M.build_architecture(architecture, tuple(input_shape), classes, seed=model_seed)), {}
+        return M.build_architecture(architecture, tuple(input_shape), classes, seed=model_seed), {}
 
     def layers(self, model: M.ModelGraph) -> list[str]:
         layers = self.config.get("layers", "all")

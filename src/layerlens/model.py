@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -25,7 +25,7 @@ from .tensor import Tensor
 INPUT_LAYER = "input"  # reserved pseudo-layer name: the unmodified input
 
 _LINEAR_KINDS = {"dense", "conv", "transpose_conv"}  # rescalable, parameterized
-_HOMOGENEOUS_KINDS = {"relu", "flatten"}  # safe to sit between a rescaled pair
+_HOMOGENEOUS_KINDS = {"relu", "flatten", "reshape"}  # safe to sit between a rescaled pair
 
 _is_int = TYPE_CHECKS["int"]
 
@@ -52,11 +52,8 @@ class LayerSpec:
     shape: tuple | None = None  # reshape target (sample shape, no batch dim)
 
     def to_json(self) -> dict:
-        d = {k: v for k, v in asdict(self).items() if v not in (None, False)}
-        if self.stride == 1:
-            d.pop("stride", None)
-        if self.padding == 0:
-            d.pop("padding", None)
+        """Every field that differs from its default."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) != f.default}
         if self.shape is not None:
             d["shape"] = list(self.shape)
         return d
@@ -106,17 +103,20 @@ def add_skip(name: str, source: str) -> LayerSpec:
 
 
 # ---------------------------------------------------------------------------
-# shape inference
+# layer geometry: output shapes and parameter layouts
 # ---------------------------------------------------------------------------
 
 
 def _check_spec(spec: LayerSpec) -> None:
-    """BuildError unless every field of `spec` has its annotated type, every
-    size is positive and the padding is not negative."""
+    """BuildError unless every field of `spec` has its annotated type, the
+    name can be part of a file name (checkpoints and outputs are named after
+    layers), every size is positive and the padding is not negative."""
     try:
         check_field_types(spec)
     except TypeError as err:
         raise BuildError(f"layer {spec.name!r}: {err}") from None
+    if not spec.name or "/" in spec.name or "\\" in spec.name:
+        raise BuildError(f"layer {spec.name!r}: name must be non-empty and contain no '/' or '\\'")
     for name in ("channels", "kernel", "stride", "units"):
         value = getattr(spec, name)
         if value is not None and value < 1:
@@ -135,47 +135,55 @@ def _conv_out(h: int, k: int, s: int, p: int, name: str) -> int:
     return (h + 2 * p - k) // s + 1
 
 
-def _infer_shape(spec: LayerSpec, in_shape: tuple, known: dict) -> tuple:
-    kind = spec.kind
+def _geometry(spec: LayerSpec, in_shape: tuple, known: dict) -> tuple[tuple, list]:
+    """(output shape, parameter layout) of a layer on input `in_shape`, where
+    `known` maps every earlier layer to its output shape. The layout lists
+    (name, shape, He fan-in) of each parameter in drawing order; a fan-in of
+    0 marks a zero-initialized bias."""
+    kind, ch, k = spec.kind, spec.channels, spec.kernel
+    if kind in ("conv", "transpose_conv", "residual_block") and len(in_shape) != 3:
+        raise BuildError(f"layer {spec.name!r}: {kind} expects (C,H,W), got {in_shape}")
     if kind == "dense":
         if len(in_shape) != 1:
             raise BuildError(f"layer {spec.name!r}: dense expects flat input, got {in_shape}")
-        return (spec.units,)
+        c = in_shape[0]
+        return (spec.units,), [("weight", (c, spec.units), c), ("bias", (spec.units,), 0)]
     if kind == "conv":
-        if len(in_shape) != 3:
-            raise BuildError(f"layer {spec.name!r}: conv expects (C,H,W), got {in_shape}")
         c, h, w = in_shape
-        return (
-            spec.channels,
-            _conv_out(h, spec.kernel, spec.stride, spec.padding, spec.name),
-            _conv_out(w, spec.kernel, spec.stride, spec.padding, spec.name),
-        )
-    if kind == "transpose_conv":
-        if len(in_shape) != 3:
-            raise BuildError(f"layer {spec.name!r}: transpose_conv expects (C,H,W), got {in_shape}")
+        ho = _conv_out(h, k, spec.stride, spec.padding, spec.name)
+        wo = _conv_out(w, k, spec.stride, spec.padding, spec.name)
+        return (ch, ho, wo), [("weight", (ch, c, k, k), c * k * k), ("bias", (ch,), 0)]
+    if kind == "transpose_conv":  # adjoint layout: kernels (C_in, C_out, kh, kw)
         c, h, w = in_shape
-        ho = (h - 1) * spec.stride + spec.kernel - 2 * spec.padding
-        wo = (w - 1) * spec.stride + spec.kernel - 2 * spec.padding
+        ho = (h - 1) * spec.stride + k - 2 * spec.padding
+        wo = (w - 1) * spec.stride + k - 2 * spec.padding
         if ho < 1 or wo < 1:
             raise BuildError(f"layer {spec.name!r}: empty output {ho}x{wo}")
-        return (spec.channels, ho, wo)
+        return (ch, ho, wo), [("weight", (c, ch, k, k), c * k * k), ("bias", (ch,), 0)]
     if kind == "relu":
-        return in_shape
+        return in_shape, []
     if kind == "flatten":
-        return (int(np.prod(in_shape)),)
+        return (int(np.prod(in_shape)),), []
     if kind == "reshape":
         if int(np.prod(in_shape)) != int(np.prod(spec.shape)):
             raise BuildError(
                 f"layer {spec.name!r}: cannot reshape {in_shape} to {tuple(spec.shape)}"
             )
-        return tuple(spec.shape)
+        return tuple(spec.shape), []
     if kind == "residual_block":
-        if len(in_shape) != 3:
-            raise BuildError(f"layer {spec.name!r}: residual_block expects (C,H,W), got {in_shape}")
         c, h, w = in_shape
+        conv2 = [("conv2_weight", (ch, ch, 3, 3), ch * 9), ("conv2_bias", (ch,), 0)]
         if spec.upsample:
-            return (spec.channels, 2 * h, 2 * w)
-        return (spec.channels, h, w)
+            return (ch, 2 * h, 2 * w), [
+                ("up_weight", (c, ch, 4, 4), c * 16),
+                ("up_bias", (ch,), 0),
+                ("skip_weight", (c, ch, 2, 2), c * 4),
+                ("skip_bias", (ch,), 0),
+            ] + conv2
+        layout = [("conv1_weight", (ch, c, 3, 3), c * 9), ("conv1_bias", (ch,), 0)]
+        if ch != c:
+            layout += [("skip_weight", (ch, c, 1, 1), c), ("skip_bias", (ch,), 0)]
+        return (ch, h, w), layout + conv2
     if kind == "add_skip":
         if spec.source not in known:
             raise BuildError(f"layer {spec.name!r}: skip source {spec.source!r} not found earlier")
@@ -183,7 +191,7 @@ def _infer_shape(spec: LayerSpec, in_shape: tuple, known: dict) -> tuple:
             raise BuildError(
                 f"layer {spec.name!r}: skip shape {known[spec.source]} != input {in_shape}"
             )
-        return in_shape
+        return in_shape, []
     raise BuildError(f"layer {spec.name!r}: unknown kind {kind!r}")
 
 
@@ -197,38 +205,11 @@ def _he_uniform(rng: RngStream, shape: tuple, fan_in: int) -> np.ndarray:
     return (rng.uniform(shape) * 2.0 - 1.0) * limit
 
 
-def _param_layout(spec: LayerSpec, in_shape: tuple) -> list[tuple[str, tuple, int]]:
-    """(name, shape, He fan-in) of each parameter of a layer, in drawing order;
-    a fan-in of 0 marks a zero-initialized bias."""
-    k, ch = spec.kernel, spec.channels
-    c = in_shape[0]
-    if spec.kind == "dense":
-        return [("weight", (c, spec.units), c), ("bias", (spec.units,), 0)]
-    if spec.kind == "conv":
-        return [("weight", (ch, c, k, k), c * k * k), ("bias", (ch,), 0)]
-    if spec.kind == "transpose_conv":  # adjoint layout: kernels (C_in, C_out, kh, kw)
-        return [("weight", (c, ch, k, k), c * k * k), ("bias", (ch,), 0)]
-    if spec.kind != "residual_block":
-        return []
-    if spec.upsample:
-        layout = [
-            ("up_weight", (c, ch, 4, 4), c * 16),
-            ("up_bias", (ch,), 0),
-            ("skip_weight", (c, ch, 2, 2), c * 4),
-            ("skip_bias", (ch,), 0),
-        ]
-    else:
-        layout = [("conv1_weight", (ch, c, 3, 3), c * 9), ("conv1_bias", (ch,), 0)]
-        if ch != c:
-            layout += [("skip_weight", (ch, c, 1, 1), c), ("skip_bias", (ch,), 0)]
-    return layout + [("conv2_weight", (ch, ch, 3, 3), ch * 9), ("conv2_bias", (ch,), 0)]
-
-
-def _init_params(spec: LayerSpec, in_shape: tuple, seed: int, tag: str = "init") -> dict:
-    rng = RngStream(derive_seed(seed, f"{tag}/{spec.name}"))
+def _init_params(layer: str, layout: list, seed: int, tag: str = "init") -> dict:
+    rng = RngStream(derive_seed(seed, f"{tag}/{layer}"))
     return {
         name: _he_uniform(rng, shape, fan_in) if fan_in else np.zeros(shape)
-        for name, shape, fan_in in _param_layout(spec, in_shape)
+        for name, shape, fan_in in layout
     }
 
 
@@ -242,9 +223,9 @@ class ModelGraph:
         self.input_shape = tuple(input_shape)
         self.layers = list(layers)
         self.params = params  # {layer name: {param name: np.ndarray}}
-        self._shapes = self._validate()
+        self._shapes, self._layouts = self._validate()  # by layer name: output shape, parameter layout
 
-    def _validate(self) -> dict:
+    def _validate(self) -> tuple[dict, dict]:
         names = [s.name for s in self.layers]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
@@ -254,22 +235,18 @@ class ModelGraph:
         if not all(_is_int(n) and n > 0 for n in self.input_shape):
             raise BuildError(f"input_shape must be positive integers, got {list(self.input_shape)}")
         shapes: dict = {}
+        layouts: dict = {}
         cur = self.input_shape
         for spec in self.layers:
             _check_spec(spec)
-            cur = _infer_shape(spec, cur, shapes)
+            cur, layouts[spec.name] = _geometry(spec, cur, shapes)
             shapes[spec.name] = cur
-        return shapes
+        return shapes, layouts
 
     # -- introspection ------------------------------------------------------
 
     def layer_names(self) -> list[str]:
         return [s.name for s in self.layers]
-
-    def layer_inputs(self) -> list[tuple[LayerSpec, tuple]]:
-        """(spec, input shape) of every layer, in order."""
-        in_shapes = [self.input_shape] + [self._shapes[s.name] for s in self.layers[:-1]]
-        return list(zip(self.layers, in_shapes))
 
     def layer_shape(self, name: str) -> tuple:
         if name == INPUT_LAYER:
@@ -346,7 +323,7 @@ def build(specs: list[LayerSpec], input_shape, seed: int = 0) -> ModelGraph:
     """Assemble a graph, chain-checking shapes and He-uniform-initializing
     parameters (deterministic per layer name for a given seed)."""
     graph = ModelGraph(input_shape, specs, {})
-    graph.params = {s.name: _init_params(s, cur, seed) for s, cur in graph.layer_inputs()}
+    graph.params = {ln: _init_params(ln, layout, seed) for ln, layout in graph._layouts.items()}
     return graph
 
 
@@ -373,7 +350,7 @@ def insert_block(model: ModelGraph, position: int, n_filters: int = 8, seed: int
             f"got {position}"
         )
     at = block_idx[position - 1]
-    m_channels, *h_w = model.layer_shape(model.layers[at].name)
+    m_channels = model.layer_shape(model.layers[at].name)[0]
     base = f"inserted{position}"
     new_specs = [
         conv(f"{base}_conv1", n_filters, 1),
@@ -383,11 +360,10 @@ def insert_block(model: ModelGraph, position: int, n_filters: int = 8, seed: int
     ]
     layers = model.layers[: at + 1] + new_specs + model.layers[at + 1 :]
     params = {ln: {pn: a.copy() for pn, a in d.items()} for ln, d in model.params.items()}
-    for spec, channels in ((new_specs[0], m_channels), (new_specs[2], n_filters)):
-        params[spec.name] = _init_params(spec, (channels, *h_w), seed, tag="insert")
-    params[f"{base}_relu1"] = {}
-    params[f"{base}_relu2"] = {}
-    return ModelGraph(model.input_shape, layers, params)
+    damaged = ModelGraph(model.input_shape, layers, params)
+    for spec in new_specs:
+        params[spec.name] = _init_params(spec.name, damaged._layouts[spec.name], seed, tag="insert")
+    return damaged
 
 
 class RescaleError(ValueError):
@@ -395,13 +371,10 @@ class RescaleError(ValueError):
 
 
 def _rescale_successor(model: ModelGraph, layer_name: str) -> str:
-    idx = None
-    for i, s in enumerate(model.layers):
-        if s.name == layer_name:
-            idx = i
-            break
-    if idx is None:
-        raise UnknownLayerError(layer_name)
+    try:
+        idx = model.layer_names().index(layer_name)
+    except ValueError:
+        raise UnknownLayerError(layer_name) from None
     if model.layers[idx].kind not in _LINEAR_KINDS:
         raise RescaleError(f"layer {layer_name!r} is {model.layers[idx].kind}, not conv/dense")
     for s in model.layers[idx + 1 :]:
@@ -419,7 +392,7 @@ def rescale_pair(model: ModelGraph, layer_name: str, factor: float = 4.0) -> Mod
     """Scale layer L's weights and bias down by `factor` and the next linear
     layer's weights up by `factor` (its bias untouched).
 
-    Requires only positively-homogeneous ops (ReLU, flatten) between the two,
+    Requires only positively-homogeneous ops (ReLU, flatten, reshape) between the two,
     so the network output is unchanged while layer L's feature scales by
     1/factor exactly.
     """
@@ -465,15 +438,15 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
         model = ModelGraph(tuple(graph["input_shape"]), specs, {})
     except (KeyError, TypeError, ValueError) as err:
         raise lltn.LltnError(f"malformed layer graph in {graph_file}: {err!r}") from err
-    for spec, in_shape in model.layer_inputs():
-        model.params[spec.name] = {}
-        for pn, shape, _ in _param_layout(spec, in_shape):
-            arr = lltn.read(path / f"{spec.name}__{pn}.lltn")
+    for ln, layout in model._layouts.items():
+        model.params[ln] = {}
+        for pn, shape, _ in layout:
+            arr = lltn.read(path / f"{ln}__{pn}.lltn")
             if arr.shape != shape:
                 raise lltn.LltnError(
-                    f"checkpoint parameter {spec.name}.{pn} has shape {arr.shape}, expected {shape}"
+                    f"checkpoint parameter {ln}.{pn} has shape {arr.shape}, expected {shape}"
                 )
-            model.params[spec.name][pn] = arr
+            model.params[ln][pn] = arr
     meta_file = path / "meta.json"
     meta = _read_json(meta_file) if meta_file.exists() else {}
     if not isinstance(meta, dict):

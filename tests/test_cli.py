@@ -231,6 +231,17 @@ class TestSidVerb:
                 continue
             assert p.read_bytes() == (root / "parallel" / p.name).read_bytes(), p.name
 
+    def test_input_shape_defaults_to_the_dataset(self, workspace):
+        root = workspace["root"]
+        config = {
+            "dataset": workspace["dataset"],
+            "model": {"architecture": "tiny-cnn", "classes": 4},
+            "estimator": dict(TINY_ESTIMATOR),
+            "layers": ["conv1"],
+            "outputs": str(root / "no_shape"),
+        }
+        assert run("sid", write_config(root, "no_shape.json", config)) in (0, 2)
+
     def test_alpha_flag_overrides(self, workspace):
         root = workspace["root"]
         assert run("sid", self._config(workspace, out="a15", seed=3)) == 0
@@ -657,6 +668,8 @@ class TestConfigHandling:
             ("damage", {"model": RESNET, "dataset": relabelled("onehot")}, "train.loss"),
             ("damage", {"model": RESNET, "dataset": relabelled("negative")}, "train.loss"),
             ("ru", {"layers": ["conv1"], "decoder": {"loss": "cross_entropy"}}, "decoder.loss"),
+            # compared with the dataset before the build would allocate its parameters
+            ("sid", {"layers": ["conv1"], "model": dict(CNN, input_shape=[1, 1000000, 1000000])}, "model.input_shape"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):
@@ -806,6 +819,9 @@ class TestConfigHandling:
             '{"input_shape": [1, 8, 8], "layers": [{"kind": "nope", "name": "conv1"}]}',
             '{"input_shape": [1, 8, 8], "layers": [{"kind": "conv", "name": "conv1", "channels": "x", "kernel": 3}]}',
             '{"input_shape": [1, 8, 8], "layers": [{"kind": "conv", "name": "conv1", "channels": 8, "kernel": -3}]}',
+            # a layer name that reaches outside the checkpoint directory
+            '{"input_shape": [1, 8, 8], "layers": [{"kind": "relu", "name": "../r"}, '
+            '{"kind": "conv", "name": "conv1", "channels": 8, "kernel": 3, "padding": 1}]}',
         ],
     )
     def test_malformed_checkpoint_is_io_error(self, workspace, capsys, graph_text):

@@ -66,6 +66,49 @@ class TestBuild:
         with pytest.raises(M.BuildError, match="unknown kind"):
             M.build([M.relu("r"), M.LayerSpec(kind="pool", name="p")], (4,))
 
+    @pytest.mark.parametrize("name", ["", "a/b", "../r", "a\\b"])
+    def test_name_that_is_not_a_file_name_rejected(self, name):
+        # checkpoints store a layer's parameters in files named after the layer
+        with pytest.raises(M.BuildError, match="name must be non-empty"):
+            M.build([M.relu(name), M.dense("d", 2)], (4,))
+
+
+def _mixed_graph():
+    """The layer kinds with parameters, an upsampling and a widening residual block among them."""
+    return M.build(
+        [M.conv("c", 4, 3, padding=1), M.residual_block("up", 2, upsample=True),
+         M.residual_block("wide", 6), M.transpose_conv("t", 2, 2, stride=2),
+         M.flatten("f"), M.dense("d", 3)],
+        (1, 4, 4),
+        seed=5,
+    )
+
+
+def _saved_and_loaded(g, tmp_path):
+    M.save_checkpoint(g, tmp_path / "ck")
+    return M.load_checkpoint(tmp_path / "ck")[0]
+
+
+class TestLayouts:
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda g, tmp_path: g,
+            lambda g, tmp_path: g.clone(),
+            _saved_and_loaded,
+            lambda g, tmp_path: M.insert_block(g, position=1, n_filters=3, seed=5),
+        ],
+        ids=["build", "clone", "checkpoint", "insert_block"],
+    )
+    def test_parameters_follow_the_recorded_layouts(self, tmp_path, derive):
+        g = _mixed_graph()
+        h = derive(g, tmp_path)
+        assert sorted(h.params) == sorted(h.layer_names())
+        for ln in h.layer_names():
+            got = [(pn, a.shape) for pn, a in h.params[ln].items()]
+            assert got == [(pn, shape) for pn, shape, _ in h._layouts[ln]], ln
+        assert {ln: h._layouts[ln] for ln in g.layer_names()} == g._layouts
+
 
 class TestForwardTo:
     def test_input_passthrough(self, np_rng):
@@ -221,6 +264,21 @@ class TestRescalePair:
         for ln in g.params:
             for pn in g.params[ln]:
                 assert (back.params[ln][pn] == g.params[ln][pn]).all()
+
+    def test_reshape_in_between(self, np_rng):
+        # a reshape moves values without scaling them, so the factor passes through
+        g = M.build(
+            [M.dense("d1", 16), M.reshape("img", (1, 4, 4)), M.conv("c", 2, 3, padding=1),
+             M.flatten("f"), M.dense("d2", 3)],
+            (8,),
+            seed=5,
+        )
+        scaled = M.rescale_pair(g, "d1", factor=4.0)
+        x = Tensor(np_rng.normal(size=(2, 8)))
+        assert np.abs(g.forward(x).data - scaled.forward(x).data).max() <= 1e-10
+        np.testing.assert_allclose(
+            scaled.forward(x, to_layer="d1").data, g.forward(x, to_layer="d1").data / 4.0, rtol=0, atol=0
+        )
 
     def test_refuses_residual_block_in_between(self):
         g = M.tiny_resnet(seed=5)

@@ -1,7 +1,7 @@
 """The package carries only what the program runs: every function, class and
 method defined under src/layerlens is named somewhere else in the program,
 that is in src/, scripts/ or perfbench/. Code only the tests call belongs in
-the tests."""
+the tests. README's Layout block names every module and script."""
 
 import ast
 import re
@@ -33,3 +33,11 @@ def test_every_definition_in_src_is_used_by_the_program():
         name for name, n in defined.items() if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= n
     )
     assert only_defined == []
+
+
+def test_readme_layout_names_every_module_and_script():
+    readme = (ROOT / "README.md").read_text()
+    layout = readme.split("\n## Layout\n", 1)[1].split("```")[1]
+    files = [p.name for p in sorted((ROOT / "src" / "layerlens").glob("*.py")) if p.name != "__init__.py"]
+    files += [p.name for p in sorted((ROOT / "scripts").glob("*.py"))]
+    assert [name for name in files if not re.search(rf"\b{re.escape(name)}\b", layout)] == []
