@@ -27,6 +27,7 @@ from . import __version__, lltn
 from . import data as D
 from . import model as M
 from . import report as REP
+from . import tensor as T
 from .checks import TYPE_CHECKS
 from .ru import estimate_ru, train_decoder
 from .sid import DegenerateLayerError, SidConfig, estimate_sid
@@ -522,7 +523,7 @@ def main(argv=None) -> int:
     except (ConfigError, M.BuildError, M.UnknownLayerError, M.RescaleError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateLayerError, TrainingDiverged) as err:
+    except (DegenerateLayerError, TrainingDiverged, T.NumericalError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NON_CONFORMANT
     except (lltn.LltnError, D.DatasetError, OSError) as err:

@@ -324,6 +324,9 @@ def read_pgm(path) -> np.ndarray:
     while len(fields) < 3:
         while pos < len(raw) and raw[pos : pos + 1].isspace():
             pos += 1
+        if raw[pos : pos + 1] == b"#":  # a comment runs to the end of its line
+            pos = raw.find(b"\n", pos) + 1 or len(raw)
+            continue
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1

@@ -143,6 +143,13 @@ def train_decoder(
 # ---------------------------------------------------------------------------
 
 
+def _unit_entropy(err_sq: Tensor) -> Tensor:
+    """H_hat_i = 0.5*log(max(err_sq_i, _VAR_FLOOR)) + C per unit, from the mean
+    squared reconstruction errors: on the tape when err_sq is."""
+    floored = T.clip_min(err_sq, _VAR_FLOOR)
+    return T.add(T.mul(T.log(floored), Tensor.wrap(0.5)), Tensor.wrap(GAUSSIAN_ENTROPY_CONST))
+
+
 def pixel_ru(
     model: ModelGraph,
     decoder: ModelGraph,
@@ -164,8 +171,7 @@ def pixel_ru(
         raise T.ShapeError(f"decoder output {recon.shape[1:]} does not match input {x.shape}")
     err_sq = ((recon - x) ** 2).mean(axis=0)
     clamped = np.flatnonzero(err_sq.reshape(-1) < _VAR_FLOOR)
-    h = 0.5 * np.log(np.maximum(err_sq, _VAR_FLOOR)) + GAUSSIAN_ENTROPY_CONST
-    return h, clamped
+    return _unit_entropy(Tensor.wrap(err_sq)).data, clamped
 
 
 def ru_loss(
@@ -190,9 +196,7 @@ def ru_loss(
         recon = decoder.forward(fp)
         err = T.sub(recon, Tensor.wrap(x))
         err_sq_mean = T.mul(T.reduce_sum(T.mul(err, err), axis=0), Tensor.wrap(1.0 / samples))
-        floored = T.clip_min(err_sq_mean, _VAR_FLOOR)
-        per_unit = T.add(T.log(floored), Tensor.wrap(GAUSSIAN_ENTROPY_CONST))
-        return T.mul(T.reduce_sum(per_unit), Tensor.wrap(0.5))
+        return T.reduce_sum(_unit_entropy(err_sq_mean))
 
     return _entropy_loss(model, layer, x, sigma, lam, fit_scale, samples, rng, entropy, surrogate)
 

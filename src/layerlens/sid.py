@@ -264,14 +264,12 @@ def _entropy_loss(
     fresh reparameterized draws x' = x + sigma * noise. The fit term is the
     mean squared deviation from the clean feature surrogate.f0 over fit_scale.
     `entropy(x, fp)` builds the entropy being maximized from the perturbed
-    feature fp; None means the perturbation's own Gaussian entropy,
-    sum(log_sigma + C).
+    feature fp; None leaves the fit term alone.
 
     The tape starts at x': it records the network and what `entropy` builds.
-    The sigma chain and the Gaussian entropy are computed here with the
-    arithmetic their tape nodes would do, each value checked under that node's
-    name, and the pathwise gradient is sigma * sum_b(dL/dx'_b * noise_b), plus
-    -lam for the Gaussian entropy.
+    The sigma chain is computed here with the arithmetic its tape nodes would
+    do, each value checked under that node's name, and the pathwise gradient
+    is sigma * sum_b(dL/dx'_b * noise_b).
 
     `surrogate` is the fit term's control variate, off the tape: its draws'
     mean l(z_b) / fit_scale leaves the value and dL/dx'_b loses
@@ -296,25 +294,16 @@ def _entropy_loss(
     xp = Tensor.wrap(_checked(xp, "add"), requires_grad=True)
     fp = model.forward(xp, to_layer=layer)
     scale = 1.0 / (samples * fit_scale)
-    fit = T.sum_sq_diff(fp, Tensor.wrap(surrogate.f0), scale)
-    if entropy is None:
-        with np.errstate(all="ignore"):
-            h = _checked(log_sigma + GAUSSIAN_ENTROPY_CONST, "add")
-            h = _checked(h.sum(), "reduce_sum")
-            value = _checked(fit.data - _checked(h * lam, "mul"), "sub")
-        loss = fit
-    else:
-        loss = T.sub(fit, T.mul(entropy(x, fp), Tensor.wrap(lam)))
-        value = loss.data
+    loss = T.sum_sq_diff(fp, Tensor.wrap(surrogate.f0), scale)
+    if entropy is not None:
+        loss = T.sub(loss, T.mul(entropy(x, fp), Tensor.wrap(lam)))
     grad_xp = T.backward(loss)[xp]
-    value = value - ell * scale + surrogate.mean(sig) / fit_scale
+    value = loss.data - ell * scale + surrogate.mean(sig) / fit_scale
     gz *= 2.0 * scale
     grad_xp = grad_xp - gz.reshape(grad_xp.shape)
     grad = _checked((grad_xp * noise).sum(axis=0), "backward") * sig
     _check_finite(grad, "backward")
     grad += 2.0 * sig * sig * surrogate.c.reshape(sig.shape) / fit_scale
-    if entropy is None:
-        grad += -1.0 * lam
     return float(value), grad
 
 
@@ -332,8 +321,11 @@ def sid_loss(
     """One stochastic evaluation of the maximum-entropy loss and its gradient
     w.r.t. log_sigma, using `samples` fresh reparameterized draws from rng
     (fit_sigma's loss contract). The entropy is the perturbation's own,
-    sum(log_sigma + C); its gradient is 1 per unit."""
-    return _entropy_loss(model, layer, x, sigma, lam, fit_scale, samples, rng, None, surrogate)
+    sum(entropy_field(sigma)), off the tape; its gradient is 1 per unit."""
+    fit, grad = _entropy_loss(model, layer, x, sigma, lam, fit_scale, samples, rng, None, surrogate)
+    with np.errstate(all="ignore"):  # a non-finite value raises NumericalError
+        value = fit - entropy_field(sigma).sum() * lam
+    return float(_checked(value, "sid_loss")), grad - lam
 
 
 def certify_epsilon(

@@ -42,7 +42,8 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam; state keyed by (layer, param) so it survives re-wrapping."""
+    """Standard Adam; state keyed by (layer, param) so it survives re-wrapping.
+    A step rebinds params[layer][param] to a new array and never mutates one."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
@@ -53,7 +54,8 @@ class Adam:
     def step(self, params: dict, grads: dict) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for key, g in grads.items():
+        for (ln, pn), g in grads.items():
+            key = (ln, pn)
             m = self.m.get(key)
             if m is None:
                 m = np.zeros_like(g)
@@ -64,7 +66,7 @@ class Adam:
             self.m[key], self.v[key] = m, v
             mhat = m / (1 - b1**self.t)
             vhat = v / (1 - b2**self.t)
-            params[key] = params[key] - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            params[ln][pn] = params[ln][pn] - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 class Sgd:
@@ -72,8 +74,8 @@ class Sgd:
         self.lr = lr
 
     def step(self, params: dict, grads: dict) -> None:
-        for key, g in grads.items():
-            params[key] = params[key] - self.lr * g
+        for (ln, pn), g in grads.items():
+            params[ln][pn] = params[ln][pn] - self.lr * g
 
 
 def _make_optimizer(cfg: TrainConfig):
@@ -105,9 +107,6 @@ def train(
     if n == 0:
         raise ValueError("dataset is empty")
     trained = model.clone()
-    flat = {
-        (ln, pn): arr for ln, d in trained.params.items() for pn, arr in d.items()
-    }
     opt = _make_optimizer(cfg)
     trace: list[float] = []
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
@@ -116,7 +115,7 @@ def train(
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             pt = {
-                ln: {pn: Tensor(flat[(ln, pn)], requires_grad=True) for pn in d}
+                ln: {pn: Tensor.wrap(arr, requires_grad=True) for pn, arr in d.items()}
                 for ln, d in trained.params.items()
             }
             try:
@@ -128,10 +127,8 @@ def train(
                 ) from err
             grads = {(ln, pn): grad_of[t] for ln, d in pt.items() for pn, t in d.items() if t in grad_of}
             del grad_of  # it also holds every activation of the batch and its gradient
-            opt.step(flat, grads)
+            opt.step(trained.params, grads)
             losses.append(loss.item())
-        for (ln, pn), arr in flat.items():
-            trained.params[ln][pn] = arr
         mean_loss = float(np.mean(losses))
         trace.append(mean_loss)
         if checkpoint_dir is not None:

@@ -697,6 +697,30 @@ class TestConfigHandling:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "verb,patch",
+        [
+            ("sid", estimator_patch(tau=1e200)),
+            ("sid", estimator_patch(alpha=1e308)),
+            ("ru", dict(estimator_patch(tau=1e200), decoder={"epochs": 1, "loss": "mse"})),
+            ("coherency", {"coherency": {"layer": "conv1", "factor": 1e-300}}),
+        ],
+        ids=["sid-tau", "sid-alpha", "ru-tau", "coherency-factor"],
+    )
+    def test_non_finite_estimate_is_an_error_exit(self, workspace, capsys, verb, patch):
+        # every value is positive and finite, so validation passes; the
+        # estimate then overflows, which exits 2 with a message, not a traceback
+        config = {
+            "dataset": workspace["dataset"],
+            "model": CNN,
+            "estimator": dict(TINY_ESTIMATOR),
+            "inputs": [0],
+            "outputs": str(workspace["root"] / "o"),
+            **patch,
+        }
+        assert run(verb, write_config(workspace["root"], "overflow.json", config)) == 2
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "verb,patch,want",
         [
             ("ru", {"model": CNN, "layers": ["conv1"], "decoder": {"batch_size": 8}}, (30, 0.01, 8)),

@@ -257,14 +257,26 @@ class TestHeatmap:
         back = R.Mask.from_pgm(tmp_path / "mask.pgm")
         assert (back.inside == m.inside).all()
 
+    def test_header_comments_are_skipped(self, tmp_path):
+        # netpbm allows '#' comments in the header; GIMP writes one after P5
+        payload = bytes(range(0, 240, 40))
+        (tmp_path / "plain.pgm").write_bytes(b"P5\n3 2\n255\n" + payload)
+        (tmp_path / "gimp.pgm").write_bytes(
+            b"P5\n# Created by GIMP version 2.10.34 PNM plug-in\n3 2\n# maxval\n255\n" + payload
+        )
+        grid = R.read_pgm(tmp_path / "gimp.pgm")
+        np.testing.assert_array_equal(grid, R.read_pgm(tmp_path / "plain.pgm"))
+        assert grid.shape == (2, 3)
+
     @pytest.mark.parametrize(
         "raw",
         [
             b"P5\n4 4\n255\n" + bytes(10),  # payload truncated
             b"P5\n4 x\n255\n" + bytes(16),  # non-numeric height
             b"P5\n4",  # header cut short
+            b"P5\n4 4\n# no newline ends this comment",  # header lost to a comment
         ],
-        ids=["truncated-payload", "non-numeric-height", "short-header"],
+        ids=["truncated-payload", "non-numeric-height", "short-header", "unterminated-comment"],
     )
     def test_malformed_pgm_is_io_error(self, tmp_path, raw):
         (tmp_path / "bad.pgm").write_bytes(raw)

@@ -522,6 +522,25 @@ def test_sid_loss_pinned():
     )
 
 
+@pytest.mark.parametrize("linearised", [False, True])
+def test_sid_loss_gradient_is_the_fit_gradient_minus_lambda(ru_loss_site, linearised):
+    # the Gaussian entropy sum(entropy_field(sigma)) is off the tape: on one set
+    # of draws, lambda takes lambda * H_total off the value and lambda off
+    # every unit's gradient, bit for bit
+    model, _, x, sigma = ru_loss_site
+    if linearised:
+        surrogate = S.linear_surrogate(model, "conv2", x, 0.01)
+    else:
+        surrogate = zero_surrogate(model, "conv2", x)
+
+    def step(lam):
+        return S.sid_loss(model, "conv2", x, sigma, lam, 1.0, 64, RngStream(7), surrogate)
+
+    (v0, g0), (v1, g1) = step(0.0), step(0.05)
+    np.testing.assert_array_equal(g1, g0 - 0.05)
+    assert v0 - v1 == pytest.approx(0.05 * float(S.entropy_field(sigma).sum()), rel=1e-9)
+
+
 @pytest.mark.parametrize(
     "layer,digest",
     [
