@@ -355,10 +355,7 @@ def cmd_coherency(run: Run) -> bool:
     if _field(section.get("diagnostic", False), "coherency.diagnostic", "bool"):
         cfg = dataclasses.replace(cfg, normalize=False)
     run.write_resolved()
-    try:
-        rep = REP.coherency_check(model, layer, run.images[picks[0]], cfg, factor=float(factor))
-    except M.RescaleError as err:
-        raise ConfigError(str(err)) from err
+    rep = REP.coherency_check(model, layer, run.images[picks[0]], cfg, factor=float(factor))
     lltn.write_json(run.out / "coherency.json", rep.to_json())
     records = [
         REP.LayerRecord.from_results(mid, layer, "inputs[1]", [res])

@@ -26,6 +26,7 @@ from .checks import check_field_types
 from .model import ModelGraph
 from .rng import RngStream
 from .tensor import Tensor, _check_finite
+from .train import Adam
 
 GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -161,7 +162,8 @@ class Surrogate:
 
     def mean(self, scale) -> float:
         """E l(scale * noise): sum(scale_i^2 * c_i), for a scalar or per-unit scale."""
-        return float((np.square(np.ravel(scale)) * self.c).sum())
+        with np.errstate(all="ignore"):  # a non-finite value raises NumericalError
+            return float((np.square(np.ravel(scale)) * self.c).sum())
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """G z_b for each row z_b of a (draws, n) batch, _CERT_CHUNK rows per
@@ -212,13 +214,14 @@ def _mean_sq_deviation(
     draws of rng, with `surrogate` as control variate."""
     x = np.asarray(x, dtype=np.float64)
     xs = rng.normal((samples,) + x.shape)
-    xs *= scale
-    ell = surrogate.total(xs.reshape(samples, -1))  # sum_b l(z_b)
-    xs += x
-    dev = _forward_chunked(model, xs, layer)
-    dev -= surrogate.f0
-    dev *= dev
-    return float((dev.sum() - ell) / samples + surrogate.mean(scale))
+    with np.errstate(all="ignore"):  # a non-finite value raises NumericalError
+        xs *= scale
+        ell = surrogate.total(xs.reshape(samples, -1))  # sum_b l(z_b)
+        xs += x
+        dev = _forward_chunked(model, xs, layer)
+        dev -= surrogate.f0
+        dev *= dev
+        return float((dev.sum() - ell) / samples + surrogate.mean(scale))
 
 
 def feature_baseline(
@@ -377,28 +380,6 @@ class LambdaSearch:
         return self.lam
 
 
-class _AdamState:
-    """Adam on a single array, with a linear late-stage lr decay to damp the
-    stochastic equilibrium jitter of sigma."""
-
-    def __init__(self, shape, lr: float, steps: int):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.t = 0
-        self.lr = lr
-        self.steps = steps
-
-    def step(self, value: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self.t += 1
-        self.m = 0.9 * self.m + 0.1 * grad
-        self.v = 0.999 * self.v + 0.001 * grad * grad
-        mhat = self.m / (1 - 0.9**self.t)
-        vhat = self.v / (1 - 0.999**self.t)
-        frac = min(1.0, self.t / self.steps)
-        lr = self.lr * (1.0 - 0.98 * frac)
-        return value - lr * mhat / (np.sqrt(vhat) + 1e-8)
-
-
 def default_sigma_cap(x: np.ndarray) -> float:
     span = float(np.max(x) - np.min(x))
     return 10.0 * (span if span > 0 else 1.0)
@@ -466,7 +447,8 @@ def linear_surrogate(model: ModelGraph, layer: str, x: np.ndarray, h: float) -> 
     gram = np.zeros((n, n))
     while blocks:
         index, rows = map(np.concatenate, blocks.pop())
-        gram[np.ix_(index, index)] += rows @ rows.T  # one rank-k update
+        with np.errstate(all="ignore"):  # a non-finite G raises NumericalError
+            gram[np.ix_(index, index)] += rows @ rows.T  # one rank-k update
     return Surrogate(clean_feature(model, layer, x), gram)
 
 
@@ -526,11 +508,13 @@ def fit_sigma(
     for round_ in range(rounds):
         if round_:  # moved only when a round is fit at it: lambda_final is what was fit
             search.update(epsilon, target)
-        adam = _AdamState(sigma.log_sigma.shape, cfg.sigma_lr, cfg.max_steps)
+        adam = Adam()
         tail_sum = np.zeros_like(sigma.log_sigma)
         for step in range(cfg.max_steps):
             _, grad = loss(sigma, search.lam, fit_scale, cfg.samples_per_step, step_rng, surrogate)
-            sigma.log_sigma = np.minimum(adam.step(sigma.log_sigma, grad), log_cap)
+            # a linear decay to 2% of the step size damps sigma's stochastic jitter
+            lr = cfg.sigma_lr * (1.0 - 0.98 * min(1.0, (step + 1) / cfg.max_steps))
+            sigma.log_sigma = np.minimum(adam.step(sigma.log_sigma, grad, lr), log_cap)
             steps_used += 1
             if step >= tail_from:
                 tail_sum += sigma.log_sigma

@@ -42,44 +42,26 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam; state keyed by (layer, param) so it survives re-wrapping.
-    A step rebinds params[layer][param] to a new array and never mutates one."""
+    """Adam (Kingma & Ba, ICLR 2015) on one array. A step returns the new
+    value and never mutates the old one; the caller passes each step's lr."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m: dict = {}
-        self.v: dict = {}
+    def __init__(self):
+        self.m = self.v = 0.0
         self.t = 0
 
-    def step(self, params: dict, grads: dict) -> None:
+    def step(self, value: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for (ln, pn), g in grads.items():
-            key = (ln, pn)
-            m = self.m.get(key)
-            if m is None:
-                m = np.zeros_like(g)
-                self.v[key] = np.zeros_like(g)
-            v = self.v[key]
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            self.m[key], self.v[key] = m, v
-            mhat = m / (1 - b1**self.t)
-            vhat = v / (1 - b2**self.t)
-            params[ln][pn] = params[ln][pn] - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        self.m = 0.9 * self.m + 0.1 * grad
+        with np.errstate(all="ignore"):  # an overflowing v stalls the step; it does not warn
+            self.v = 0.999 * self.v + 0.001 * grad * grad
+        mhat = self.m / (1 - 0.9**self.t)
+        vhat = self.v / (1 - 0.999**self.t)
+        return value - lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 class Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params: dict, grads: dict) -> None:
-        for (ln, pn), g in grads.items():
-            params[ln][pn] = params[ln][pn] - self.lr * g
-
-
-def _make_optimizer(cfg: TrainConfig):
-    return Adam(cfg.learning_rate) if cfg.optimizer == "adam" else Sgd(cfg.learning_rate)
+    def step(self, value: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+        return value - lr * grad
 
 
 def _batch_loss(model: ModelGraph, pt: dict, xb: np.ndarray, yb: np.ndarray, kind: str) -> Tensor:
@@ -107,7 +89,8 @@ def train(
     if n == 0:
         raise ValueError("dataset is empty")
     trained = model.clone()
-    opt = _make_optimizer(cfg)
+    make = Adam if cfg.optimizer == "adam" else Sgd
+    opts = {(ln, pn): make() for ln, d in trained.params.items() for pn in d}
     trace: list[float] = []
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         order = RngStream(derive_seed(cfg.seed, f"shuffle/{epoch}")).permutation(n)
@@ -127,7 +110,8 @@ def train(
                 ) from err
             grads = {(ln, pn): grad_of[t] for ln, d in pt.items() for pn, t in d.items() if t in grad_of}
             del grad_of  # it also holds every activation of the batch and its gradient
-            opt.step(trained.params, grads)
+            for (ln, pn), g in grads.items():
+                trained.params[ln][pn] = opts[ln, pn].step(trained.params[ln][pn], g, cfg.learning_rate)
             losses.append(loss.item())
         mean_loss = float(np.mean(losses))
         trace.append(mean_loss)

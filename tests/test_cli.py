@@ -670,6 +670,10 @@ class TestConfigHandling:
             ("ru", {"layers": ["conv1"], "decoder": {"loss": "cross_entropy"}}, "decoder.loss"),
             # compared with the dataset before the build would allocate its parameters
             ("sid", {"layers": ["conv1"], "model": dict(CNN, input_shape=[1, 1000000, 1000000])}, "model.input_shape"),
+            # layers coherency cannot rescale: each message names the layer
+            ("coherency", {"coherency": {"layer": "relu1"}}, "'relu1' is relu, not conv/dense"),
+            ("coherency", {"coherency": {"layer": "flat"}}, "'flat' is flatten, not conv/dense"),
+            ("coherency", {"coherency": {"layer": "logits"}}, "'logits' has no linear successor"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):

@@ -176,9 +176,9 @@ def test_ru_loss_pinned(ru_loss_site):
     model, dec, x, sigma = ru_loss_site
     plain = zero_surrogate(model, "conv2", x)
     value, grad = R.ru_loss(model, dec, "conv2", x, sigma, 0.3, 0.003, 32, RngStream(3), plain)
-    assert value.hex() == "0x1.3e60d9c12b2c0p+7"
+    assert value.hex() == "0x1.3e60d9c12b2c1p+7"
     assert hashlib.sha256(grad.tobytes()).hexdigest() == (
-        "72851c50f243a39d10a63765b2f93e3033885f3ab84808a49da17ce951ccc0ca"
+        "f707b2d72341d2fd21efb422249f06dd60fe9cd8d5c7943ac1700a12023bb6c2"
     )
 
 
@@ -208,7 +208,7 @@ def test_estimate_ru_pinned(ru_loss_site):
     model, dec, x, _ = ru_loss_site
     res = R.estimate_ru(model, R.DecoderSpec(dec, "conv2", 0.0), "conv2", x, SidConfig(seed=3, max_steps=10))
     assert res.steps_used == 20
-    assert result_digest(res) == "5431dc77796b42d1748f98ee5df39e2d15d6ff31de448d201ee71f3bfdc18f2a"
+    assert result_digest(res) == "faa52305cdeef6e826040b8ff1df47941afbd615e763814863bd6b1d7be49668"
 
 
 class TestEstimateRu:

@@ -230,6 +230,19 @@ class TestEstimateSid:
         assert res.H_total == pytest.approx(4 * expected, abs=0.05)
         assert expected == pytest.approx(-0.883646, abs=1e-6)
 
+    def test_unreachable_budget_caps_every_unit(self):
+        # alpha 1e200 asks for a deviation no sigma below the cap reaches:
+        # lambda and the gradient are near 1e198, so Adam's second moment
+        # overflows. The estimate still ends, non-conformant, with every unit
+        # at the cap, and without a RuntimeWarning
+        images, _ = D.make_fourclass_images(n=8, shape=(1, 8, 8), seed=3)
+        x = images[0]
+        model = M.tiny_cnn((1, 8, 8), 4, seed=3)
+        res = S.estimate_sid(model, "conv1", x, S.SidConfig(seed=3, alpha=1e200, max_steps=10, max_rounds=2))
+        assert not res.conformant
+        assert res.capped_units == list(range(x.size))
+        assert res.H_total == pytest.approx(x.size * (math.log(S.default_sigma_cap(x)) + C), rel=1e-12)
+
     def test_linear_closed_form_n8(self):
         A = random_conditioned_matrix(8, cond=10.0, seed=7)
         g = linear_model(A)
@@ -582,7 +595,7 @@ def test_unnormalized_diagnostic_is_the_step_at_divisor_one(monkeypatch, ru_loss
     else:
         model, dec, x, _ = ru_loss_site
         layer, module, name = "conv2", R, "ru_loss"
-        digest = "e4c825b2f3081d1ad5007e0996020d1a6f481ea734311169035bf708ba051bc0"
+        digest = "cc3461cbf1c84638dadcc099527dd2abdbcf1965c999ae5748920f22912777dc"
     cfg = S.SidConfig(
         seed=3, normalize=False, max_steps=20, baseline_samples=256, certify_samples=256
     )

@@ -111,7 +111,22 @@ class TestCnnTraining:
             for name in sorted(trained.params[layer]):
                 h.update(f"{layer}/{name}".encode())
                 h.update(np.ascontiguousarray(trained.params[layer][name]).tobytes())
-        assert h.hexdigest() == "0ce7a2928dd2320fe0ec7b9e95d4dea1e2c6422154301e47ea2d61c4c04ba87e"
+        assert h.hexdigest() == "2edab8af1848dd5c5ac6764beedc7972bab9dddfd6c8e689a5842ca0d2be667a"
+
+    def test_sgd_parameters_and_trace_pinned(self):
+        # every parameter's bits after three epochs of plain SGD, which has
+        # no moment weights to round
+        x, y = D.make_fourclass_images(n=32, seed=3)
+        g = M.tiny_cnn(input_shape=(1, 8, 8), seed=3)
+        cfg = TrainConfig(optimizer="sgd", learning_rate=0.05, epochs=3, batch_size=16, seed=3)
+        trained, trace = train(g, (x, y), cfg)
+        h = hashlib.sha256()
+        for layer in sorted(trained.params):
+            for name in sorted(trained.params[layer]):
+                h.update(f"{layer}/{name}".encode())
+                h.update(np.ascontiguousarray(trained.params[layer][name]).tobytes())
+        assert h.hexdigest() == "4f5f42764a7c33c02220eea75895d7f4e598084335ed010b612dacbbe41ba494"
+        assert trace == pytest.approx([1.0524, 0.1563, 0.058], abs=5e-5)
 
 
 class TestDatasets:

@@ -26,8 +26,8 @@ def workloads():
     "name,digest,steps",
     [
         ("sid-stem", "16444e6c4982ea57177732b9a20f2650be04b181e7691886b2bfacb27db9287c", 80),
-        ("ru-cli", "3386bad4675b6bea6d83067a501dfbd6e4bb2132952fbb6fde87218892f8e7a3", 600),
-        ("damage", "58f8ee6a2899b7ef83f0d22244f090984f203ffe62f3719afca7a6faae770036", 0),
+        ("ru-cli", "551a840446955f1f8925585e3ea9d41eb759fd2bd659f0fa89867362ecef22b9", 600),
+        ("damage", "b5ea2dbb109a74e6f1baefc731462928e93054abfd59ff23fa7397d7f5509540", 0),
     ],
     ids=["sid-stem", "ru-cli", "damage"],
 )
