@@ -344,6 +344,8 @@ def cmd_concentration(run: Run) -> bool:
 def cmd_coherency(run: Run) -> bool:
     model, _ = run.load_model()
     picks = run.inputs()
+    if len(picks) != 1:
+        raise ConfigError(f"coherency checks one input: inputs must list exactly one index, got {picks}")
     section = run.config.get("coherency", {})
     if section.get("layer") is None:
         raise ConfigError("coherency.layer is required")

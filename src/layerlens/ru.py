@@ -175,16 +175,13 @@ def pixel_ru(
 
 
 def ru_loss(
-    model: ModelGraph,
     decoder: ModelGraph,
-    layer: str,
-    x: np.ndarray,
+    surrogate: Surrogate,
     sigma: SigmaField,
     lam: float,
     fit_scale: float,
     samples: int,
     rng: RngStream,
-    surrogate: Surrogate,
 ) -> tuple[float, np.ndarray]:
     """Stochastic reconstruction-entropy loss and gradient w.r.t. log_sigma
     (fit_sigma's loss contract).
@@ -192,13 +189,13 @@ def ru_loss(
     One set of draws feeds both the feature-deviation term and the per-unit
     reconstruction variances (shared draws lower the gradient variance)."""
 
-    def entropy(x, fp):
+    def entropy(fp):
         recon = decoder.forward(fp)
-        err = T.sub(recon, Tensor.wrap(x))
+        err = T.sub(recon, Tensor.wrap(surrogate.x))
         err_sq_mean = T.mul(T.reduce_sum(T.mul(err, err), axis=0), Tensor.wrap(1.0 / samples))
         return T.reduce_sum(_unit_entropy(err_sq_mean))
 
-    return _entropy_loss(model, layer, x, sigma, lam, fit_scale, samples, rng, entropy, surrogate)
+    return _entropy_loss(surrogate, sigma, lam, fit_scale, samples, rng, entropy)
 
 
 def estimate_ru(
@@ -209,11 +206,10 @@ def estimate_ru(
     per-unit H_hat from held-out draws."""
     if decoder.layer != layer:
         raise ValueError(f"decoder was trained for layer {decoder.layer!r}, not {layer!r}")
-    x = np.asarray(x, dtype=np.float64)
     dec = decoder.graph
     # lambda starts at 1.0: fit_sigma's 2*alpha/n_live start solves SID's
     # entropy term only; RU's searches end nearer 1 and took more steps from it
-    sigma, fit = fit_sigma(model, layer, x, cfg, partial(ru_loss, model, dec, layer, x), 1.0)
+    sigma, fit = fit_sigma(model, layer, x, cfg, partial(ru_loss, dec), 1.0)
     H_hat_i, clamped = pixel_ru(
         model, dec, layer, x, sigma, cfg.certify_samples, RngStream(cfg.seed).spawn("ru/pixel")
     )

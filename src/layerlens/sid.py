@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -146,16 +145,19 @@ def entropy_field(sigma: SigmaField) -> np.ndarray:
 
 
 class Surrogate:
-    """The feature linearised at x, f(x + z) ~ f0 + J z: the clean feature f0
-    that every Monte Carlo term of the fit measures its deviation from, and
-    G = J^T J, whose l(z) = z^T G z is that deviation's control variate
-    (Miller et al., "Reducing Reparameterization Gradient Variance", NeurIPS
-    2017). For z = sigma * noise its mean is exactly sum(sigma_i^2 * c_i),
-    c = diag G. Every term subtracts l on its own draws and adds that mean
-    back, so it stays unbiased for any symmetric G; the closer l tracks the
-    deviation, the smaller its variance, down to none on a linear feature."""
+    """A model's layer feature linearised at x, f(x + z) ~ f0 + J z: the site
+    (model, layer, x) every Monte Carlo term of the fit measures, the clean
+    feature f0 it measures the deviation from, and G = J^T J, whose
+    l(z) = z^T G z is that deviation's control variate (Miller et al.,
+    "Reducing Reparameterization Gradient Variance", NeurIPS 2017). For
+    z = sigma * noise its mean is exactly sum(sigma_i^2 * c_i), c = diag G.
+    Every term subtracts l on its own draws and adds that mean back, so it
+    stays unbiased for any symmetric G; the closer l tracks the deviation,
+    the smaller its variance, down to none on a linear feature."""
 
-    def __init__(self, f0: np.ndarray, gram: np.ndarray):
+    def __init__(self, model: ModelGraph, layer: str, x, f0: np.ndarray, gram: np.ndarray):
+        self.model, self.layer = model, layer
+        self.x = np.asarray(x, dtype=np.float64)  # the input, unbatched
         self.f0 = f0  # the clean feature f(x), unbatched
         self.gram = np.ascontiguousarray(gram)  # G, (n, n), symmetric
         self.c = np.diagonal(self.gram).copy()
@@ -200,47 +202,31 @@ def _forward_chunked(model: ModelGraph, xs: np.ndarray, layer: str) -> np.ndarra
     return out
 
 
-def _mean_sq_deviation(
-    model: ModelGraph,
-    layer: str,
-    x,
-    scale,
-    samples: int,
-    rng: RngStream,
-    surrogate: Surrogate,
-) -> float:
-    """Monte Carlo mean squared deviation of the layer's feature from the clean
-    feature surrogate.f0 under input noise scale * N(0, I), from `samples`
-    draws of rng, with `surrogate` as control variate."""
-    x = np.asarray(x, dtype=np.float64)
-    xs = rng.normal((samples,) + x.shape)
+def _mean_sq_deviation(surrogate: Surrogate, scale, samples: int, rng: RngStream) -> float:
+    """Monte Carlo mean squared deviation of the surrogate's feature from its
+    clean f0 under input noise scale * N(0, I), from `samples` draws of rng,
+    with the surrogate as control variate."""
+    xs = rng.normal((samples,) + surrogate.x.shape)
     with np.errstate(all="ignore"):  # a non-finite value raises NumericalError
         xs *= scale
         ell = surrogate.total(xs.reshape(samples, -1))  # sum_b l(z_b)
-        xs += x
-        dev = _forward_chunked(model, xs, layer)
+        xs += surrogate.x
+        dev = _forward_chunked(surrogate.model, xs, surrogate.layer)
         dev -= surrogate.f0
         dev *= dev
         return float((dev.sum() - ell) / samples + surrogate.mean(scale))
 
 
-def feature_baseline(
-    model: ModelGraph,
-    layer: str,
-    x: np.ndarray,
-    tau: float,
-    samples: int,
-    rng: RngStream,
-    surrogate: Surrogate,
-) -> float:
-    """delta_f^2: mean squared feature deviation under isotropic noise std tau,
-    with `surrogate` as control variate."""
+def feature_baseline(surrogate: Surrogate, tau: float, samples: int, rng: RngStream) -> float:
+    """delta_f^2: mean squared deviation of the surrogate's feature under
+    isotropic noise std tau, with the surrogate as control variate."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    value = _mean_sq_deviation(model, layer, x, tau, samples, rng, surrogate)
+    value = _mean_sq_deviation(surrogate, tau, samples, rng)
+    _check_finite(value, "feature_baseline")
     if value <= 0.0:
         raise DegenerateLayerError(
-            f"layer {layer!r} feature is constant under input noise; SID undefined"
+            f"layer {surrogate.layer!r} feature is constant under input noise; SID undefined"
         )
     return value
 
@@ -252,29 +238,26 @@ def _checked(value, op: str):
 
 
 def _entropy_loss(
-    model: ModelGraph,
-    layer: str,
-    x: np.ndarray,
+    surrogate: Surrogate,
     sigma: SigmaField,
     lam: float,
     fit_scale: float,
     samples: int,
     rng: RngStream,
-    entropy: Callable[[np.ndarray, Tensor], Tensor] | None,
-    surrogate: Surrogate,
+    entropy: Callable[[Tensor], Tensor] | None,
 ) -> tuple[float, np.ndarray]:
     """fit - lam * entropy and its gradient w.r.t. log_sigma, from `samples`
-    fresh reparameterized draws x' = x + sigma * noise. The fit term is the
-    mean squared deviation from the clean feature surrogate.f0 over fit_scale.
-    `entropy(x, fp)` builds the entropy being maximized from the perturbed
-    feature fp; None leaves the fit term alone.
+    fresh reparameterized draws x' = x + sigma * noise at the surrogate's x.
+    The fit term is the mean squared deviation of the surrogate's feature from
+    its clean f0 over fit_scale. `entropy(fp)` builds the entropy being
+    maximized from the perturbed feature fp; None leaves the fit term alone.
 
     The tape starts at x': it records the network and what `entropy` builds.
     The sigma chain is computed here with the arithmetic its tape nodes would
     do, each value checked under that node's name, and the pathwise gradient
     is sigma * sum_b(dL/dx'_b * noise_b).
 
-    `surrogate` is the fit term's control variate, off the tape: its draws'
+    The surrogate is the fit term's control variate, off the tape: its draws'
     mean l(z_b) / fit_scale leaves the value and dL/dx'_b loses
     2 G z_b / (samples * fit_scale); its exact mean sum(sigma^2 c) / fit_scale
     comes back, with gradient 2 sigma^2 c / fit_scale."""
@@ -282,7 +265,7 @@ def _entropy_loss(
         raise ValueError("lambda must be non-negative")
     if fit_scale <= 0:
         raise ValueError("fit_scale must be positive")
-    x = np.asarray(x, dtype=np.float64)
+    x = surrogate.x
     log_sigma = sigma.log_sigma
     _check_finite(log_sigma, "tensor")
     noise = rng.normal((samples,) + x.shape)
@@ -295,11 +278,11 @@ def _entropy_loss(
         xp += x
     # x' is the tape's one leaf that takes a gradient; f0 is wrapped, not copied
     xp = Tensor.wrap(_checked(xp, "add"), requires_grad=True)
-    fp = model.forward(xp, to_layer=layer)
+    fp = surrogate.model.forward(xp, to_layer=surrogate.layer)
     scale = 1.0 / (samples * fit_scale)
     loss = T.sum_sq_diff(fp, Tensor.wrap(surrogate.f0), scale)
     if entropy is not None:
-        loss = T.sub(loss, T.mul(entropy(x, fp), Tensor.wrap(lam)))
+        loss = T.sub(loss, T.mul(entropy(fp), Tensor.wrap(lam)))
     grad_xp = T.backward(loss)[xp]
     value = loss.data - ell * scale + surrogate.mean(sig) / fit_scale
     gz *= 2.0 * scale
@@ -311,21 +294,18 @@ def _entropy_loss(
 
 
 def sid_loss(
-    model: ModelGraph,
-    layer: str,
-    x: np.ndarray,
+    surrogate: Surrogate,
     sigma: SigmaField,
     lam: float,
     fit_scale: float,
     samples: int,
     rng: RngStream,
-    surrogate: Surrogate,
 ) -> tuple[float, np.ndarray]:
     """One stochastic evaluation of the maximum-entropy loss and its gradient
     w.r.t. log_sigma, using `samples` fresh reparameterized draws from rng
     (fit_sigma's loss contract). The entropy is the perturbation's own,
     sum(entropy_field(sigma)), off the tape; its gradient is 1 per unit."""
-    fit, grad = _entropy_loss(model, layer, x, sigma, lam, fit_scale, samples, rng, None, surrogate)
+    fit, grad = _entropy_loss(surrogate, sigma, lam, fit_scale, samples, rng, None)
     with np.errstate(all="ignore"):  # a non-finite value raises NumericalError
         value = fit - entropy_field(sigma).sum() * lam
     return float(_checked(value, "sid_loss")), grad - lam
@@ -341,12 +321,13 @@ def certify_epsilon(
     surrogate: Surrogate | None = None,
 ) -> float:
     """Low-variance epsilon estimate from held-out draws (no gradient), with
-    `surrogate` as control variate. None is plain Monte Carlo: the zero-G
-    linearisation at the clean feature, which subtracts and adds back nothing."""
+    `surrogate` as control variate, at its site. None is plain Monte Carlo at
+    (model, layer, x): the zero-G linearisation at the clean feature, which
+    subtracts and adds back nothing."""
     if surrogate is None:
         n = sigma.log_sigma.size
-        surrogate = Surrogate(clean_feature(model, layer, x), np.zeros((n, n)))
-    return _mean_sq_deviation(model, layer, x, sigma.sigma, samples, rng, surrogate)
+        surrogate = Surrogate(model, layer, x, clean_feature(model, layer, x), np.zeros((n, n)))
+    return _mean_sq_deviation(surrogate, sigma.sigma, samples, rng)
 
 
 class LambdaSearch:
@@ -400,9 +381,7 @@ def _probe(model: ModelGraph, layer: str, x: np.ndarray, scale: float, units: np
         yield lo, f.reshape(m, -1)
 
 
-def find_dead_units(
-    model: ModelGraph, layer: str, x: np.ndarray, scale: float, surrogate: Surrogate
-) -> np.ndarray:
+def find_dead_units(surrogate: Surrogate, scale: float) -> np.ndarray:
     """Flat indices of input units that do not move the feature: the fit term
     never pushes back on them, so their max-entropy optimum is the sigma cap.
     A unit with a non-zero column of J (surrogate.c_i > 0) moves it at +-tau,
@@ -412,11 +391,10 @@ def find_dead_units(
     tolerance absorbs the float reassociation noise between the batched
     probes and the clean forward, whatever BLAS happens to run underneath.
     """
-    x = np.asarray(x, dtype=np.float64)
     flat = np.flatnonzero(surrogate.c == 0)
     f0 = np.reshape(surrogate.f0, -1)
     dev = np.empty(2 * flat.size)
-    for lo, f in _probe(model, layer, x, scale, flat):
+    for lo, f in _probe(surrogate.model, surrogate.layer, surrogate.x, scale, flat):
         d = f - f0
         np.abs(d, out=d)
         dev[lo : lo + len(d)] = d.max(axis=1)
@@ -449,7 +427,7 @@ def linear_surrogate(model: ModelGraph, layer: str, x: np.ndarray, h: float) -> 
         index, rows = map(np.concatenate, blocks.pop())
         with np.errstate(all="ignore"):  # a non-finite G raises NumericalError
             gram[np.ix_(index, index)] += rows @ rows.T  # one rank-k update
-    return Surrogate(clean_feature(model, layer, x), gram)
+    return Surrogate(model, layer, x, clean_feature(model, layer, x), gram)
 
 
 def fit_sigma(
@@ -457,25 +435,29 @@ def fit_sigma(
     layer: str,
     x: np.ndarray,
     cfg: SidConfig,
-    loss: Callable[[SigmaField, float, float, int, RngStream, Surrogate], tuple[float, np.ndarray]],
+    loss: Callable[[Surrogate, SigmaField, float, float, int, RngStream], tuple[float, np.ndarray]],
     lambda_start: float | None = None,
 ) -> tuple[SigmaField, dict]:
     """The sigma fit both estimators share. Learn sigma by gradient descent at
     fixed lambda, adapting lambda between rounds until the held-out feature
-    deviation hits alpha * delta_f^2 within tolerance. Dead units run away to
-    the sigma cap. The feature's linearisation at x (linear_surrogate, at
-    h = tau) is the estimate's one probe: its zero columns of J name the only
-    units find_dead_units forwards at the cap, its f0 is what that probe, the
-    baseline, every certification and every step compare against, and its
-    G = J^T J their control variate. Returns sigma and the EstimateResult fields.
+    deviation hits alpha * delta_f^2 within tolerance, or until a round below
+    the target leaves sigma where it started (every step zero, or every unit
+    at the cap), so that no larger lambda can raise the deviation. Dead units
+    run away to the sigma cap. The feature's linearisation at x
+    (linear_surrogate, at h = tau) is the estimate's one probe: its zero
+    columns of J name the only units find_dead_units forwards at the cap, its
+    f0 is what that probe, the baseline, every certification and every step
+    compare against, and its G = J^T J their control variate. Returns sigma
+    and the EstimateResult fields.
 
     The loss is all that differs between the estimators, and every decision
-    about it is made here: `loss(sigma, lam, fit_scale, samples, rng,
-    surrogate)` returns one stochastic (value, gradient w.r.t. log_sigma) of
+    about it is made here: `loss(surrogate, sigma, lam, fit_scale, samples,
+    rng)` returns one stochastic (value, gradient w.r.t. log_sigma) of
     fit / fit_scale - lam * entropy from `samples` fresh draws of rng, where
-    fit is the mean squared deviation of the perturbed feature from
-    surrogate.f0, with `surrogate` as its control variate. fit_scale is the
-    measured delta_f^2, or 1.0 when cfg.normalize is False.
+    fit is the mean squared deviation of the surrogate's perturbed feature
+    from its f0, with the surrogate as control variate. The surrogate carries
+    the site (model, layer, x). fit_scale is the measured delta_f^2, or 1.0
+    when cfg.normalize is False.
 
     LambdaSearch moves lambda between rounds, from lambda_start when the
     caller gives one (estimate_ru: 1.0). Otherwise lambda starts at
@@ -488,15 +470,14 @@ def fit_sigma(
     x = np.asarray(x, dtype=np.float64)
     root = RngStream(cfg.seed)
     surrogate = linear_surrogate(model, layer, x, cfg.tau)
-    delta_f_sq = feature_baseline(
-        model, layer, x, cfg.tau, cfg.baseline_samples, root.spawn("est/baseline"), surrogate
-    )
+    baseline_rng = root.spawn("est/baseline")
+    delta_f_sq = feature_baseline(surrogate, cfg.tau, cfg.baseline_samples, baseline_rng)
     fit_scale = delta_f_sq if cfg.normalize else 1.0
     target = cfg.alpha * delta_f_sq
     cap = cfg.sigma_cap if cfg.sigma_cap is not None else default_sigma_cap(x)
     log_cap = math.log(cap)
     sigma = SigmaField.constant(x.shape, cfg.tau)  # start at the probe scale: near-feasible
-    dead = find_dead_units(model, layer, x, cap, surrogate)
+    dead = find_dead_units(surrogate, cap)
     sigma.log_sigma.reshape(-1)[dead] = log_cap  # their optimum; the clamp keeps them there
     if lambda_start is None:
         lambda_start = 2.0 * cfg.alpha / max(x.size - dead.size, 1) if cfg.normalize else 1.0
@@ -509,21 +490,23 @@ def fit_sigma(
         if round_:  # moved only when a round is fit at it: lambda_final is what was fit
             search.update(epsilon, target)
         adam = Adam()
+        start = sigma.log_sigma  # each step assigns a new array
         tail_sum = np.zeros_like(sigma.log_sigma)
         for step in range(cfg.max_steps):
-            _, grad = loss(sigma, search.lam, fit_scale, cfg.samples_per_step, step_rng, surrogate)
+            _, grad = loss(surrogate, sigma, search.lam, fit_scale, cfg.samples_per_step, step_rng)
             # a linear decay to 2% of the step size damps sigma's stochastic jitter
             lr = cfg.sigma_lr * (1.0 - 0.98 * min(1.0, (step + 1) / cfg.max_steps))
             sigma.log_sigma = np.minimum(adam.step(sigma.log_sigma, grad, lr), log_cap)
             steps_used += 1
             if step >= tail_from:
                 tail_sum += sigma.log_sigma
+        stuck = np.array_equal(sigma.log_sigma, start)
         # Polyak tail average damps the stochastic equilibrium jitter
         sigma.log_sigma = np.minimum(tail_sum / (cfg.max_steps - tail_from), log_cap)
         epsilon = certify_epsilon(
             model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout"), surrogate
         )
-        if abs(epsilon - target) <= cfg.lambda_tolerance * target:
+        if abs(epsilon - target) <= cfg.lambda_tolerance * target or (stuck and epsilon < target):
             break
     if cfg.normalize and epsilon > 0:
         # project the non-capped units onto the constraint surface along the
@@ -553,7 +536,6 @@ def fit_sigma(
 def estimate_sid(model: ModelGraph, layer: str, x, cfg: SidConfig) -> SidResult:
     """Strict information discarding: fit_sigma maximizing the entropy of the
     input perturbation itself."""
-    x = np.asarray(x, dtype=np.float64)
-    sigma, fit = fit_sigma(model, layer, x, cfg, partial(sid_loss, model, layer, x))
+    sigma, fit = fit_sigma(model, layer, x, cfg, sid_loss)
     H_i = entropy_field(sigma)
     return SidResult(H_i=H_i, H_total=float(H_i.sum()), **fit)

@@ -32,7 +32,8 @@ def zero_surrogate(model, layer, x) -> S.Surrogate:
     """The layer's linearisation at x with G = 0: the clean feature, and a
     control variate that subtracts and adds back nothing, so a Monte Carlo
     term given it is the plain estimate, bit for bit."""
-    return S.Surrogate(S.clean_feature(model, layer, x), np.zeros((np.size(x), np.size(x))))
+    n = np.size(x)
+    return S.Surrogate(model, layer, x, S.clean_feature(model, layer, x), np.zeros((n, n)))
 
 
 def result_digest(res) -> str:

@@ -215,36 +215,23 @@ def test_criterion_4_gradient_correctness():
     x = RngStream(11).normal((1, 5, 5)) * 0.5
     sigma = SigmaField.constant((1, 5, 5), 0.01)
     lam, dfs, samples = 0.4, 1e-3, 8
-    plain = dict(surrogate=zero_surrogate(g, "c2", x))
+    plain = zero_surrogate(g, "c2", x)
 
-    _, grad_sid = sid_loss(
-        g, "c2", x, sigma, lam, dfs, samples, rng=RngStream(21, counter=0), **plain
-    )
+    _, grad_sid = sid_loss(plain, sigma, lam, dfs, samples, rng=RngStream(21, counter=0))
     fd_sid = finite_diff(
         lambda v: sid_loss(
-            g, "c2", x, SigmaField(v.reshape(1, 5, 5)), lam, dfs, samples,
-            rng=RngStream(21, counter=0), **plain,
+            plain, SigmaField(v.reshape(1, 5, 5)), lam, dfs, samples, rng=RngStream(21, counter=0)
         )[0],
         sigma.log_sigma.ravel().copy(),
     )
     err_sid = rel_err(grad_sid.ravel(), fd_sid)
 
     decoder = make_decoder(g.layer_shape("c2"), g.input_shape, seed=4)
-    _, grad_ru = ru_loss(
-        g, decoder, "c2", x, sigma, lam, dfs, samples, rng=RngStream(22, counter=0), **plain
-    )
+    _, grad_ru = ru_loss(decoder, plain, sigma, lam, dfs, samples, rng=RngStream(22, counter=0))
     fd_ru = finite_diff(
         lambda v: ru_loss(
-            g,
-            decoder,
-            "c2",
-            x,
-            SigmaField(v.reshape(1, 5, 5)),
-            lam,
-            dfs,
-            samples,
+            decoder, plain, SigmaField(v.reshape(1, 5, 5)), lam, dfs, samples,
             rng=RngStream(22, counter=0),
-            **plain,
         )[0],
         sigma.log_sigma.ravel().copy(),
     )

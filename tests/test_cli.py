@@ -674,6 +674,7 @@ class TestConfigHandling:
             ("coherency", {"coherency": {"layer": "relu1"}}, "'relu1' is relu, not conv/dense"),
             ("coherency", {"coherency": {"layer": "flat"}}, "'flat' is flatten, not conv/dense"),
             ("coherency", {"coherency": {"layer": "logits"}}, "'logits' has no linear successor"),
+            ("coherency", {"coherency": {"layer": "conv1"}, "inputs": [0, 3]}, "inputs must list exactly one index"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):

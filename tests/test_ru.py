@@ -175,7 +175,7 @@ def test_ru_loss_pinned(ru_loss_site):
     # the tape and a Philox generator constructed per draw
     model, dec, x, sigma = ru_loss_site
     plain = zero_surrogate(model, "conv2", x)
-    value, grad = R.ru_loss(model, dec, "conv2", x, sigma, 0.3, 0.003, 32, RngStream(3), plain)
+    value, grad = R.ru_loss(dec, plain, sigma, 0.3, 0.003, 32, RngStream(3))
     assert value.hex() == "0x1.3e60d9c12b2c1p+7"
     assert hashlib.sha256(grad.tobytes()).hexdigest() == (
         "f707b2d72341d2fd21efb422249f06dd60fe9cd8d5c7943ac1700a12023bb6c2"
@@ -190,7 +190,7 @@ def test_ru_loss_entropy_is_the_reported_map(ru_loss_site):
     plain = zero_surrogate(model, "conv2", x)
 
     def value(lam):
-        return R.ru_loss(model, dec, "conv2", x, sigma, lam, 1.0, 64, RngStream(7), plain)[0]
+        return R.ru_loss(dec, plain, sigma, lam, 1.0, 64, RngStream(7))[0]
 
     noise = RngStream(7).normal((64,) + x.shape)
     feats = model.forward(x[None] + sigma.sigma * noise, to_layer="conv2")
@@ -279,9 +279,9 @@ class TestEstimateRu:
         seen = []
         ru_loss = R.ru_loss
 
-        def recording(model, dec, layer, x, sigma, lam, *rest):
+        def recording(dec, surrogate, sigma, lam, *rest):
             seen.append(lam)
-            return ru_loss(model, dec, layer, x, sigma, lam, *rest)
+            return ru_loss(dec, surrogate, sigma, lam, *rest)
 
         monkeypatch.setattr(R, "ru_loss", recording)
         g, dec, x = identity_model(4), identity_decoder(4), np.full(4, 0.5)
@@ -289,7 +289,7 @@ class TestEstimateRu:
         if lambda_start is None:
             R.estimate_ru(g, dec, "id", x, cfg)
         else:
-            loss = partial(R.ru_loss, g, dec.graph, "id", x)
+            loss = partial(R.ru_loss, dec.graph)
             fit_sigma(g, "id", x, cfg, loss, lambda_start)
         assert seen[0] == first
 

@@ -1,7 +1,7 @@
 import hashlib
 import math
 import tracemalloc
-from functools import partial
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from layerlens import data as D
 from layerlens import model as M
+from layerlens import report as REP
 from layerlens import ru as R
 from layerlens import sid as S
 from layerlens import tensor as T
@@ -80,7 +81,7 @@ class TestFeatureBaseline:
         g = identity_model(4)
         x = np.array([0.1, 0.2, 0.3, 0.4])
         tau = 0.01
-        dfs = S.feature_baseline(g, "id", x, tau, 1000, RngStream(3), zero_surrogate(g, "id", x))
+        dfs = S.feature_baseline(zero_surrogate(g, "id", x), tau, 1000, RngStream(3))
         assert dfs == pytest.approx(4 * tau * tau, rel=0.05)
 
     def test_constant_network_is_degenerate(self):
@@ -88,20 +89,36 @@ class TestFeatureBaseline:
         g.params["dead"]["weight"] = np.zeros((3, 3))
         x = np.ones(3)
         with pytest.raises(S.DegenerateLayerError, match="dead"):
-            S.feature_baseline(g, "dead", x, 0.01, 100, RngStream(0), zero_surrogate(g, "dead", x))
+            S.feature_baseline(zero_surrogate(g, "dead", x), 0.01, 100, RngStream(0))
 
     def test_linear_network_gives_frobenius_norm(self):
         A = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
         g = linear_model(A)
         x = np.array([0.2, -0.4])
         tau = 0.05
-        dfs = S.feature_baseline(g, "lin", x, tau, 2000, RngStream(5), zero_surrogate(g, "lin", x))
+        dfs = S.feature_baseline(zero_surrogate(g, "lin", x), tau, 2000, RngStream(5))
         assert dfs == pytest.approx(tau * tau * (A * A).sum(), rel=0.05)
 
     def test_non_positive_tau_rejected(self):
         g, x = identity_model(2), np.zeros(2)
         with pytest.raises(ValueError):
-            S.feature_baseline(g, "id", x, 0.0, 16, RngStream(0), zero_surrogate(g, "id", x))
+            S.feature_baseline(zero_surrogate(g, "id", x), 0.0, 16, RngStream(0))
+
+    @pytest.mark.parametrize("case", ["sid-tau", "ru-tau", "coherency-factor"])
+    def test_non_finite_value_is_raised_as_the_baseline(self, ru_loss_site, case):
+        # tau 1e200, and coherency's conv1 rescaled by 1e-300, overflow the
+        # squared deviation. The NaN passed the degenerate-layer test, and the
+        # estimate failed later, at the first step's sum_sq_diff
+        model, dec, x, _ = ru_loss_site
+        cfg = S.SidConfig(seed=3, max_steps=10, baseline_samples=256, certify_samples=256)
+        with pytest.raises(T.NumericalError, match="feature_baseline"):
+            if case == "sid-tau":
+                S.estimate_sid(model, "conv1", x, replace(cfg, tau=1e200))
+            elif case == "ru-tau":
+                spec = R.DecoderSpec(dec, "conv2", 0.0)
+                R.estimate_ru(model, spec, "conv2", x, replace(cfg, tau=1e200))
+            else:
+                REP.coherency_check(model, "conv1", x, cfg, factor=1e-300)
 
 
 class TestSidLoss:
@@ -110,7 +127,7 @@ class TestSidLoss:
         x = np.zeros(3)
         sigma = S.SigmaField.constant((3,), 0.02)
         plain = zero_surrogate(g, "id", x)
-        loss, _ = S.sid_loss(g, "id", x, sigma, 0.0, 1e-4, 16, RngStream(1), plain)
+        loss, _ = S.sid_loss(plain, sigma, 0.0, 1e-4, 16, RngStream(1))
         assert loss >= 0.0
 
     def test_identity_closed_form_with_common_draws(self):
@@ -120,9 +137,8 @@ class TestSidLoss:
         x = np.array([0.3, -0.1, 0.2, 0.0])
         sigma = S.SigmaField.constant((n,), s_val)
 
-        loss, grad = S.sid_loss(
-            g, "id", x, sigma, lam, dfs, samples, RngStream(9, counter=5), zero_surrogate(g, "id", x)
-        )
+        plain = zero_surrogate(g, "id", x)
+        loss, grad = S.sid_loss(plain, sigma, lam, dfs, samples, RngStream(9, counter=5))
         noise = RngStream(9, counter=5).normal((samples, n))  # same (seed, counter)
 
         chi = (noise * noise).mean(axis=0)
@@ -150,10 +166,10 @@ class TestSidLoss:
 
         def loss_at(log_sigma_flat):
             sf = S.SigmaField(log_sigma_flat.reshape(1, 5, 5))
-            val, _ = S.sid_loss(g, "c2", x, sf, lam, dfs, samples, RngStream(21, counter=0), plain)
+            val, _ = S.sid_loss(plain, sf, lam, dfs, samples, RngStream(21, counter=0))
             return val
 
-        _, grad = S.sid_loss(g, "c2", x, sigma, lam, dfs, samples, RngStream(21, counter=0), plain)
+        _, grad = S.sid_loss(plain, sigma, lam, dfs, samples, RngStream(21, counter=0))
 
         from conftest import finite_diff, rel_err
 
@@ -164,15 +180,12 @@ class TestSidLoss:
         g, x = identity_model(2), np.zeros(2)
         with pytest.raises(ValueError):
             S.sid_loss(
-                g,
-                "id",
-                x,
+                zero_surrogate(g, "id", x),
                 S.SigmaField.constant((2,), 0.01),
                 -1.0,
                 1e-4,
                 4,
                 RngStream(0),
-                zero_surrogate(g, "id", x),
             )
 
 
@@ -214,7 +227,7 @@ class TestEstimateSid:
         x = np.array([0.3, -0.2, 0.8, 0.1])
         seed = 0
         dfs = S.feature_baseline(
-            g, "id", x, 0.01, 16384, RngStream(seed).spawn("est/baseline"), zero_surrogate(g, "id", x)
+            zero_surrogate(g, "id", x), 0.01, 16384, RngStream(seed).spawn("est/baseline")
         )
         cfg = S.SidConfig(
             alpha=0.04 / dfs,
@@ -240,6 +253,7 @@ class TestEstimateSid:
         model = M.tiny_cnn((1, 8, 8), 4, seed=3)
         res = S.estimate_sid(model, "conv1", x, S.SidConfig(seed=3, alpha=1e200, max_steps=10, max_rounds=2))
         assert not res.conformant
+        assert res.steps_used == 10  # the round left sigma where it started
         assert res.capped_units == list(range(x.size))
         assert res.H_total == pytest.approx(x.size * (math.log(S.default_sigma_cap(x)) + C), rel=1e-12)
 
@@ -360,9 +374,9 @@ def _first_lambda(model, layer, x, cfg, lambda_start=None) -> float:
     """The lambda of fit_sigma's first loss call."""
     seen = []
 
-    def loss(sigma, lam, *rest):
+    def loss(surrogate, sigma, lam, *rest):
         seen.append(lam)
-        return S.sid_loss(model, layer, x, sigma, lam, *rest)
+        return S.sid_loss(surrogate, sigma, lam, *rest)
 
     S.fit_sigma(model, layer, x, cfg, loss, lambda_start)
     return seen[0]
@@ -385,7 +399,7 @@ class TestLambdaStart:
         x = RngStream(5).normal((1, 4, 4)) * 0.3
         cfg = S.SidConfig(seed=1, **self.QUICK)
         surrogate = S.linear_surrogate(g, "head", x, cfg.tau)
-        assert len(S.find_dead_units(g, "head", x, S.default_sigma_cap(x), surrogate)) == 12
+        assert len(S.find_dead_units(surrogate, S.default_sigma_cap(x))) == 12
         assert _first_lambda(g, "head", x, cfg) == 2 * cfg.alpha / 4
 
     def test_dead_units_in_bounded_memory(self):
@@ -400,7 +414,7 @@ class TestLambdaStart:
         tracemalloc.start()
         try:
             surrogate = S.linear_surrogate(g, "head", x, S.SidConfig().tau)
-            got = S.find_dead_units(g, "head", x, S.default_sigma_cap(x), surrogate)
+            got = S.find_dead_units(surrogate, S.default_sigma_cap(x))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -435,7 +449,7 @@ def test_unit_that_moves_the_feature_at_tau_is_not_dead():
     g, x = _tent_model(), np.zeros(2)
     cfg = S.SidConfig(seed=0)
     surrogate = S.linear_surrogate(g, "out", x, cfg.tau)
-    assert S.find_dead_units(g, "out", x, S.default_sigma_cap(x), surrogate).size == 0
+    assert S.find_dead_units(surrogate, S.default_sigma_cap(x)).size == 0
     res = S.estimate_sid(g, "out", x, cfg)
     assert res.conformant
     assert res.capped_units == []
@@ -449,7 +463,7 @@ def test_dead_unit_probe_forwards_nothing_when_no_unit_is_flat(monkeypatch):
     calls = []
     forward = M.ModelGraph.forward
     monkeypatch.setattr(M.ModelGraph, "forward", lambda *a, **k: calls.append(a) or forward(*a, **k))
-    assert S.find_dead_units(model, "stem", x, S.default_sigma_cap(x), surrogate).size == 0
+    assert S.find_dead_units(surrogate, S.default_sigma_cap(x)).size == 0
     assert calls == []
 
 
@@ -477,8 +491,8 @@ def test_lambda_final_is_the_lambda_fit_at(monkeypatch, max_rounds, fit_at):
     steps = _recorded_steps(monkeypatch, S, "sid_loss")
     cfg = S.SidConfig(seed=3, max_rounds=max_rounds)
     x = images[0]
-    _, fit = S.fit_sigma(model, "block1", x, cfg, partial(S.sid_loss, model, "block1", x), 0.5)
-    assert list(dict.fromkeys(args[4] for args in steps)) == fit_at
+    _, fit = S.fit_sigma(model, "block1", x, cfg, S.sid_loss, 0.5)
+    assert list(dict.fromkeys(args[2] for args in steps)) == fit_at
     assert fit["lambda_final"] == fit_at[-1]
 
 
@@ -528,7 +542,7 @@ def test_sid_loss_pinned():
     # reduce_sum and mul for the fit term; conv, reshape and add for the stem)
     model, x, sigma = _stem_loss_site()
     plain = zero_surrogate(model, "stem", x)
-    value, grad = S.sid_loss(model, "stem", x, sigma, 0.05, 0.003, 32, RngStream(3), plain)
+    value, grad = S.sid_loss(plain, sigma, 0.05, 0.003, 32, RngStream(3))
     assert value.hex() == "0x1.17a191aa25bd8p+7"
     assert hashlib.sha256(grad.tobytes()).hexdigest() == (
         "cb81634778a212c898ce0595ec64c182566ebda60ce519275df04f83a3368024"
@@ -547,7 +561,7 @@ def test_sid_loss_gradient_is_the_fit_gradient_minus_lambda(ru_loss_site, linear
         surrogate = zero_surrogate(model, "conv2", x)
 
     def step(lam):
-        return S.sid_loss(model, "conv2", x, sigma, lam, 1.0, 64, RngStream(7), surrogate)
+        return S.sid_loss(surrogate, sigma, lam, 1.0, 64, RngStream(7))
 
     (v0, g0), (v1, g1) = step(0.0), step(0.05)
     np.testing.assert_array_equal(g1, g0 - 0.05)
@@ -604,13 +618,11 @@ def test_unnormalized_diagnostic_is_the_step_at_divisor_one(monkeypatch, ru_loss
         res = S.estimate_sid(model, layer, x, cfg)
     else:
         res = R.estimate_ru(model, R.DecoderSpec(dec, layer, 0.0), layer, x, cfg)
-    # fit_scale, samples, rng, surrogate end both step signatures
-    assert {args[-4] for args in steps} == {1.0}
+    # fit_scale, samples, rng end both step signatures
+    assert {args[-3] for args in steps} == {1.0}
     surrogate = S.linear_surrogate(model, layer, x, cfg.tau)
     baseline = RngStream(cfg.seed).spawn("est/baseline")
-    assert res.delta_f_sq == S.feature_baseline(
-        model, layer, x, cfg.tau, cfg.baseline_samples, baseline, surrogate
-    )
+    assert res.delta_f_sq == S.feature_baseline(surrogate, cfg.tau, cfg.baseline_samples, baseline)
     assert hashlib.sha256(res.sigma.tobytes()).hexdigest() == digest
 
 
@@ -641,14 +653,14 @@ class TestTapeNodes:
         model, x, sigma = _stem_loss_site()
         plain = zero_surrogate(model, "stem", x)
         count = self._count(monkeypatch)
-        S.sid_loss(model, "stem", x, sigma, 0.05, 0.003, 32, RngStream(3), plain)
+        S.sid_loss(plain, sigma, 0.05, 0.003, 32, RngStream(3))
         assert count[0] == 2
 
     def test_ru_loss(self, monkeypatch, ru_loss_site):
         model, dec, x, sigma = ru_loss_site
         plain = zero_surrogate(model, "conv2", x)
         count = self._count(monkeypatch)
-        R.ru_loss(model, dec, "conv2", x, sigma, 0.3, 0.003, 32, RngStream(3), plain)
+        R.ru_loss(dec, plain, sigma, 0.3, 0.003, 32, RngStream(3))
         assert count[0] == 31
 
     def test_conv_layer_forward(self, monkeypatch):
@@ -742,7 +754,7 @@ class TestControlVariate:
         model = M.tiny_resnet((1, 8, 8), 4, seed=3)
         surrogate = S.linear_surrogate(model, "block1", x, 0.01)
         sigma = S.SigmaField(np.log(0.01) + 0.3 * np.sin(np.arange(x.size)).reshape(x.shape))
-        dfs = S.feature_baseline(model, "block1", x, 0.01, 1024, RngStream(1), surrogate)
+        dfs = S.feature_baseline(surrogate, 0.01, 1024, RngStream(1))
 
         def agree(plain, cv):
             plain, cv = np.asarray(plain), np.asarray(cv)
@@ -756,11 +768,11 @@ class TestControlVariate:
             [S.certify_epsilon(model, "block1", x, sigma, 256, r) for r in streams],
             [S.certify_epsilon(model, "block1", x, sigma, 256, r, surrogate) for r in streams],
         )
-        args = (model, "block1", x, sigma, 0.04, dfs, 32)
+        args = (sigma, 0.04, dfs, 32)
         plain = zero_surrogate(model, "block1", x)
         agree(
-            [S.sid_loss(*args, r, plain)[1] for r in streams],
-            [S.sid_loss(*args, r, surrogate)[1] for r in streams],
+            [S.sid_loss(plain, *args, r)[1] for r in streams],
+            [S.sid_loss(surrogate, *args, r)[1] for r in streams],
         )
 
     def test_products_run_in_chunks(self):
@@ -787,9 +799,9 @@ class TestControlVariate:
 
         def loss_at(log_sigma_flat):
             sf = S.SigmaField(log_sigma_flat.reshape(1, 5, 5))
-            return S.sid_loss(g, "c2", x, sf, lam, dfs, samples, RngStream(21), surrogate)[0]
+            return S.sid_loss(surrogate, sf, lam, dfs, samples, RngStream(21))[0]
 
-        _, grad = S.sid_loss(g, "c2", x, sigma, lam, dfs, samples, RngStream(21), surrogate)
+        _, grad = S.sid_loss(surrogate, sigma, lam, dfs, samples, RngStream(21))
 
         from conftest import finite_diff, rel_err
 
