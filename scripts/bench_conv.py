@@ -2,12 +2,14 @@
 """Time the conv kernels at the shapes the estimators run.
 
 For each (B, C, K) at an 8x8 input, 3x3 kernels, stride 1, pad 1, prints the
-microseconds per call of conv2d forward with its bias, as ModelGraph calls it,
-of conv2d's input gradient (the shipped choice, the two exact formulations it
-picks between, and the reference: a GEMM plus a kh*kw loop of scatter-adds)
-and of transpose_conv2d; the largest difference of the shipped and the
-flipped input gradient from the reference; and the largest difference of the
-biased forward from conv2d plus a reshaped-bias add, which must read 0.0.
+microseconds per call of conv2d's forward with its bias, as ModelGraph calls
+it; of conv2d's input gradient by each of its two exact formulations, forced
+(`ships` names the one `_conv_input_grad` picks), and by the reference, a
+GEMM plus a kh*kw loop of scatter-adds; and of `_im2col` against a strided
+reference, a zero-padded copy read through an `as_strided` window. Then the
+largest difference of each from its reference: the forward from the strided
+columns' GEMM plus the bias, the two gradients from the loop, and the columns
+from the strided ones. The forward and the columns must read 0.0.
 
     PYTHONPATH=src python scripts/bench_conv.py [--seconds 0.3]
 """
@@ -38,6 +40,20 @@ def loop_scatter(g, kernels, hw, stride, pad):
     return acc[:, :, pad : pad + H, pad : pad + W]
 
 
+def strided_im2col(x, kh, kw, stride, pad):
+    """Reference columns (B, C*kh*kw, oh*ow): the input zero-padded into a
+    fresh buffer, read through a (B,C,kh,kw,oh,ow) window view, copied once."""
+    B, C, H, W = x.shape
+    xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+    xp[:, :, pad : pad + H, pad : pad + W] = x
+    oh, ow = (H + 2 * pad - kh) // stride + 1, (W + 2 * pad - kw) // stride + 1
+    sb, sc, sh, sw = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (B, C, kh, kw, oh, ow), (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False
+    )
+    return np.ascontiguousarray(win.reshape(B, C * kh * kw, oh * ow))
+
+
 def per_call_us(fn, seconds: float) -> float:
     """Median over five windows of the mean time per call."""
     fn()
@@ -58,35 +74,44 @@ def main(argv=None):
 
     rng = np.random.default_rng(0)
     print(f"input {HW[0]}x{HW[1]}, kernel {KSIZE}x{KSIZE}, stride {STRIDE}, pad {PAD}; us per call")
-    print(f"{'B':>4} {'C':>2} {'K':>2} | {'forward':>8} | {'in-grad':>8} {'loop':>8} "
-          f"{'scatter':>8} {'flipped':>8} | {'transpose':>9} | max diff vs loop: shipped, flipped"
-          " | forward vs conv+add")
+    print(f"{'B':>4} {'C':>2} {'K':>2} | {'forward':>8} | {'scatter':>8} {'flipped':>8} "
+          f"{'loop':>8} {'ships':>7} | {'im2col':>8} {'strided':>8} | max diff: forward, "
+          "scatter, flipped, columns")
     for b, c, k in SHAPES:
-        x = T.Tensor(rng.normal(size=(b, c) + HW))
+        x = rng.normal(size=(b, c) + HW)
         kern = rng.normal(size=(k, c, KSIZE, KSIZE))
-        kt = T.Tensor(kern)
-        bt = T.Tensor(rng.normal(size=k))
-        fused = T.conv2d(x, kt, STRIDE, PAD, bt).data
-        composed = T.add(T.conv2d(x, kt, STRIDE, PAD), T.reshape(bt, (k, 1, 1))).data
+        bias = rng.normal(size=k)
+        xt, kt, bt = T.Tensor(x), T.Tensor(kern), T.Tensor(bias)
         g = rng.normal(size=(b, k) + HW)
-        gt = T.Tensor(g)
-        want = loop_scatter(g, kern, HW, STRIDE, PAD)
+        cols = T._im2col(x, KSIZE, KSIZE, STRIDE, PAD)[0]
+        want_cols = strided_im2col(x, KSIZE, KSIZE, STRIDE, PAD)
+        want_forward = np.matmul(kern.reshape(k, -1), want_cols).reshape(b, k, *HW)
+        want_forward += bias.reshape(k, 1, 1)
+        want_grad = loop_scatter(g, kern, HW, STRIDE, PAD)
+        grads = {
+            "scatter": T._scatter_adjoint(g, kern, HW, STRIDE, PAD),
+            "flipped": T._flipped_adjoint(g, kern, HW, STRIDE, PAD),
+        }
         shipped = T._conv_input_grad(g, kern, HW, STRIDE, PAD)
-        flipped = T._flipped_adjoint(g, kern, STRIDE, PAD)
+        ships = next(name for name, grad in grads.items() if np.array_equal(grad, shipped))
         t = {
-            "forward": lambda: T.conv2d(x, kt, STRIDE, PAD, bt),
-            "in-grad": lambda: T._conv_input_grad(g, kern, HW, STRIDE, PAD),
-            "loop": lambda: loop_scatter(g, kern, HW, STRIDE, PAD),
+            "forward": lambda: T.conv2d(xt, kt, STRIDE, PAD, bt),
             "scatter": lambda: T._scatter_adjoint(g, kern, HW, STRIDE, PAD),
-            "flipped": lambda: T._flipped_adjoint(g, kern, STRIDE, PAD),
-            "transpose": lambda: T.transpose_conv2d(gt, kt, STRIDE, PAD),
+            "flipped": lambda: T._flipped_adjoint(g, kern, HW, STRIDE, PAD),
+            "loop": lambda: loop_scatter(g, kern, HW, STRIDE, PAD),
+            "im2col": lambda: T._im2col(x, KSIZE, KSIZE, STRIDE, PAD),
+            "strided": lambda: strided_im2col(x, KSIZE, KSIZE, STRIDE, PAD),
         }
         us = {name: per_call_us(fn, args.seconds) for name, fn in t.items()}
-        print(f"{b:>4} {c:>2} {k:>2} | {us['forward']:8.0f} | {us['in-grad']:8.0f} "
-              f"{us['loop']:8.0f} {us['scatter']:8.0f} {us['flipped']:8.0f} | "
-              f"{us['transpose']:9.0f} | "
-              f"{np.abs(shipped - want).max():.1e}, {np.abs(flipped - want).max():.1e} | "
-              f"{np.abs(fused - composed).max()}")
+        diffs = [
+            np.abs(T.conv2d(xt, kt, STRIDE, PAD, bt).data - want_forward).max(),
+            np.abs(grads["scatter"] - want_grad).max(),
+            np.abs(grads["flipped"] - want_grad).max(),
+            np.abs(cols - want_cols).max(),
+        ]
+        print(f"{b:>4} {c:>2} {k:>2} | {us['forward']:8.0f} | {us['scatter']:8.0f} "
+              f"{us['flipped']:8.0f} {us['loop']:8.0f} {ships:>7} | {us['im2col']:8.0f} "
+              f"{us['strided']:8.0f} | " + ", ".join(f"{d:.1e}" if d else "0.0" for d in diffs))
 
 
 if __name__ == "__main__":

@@ -286,13 +286,15 @@ def cmd_estimate(run: Run) -> bool:
     layers = run.layers(model)
     picks = run.inputs()
     cfg = run.estimator_config()
-    run.write_resolved()
-
-    decoders = {}
+    dec_cfg = None
     if run.verb == "ru":
         dec_cfg = run.train_config("decoder", {"epochs": 30, "learning_rate": 0.01, "loss": "mse"})
         if dec_cfg.loss != "mse":  # a decoder learns to reconstruct its input
             raise ConfigError(f"decoder.loss must be \"mse\", got {dec_cfg.loss!r}")
+    run.write_resolved()
+
+    decoders = {}
+    if dec_cfg is not None:
         for layer in layers:
             dec = train_decoder(model, layer, run.images, dec_cfg)
             M.save_checkpoint(dec.graph, run.out / f"decoder_{layer}", meta={"layer": layer, "val_mse": dec.val_mse, "seed": run.seed})
@@ -408,8 +410,12 @@ def cmd_damage(run: Run) -> bool:
         for mid, _ in models
         if mid != "original"
     }
-    # the direction is recorded, deliberately never asserted
-    lltn.write_json(run.out / "damage_summary.json", {"delta_H_total_vs_original": deltas})
+    # the direction is recorded, deliberately never asserted; a delta with a
+    # NaN row on either side is null, since JSON has no NaN
+    summary = {
+        mid: {layer: None if math.isnan(v) else v for layer, v in d.items()} for mid, d in deltas.items()
+    }
+    lltn.write_json(run.out / "damage_summary.json", {"delta_H_total_vs_original": summary})
     for mid, d in deltas.items():
         mean_delta = float(np.mean(list(d.values())))
         print(f"{mid}: mean delta H_total vs original = {mean_delta:+.4f}")

@@ -64,8 +64,9 @@ def atomic_write(path, data: bytes) -> None:
 
 
 def write_json(path, obj) -> None:
-    """Atomic write of `obj` as JSON: indent 2, sorted keys, trailing newline."""
-    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+    """Atomic write of `obj` as JSON: indent 2, sorted keys, trailing newline.
+    A NaN or infinite float raises ValueError, since JSON has neither."""
+    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode())
 
 
 def write(path, arr: np.ndarray) -> None:

@@ -198,11 +198,17 @@ def _estimate_cell(model: ModelGraph, layer: str, inputs: np.ndarray, cfg: SidCo
 
 def parallel_map(fn, items, jobs: int = 1) -> list:
     """[fn(item) for item in items], in input order, spread over up to
-    min(jobs, len(items), os.cpu_count()) worker processes. `fn` and each
-    item are pickled to the workers, so `fn` must be a module-level function;
-    with one worker everything runs in this process."""
+    min(jobs, len(items), CPUs this process may run on) worker processes: its
+    affinity set where the OS reports one (taskset, cpusets), else
+    os.cpu_count(). `fn` and each item are pickled to the workers, so `fn`
+    must be a module-level function; with one worker everything runs in this
+    process."""
     items = list(items)
-    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, len(items), cpus)
     if workers <= 1:
         return [fn(item) for item in items]
     from concurrent import futures  # here, so that a serial run does not pay for the import

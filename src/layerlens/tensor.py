@@ -11,6 +11,7 @@ map over the tensors that require one. Convolutions take batches (B,C,H,W).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable
 
 import numpy as np
@@ -180,75 +181,85 @@ def matmul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad the two spatial axes of (B,C,H,W): one buffer, one slice copy."""
-    if pad == 0:
-        return x
-    B, C, H, W = x.shape
-    out = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
-    out[:, :, pad : pad + H, pad : pad + W] = x
-    return out
+@functools.lru_cache(maxsize=64)
+def _window_index(kind: str, channels: int, H: int, W: int, kh: int, kw: int, stride: int, pad: int):
+    """Read-only (channels*kh*kw, n) gather index for one sample of a conv of
+    an H x W input with kh x kw taps, into the sample's source flattened with
+    one zero appended, which every tap off the input reads. Row (c,i,j):
+    "im2col": over the n = oh*ow outputs, the pixel of input channel c that
+    tap (i,j) reads. "col2im": over the n = H*W input pixels, the entry of
+    the (channels*kh*kw, oh*ow) kernel columns that tap (i,j) sends there.
+    "flipped": over the H*W pixels, the entry of gradient channel c that the
+    flipped tap (i,j) reads: the gradient stride-dilated and padded by
+    kh-1-pad, or cropped where that is negative. No batch size in the key."""
+    oh, ow = (H + 2 * pad - kh) // stride + 1, (W + 2 * pad - kw) // stride + 1
+    i, j, p, q = np.ix_(range(kh), range(kw), range(oh), range(ow))
+    y, x = p * stride + i - pad, q * stride + j - pad
+    hit = ((0 <= y) & (y < H) & (0 <= x) & (x < W)).reshape(kh * kw, oh * ow)
+    pixel = (y * W + x).reshape(kh * kw, oh * ow)
+    if kind == "im2col":  # per tap and output position: the input pixel it reads
+        src, size = np.where(hit, pixel, -1), H * W
+    else:  # per tap and input pixel: the output position that reads it
+        src, size = np.full((kh * kw, H * W), -1), oh * ow
+        tap, pos = np.nonzero(hit)
+        src[tap, pixel[tap, pos]] = pos + (tap * size if kind == "col2im" else 0)
+        src = src[::-1] if kind == "flipped" else src
+        size *= kh * kw if kind == "col2im" else 1
+    c = np.arange(channels).reshape(channels, 1, 1)
+    index = np.where(src < 0, channels * size, src + c * size).reshape(channels * kh * kw, -1)
+    index.setflags(write=False)
+    return index, oh, ow
+
+
+def _gather(src: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """np.take of `index` along each sample of the batch `src`, flattened with
+    one zero appended: (B, ...) -> (B, *index.shape)."""
+    B = src.shape[0]
+    flat = np.empty((B, src[0].size + 1))
+    flat[:, :-1] = src.reshape(B, -1)
+    flat[:, -1] = 0.0
+    return np.take(flat, index, axis=1)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """x (B,C,H,W) -> columns (B, C*kh*kw, oh*ow): a strided window view in
-    (B,C,kh,kw,oh,ow) order, copied once into contiguous columns."""
-    x = _pad(x, pad)
-    B, C, H, W = x.shape
-    oh = (H - kh) // stride + 1
-    ow = (W - kw) // stride + 1
-    sb, sc, sh, sw = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, (B, C, kh, kw, oh, ow), (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False
-    )
-    return np.ascontiguousarray(win.reshape(B, C * kh * kw, oh * ow)), oh, ow
+    """x (B,C,H,W) -> columns (B, C*kh*kw, oh*ow), in (C,kh,kw) row order."""
+    index, oh, ow = _window_index("im2col", *x.shape[1:], kh, kw, stride, pad)
+    return _gather(x, index), oh, ow
 
 
 def _scatter_adjoint(g: np.ndarray, kernels: np.ndarray, hw: tuple, stride: int, pad: int):
-    """conv2d's input adjoint by scattering, (B,K,oh,ow) -> (B,C,H,W): one
-    strided assignment copies the gradient's kernel columns (B, C*kh*kw,
-    oh*ow) into a zeroed plane per tap, each shifted to its window, and the
-    kh*kw planes are summed."""
+    """conv2d's input adjoint as col2im, (B,K,oh,ow) -> (B,C,H,W): the kernel
+    columns (B, C*kh*kw, oh*ow) of the gradient, gathered at each input
+    pixel's kh*kw taps and summed over the taps."""
     K, C, kh, kw = kernels.shape
-    B, _, oh, ow = g.shape
-    Hp, Wp = hw[0] + 2 * pad, hw[1] + 2 * pad
-    cols = np.matmul(kernels.reshape(K, C * kh * kw).T, g.reshape(B, K, oh * ow))
-    planes = np.zeros((B, C, kh, kw, Hp, Wp))
-    sb, sc, si, sj, sh, sw = planes.strides
-    shifted = np.lib.stride_tricks.as_strided(
-        planes, (B, C, kh, kw, oh, ow), (sb, sc, si + sh, sj + sw, sh * stride, sw * stride)
-    )
-    shifted[...] = cols.reshape(B, C, kh, kw, oh, ow)
-    return planes.sum(axis=(2, 3))[:, :, pad : Hp - pad, pad : Wp - pad]
+    B = g.shape[0]
+    cols = np.matmul(kernels.reshape(K, C * kh * kw).T, g.reshape(B, K, -1))
+    index = _window_index("col2im", C, *hw, kh, kw, stride, pad)[0]
+    return _gather(cols, index.reshape(C, kh * kw, -1)).sum(axis=2).reshape(B, C, *hw)
 
 
-def _flipped_adjoint(g: np.ndarray, kernels: np.ndarray, stride: int, pad: int):
+def _flipped_adjoint(g: np.ndarray, kernels: np.ndarray, hw: tuple, stride: int, pad: int):
     """conv2d's input adjoint as a stride-1 correlation of the stride-dilated
     gradient with the flipped, channel-transposed kernels at padding kh-1-pad;
-    a pad beyond kh-1 crops instead. One im2col of (B, K*kh*kw, H*W), one GEMM."""
+    a pad beyond kh-1 crops instead. One gather of (B, K*kh*kw, H*W), one GEMM."""
     K, C, kh, kw = kernels.shape
-    B, _, oh, ow = g.shape
-    qh, qw = kh - 1 - pad, kw - 1 - pad
-    ph, pw = max(qh, 0), max(qw, 0)
-    buf = np.zeros((B, K, (oh - 1) * stride + 1 + 2 * ph, (ow - 1) * stride + 1 + 2 * pw))
-    buf[:, :, ph : buf.shape[2] - ph : stride, pw : buf.shape[3] - pw : stride] = g
-    buf = buf[:, :, ph - qh : buf.shape[2] - ph + qh, pw - qw : buf.shape[3] - pw + qw]
-    cols, h, w = _im2col(buf, kh, kw, 1, 0)
+    B = g.shape[0]
+    cols = _gather(g, _window_index("flipped", K, *hw, kh, kw, stride, pad)[0])
     flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, K * kh * kw)
-    return np.matmul(flipped, cols).reshape(B, C, h, w)
+    return np.matmul(flipped, cols).reshape(B, C, *hw)
 
 
 def _conv_input_grad(g: np.ndarray, kernels: np.ndarray, hw: tuple, stride: int, pad: int):
-    """Adjoint of conv2d in its input, (B,K,oh,ow) -> (B,C,H,W), by whichever
-    exact formulation touches less memory per tap: the scatter zeroes, fills
-    and sums C planes of the padded input, the flipped correlation copies K
-    columns of the input. At 8x8, 3x3, pad 1 and B=32 the flipped one is 2x
-    faster at C = K = 8 and 4x slower at the one-channel stem (C=1, K=8)."""
+    """Adjoint of conv2d in its input, (B,K,oh,ow) -> (B,C,H,W), by the exact
+    formulation that gathers the side with fewer channels: the scatter writes,
+    gathers and sums C*kh*kw values per input pixel, the flipped correlation
+    gathers K*kh*kw. At 3x3, pad 1 and B=32 they break even at K = 2C (8x8 and
+    16x16); the scatter is 3x faster at the one-channel stem (C=1, K=8), the
+    flipped one 2x faster at C = K = 8."""
     K, C = kernels.shape[:2]
-    H, W = hw
-    if K * H * W > C * (H + 2 * pad) * (W + 2 * pad):
+    if K > 2 * C:
         return _scatter_adjoint(g, kernels, hw, stride, pad)
-    return _flipped_adjoint(g, kernels, stride, pad)
+    return _flipped_adjoint(g, kernels, hw, stride, pad)
 
 
 def _add_bias(out: np.ndarray, bias, op: str) -> tuple:

@@ -392,6 +392,47 @@ class TestDamageVerb:
         summary = json.loads((root / "damage_out" / "damage_summary.json").read_text())
         assert set(summary["delta_H_total_vs_original"]) == {"damaged@1", "damaged@2"}
 
+    def test_nan_row_writes_null_delta(self, workspace, monkeypatch):
+        # the original model's block2 cell fails, so it is a NaN row and both
+        # deltas at block2 are unknown: strict JSON null, not a bare NaN
+        from layerlens import report
+        from layerlens.sid import DegenerateLayerError
+
+        estimate_cell, seen = report._estimate_cell, []
+
+        def first_block2_fails(m, layer, inputs, cfg):
+            seen.append(layer)
+            if seen.count("block2") == 1 and layer == "block2":
+                raise DegenerateLayerError("block2: forced")
+            return estimate_cell(m, layer, inputs, cfg)
+
+        monkeypatch.setattr(report, "_estimate_cell", first_block2_fails)
+        root = workspace["root"]
+        cfg = write_config(
+            root,
+            "damage_nan.json",
+            {
+                "dataset": workspace["dataset"],
+                "model": RESNET,
+                "estimator": dict(TINY_ESTIMATOR),
+                "train": {"epochs": 1, "learning_rate": 0.02},
+                "damage": {"positions": [1]},
+                "layers": ["block1", "block2"],
+                "inputs": [0],
+                "outputs": str(root / "damage_nan"),
+                "seed": 3,
+            },
+        )
+        assert run("damage", cfg) in (0, 2)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (root / "damage_nan" / "damage_summary.json").read_text()
+        deltas = json.loads(text, parse_constant=reject)["delta_H_total_vs_original"]
+        assert deltas["damaged@1"]["block2"] is None
+        assert isinstance(deltas["damaged@1"]["block1"], float)
+
 
     def test_worker_processes_write_identical_files(self, workspace):
         config = {
@@ -562,7 +603,7 @@ class TestConfigHandling:
         assert "--jobs" in capsys.readouterr().err
 
     def test_jobs_capped_at_core_count(self, workspace, monkeypatch, pool_recorder):
-        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2})
         config = {
             "dataset": workspace["dataset"],
             "model": CNN,
@@ -675,6 +716,9 @@ class TestConfigHandling:
             ("coherency", {"coherency": {"layer": "flat"}}, "'flat' is flatten, not conv/dense"),
             ("coherency", {"coherency": {"layer": "logits"}}, "'logits' has no linear successor"),
             ("coherency", {"coherency": {"layer": "conv1"}, "inputs": [0, 3]}, "inputs must list exactly one index"),
+            # would otherwise reach resolved_config.json, which holds no NaN
+            ("train", {"train": {"learning_rate": float("nan")}}, "learning_rate"),
+            ("ru", {"layers": ["conv1"], "decoder": {"learning_rate": float("inf")}}, "learning_rate"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):

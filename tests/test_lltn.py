@@ -57,3 +57,11 @@ def test_trailing_garbage_rejected(np_rng):
 def test_round_trip_property(dims, seed):
     arr = np.random.default_rng(seed).normal(size=tuple(dims))
     assert (lltn.loads(lltn.dumps(arr)) == arr).all()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_rejects_non_finite(tmp_path, value):
+    # JSON (RFC 8259) has no NaN or Infinity: the write raises, and leaves no file
+    with pytest.raises(ValueError):
+        lltn.write_json(tmp_path / "x.json", {"a": [1.0, value]})
+    assert not (tmp_path / "x.json").exists()

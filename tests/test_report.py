@@ -198,7 +198,7 @@ class TestLayerwiseReport:
             R.layerwise_report([("m", g)], ["conv1", "conv2"], [x], small_cfg(), jobs=2)
 
     def test_deepest_cells_submitted_first(self, monkeypatch, pool_recorder):
-        monkeypatch.setattr(R.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(R.os, "sched_getaffinity", lambda pid: {0, 1})
         a = M.tiny_cnn(input_shape=(1, 4, 4), classes=2, seed=1)
         b = M.tiny_cnn(input_shape=(1, 4, 4), classes=2, seed=2)
         x = RngStream(2).normal((1, 4, 4))
@@ -213,11 +213,18 @@ class TestLayerwiseReport:
         ]
 
     def test_workers_capped_at_cores_and_items(self, monkeypatch, pool_recorder):
-        monkeypatch.setattr(R.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(R.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert R.parallel_map(abs, [-1, -2, -3, -4, -5], 64) == [1, 2, 3, 4, 5]
         assert R.parallel_map(abs, [-1, -2], 64) == [1, 2]
         assert R.parallel_map(abs, [-1, -2, -3], 1) == [1, 2, 3]  # in-process, no pool
         assert [workers for workers, _ in pool_recorder] == [3, 2]
+
+    def test_workers_capped_at_affinity_not_core_count(self, monkeypatch, pool_recorder):
+        # under `taskset -c 0` or a one-CPU cpuset the machine still has 8 cores
+        monkeypatch.setattr(R.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(R.os, "cpu_count", lambda: 8)
+        assert R.parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert pool_recorder == []
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):

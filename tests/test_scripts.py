@@ -42,11 +42,11 @@ def test_bench_conv_runs(capsys):
     rows = capsys.readouterr().out.splitlines()[2:]
     assert len(rows) == len(bench.SHAPES)
     for row in rows:
-        *_, grad_diffs, forward_diff = row.split("|")
-        # the input gradients agree with the reference loop to rounding, and
-        # the biased forward equals conv2d plus a reshaped-bias add exactly
-        assert max(float(d) for d in grad_diffs.split(",")) < 1e-12
-        assert forward_diff.strip() == "0.0"
+        forward, scatter, flipped, columns = row.split("|")[-1].split(",")
+        # the forward and the gathered columns equal the strided reference's
+        # exactly, and both input gradients agree with the loop to rounding
+        assert forward.strip() == "0.0" and columns.strip() == "0.0"
+        assert max(float(scatter), float(flipped)) < 1e-12
 
 
 def test_coherency_demo_runs(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -348,6 +350,143 @@ class TestInputGradientAgainstScatter:
         np.testing.assert_allclose(grads[x], want, rtol=0, atol=1e-12)
         back = T.transpose_conv2d(T.Tensor(g), T.Tensor(kern), stride, pad)
         np.testing.assert_allclose(back.data, want, rtol=0, atol=1e-12)
+
+
+def strided_pad(x, pad):
+    """Zero-pad the two spatial axes of (B,C,H,W) into one fresh buffer."""
+    if pad == 0:
+        return x
+    B, C, H, W = x.shape
+    out = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+    out[:, :, pad : pad + H, pad : pad + W] = x
+    return out
+
+
+def strided_im2col(x, kh, kw, stride, pad):
+    """Reference columns: a strided (B,C,kh,kw,oh,ow) window view of the
+    padded input, copied once."""
+    x = strided_pad(x, pad)
+    B, C, H, W = x.shape
+    oh, ow = (H - kh) // stride + 1, (W - kw) // stride + 1
+    sb, sc, sh, sw = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, (B, C, kh, kw, oh, ow), (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False
+    )
+    return np.ascontiguousarray(win.reshape(B, C * kh * kw, oh * ow)), oh, ow
+
+
+def strided_scatter_adjoint(g, kernels, hw, stride, pad):
+    """Reference scatter adjoint: the kernel columns written into a zeroed
+    plane per tap through a strided view, then the planes summed."""
+    K, C, kh, kw = kernels.shape
+    B, _, oh, ow = g.shape
+    Hp, Wp = hw[0] + 2 * pad, hw[1] + 2 * pad
+    cols = np.matmul(kernels.reshape(K, C * kh * kw).T, g.reshape(B, K, oh * ow))
+    planes = np.zeros((B, C, kh, kw, Hp, Wp))
+    sb, sc, si, sj, sh, sw = planes.strides
+    shifted = np.lib.stride_tricks.as_strided(
+        planes, (B, C, kh, kw, oh, ow), (sb, sc, si + sh, sj + sw, sh * stride, sw * stride)
+    )
+    shifted[...] = cols.reshape(B, C, kh, kw, oh, ow)
+    return planes.sum(axis=(2, 3))[:, :, pad : Hp - pad, pad : Wp - pad]
+
+
+def strided_flipped_adjoint(g, kernels, stride, pad):
+    """Reference flipped adjoint: the gradient stride-dilated into a zeroed
+    buffer padded by kh-1-pad (cropped past kh-1), then strided columns."""
+    K, C, kh, kw = kernels.shape
+    B, _, oh, ow = g.shape
+    qh, qw = kh - 1 - pad, kw - 1 - pad
+    ph, pw = max(qh, 0), max(qw, 0)
+    buf = np.zeros((B, K, (oh - 1) * stride + 1 + 2 * ph, (ow - 1) * stride + 1 + 2 * pw))
+    buf[:, :, ph : buf.shape[2] - ph : stride, pw : buf.shape[3] - pw : stride] = g
+    buf = buf[:, :, ph - qh : buf.shape[2] - ph + qh, pw - qw : buf.shape[3] - pw + qw]
+    cols, h, w = strided_im2col(buf, kh, kw, 1, 0)
+    flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, K * kh * kw)
+    return np.matmul(flipped, cols).reshape(B, C, h, w)
+
+
+def _gather_geometries():
+    """(kh, kw, stride, pad, H, W) over kernels with kh != kw and kh == kw,
+    strides 1-3 and pads 0-3, at the smallest H >= 4 and the next W != H for
+    which the conv's output size is an integer."""
+    out = []
+    for (kh, kw), stride, pad in itertools.product(
+        [(3, 3), (2, 3), (3, 1), (1, 2)], [1, 2, 3], [0, 1, 2, 3]
+    ):
+        fits = lambda n, k: n + 2 * pad >= k and (n + 2 * pad - k) % stride == 0
+        H = next(n for n in range(4, 20) if fits(n, kh))
+        W = next(n for n in range(H + 1, 20) if fits(n, kw))
+        out.append((kh, kw, stride, pad, H, W))
+    return out
+
+
+class TestGatherKernelsMatchStridedKernels:
+    """The cached-index gathers give the bits of the padded-buffer, strided-
+    window kernels they replaced: columns, forward, both input adjoints, the
+    kernel gradient and transpose_conv2d."""
+
+    @pytest.mark.parametrize("kh,kw,stride,pad,H,W", _gather_geometries())
+    def test_bit_for_bit(self, kh, kw, stride, pad, H, W, np_rng):
+        for C, K in [(1, 8), (8, 8), (8, 1), (3, 2)]:
+            x0 = np_rng.normal(size=(3, C, H, W))
+            k0 = np_rng.normal(size=(K, C, kh, kw))
+            want_cols, oh, ow = strided_im2col(x0, kh, kw, stride, pad)
+            cols, oh2, ow2 = T._im2col(x0, kh, kw, stride, pad)
+            assert (oh, ow) == (oh2, ow2) and np.array_equal(cols, want_cols)
+            g = np_rng.normal(size=(3, K, oh, ow))
+
+            x, kk = T.Tensor(x0, requires_grad=True), T.Tensor(k0, requires_grad=True)
+            out = T.conv2d(x, kk, stride, pad)
+            grads = T.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+            Wm = k0.reshape(K, -1)
+            assert np.array_equal(out.data, np.matmul(Wm, want_cols).reshape(3, K, oh, ow))
+            want_gk = np.matmul(g.reshape(3, K, -1), want_cols.transpose(0, 2, 1)).sum(axis=0)
+            assert np.array_equal(grads[kk], want_gk.reshape(k0.shape))
+
+            scatter = T._scatter_adjoint(g, k0, (H, W), stride, pad)
+            flipped = T._flipped_adjoint(g, k0, (H, W), stride, pad)
+            assert np.array_equal(scatter, strided_scatter_adjoint(g, k0, (H, W), stride, pad))
+            assert np.array_equal(flipped, strided_flipped_adjoint(g, k0, stride, pad))
+            shipped = T._conv_input_grad(g, k0, (H, W), stride, pad)
+            assert np.array_equal(grads[x], shipped)
+            assert np.array_equal(shipped, scatter if K > 2 * C else flipped)
+
+            y, kk = T.Tensor(g, requires_grad=True), T.Tensor(k0, requires_grad=True)
+            back = T.transpose_conv2d(y, kk, stride, pad)
+            assert np.array_equal(back.data, shipped)
+            u = np_rng.normal(size=x0.shape)
+            grads = T.backward(T.reduce_sum(T.mul(back, T.Tensor(u))))
+            u_cols = strided_im2col(u, kh, kw, stride, pad)[0]
+            assert np.array_equal(grads[y], np.matmul(Wm, u_cols).reshape(g.shape))
+            want_gk = np.matmul(g.reshape(3, K, -1), u_cols.transpose(0, 2, 1)).sum(axis=0)
+            assert np.array_equal(grads[kk], want_gk.reshape(k0.shape))
+
+    @pytest.mark.parametrize("C,K", [(1, 8), (8, 8)])  # the scatter, the flipped branch
+    def test_input_gradient_batch_invariant(self, C, K, np_rng):
+        # a batch of 32 equals 32 batches of one, bit for bit
+        xs = np_rng.normal(size=(32, C, 8, 8))
+        g = np_rng.normal(size=(32, K, 8, 8))
+        k = T.Tensor(np_rng.normal(size=(K, C, 3, 3)))
+
+        def input_grad(lo, hi):
+            x = T.Tensor(xs[lo:hi], requires_grad=True)
+            return T.backward(T.reduce_sum(T.mul(T.conv2d(x, k, 1, 1), T.Tensor(g[lo:hi]))))[x]
+
+        batched = input_grad(0, 32)
+        for i in range(32):
+            np.testing.assert_allclose(batched[i : i + 1], input_grad(i, i + 1), rtol=0, atol=0)
+
+    def test_index_is_read_only_and_shared_across_batch_sizes(self, np_rng):
+        geometry = ("im2col", 5, 9, 11, 3, 2, 1, 1)  # seen by no other test
+        before = T._window_index.cache_info()
+        for B in (1, 32, 128):
+            T._im2col(np_rng.normal(size=(B, 5, 9, 11)), 3, 2, 1, 1)
+        after = T._window_index.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+        index = T._window_index(*geometry)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            index[0, 0] = 0
 
 
 class TestPointwiseAndReduce:
