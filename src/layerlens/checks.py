@@ -22,7 +22,6 @@ TYPE_CHECKS = {
     "float | None": lambda v: v is None or _is_real(v),
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
-    "str | None": lambda v: v is None or isinstance(v, str),
     "tuple | None": lambda v: v is None or isinstance(v, tuple),
 }
 

@@ -24,7 +24,7 @@ from .tensor import Tensor
 
 INPUT_LAYER = "input"  # reserved pseudo-layer name: the unmodified input
 
-_LINEAR_KINDS = {"dense", "conv", "transpose_conv"}  # rescalable, parameterized
+_LINEAR_KINDS = {"dense", "conv"}  # rescalable, parameterized
 _HOMOGENEOUS_KINDS = {"relu", "flatten", "reshape"}  # safe to sit between a rescaled pair
 
 _is_int = TYPE_CHECKS["int"]
@@ -47,7 +47,6 @@ class LayerSpec:
     stride: int = 1
     padding: int = 0
     units: int | None = None
-    source: str | None = None  # add_skip: earlier layer whose output is added
     upsample: bool = False  # residual_block: transposed-conv tracks, 2x spatial
     shape: tuple | None = None  # reshape target (sample shape, no batch dim)
 
@@ -74,14 +73,6 @@ def conv(name: str, channels: int, kernel: int, stride: int = 1, padding: int = 
     return LayerSpec("conv", name, channels=channels, kernel=kernel, stride=stride, padding=padding)
 
 
-def transpose_conv(
-    name: str, channels: int, kernel: int, stride: int = 1, padding: int = 0
-) -> LayerSpec:
-    return LayerSpec(
-        "transpose_conv", name, channels=channels, kernel=kernel, stride=stride, padding=padding
-    )
-
-
 def relu(name: str) -> LayerSpec:
     return LayerSpec("relu", name)
 
@@ -96,10 +87,6 @@ def reshape(name: str, shape) -> LayerSpec:
 
 def residual_block(name: str, channels: int, upsample: bool = False) -> LayerSpec:
     return LayerSpec("residual_block", name, channels=channels, kernel=3, upsample=upsample)
-
-
-def add_skip(name: str, source: str) -> LayerSpec:
-    return LayerSpec("add_skip", name, source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +122,12 @@ def _conv_out(h: int, k: int, s: int, p: int, name: str) -> int:
     return (h + 2 * p - k) // s + 1
 
 
-def _geometry(spec: LayerSpec, in_shape: tuple, known: dict) -> tuple[tuple, list]:
-    """(output shape, parameter layout) of a layer on input `in_shape`, where
-    `known` maps every earlier layer to its output shape. The layout lists
-    (name, shape, He fan-in) of each parameter in drawing order; a fan-in of
-    0 marks a zero-initialized bias."""
+def _geometry(spec: LayerSpec, in_shape: tuple) -> tuple[tuple, list]:
+    """(output shape, parameter layout) of a layer on input `in_shape`. The
+    layout lists (name, shape, He fan-in) of each parameter in drawing order;
+    a fan-in of 0 marks a zero-initialized bias."""
     kind, ch, k = spec.kind, spec.channels, spec.kernel
-    if kind in ("conv", "transpose_conv", "residual_block") and len(in_shape) != 3:
+    if kind in ("conv", "residual_block") and len(in_shape) != 3:
         raise BuildError(f"layer {spec.name!r}: {kind} expects (C,H,W), got {in_shape}")
     if kind == "dense":
         if len(in_shape) != 1:
@@ -153,13 +139,6 @@ def _geometry(spec: LayerSpec, in_shape: tuple, known: dict) -> tuple[tuple, lis
         ho = _conv_out(h, k, spec.stride, spec.padding, spec.name)
         wo = _conv_out(w, k, spec.stride, spec.padding, spec.name)
         return (ch, ho, wo), [("weight", (ch, c, k, k), c * k * k), ("bias", (ch,), 0)]
-    if kind == "transpose_conv":  # adjoint layout: kernels (C_in, C_out, kh, kw)
-        c, h, w = in_shape
-        ho = (h - 1) * spec.stride + k - 2 * spec.padding
-        wo = (w - 1) * spec.stride + k - 2 * spec.padding
-        if ho < 1 or wo < 1:
-            raise BuildError(f"layer {spec.name!r}: empty output {ho}x{wo}")
-        return (ch, ho, wo), [("weight", (c, ch, k, k), c * k * k), ("bias", (ch,), 0)]
     if kind == "relu":
         return in_shape, []
     if kind == "flatten":
@@ -184,14 +163,6 @@ def _geometry(spec: LayerSpec, in_shape: tuple, known: dict) -> tuple[tuple, lis
         if ch != c:
             layout += [("skip_weight", (ch, c, 1, 1), c), ("skip_bias", (ch,), 0)]
         return (ch, h, w), layout + conv2
-    if kind == "add_skip":
-        if spec.source not in known:
-            raise BuildError(f"layer {spec.name!r}: skip source {spec.source!r} not found earlier")
-        if known[spec.source] != in_shape:
-            raise BuildError(
-                f"layer {spec.name!r}: skip shape {known[spec.source]} != input {in_shape}"
-            )
-        return in_shape, []
     raise BuildError(f"layer {spec.name!r}: unknown kind {kind!r}")
 
 
@@ -239,7 +210,7 @@ class ModelGraph:
         cur = self.input_shape
         for spec in self.layers:
             _check_spec(spec)
-            cur, layouts[spec.name] = _geometry(spec, cur, shapes)
+            cur, layouts[spec.name] = _geometry(spec, cur)
             shapes[spec.name] = cur
         return shapes, layouts
 
@@ -270,32 +241,27 @@ class ModelGraph:
         layer's parameters are wrapped as constants when the forward reaches
         that layer.
         """
-        xt = x if isinstance(x, Tensor) else Tensor(x)
-        if xt.shape[1:] != self.input_shape:
+        h = x if isinstance(x, Tensor) else Tensor(x)
+        if h.shape[1:] != self.input_shape:
             raise T.ShapeError(
-                f"input shape {tuple(xt.shape)} is not a batch of model input {self.input_shape}"
+                f"input shape {tuple(h.shape)} is not a batch of model input {self.input_shape}"
             )
         if to_layer == INPUT_LAYER:
-            return xt
+            return h
         if to_layer is not None and to_layer not in self._shapes:
             raise UnknownLayerError(to_layer)
-        values: dict = {}
-        cur = xt
         for spec in self.layers:
-            cur = self._apply(spec, cur, values, param_tensors)
-            values[spec.name] = cur
+            h = self._apply(spec, h, param_tensors)
             if spec.name == to_layer:
-                return cur
-        return cur
+                break
+        return h
 
-    def _apply(self, spec: LayerSpec, x: Tensor, values: dict, pt: dict | None) -> Tensor:
+    def _apply(self, spec: LayerSpec, x: Tensor, pt: dict | None) -> Tensor:
         kind = spec.kind
         if kind == "relu":
             return T.relu(x)
         if kind in ("flatten", "reshape"):
             return T.reshape(x, (x.shape[0],) + self._shapes[spec.name])
-        if kind == "add_skip":
-            return T.add(x, values[spec.source])
         if pt is None:
             p = {pn: Tensor.wrap(a) for pn, a in self.params[spec.name].items()}
         else:
@@ -304,8 +270,6 @@ class ModelGraph:
             return T.add(T.matmul(x, p["weight"]), p["bias"])
         if kind == "conv":
             return T.conv2d(x, p["weight"], spec.stride, spec.padding, p["bias"])
-        if kind == "transpose_conv":
-            return T.transpose_conv2d(x, p["weight"], spec.stride, spec.padding, p["bias"])
         if kind == "residual_block":
             if spec.upsample:
                 m = T.relu(T.transpose_conv2d(x, p["up_weight"], 2, 1, p["up_bias"]))
@@ -371,6 +335,8 @@ class RescaleError(ValueError):
 
 
 def _rescale_successor(model: ModelGraph, layer_name: str) -> str:
+    if layer_name == INPUT_LAYER:
+        raise RescaleError(f"layer {INPUT_LAYER!r} is the input pseudo-layer and has no weights to rescale")
     try:
         idx = model.layer_names().index(layer_name)
     except ValueError:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import train_val_split
-from .model import ModelGraph, build, conv, dense, flatten, relu, reshape, residual_block
+from .model import BuildError, ModelGraph, build, conv, dense, flatten, relu, reshape, residual_block
 from .rng import RngStream
 from .sid import (
     GAUSSIAN_ENTROPY_CONST,
@@ -82,13 +82,12 @@ def make_decoder(feature_shape: tuple, input_shape: tuple, seed: int = 0) -> Mod
     if len(feature_shape) == 3 and len(input_shape) == 3:
         fc, fh, _ = feature_shape
         ic, ih, _ = input_shape
-        if ih % fh or (ih // fh) & (ih // fh - 1):
-            raise ValueError(
-                f"feature {feature_shape} to input {input_shape}: spatial ratio must be a power of 2"
+        if ih % fh or (ih // fh) & (ih // fh - 1) or ih // fh > 8:
+            raise BuildError(
+                f"no decoder from feature {feature_shape} to input {input_shape}: "
+                "the spatial ratio must be 1, 2, 4 or 8"
             )
         n_up = int(math.log2(ih // fh))
-        if n_up > 3:
-            raise ValueError("feature map more than 8x smaller than input; not desk scale")
         width = max(fc, 8)
         specs = []
         for i in range(3):

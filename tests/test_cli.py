@@ -291,6 +291,25 @@ class TestRuVerb:
         assert serial == parallel
         assert (workspace["root"] / "parallel" / "ru_conv1_1_H_hat_i.lltn").exists()
 
+    def test_feature_no_decoder_fits_is_config_error(self, workspace, capsys):
+        # a 4x4 feature map of a 6x6 input: the spatial ratio is not a power of 2
+        root = workspace["root"]
+        images, labels = D.make_fourclass_images(n=16, shape=(1, 6, 6), seed=3)
+        ip, lp = D.save_lltn_pair(root / "six", images, labels)
+        specs = [M.conv("c", 2, 3), M.relu("r"), M.flatten("f"), M.dense("logits", 4)]
+        M.save_checkpoint(M.build(specs, (1, 6, 6), seed=0), root / "six_ck")
+        config = {
+            "dataset": {"format": "lltn", "images": str(ip), "labels": str(lp)},
+            "model": {"checkpoint": str(root / "six_ck")},
+            "estimator": dict(TINY_ESTIMATOR),
+            "decoder": {"epochs": 1, "loss": "mse"},
+            "layers": ["c"],
+            "outputs": str(root / "o"),
+        }
+        assert run("ru", write_config(root, "six.json", config)) == 3
+        err = capsys.readouterr().err
+        assert "(2, 4, 4)" in err and "(1, 6, 6)" in err
+
 
 class TestConcentrationVerb:
     def test_bbox_mask_csv(self, workspace):
@@ -719,6 +738,8 @@ class TestConfigHandling:
             # would otherwise reach resolved_config.json, which holds no NaN
             ("train", {"train": {"learning_rate": float("nan")}}, "learning_rate"),
             ("ru", {"layers": ["conv1"], "decoder": {"learning_rate": float("inf")}}, "learning_rate"),
+            # the input pseudo-layer has no weights for coherency to rescale
+            ("coherency", {"coherency": {"layer": "input"}}, "'input' is the input pseudo-layer"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):
@@ -892,6 +913,12 @@ class TestConfigHandling:
             '{"input_shape": [1, 8, 8], "layers": [{"kind": "nope", "name": "conv1"}]}',
             '{"input_shape": [1, 8, 8], "layers": [{"kind": "conv", "name": "conv1", "channels": "x", "kernel": 3}]}',
             '{"input_shape": [1, 8, 8], "layers": [{"kind": "conv", "name": "conv1", "channels": 8, "kernel": -3}]}',
+            # the graph is a chain of the kinds the program builds
+            '{"input_shape": [1, 8, 8], "layers": [{"kind": "conv", "name": "conv1", "channels": 8, "kernel": 3}, '
+            '{"kind": "add_skip", "name": "s"}]}',
+            '{"input_shape": [1, 8, 8], "layers": [{"kind": "transpose_conv", "name": "conv1", "channels": 8, "kernel": 2}]}',
+            '{"input_shape": [1, 8, 8], "layers": [{"kind": "conv", "name": "conv1", "channels": 8, "kernel": 3}, '
+            '{"kind": "relu", "name": "r", "source": "conv1"}]}',
             # a layer name that reaches outside the checkpoint directory
             '{"input_shape": [1, 8, 8], "layers": [{"kind": "relu", "name": "../r"}, '
             '{"kind": "conv", "name": "conv1", "channels": 8, "kernel": 3, "padding": 1}]}',

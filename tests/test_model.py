@@ -77,8 +77,7 @@ def _mixed_graph():
     """The layer kinds with parameters, an upsampling and a widening residual block among them."""
     return M.build(
         [M.conv("c", 4, 3, padding=1), M.residual_block("up", 2, upsample=True),
-         M.residual_block("wide", 6), M.transpose_conv("t", 2, 2, stride=2),
-         M.flatten("f"), M.dense("d", 3)],
+         M.residual_block("wide", 6), M.flatten("f"), M.dense("d", 3)],
         (1, 4, 4),
         seed=5,
     )
@@ -320,8 +319,7 @@ class TestCheckpoint:
     def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
         g = M.build(
             [M.conv("c", 4, 3, padding=1), M.residual_block("up", 2, upsample=True),
-             M.residual_block("wide", 6), M.transpose_conv("t", 2, 2, stride=2),
-             M.flatten("f"), M.dense("d", 3)],
+             M.residual_block("wide", 6), M.flatten("f"), M.dense("d", 3)],
             (1, 4, 4),
             seed=5,
         )
@@ -360,6 +358,10 @@ class TestCheckpoint:
             ("graph.json", lambda g: _first_layer(g, kind="nope")),
             ("graph.json", lambda g: _first_layer(g, channels="x")),
             ("graph.json", lambda g: _first_layer(g, kernel=-3)),
+            # kinds and keys of a layer graph that is not a chain of built kinds
+            ("graph.json", lambda g: _first_layer(g, kind="add_skip")),
+            ("graph.json", lambda g: _first_layer(g, kind="transpose_conv")),
+            ("graph.json", lambda g: _first_layer(g, source="conv1")),
             ("meta.json", lambda g: {"epoch": "x"}),
             ("meta.json", lambda g: {"epoch": None}),
             ("meta.json", lambda g: {"epoch": -1}),
@@ -368,7 +370,8 @@ class TestCheckpoint:
             "undecodable-json", "undecodable-bytes", "undecodable-meta", "meta-not-an-object", "no-input-shape",
             "no-layers", "not-an-object", "unknown-layer-key", "layer-not-an-object",
             "input-shape-not-a-list", "input-shape-a-string", "unknown-kind", "channels-not-an-int",
-            "negative-kernel", "epoch-not-an-int", "epoch-null", "negative-epoch",
+            "negative-kernel", "add-skip-kind", "transpose-conv-kind", "source-key",
+            "epoch-not-an-int", "epoch-null", "negative-epoch",
         ],
     )
     def test_malformed_json_rejected(self, tmp_path, name, edit):
@@ -405,21 +408,11 @@ class TestDecoderStyleGraphs:
         out = g.forward(Tensor(np_rng.normal(size=(1, 4, 4, 4))))
         assert out.shape == (1, 1, 8, 8)
 
-    def test_reshape_layer_and_add_skip(self, np_rng):
+    def test_reshape_layer(self, np_rng):
         g = M.build(
-            [
-                M.dense("d1", 16),
-                M.relu("r1"),
-                M.dense("d2", 16),
-                M.add_skip("skip", "d1"),
-                M.reshape("img", (1, 4, 4)),
-            ],
+            [M.dense("d1", 16), M.relu("r1"), M.dense("d2", 16), M.reshape("img", (1, 4, 4))],
             (8,),
             seed=1,
         )
         out = g.forward(Tensor(np_rng.normal(size=(1, 8))))
         assert out.shape == (1, 1, 4, 4)
-
-    def test_add_skip_unknown_source(self):
-        with pytest.raises(M.BuildError, match="not found"):
-            M.build([M.dense("d", 4), M.add_skip("s", "ghost")], (4,))

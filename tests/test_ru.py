@@ -78,6 +78,10 @@ class TestMakeDecoder:
         with pytest.raises(ValueError):
             R.make_decoder((4, 3, 3), (3, 9, 9))
 
+    def test_rejects_more_than_8x_upsampling(self):
+        with pytest.raises(M.BuildError, match=r"\(4, 1, 1\) to input \(3, 16, 16\)"):
+            R.make_decoder((4, 1, 1), (3, 16, 16))
+
 
 class TestTrainDecoder:
     def test_linear_decoder_recovers_identity_layer(self):
