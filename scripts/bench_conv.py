@@ -11,10 +11,17 @@ largest difference of each from its reference: the forward from the strided
 columns' GEMM plus the bias, the two gradients from the loop, and the columns
 from the strided ones. The forward and the columns must read 0.0.
 
+First it pins glibc's mmap and trim thresholds for its own process (mallopt,
+through ctypes): left dynamic, they decide by allocation order whether the
+scatter's buffers, above the default 128 KiB threshold, come back as fresh
+zero pages, and that column then moves severalfold between runs. Off glibc
+nothing is pinned, and the first line says so.
+
     PYTHONPATH=src python scripts/bench_conv.py [--seconds 0.3]
 """
 
 import argparse
+import ctypes
 import time
 
 import numpy as np
@@ -23,6 +30,20 @@ from layerlens import tensor as T
 
 SHAPES = [(32, 1, 8), (32, 8, 8), (1, 8, 8), (128, 8, 8)]
 HW, KSIZE, STRIDE, PAD = (8, 8), 3, 1, 1
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+MMAP_THRESHOLD, TRIM_THRESHOLD = 16 << 20, 64 << 20  # above every buffer at SHAPES
+
+
+def pin_malloc() -> str:
+    """Fix glibc's mmap and trim thresholds for this process; a note of what was done."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return "malloc thresholds not pinned (no glibc)"
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    if not (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)):
+        return "malloc thresholds not pinned (mallopt refused)"
+    return f"malloc mmap/trim thresholds pinned at {MMAP_THRESHOLD >> 20}/{TRIM_THRESHOLD >> 20} MiB"
 
 
 def loop_scatter(g, kernels, hw, stride, pad):
@@ -72,8 +93,10 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=0.3, help="timing budget per kernel")
     args = ap.parse_args(argv)
 
+    note = pin_malloc()
     rng = np.random.default_rng(0)
-    print(f"input {HW[0]}x{HW[1]}, kernel {KSIZE}x{KSIZE}, stride {STRIDE}, pad {PAD}; us per call")
+    print(f"input {HW[0]}x{HW[1]}, kernel {KSIZE}x{KSIZE}, stride {STRIDE}, pad {PAD}; "
+          f"us per call; {note}")
     print(f"{'B':>4} {'C':>2} {'K':>2} | {'forward':>8} | {'scatter':>8} {'flipped':>8} "
           f"{'loop':>8} {'ships':>7} | {'im2col':>8} {'strided':>8} | max diff: forward, "
           "scatter, flipped, columns")
@@ -81,7 +104,6 @@ def main(argv=None):
         x = rng.normal(size=(b, c) + HW)
         kern = rng.normal(size=(k, c, KSIZE, KSIZE))
         bias = rng.normal(size=k)
-        xt, kt, bt = T.Tensor(x), T.Tensor(kern), T.Tensor(bias)
         g = rng.normal(size=(b, k) + HW)
         cols = T._im2col(x, KSIZE, KSIZE, STRIDE, PAD)[0]
         want_cols = strided_im2col(x, KSIZE, KSIZE, STRIDE, PAD)
@@ -95,7 +117,7 @@ def main(argv=None):
         shipped = T._conv_input_grad(g, kern, HW, STRIDE, PAD)
         ships = next(name for name, grad in grads.items() if np.array_equal(grad, shipped))
         t = {
-            "forward": lambda: T.conv2d(xt, kt, STRIDE, PAD, bt),
+            "forward": lambda: T.conv2d(x, kern, STRIDE, PAD, bias),
             "scatter": lambda: T._scatter_adjoint(g, kern, HW, STRIDE, PAD),
             "flipped": lambda: T._flipped_adjoint(g, kern, HW, STRIDE, PAD),
             "loop": lambda: loop_scatter(g, kern, HW, STRIDE, PAD),
@@ -104,7 +126,7 @@ def main(argv=None):
         }
         us = {name: per_call_us(fn, args.seconds) for name, fn in t.items()}
         diffs = [
-            np.abs(T.conv2d(xt, kt, STRIDE, PAD, bt).data - want_forward).max(),
+            np.abs(T.conv2d(x, kern, STRIDE, PAD, bias) - want_forward).max(),
             np.abs(grads["scatter"] - want_grad).max(),
             np.abs(grads["flipped"] - want_grad).max(),
             np.abs(cols - want_cols).max(),

@@ -6,7 +6,8 @@ images and models), a layer and an estimator (sid or ru), runs one default
 estimate and prints:
 - the median milliseconds of one step: the estimate's first
   loss-and-gradient evaluation, replayed with the arguments fit_sigma gave it;
-- the tape nodes (op results) that one step records;
+- the tape records (one per layer the step differentiates through) that one
+  step runs, counted from the tapes handed to tensor.backward;
 - the split of the estimate's wall time into Jacobian probe, baseline,
   dead-unit probe, steps, certification, pixel_ru (ru only) and the rest.
 
@@ -102,9 +103,15 @@ def main(argv=None):
         wall = time.perf_counter() - t0
     step = first_step[0]
 
-    with mock.patch.object(T, "_result", wraps=T._result) as result:
+    records = []
+    backward = T.backward
+
+    def counting(tape, *args):
+        records.append(len(tape))
+        return backward(tape, *args)
+
+    with mock.patch.object(T, "backward", counting):
         step()
-    nodes = result.call_count
 
     times = []
     t_end = time.perf_counter() + args.seconds
@@ -114,7 +121,7 @@ def main(argv=None):
         times.append(time.perf_counter() - t0)
 
     print(f"{args.preset}/{layer} {args.estimator}: {1e3 * float(np.median(times)):.3f} ms per step "
-          f"(median of {len(times)}), {nodes} tape nodes per step")
+          f"(median of {len(times)}), {sum(records)} tape record(s) per step")
     print(f"one default estimate: {wall:.3f} s, {res.steps_used} steps, "
           f"conformant {res.conformant}")
     for phase, secs in sorted(totals.items(), key=lambda kv: -kv[1]):

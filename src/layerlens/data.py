@@ -46,6 +46,9 @@ def save_lltn_pair(prefix, images: np.ndarray, labels: np.ndarray) -> tuple[Path
 def load_lltn_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     images = lltn.read(images_path)
     labels = lltn.read(labels_path)
+    for path, arr in ((images_path, images), (labels_path, labels)):
+        if not np.isfinite(arr).all():
+            raise DatasetError(f"{path}: holds a non-finite value (NaN or Inf)")
     if labels.ndim == 1 and np.allclose(labels, np.round(labels)):
         labels = labels.astype(np.int64)
     if len(images) != len(labels):

@@ -20,7 +20,6 @@ from . import lltn
 from . import tensor as T
 from .checks import TYPE_CHECKS, check_field_types
 from .rng import RngStream, derive_seed
-from .tensor import Tensor
 
 INPUT_LAYER = "input"  # reserved pseudo-layer name: the unmodified input
 
@@ -232,55 +231,155 @@ class ModelGraph:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, x, to_layer: str | None = None, param_tensors: dict | None = None) -> Tensor:
+    def forward(self, x, to_layer: str | None = None, tape: list | None = None,
+                param_grads: dict | None = None) -> np.ndarray:
         """Evaluate the chain up to (and including) `to_layer`, or fully.
 
         Takes a batch: one leading axis over samples shaped like input_shape
-        (a single sample x goes in as x[None]). Differentiable w.r.t. x and
-        any param tensors that require grad; without `param_tensors`, each
-        layer's parameters are wrapped as constants when the forward reaches
-        that layer.
+        (a single sample x goes in as x[None]). Without a tape nothing is kept.
+        With a tape (a list), each layer appends its record for
+        tensor.backward: its VJP, from the gradient at its output to the terms
+        of the gradient at its input. With `param_grads` (a dict) as well, x
+        is data: each record writes its layer's parameter gradients into
+        param_grads[layer], and no gradient is computed upstream of the first
+        layer with parameters.
         """
-        h = x if isinstance(x, Tensor) else Tensor(x)
+        h = np.asarray(x, dtype=np.float64)
         if h.shape[1:] != self.input_shape:
             raise T.ShapeError(
                 f"input shape {tuple(h.shape)} is not a batch of model input {self.input_shape}"
             )
+        T._check_finite(h, "input")
         if to_layer == INPUT_LAYER:
             return h
         if to_layer is not None and to_layer not in self._shapes:
             raise UnknownLayerError(to_layer)
+        wanted = param_grads is None  # whether the gradient at h is wanted
         for spec in self.layers:
-            h = self._apply(spec, h, param_tensors)
+            h, vjp = self._apply(spec, h, param_grads, wanted)
+            has_params = bool(self._layouts[spec.name])
+            if tape is not None and (wanted or has_params):
+                tape.append(vjp)
+            wanted = wanted or has_params
             if spec.name == to_layer:
                 break
         return h
 
-    def _apply(self, spec: LayerSpec, x: Tensor, pt: dict | None) -> Tensor:
+    def _apply(self, spec: LayerSpec, x: np.ndarray, param_grads: dict | None, wanted: bool):
+        """The layer's output on x and its VJP, which returns the terms of the
+        gradient at x (none unless `wanted`) and, given param_grads, writes
+        the layer's parameter gradients into param_grads[layer]."""
         kind = spec.kind
         if kind == "relu":
-            return T.relu(x)
+            return T.relu(x), lambda g: (g * (x > 0),)
         if kind in ("flatten", "reshape"):
-            return T.reshape(x, (x.shape[0],) + self._shapes[spec.name])
-        if pt is None:
-            p = {pn: Tensor.wrap(a) for pn, a in self.params[spec.name].items()}
-        else:
-            p = pt[spec.name]
-        if kind == "dense":
-            return T.add(T.matmul(x, p["weight"]), p["bias"])
+            return T.reshape(x, (x.shape[0],) + self._shapes[spec.name]), lambda g: (g.reshape(x.shape),)
+        p = self.params[spec.name]
+        pg = None if param_grads is None else param_grads.setdefault(spec.name, {})
         if kind == "conv":
-            return T.conv2d(x, p["weight"], spec.stride, spec.padding, p["bias"])
+            out, vjp = _conv(x, p, pg, "", spec.stride, spec.padding, wanted)
+            return out, lambda g: _terms(vjp(g))
         if kind == "residual_block":
-            if spec.upsample:
-                m = T.relu(T.transpose_conv2d(x, p["up_weight"], 2, 1, p["up_bias"]))
-                m = T.conv2d(m, p["conv2_weight"], 1, 1, p["conv2_bias"])
-                s = T.transpose_conv2d(x, p["skip_weight"], 2, 0, p["skip_bias"])
-            else:
-                m = T.relu(T.conv2d(x, p["conv1_weight"], 1, 1, p["conv1_bias"]))
-                m = T.conv2d(m, p["conv2_weight"], 1, 1, p["conv2_bias"])
-                s = T.conv2d(x, p["skip_weight"], 1, 0, p["skip_bias"]) if "skip_weight" in p else x
-            return T.relu(T.add(m, s))
-        raise BuildError(f"unknown layer kind {kind!r}")
+            return _residual_block(x, p, pg, spec.upsample, wanted)
+        if kind != "dense":
+            raise BuildError(f"unknown layer kind {kind!r}")
+        w = p["weight"]
+
+        def vjp(g):
+            if pg is not None:  # the bias's sums the batch axis, as broadcasting it onto x @ w would
+                pg["weight"], pg["bias"] = _grad(x.T @ g), _grad(g.sum(axis=0))
+            return _terms(_grad(g @ w.T) if wanted else None)
+
+        return T.add(T.matmul(x, w), p["bias"]), vjp
+
+
+# ---------------------------------------------------------------------------
+# the VJPs of the convolutional kinds
+# ---------------------------------------------------------------------------
+
+
+def _terms(grad: np.ndarray | None) -> tuple:
+    """A record's terms of the gradient at its input: `grad`, or none."""
+    return () if grad is None else (grad,)
+
+
+def _grad(arr: np.ndarray) -> np.ndarray:
+    """A computed gradient, checked finite. A mask, reshape or copy of a
+    checked gradient needs no check of its own."""
+    return T._checked(arr, "backward")
+
+
+def _conv(x, p: dict, pg: dict | None, name: str, stride: int, padding: int, wanted: bool):
+    """conv2d of x with kernels p[name + "weight"] and bias p[name + "bias"],
+    and its VJP, which returns the gradient at x (None unless `wanted`). Only
+    a VJP that writes parameter gradients (pg) keeps x's columns, for the
+    kernel's; the bias's sums the batch axis, then the spatial ones, as
+    broadcasting a (K,1,1) bias onto the output would."""
+    w = p[name + "weight"]
+    K, _, kh, kw = w.shape
+    cols = None if pg is None else T._im2col(x, kh, kw, stride, padding)[0]
+    hw = x.shape[2:]
+
+    def vjp(g):
+        if pg is not None:
+            gw = np.matmul(g.reshape(len(g), K, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+            pg[name + "weight"] = _grad(gw.reshape(w.shape))
+            pg[name + "bias"] = _grad(g.sum(axis=0).sum(axis=(1, 2)))
+        return _grad(T._conv_input_grad(g, w, hw, stride, padding)) if wanted else None
+
+    return T.conv2d(x, w, stride, padding, p[name + "bias"], cols), vjp
+
+
+def _transpose_conv(x, p: dict, pg: dict | None, name: str, stride: int, padding: int, wanted: bool):
+    """transpose_conv2d of x with kernels p[name + "weight"] and bias
+    p[name + "bias"], and its VJP, which gathers the gradient's columns once
+    for both the input and the kernel gradient, and returns the gradient at x
+    (None unless `wanted`)."""
+    w = p[name + "weight"]
+    K, _, kh, kw = w.shape
+
+    def vjp(g):
+        cols = T._im2col(g, kh, kw, stride, padding)[0]
+        if pg is not None:
+            gw = np.matmul(x.reshape(len(x), K, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+            pg[name + "weight"] = _grad(gw.reshape(w.shape))
+            pg[name + "bias"] = _grad(g.sum(axis=0).sum(axis=(1, 2)))
+        return _grad(np.matmul(w.reshape(K, -1), cols).reshape(x.shape)) if wanted else None
+
+    return T.transpose_conv2d(x, w, stride, padding, p[name + "bias"]), vjp
+
+
+def _residual_block(x, p: dict, pg: dict | None, upsample: bool, wanted: bool):
+    """relu(main(x) + skip(x)) and its VJP, which returns the two paths'
+    gradients at x as two terms: an identity skip's before main's, a conv
+    skip's after it. tensor.backward adds them in that order after a gradient
+    that reached x first (RU's fit term at a decoder's input): the order of
+    the reverse sweep over the whole graph that the pinned digests were taken
+    with. main is conv1 -> relu -> conv2, and skip the identity or a 1x1 conv;
+    upsampling, conv1 is a 4x4 stride-2 transpose conv (up) and skip a 2x2
+    one."""
+    if upsample:
+        first, first_vjp = _transpose_conv(x, p, pg, "up_", 2, 1, wanted)
+    else:
+        first, first_vjp = _conv(x, p, pg, "conv1_", 1, 1, wanted)
+    m, m_vjp = _conv(T.relu(first), p, pg, "conv2_", 1, 1, True)
+    if upsample:
+        s, skip_vjp = _transpose_conv(x, p, pg, "skip_", 2, 0, wanted)
+    elif "skip_weight" in p:
+        s, skip_vjp = _conv(x, p, pg, "skip_", 1, 0, wanted)
+    else:
+        s, skip_vjp = x, None
+    a = T.add(m, s)
+
+    def vjp(g):
+        g = g * (a > 0)
+        gx = first_vjp(m_vjp(g) * (first > 0))
+        if skip_vjp is None:
+            return (g, gx) if wanted else ()
+        gs = skip_vjp(g)
+        return (gx, gs) if wanted else ()
+
+    return T.relu(a), vjp
 
 
 def build(specs: list[LayerSpec], input_shape, seed: int = 0) -> ModelGraph:

@@ -18,7 +18,6 @@ from . import tensor as T
 from .lltn import atomic_write, write_json
 from .model import ModelGraph, UnknownLayerError, rescale_pair
 from .sid import DegenerateLayerError, SidConfig, SidResult, estimate_sid
-from .tensor import Tensor
 
 # Not used here: perfbench/tracer.py wraps this name on this module.
 from .ru import estimate_ru  # noqa: F401
@@ -118,8 +117,8 @@ def coherency_check(
     failure mode the normalization exists to prevent."""
     x = np.asarray(x, dtype=np.float64)
     rescaled = rescale_pair(model, layer, factor)
-    y0 = model.forward(Tensor(x[None])).data
-    y1 = rescaled.forward(Tensor(x[None])).data
+    y0 = model.forward(x[None])
+    y1 = rescaled.forward(x[None])
     output_max_diff = float(np.abs(y0 - y1).max())
     r0 = estimate_sid(model, layer, x, cfg)
     r1 = estimate_sid(rescaled, layer, x, cfg)

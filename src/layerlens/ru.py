@@ -40,7 +40,7 @@ from .sid import (
 
 # Not used here: perfbench/tracer.py wraps these names on this module.
 from .sid import certify_epsilon, feature_baseline, find_dead_units  # noqa: F401
-from .tensor import Tensor
+from .tensor import _checked
 from .train import TrainConfig, train
 
 _VAR_FLOOR = 1e-12  # floor on the per-unit empirical variance (entropy ln(1e-6) + C)
@@ -132,8 +132,8 @@ def train_decoder(
     train_idx, val_idx = train_val_split(len(images), 0.1, seed=cfg.seed)
     mse_cfg = replace(cfg, loss="mse")
     trained, _ = train(decoder, (feats[train_idx], images[train_idx]), mse_cfg)
-    recon = trained.forward(Tensor(feats[val_idx]))
-    val_mse = float(np.mean((recon.data - images[val_idx]) ** 2))
+    recon = trained.forward(feats[val_idx])
+    val_mse = float(np.mean((recon - images[val_idx]) ** 2))
     return DecoderSpec(graph=trained, layer=layer, val_mse=val_mse)
 
 
@@ -142,11 +142,13 @@ def train_decoder(
 # ---------------------------------------------------------------------------
 
 
-def _unit_entropy(err_sq: Tensor) -> Tensor:
+def _unit_entropy(err_sq: np.ndarray):
     """H_hat_i = 0.5*log(max(err_sq_i, _VAR_FLOOR)) + C per unit, from the mean
-    squared reconstruction errors: on the tape when err_sq is."""
+    squared reconstruction errors, and its VJP: from g, the gradient at every
+    H_hat_i, to the gradient at err_sq."""
     floored = T.clip_min(err_sq, _VAR_FLOOR)
-    return T.add(T.mul(T.log(floored), Tensor.wrap(0.5)), Tensor.wrap(GAUSSIAN_ENTROPY_CONST))
+    H = T.add(T.mul(T.log(floored), 0.5), GAUSSIAN_ENTROPY_CONST)
+    return H, lambda g: _checked((g * 0.5) / floored, "backward") * (err_sq > _VAR_FLOOR)
 
 
 def pixel_ru(
@@ -170,7 +172,7 @@ def pixel_ru(
         raise T.ShapeError(f"decoder output {recon.shape[1:]} does not match input {x.shape}")
     err_sq = ((recon - x) ** 2).mean(axis=0)
     clamped = np.flatnonzero(err_sq.reshape(-1) < _VAR_FLOOR)
-    return _unit_entropy(Tensor.wrap(err_sq)).data, clamped
+    return _unit_entropy(err_sq)[0], clamped
 
 
 def ru_loss(
@@ -188,11 +190,12 @@ def ru_loss(
     One set of draws feeds both the feature-deviation term and the per-unit
     reconstruction variances (shared draws lower the gradient variance)."""
 
-    def entropy(fp):
-        recon = decoder.forward(fp)
-        err = T.sub(recon, Tensor.wrap(surrogate.x))
-        err_sq_mean = T.mul(T.reduce_sum(T.mul(err, err), axis=0), Tensor.wrap(1.0 / samples))
-        return T.reduce_sum(_unit_entropy(err_sq_mean))
+    def entropy(fp, g, carried):
+        tape = []
+        err = T.sub(decoder.forward(fp, tape=tape), surrogate.x)
+        H, vjp = _unit_entropy(T.mul(T.reduce_sum(T.mul(err, err), axis=0), 1.0 / samples))
+        t = (vjp(g) * (1.0 / samples)) * err  # back through the mean, then err * err
+        return T.reduce_sum(H), T.backward(tape, _checked(t + t, "backward"), carried)
 
     return _entropy_loss(surrogate, sigma, lam, fit_scale, samples, rng, entropy)
 

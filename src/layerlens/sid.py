@@ -24,7 +24,7 @@ from . import tensor as T
 from .checks import check_field_types
 from .model import ModelGraph
 from .rng import RngStream
-from .tensor import Tensor, _check_finite
+from .tensor import _check_finite, _checked
 from .train import Adam
 
 GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -183,7 +183,7 @@ class Surrogate:
 
 def clean_feature(model: ModelGraph, layer: str, x: np.ndarray) -> np.ndarray:
     """The layer's feature f0 at the unperturbed input, unbatched."""
-    return model.forward(Tensor(x[None]), to_layer=layer).data[0]
+    return model.forward(x[None], to_layer=layer)[0]
 
 
 def _forward_chunked(model: ModelGraph, xs: np.ndarray, layer: str) -> np.ndarray:
@@ -191,7 +191,7 @@ def _forward_chunked(model: ModelGraph, xs: np.ndarray, layer: str) -> np.ndarra
     into one array."""
     out = None
     for lo in range(0, len(xs), _CERT_CHUNK):
-        f = model.forward(Tensor(xs[lo : lo + _CERT_CHUNK]), to_layer=layer).data
+        f = model.forward(xs[lo : lo + _CERT_CHUNK], to_layer=layer)
         if out is None:
             if len(f) == len(xs):
                 return f
@@ -231,12 +231,6 @@ def feature_baseline(surrogate: Surrogate, tau: float, samples: int, rng: RngStr
     return value
 
 
-def _checked(value, op: str):
-    """`value`, after checking that it is finite as the result of `op`."""
-    _check_finite(value, op)
-    return value
-
-
 def _entropy_loss(
     surrogate: Surrogate,
     sigma: SigmaField,
@@ -244,18 +238,21 @@ def _entropy_loss(
     fit_scale: float,
     samples: int,
     rng: RngStream,
-    entropy: Callable[[Tensor], Tensor] | None,
+    entropy: Callable[[np.ndarray, float, np.ndarray], tuple[np.ndarray, np.ndarray]] | None,
 ) -> tuple[float, np.ndarray]:
     """fit - lam * entropy and its gradient w.r.t. log_sigma, from `samples`
     fresh reparameterized draws x' = x + sigma * noise at the surrogate's x.
     The fit term is the mean squared deviation of the surrogate's feature from
-    its clean f0 over fit_scale. `entropy(fp)` builds the entropy being
-    maximized from the perturbed feature fp; None leaves the fit term alone.
+    its clean f0 over fit_scale. `entropy(fp, g, carried)` returns the entropy
+    being maximized, built from the perturbed feature fp, and the gradient at
+    fp: `carried` (the fit term's) plus g times the entropy's, added term by
+    term after it (tensor.backward). None leaves the fit term alone.
 
-    The tape starts at x': it records the network and what `entropy` builds.
-    The sigma chain is computed here with the arithmetic its tape nodes would
-    do, each value checked under that node's name, and the pathwise gradient
-    is sigma * sum_b(dL/dx'_b * noise_b).
+    The tape starts at x': the forward records the network's layers, and the
+    gradient at fp, with g = -lam, runs back through them to dL/dx'. The
+    sigma chain is computed here, each value checked under the name of its
+    operation (the forward checks x'), and the pathwise gradient is
+    sigma * sum_b(dL/dx'_b * noise_b).
 
     The surrogate is the fit term's control variate, off the tape: its draws'
     mean l(z_b) / fit_scale leaves the value and dL/dx'_b loses
@@ -267,7 +264,7 @@ def _entropy_loss(
         raise ValueError("fit_scale must be positive")
     x = surrogate.x
     log_sigma = sigma.log_sigma
-    _check_finite(log_sigma, "tensor")
+    _check_finite(log_sigma, "log_sigma")
     noise = rng.normal((samples,) + x.shape)
     with np.errstate(all="ignore"):  # non-finite values raise NumericalError
         sig = _checked(np.exp(log_sigma), "exp")
@@ -276,15 +273,15 @@ def _entropy_loss(
         gz = surrogate.apply(z)
         ell = np.vdot(z, gz)  # sum_b l(z_b), before z becomes x'
         xp += x
-    # x' is the tape's one leaf that takes a gradient; f0 is wrapped, not copied
-    xp = Tensor.wrap(_checked(xp, "add"), requires_grad=True)
-    fp = surrogate.model.forward(xp, to_layer=surrogate.layer)
+    tape = []
+    fp = surrogate.model.forward(xp, surrogate.layer, tape)
     scale = 1.0 / (samples * fit_scale)
-    loss = T.sum_sq_diff(fp, Tensor.wrap(surrogate.f0), scale)
+    loss, grad_fp = T.sum_sq_diff(fp, surrogate.f0, scale)
     if entropy is not None:
-        loss = T.sub(loss, T.mul(entropy(fp), Tensor.wrap(lam)))
-    grad_xp = T.backward(loss)[xp]
-    value = loss.data - ell * scale + surrogate.mean(sig) / fit_scale
+        ent, grad_fp = entropy(fp, -lam, grad_fp)
+        loss = T.sub(loss, T.mul(ent, lam))
+    grad_xp = T.backward(tape, grad_fp)
+    value = loss - ell * scale + surrogate.mean(sig) / fit_scale
     gz *= 2.0 * scale
     grad_xp = grad_xp - gz.reshape(grad_xp.shape)
     grad = _checked((grad_xp * noise).sum(axis=0), "backward") * sig
@@ -377,7 +374,7 @@ def _probe(model: ModelGraph, layer: str, x: np.ndarray, scale: float, units: np
         m = len(rows)
         probes = np.repeat(x.reshape(1, n), m, axis=0)
         probes[np.arange(m), units[rows // 2]] += np.where(rows % 2, -scale, scale)
-        f = model.forward(Tensor(probes.reshape((m,) + x.shape)), to_layer=layer).data
+        f = model.forward(probes.reshape((m,) + x.shape), to_layer=layer)
         yield lo, f.reshape(m, -1)
 
 

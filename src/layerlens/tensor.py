@@ -1,23 +1,21 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float64 array kernels: the layer chain's operations and its losses.
 
-Everything is double precision and row-major. Ops are pure (inputs are never
-mutated) and abort with NumericalError the moment a NaN or Inf shows up,
-instead of letting it propagate. There is one mode: an op's result keeps an
-operand, with the closure of its gradient, exactly when that operand requires
-a gradient, so a forward of constant leaves records no tape at all. `backward`
-runs a topological sweep from a scalar loss and returns a {tensor: gradient}
-map over the tensors that require one. Convolutions take batches (B,C,H,W).
+Everything is double precision and row-major. Kernels are pure (inputs are
+never mutated) and abort with NumericalError the moment a NaN or Inf shows
+up, instead of letting it propagate. There is no autodiff type: a forward of
+ModelGraph given a tape (a list) appends one record per layer, a function from
+the gradient at the layer's output to the terms of the gradient at its input,
+and `backward` runs the records in reverse. Each loss returns its value and
+its gradient. Convolutions take batches (B,C,H,W).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable
 
 import numpy as np
 
 __all__ = [
-    "Tensor",
     "NumericalError",
     "ShapeError",
     "add",
@@ -48,132 +46,77 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
+def _check_finite(arr, op: str) -> None:
     if not np.isfinite(arr).all():
         raise NumericalError(f"{op}: non-finite value produced (NaN/Inf); aborting")
 
 
-class Tensor:
-    """N-dimensional float64 array, optionally tracked for autodiff."""
-
-    __slots__ = ("data", "requires_grad", "_parents")
-
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.array(data, dtype=np.float64)  # copy: callers keep ownership
-        _check_finite(arr, "tensor")
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-
-    @classmethod
-    def wrap(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        """A leaf sharing a float64 array's memory, with no copy and no finite
-        check: a constant unless `requires_grad`. Ops never mutate their
-        inputs, and each op checks its result, so a NaN or Inf in `arr` still
-        aborts the op that reads it."""
-        out = cls.__new__(cls)
-        out.data = np.asarray(arr, dtype=np.float64)
-        out.requires_grad = requires_grad
-        out._parents = ()
-        return out
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+def _checked(arr, op: str):
+    """`arr`, after checking that it is finite as the result of `op`."""
+    _check_finite(arr, op)
+    return arr
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _result(data: np.ndarray, parents: Iterable[tuple], op: str) -> Tensor:
-    _check_finite(data, op)
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out._parents = tuple((p, fn) for p, fn in parents if p.requires_grad)
-    out.requires_grad = bool(out._parents)
-    return out
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape` (trailing-dim rules)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# elementwise ops (broadcasting over trailing dims, numpy semantics)
-# ---------------------------------------------------------------------------
-
-
-def _elementwise(op: str, a, b, fwd: Callable, da: Callable, db: Callable) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def _pointwise(op: str, fn, *operands) -> np.ndarray:
+    """fn(*operands) under numpy broadcasting, checked as the result of `op`."""
     try:
         with np.errstate(all="ignore"):  # non-finite results raise NumericalError below
-            data = fwd(a.data, b.data)
+            out = fn(*operands)
     except ValueError as err:
-        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from err
-    parents = (
-        (a, lambda g: _unbroadcast(da(g, a.data, b.data), a.data.shape)),
-        (b, lambda g: _unbroadcast(db(g, a.data, b.data), b.data.shape)),
-    )
-    return _result(data, parents, op)
+        shapes = " and ".join(str(np.shape(a)) for a in operands)
+        raise ShapeError(f"{op}: incompatible shapes {shapes}") from err
+    return _checked(out, op)
 
 
-def add(a, b) -> Tensor:
-    return _elementwise("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
+def add(a, b) -> np.ndarray:
+    return _pointwise("add", np.add, a, b)
 
 
-def sub(a, b) -> Tensor:
-    return _elementwise("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+def sub(a, b) -> np.ndarray:
+    return _pointwise("sub", np.subtract, a, b)
 
 
-def mul(a, b) -> Tensor:
-    return _elementwise("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+def mul(a, b) -> np.ndarray:
+    return _pointwise("mul", np.multiply, a, b)
 
 
-def div(a, b) -> Tensor:
-    return _elementwise(
-        "div", a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y)
-    )
+# Not called by the program: perfbench/tracer.py wraps these names on this module.
+def div(a, b) -> np.ndarray:
+    return _pointwise("div", np.divide, a, b)
 
 
-# ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
+def exp(x) -> np.ndarray:
+    return _pointwise("exp", np.exp, x)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
+def log(x) -> np.ndarray:
+    return _pointwise("log", np.log, x)
+
+
+def clip_min(x, floor: float) -> np.ndarray:
+    """max(x, floor)."""
+    return _pointwise("clip_min", np.maximum, x, floor)
+
+
+def relu(x) -> np.ndarray:
+    return _pointwise("relu", np.maximum, x, 0.0)
+
+
+def reduce_sum(x, axis=None) -> np.ndarray:
+    return _checked(np.asarray(x.sum(axis=axis)), "reduce_sum")
+
+
+def reshape(x: np.ndarray, shape) -> np.ndarray:
+    """A view of x in `shape`: the values of a checked array, unchanged."""
+    return x.reshape(shape)
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    data = a.data @ b.data
-    parents = (
-        (a, lambda g: g @ b.data.T),
-        (b, lambda g: a.data.T @ g),
-    )
-    return _result(data, parents, "matmul")
+    return _checked(a @ b, "matmul")
 
 
 # ---------------------------------------------------------------------------
@@ -262,28 +205,24 @@ def _conv_input_grad(g: np.ndarray, kernels: np.ndarray, hw: tuple, stride: int,
     return _flipped_adjoint(g, kernels, hw, stride, pad)
 
 
-def _add_bias(out: np.ndarray, bias, op: str) -> tuple:
-    """Add a per-channel bias to a fresh (B,K,H,W) conv output in place and
-    return its (tensor, gradient) parent, or no parent without a bias. The
-    gradient sums the batch axis, then the spatial ones: the order in which
-    broadcasting a (K,1,1) bias onto the output would sum them."""
+def _add_bias(out: np.ndarray, bias, op: str) -> None:
+    """Add a per-channel bias (K,), when given, to a fresh (B,K,H,W) output in place."""
     if bias is None:
-        return ()
-    bias = _as_tensor(bias)
+        return
     K = out.shape[1]
     if bias.shape != (K,):
         raise ShapeError(f"{op}: bias must have shape ({K},), got {bias.shape}")
-    out += bias.data.reshape(K, 1, 1)
-    return ((bias, lambda g: g.sum(axis=0).sum(axis=(1, 2))),)
+    out += bias.reshape(K, 1, 1)
 
 
-def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None, cols=None) -> np.ndarray:
     """Cross-correlation of a batch (B,C,H,W) with kernels (K,C,kh,kw), plus
-    a per-channel bias (K,) when given; a single (C,H,W) sample takes x[None]."""
-    x, kernels = _as_tensor(x), _as_tensor(kernels)
-    if x.data.ndim != 4:
+    a per-channel bias (K,) when given; a single (C,H,W) sample takes x[None].
+    `cols` are x's columns (_im2col) when the caller keeps them, for the
+    kernel gradient; otherwise they are gathered here and dropped."""
+    if x.ndim != 4:
         raise ShapeError(f"conv2d: input must be 4-D (B,C,H,W), got {x.shape}")
-    if kernels.data.ndim != 4:
+    if kernels.ndim != 4:
         raise ShapeError(f"conv2d: kernels must be 4-D (K,C,kh,kw), got {kernels.shape}")
     K, C, kh, kw = kernels.shape
     B, Cx, H, W = x.shape
@@ -296,22 +235,15 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
             f"conv2d: non-integer output size for input {H}x{W}, "
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}"
         )
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
-    Wm = kernels.data.reshape(K, C * kh * kw)
-    out = np.matmul(Wm, cols).reshape(B, K, oh, ow)
-
-    def grad_x(g):
-        return _conv_input_grad(g, kernels.data, (H, W), stride, padding)
-
-    def grad_k(g):
-        gW = np.matmul(g.reshape(B, K, oh * ow), cols.transpose(0, 2, 1)).sum(axis=0)
-        return gW.reshape(K, C, kh, kw)
-
-    parents = ((x, grad_x), (kernels, grad_k)) + _add_bias(out, bias, "conv2d")
-    return _result(out, parents, "conv2d")
+    if cols is None:
+        cols = _im2col(x, kh, kw, stride, padding)[0]
+    oh, ow = (H + 2 * padding - kh) // stride + 1, (W + 2 * padding - kw) // stride + 1
+    out = np.matmul(kernels.reshape(K, C * kh * kw), cols).reshape(B, K, oh, ow)
+    _add_bias(out, bias, "conv2d")
+    return _checked(out, "conv2d")
 
 
-def transpose_conv2d(y, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+def transpose_conv2d(y, kernels, stride: int = 1, padding: int = 0, bias=None) -> np.ndarray:
     """Exact adjoint of conv2d with the same kernels/stride/padding, plus a
     per-channel bias (C,) when given.
 
@@ -319,156 +251,72 @@ def transpose_conv2d(y, kernels, stride: int = 1, padding: int = 0, bias=None) -
     2*padding, so that <conv2d(x), y> == <x, transpose_conv2d(y)> for all x, y
     (no bias).
     """
-    y, kernels = _as_tensor(y), _as_tensor(kernels)
-    if y.data.ndim != 4:
+    if y.ndim != 4:
         raise ShapeError(f"transpose_conv2d: input must be 4-D (B,K,H,W), got {y.shape}")
-    if kernels.data.ndim != 4:
+    if kernels.ndim != 4:
         raise ShapeError(f"transpose_conv2d: kernels must be 4-D, got {kernels.shape}")
     K, C, kh, kw = kernels.shape
-    B, Ky, Hy, Wy = y.shape
+    _, Ky, Hy, Wy = y.shape
     if Ky != K:
         raise ShapeError(f"transpose_conv2d: channel mismatch, input {Ky} vs kernels {K}")
     H = (Hy - 1) * stride + kh - 2 * padding
     W = (Wy - 1) * stride + kw - 2 * padding
     if H < 1 or W < 1:
         raise ShapeError("transpose_conv2d: output size would be empty")
-    Wm = kernels.data.reshape(K, C * kh * kw)
-    yf = y.data.reshape(B, K, Hy * Wy)
-    out = _conv_input_grad(y.data, kernels.data, (H, W), stride, padding)
-
-    last = [None, None]  # (gradient, its columns): both closures get the same g
-
-    def gradient_columns(g):
-        if last[0] is not g:
-            last[:] = [g, _im2col(g, kh, kw, stride, padding)[0]]
-        return last[1]
-
-    def grad_y(g):
-        return np.matmul(Wm, gradient_columns(g)).reshape(B, K, Hy, Wy)
-
-    def grad_k(g):
-        gW = np.matmul(yf, gradient_columns(g).transpose(0, 2, 1)).sum(axis=0)
-        return gW.reshape(K, C, kh, kw)
-
-    parents = ((y, grad_y), (kernels, grad_k)) + _add_bias(out, bias, "transpose_conv2d")
-    return _result(out, parents, "transpose_conv2d")
+    out = _conv_input_grad(y, kernels, (H, W), stride, padding)
+    _add_bias(out, bias, "transpose_conv2d")
+    return _checked(out, "transpose_conv2d")
 
 
 # ---------------------------------------------------------------------------
-# activations, reductions, pointwise transcendentals
+# losses: each returns (value, gradient at its first operand)
 # ---------------------------------------------------------------------------
 
 
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    data = np.maximum(x.data, 0.0)
-    return _result(data, ((x, lambda g: g * (x.data > 0)),), "relu")
-
-
-def mse(a, b) -> Tensor:
-    """Mean squared error over all elements; returns a scalar tensor."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mse: shapes differ, {a.shape} vs {b.shape}")
-    diff = a.data - b.data
-    n = diff.size
-    with np.errstate(over="ignore"):
-        data = np.asarray((diff * diff).sum() / n)
-    parents = (
-        (a, lambda g: g * 2.0 * diff / n),
-        (b, lambda g: -g * 2.0 * diff / n),
-    )
-    return _result(data, parents, "mse")
-
-
-def reduce_sum(x, axis=None) -> Tensor:
-    x = _as_tensor(x)
-    data = np.asarray(x.data.sum(axis=axis))
-    shape = x.data.shape
-
-    def grad_x(g):
-        if axis is None:
-            return np.broadcast_to(g, shape).copy()
-        g_exp = np.expand_dims(g, axis)
-        return np.broadcast_to(g_exp, shape).copy()
-
-    return _result(data, ((x, grad_x),), "reduce_sum")
-
-
-def sum_sq_diff(a, b, scale: float) -> Tensor:
-    """scale * sum((a - b)**2) with b broadcast against a, as one node. Its value
-    and gradients carry the bits of the sub -> mul -> reduce_sum -> mul chain
-    it stands for."""
-    a, b = _as_tensor(a), _as_tensor(b)
+def sum_sq_diff(a: np.ndarray, b, scale: float) -> tuple:
+    """scale * sum((a - b)**2) with b broadcast against a, and its gradient in
+    a, 2 * scale * (a - b) as (scale * d) + (scale * d)."""
     try:
         with np.errstate(all="ignore"):  # non-finite results raise NumericalError below
-            d = a.data - b.data
-            data = np.asarray((d * d).sum() * scale)
+            d = a - b
+            value = np.asarray((d * d).sum() * scale)
+            t = scale * d
     except ValueError as err:
-        raise ShapeError(f"sum_sq_diff: incompatible shapes {a.shape} and {b.shape}") from err
-
-    def grad_d(g):
-        t = (g * scale) * d
-        return t + t
-
-    parents = (
-        (a, lambda g: _unbroadcast(grad_d(g), a.data.shape)),
-        (b, lambda g: _unbroadcast(-grad_d(g), b.data.shape)),
-    )
-    return _result(data, parents, "sum_sq_diff")
+        raise ShapeError(f"sum_sq_diff: incompatible shapes {a.shape} and {np.shape(b)}") from err
+    _check_finite(value, "sum_sq_diff")
+    return value, _checked(t + t, "backward")
 
 
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(x.data)
-    return _result(data, ((x, lambda g: g / x.data),), "log")
-
-
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
+def mse(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Mean squared error over all elements, and its gradient in a."""
+    if a.shape != b.shape:
+        raise ShapeError(f"mse: shapes differ, {a.shape} vs {b.shape}")
+    diff = a - b
+    n = diff.size
     with np.errstate(over="ignore"):
-        data = np.exp(x.data)
-    return _result(data, ((x, lambda g: g * data),), "exp")
+        value = np.asarray((diff * diff).sum() / n)
+    _check_finite(value, "mse")
+    return value, _checked(2.0 * diff / n, "backward")
 
 
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    old = x.data.shape
-    data = x.data.reshape(shape).copy()
-    return _result(data, ((x, lambda g: g.reshape(old)),), "reshape")
-
-
-def clip_min(x, floor: float) -> Tensor:
-    """max(x, floor); gradient passes only where x > floor."""
-    x = _as_tensor(x)
-    data = np.maximum(x.data, floor)
-    return _result(data, ((x, lambda g: g * (x.data > floor)),), "clip_min")
-
-
-def softmax_cross_entropy(logits, labels) -> Tensor:
-    """Mean cross-entropy of (B,K) logits against int class labels (B,)."""
-    logits = _as_tensor(logits)
+def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple:
+    """Mean cross-entropy of (B,K) logits against int class labels (B,), and
+    its gradient in the logits."""
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.data.ndim != 2 or labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
+    if logits.ndim != 2 or labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
         raise ShapeError(
             f"softmax_cross_entropy: logits {logits.shape} vs labels {labels.shape}"
         )
-    z = logits.data
+    z = logits
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     B = z.shape[0]
     picked = z[np.arange(B), labels]
-    data = np.asarray((lse - picked).mean())
-    softmax = np.exp(z - zmax)
-    softmax /= softmax.sum(axis=1, keepdims=True)
-
-    def grad_z(g):
-        gz = softmax.copy()
-        gz[np.arange(B), labels] -= 1.0
-        return g * gz / B
-
-    return _result(data, ((logits, grad_z),), "softmax_cross_entropy")
+    value = _checked(np.asarray((lse - picked).mean()), "softmax_cross_entropy")
+    grad = np.exp(z - zmax)
+    grad /= grad.sum(axis=1, keepdims=True)
+    grad[np.arange(B), labels] -= 1.0
+    return value, _checked(grad / B, "backward")
 
 
 # ---------------------------------------------------------------------------
@@ -476,52 +324,17 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def backward(loss: Tensor) -> dict:
-    """Reverse-mode sweep from a scalar loss.
-
-    Returns a {tensor: gradient} map over the requires_grad leaves the loss
-    depends on, each gradient shaped like its tensor's value. An intermediate
-    gradient is dropped once it has reached its parents. The recorded graph
-    is freed.
-    """
-    if not isinstance(loss, Tensor):
-        raise TypeError("backward expects a Tensor")
-    if loss.data.size != 1:
-        raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
-        raise ValueError("backward on a tensor with no recorded graph")
-
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    out: dict[Tensor, np.ndarray] = {}
-    for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if not node._parents:
-            out[node] = np.asarray(g, dtype=np.float64).reshape(node.data.shape)
-            continue
-        for parent, fn in node._parents:
-            contribution = fn(g)
-            _check_finite(contribution, "backward")
-            prev = grads.get(id(parent))
-            grads[id(parent)] = contribution if prev is None else prev + contribution
-
-    for t in topo:  # free the tape
-        t._parents = ()
-    return out
+def backward(tape: list, grad: np.ndarray, carried: np.ndarray | None = None):
+    """Run a tape's records in reverse from `grad`, the gradient at the output
+    of its last record, and return the gradient at the input of its first
+    (None when that record computes none). Each record returns the terms of
+    the gradient at its input; they are summed in order, after `carried`, a
+    gradient that reached the tape's input first by another path. Each record
+    checks what it computes, and is dropped from the tape, with what it kept
+    of the forward, once it has run."""
+    while tape:
+        terms = tape.pop()(grad)
+        grad = None if tape else carried
+        for term in terms:
+            grad = term if grad is None else grad + term
+    return grad

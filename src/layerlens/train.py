@@ -12,7 +12,6 @@ from . import tensor as T
 from .checks import check_field_types
 from .model import ModelGraph, save_checkpoint
 from .rng import RngStream, derive_seed
-from .tensor import Tensor
 
 
 class TrainingDiverged(RuntimeError):
@@ -65,11 +64,16 @@ class Sgd:
         return value - lr * grad
 
 
-def _batch_loss(model: ModelGraph, pt: dict, xb: np.ndarray, yb: np.ndarray, kind: str) -> Tensor:
-    out = model.forward(Tensor(xb), param_tensors=pt)
+def _batch_step(model: ModelGraph, xb: np.ndarray, yb: np.ndarray, kind: str) -> tuple[float, dict]:
+    """The batch's loss and every parameter's gradient, {layer: {param: gradient}}."""
+    tape, grads = [], {}
+    out = model.forward(xb, tape=tape, param_grads=grads)
     if kind == "cross_entropy":
-        return T.softmax_cross_entropy(out, yb.astype(np.int64))
-    return T.mse(out, Tensor(yb))
+        loss, grad = T.softmax_cross_entropy(out, yb.astype(np.int64))
+    else:
+        loss, grad = T.mse(out, yb)
+    T.backward(tape, grad)
+    return float(loss), grads
 
 
 def train(
@@ -98,22 +102,17 @@ def train(
         losses = []
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            pt = {
-                ln: {pn: Tensor.wrap(arr, requires_grad=True) for pn, arr in d.items()}
-                for ln, d in trained.params.items()
-            }
             try:
-                loss = _batch_loss(trained, pt, images[idx], targets[idx], cfg.loss)
-                grad_of = T.backward(loss)
+                loss, grads = _batch_step(trained, images[idx], targets[idx], cfg.loss)
             except T.NumericalError as err:
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch starting {lo}: {err}"
                 ) from err
-            grads = {(ln, pn): grad_of[t] for ln, d in pt.items() for pn, t in d.items() if t in grad_of}
-            del grad_of  # it also holds every activation of the batch and its gradient
-            for (ln, pn), g in grads.items():
-                trained.params[ln][pn] = opts[ln, pn].step(trained.params[ln][pn], g, cfg.learning_rate)
-            losses.append(loss.item())
+            for ln, d in grads.items():
+                params = trained.params[ln]
+                for pn, g in d.items():
+                    params[pn] = opts[ln, pn].step(params[pn], g, cfg.learning_rate)
+            losses.append(loss)
         mean_loss = float(np.mean(losses))
         trace.append(mean_loss)
         if checkpoint_dir is not None:

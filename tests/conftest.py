@@ -1,5 +1,7 @@
+import ctypes
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,33 @@ from layerlens import model as M
 from layerlens import ru as R
 from layerlens import sid as S
 from layerlens.train import TrainConfig
+
+
+def _openblas_core() -> str:
+    """The OpenBLAS core in force, asked of the scipy-openblas library that
+    numpy's wheel bundles; "unknown" when there is none to ask."""
+    here = Path(np.__file__).parent
+    libs = sorted(here.parent.glob("numpy.libs/*openblas*")) + sorted(here.glob(".dylibs/*openblas*"))
+    for lib in libs:
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def pytest_report_header(config):
+    """numpy, its BLAS and the OpenBLAS core: the kernel that runs a GEMM
+    sets the last bits the pinned digests hash, so a failing pin is read
+    against this line."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        blas = "unknown"
+    return f"numpy {np.__version__}, BLAS {blas}, OpenBLAS core {_openblas_core()}"
 
 
 def finite_diff(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -977,6 +977,29 @@ class TestConfigHandling:
         )
         assert run("sid", cfg) == 4
 
+    @pytest.mark.parametrize("verb", ["train", "sid"])
+    @pytest.mark.parametrize("bad", ["nan-pixel", "inf-label"])
+    def test_non_finite_dataset_value_is_io_error(self, workspace, capsys, verb, bad):
+        # a NaN pixel ended both verbs with exit 2 naming a tensor op; an inf
+        # label was cast to -2**63 and ended them with exit 3
+        root = workspace["root"]
+        images, labels = D.make_fourclass_images(n=48, shape=(1, 8, 8), seed=3)
+        labels = labels.astype(np.float64)
+        if bad == "nan-pixel":
+            images[5, 0, 2, 3] = np.nan
+        else:
+            labels[7] = np.inf
+        ip, lp = D.save_lltn_pair(root / "bad" / "set", images, labels)
+        config = {
+            "dataset": {"format": "lltn", "images": str(ip), "labels": str(lp)},
+            "model": CNN,
+            **({"train": {"epochs": 1}} if verb == "train" else estimator_patch()),
+            "outputs": str(root / "o"),
+        }
+        assert run(verb, write_config(root, "nonfinite.json", config)) == 4
+        err = capsys.readouterr().err
+        assert str(ip if bad == "nan-pixel" else lp) in err and "non-finite" in err
+
     def test_env_seed_is_last_resort(self, workspace, monkeypatch):
         root = workspace["root"]
         config = {

@@ -7,7 +7,8 @@ import pytest
 from layerlens import lltn
 from layerlens import model as M
 from layerlens import tensor as T
-from layerlens.tensor import Tensor
+
+from conftest import finite_diff, rel_err
 
 
 def _identity_dense_chain(n=4, depth=2):
@@ -29,8 +30,8 @@ class TestBuild:
         g.params["d"]["weight"] = W
         g.params["d"]["bias"] = b
         x = np_rng.normal(size=(1, 4))
-        out = g.forward(Tensor(x))
-        np.testing.assert_allclose(out.data, x @ W + b, rtol=0, atol=1e-15)
+        out = g.forward(x)
+        np.testing.assert_allclose(out, x @ W + b, rtol=0, atol=1e-15)
 
     def test_conv_chain_shapes_match_formula(self):
         g = M.build(
@@ -113,55 +114,63 @@ class TestForwardTo:
     def test_input_passthrough(self, np_rng):
         g = M.tiny_cnn()
         x = np_rng.normal(size=(1, 3, 8, 8))
-        out = g.forward(Tensor(x), to_layer=M.INPUT_LAYER)
-        np.testing.assert_array_equal(out.data, x)
+        out = g.forward(x, to_layer=M.INPUT_LAYER)
+        np.testing.assert_array_equal(out, x)
 
     def test_identity_relu_net_preserves_nonnegative_input(self, np_rng):
         g = _identity_dense_chain(n=5, depth=3)
         x = np.abs(np_rng.normal(size=(1, 5)))
-        out = g.forward(Tensor(x))
-        np.testing.assert_allclose(out.data, x, rtol=0, atol=0)
+        out = g.forward(x)
+        np.testing.assert_allclose(out, x, rtol=0, atol=0)
 
     def test_prefix_equals_full_forward(self, np_rng):
         # equivalence oracle: evaluating to the last layer is the full forward
         g = M.tiny_cnn()
-        x = Tensor(np_rng.normal(size=(1, 3, 8, 8)))
+        x = np_rng.normal(size=(1, 3, 8, 8))
         full = g.forward(x)
         last = g.forward(x, to_layer=g.layer_names()[-1])
-        np.testing.assert_array_equal(full.data, last.data)
+        np.testing.assert_array_equal(full, last)
         for name in g.layer_names():
             prefix = g.forward(x, to_layer=name)
             assert prefix.shape == (1,) + g.layer_shape(name)
 
     def test_unknown_layer(self):
         with pytest.raises(M.UnknownLayerError):
-            M.tiny_cnn().forward(Tensor(np.zeros((1, 3, 8, 8))), to_layer="nope")
+            M.tiny_cnn().forward(np.zeros((1, 3, 8, 8)), to_layer="nope")
 
     def test_batched_forward_matches_single(self, np_rng):
         # a batch of B equals B batches of one
         g = M.tiny_resnet()
         xs = np_rng.normal(size=(3, 1, 8, 8))
-        batched = g.forward(Tensor(xs), to_layer="block2")
+        batched = g.forward(xs, to_layer="block2")
         for i in range(3):
-            single = g.forward(Tensor(xs[i : i + 1]), to_layer="block2")
-            np.testing.assert_allclose(batched.data[i : i + 1], single.data, rtol=0, atol=0)
+            single = g.forward(xs[i : i + 1], to_layer="block2")
+            np.testing.assert_allclose(batched[i : i + 1], single, rtol=0, atol=0)
 
     def test_tape_only_where_a_leaf_needs_a_gradient(self, np_rng):
-        # constant leaves (the input and the wrapped parameters) record nothing
+        # no tape, nothing kept; a tape records one VJP per layer, run and
+        # dropped by backward. Training's input is data: the layers before
+        # the first with parameters record nothing, and it computes no
+        # gradient at x
         g = M.tiny_cnn()
         xs = np_rng.normal(size=(2, 3, 8, 8))
-        out = g.forward(Tensor(xs))
-        assert not out.requires_grad and out._parents == ()
-        tracked = g.forward(Tensor(xs, requires_grad=True))
-        assert tracked.requires_grad and tracked._parents != ()
-        np.testing.assert_array_equal(tracked.data, out.data)
+        out = g.forward(xs)
+        tape = []
+        np.testing.assert_array_equal(g.forward(xs, tape=tape), out)
+        assert len(tape) == len(g.layers)
+        assert T.backward(tape, np.ones_like(out)).shape == xs.shape and tape == []
+        mlp = M.build([M.flatten("f"), M.dense("d", 3), M.relu("r")], (2, 2), seed=0)
+        tape, grads = [], {}
+        mlp.forward(xs[:, 0, :2, :2], tape=tape, param_grads=grads)
+        assert len(tape) == 2 and sorted(grads) == ["d"]
+        assert T.backward(tape, np.ones((2, 3))) is None and sorted(grads["d"]) == ["bias", "weight"]
 
     def test_wrong_input_shape_rejected(self):
         with pytest.raises(T.ShapeError):
-            M.tiny_cnn().forward(Tensor(np.zeros((1, 8, 8))))
+            M.tiny_cnn().forward(np.zeros((1, 8, 8)))
         # one unbatched sample: the forward takes a batch only
         with pytest.raises(T.ShapeError, match=r"\(3, 8, 8\)"):
-            M.tiny_cnn().forward(Tensor(np.zeros((3, 8, 8))))
+            M.tiny_cnn().forward(np.zeros((3, 8, 8)))
 
     # numpy warns on inf * 0 inside the conv GEMM before the op rejects the NaN
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -173,7 +182,69 @@ class TestForwardTo:
         g = M.tiny_cnn()
         g.params[layer][param].reshape(-1)[0] = bad
         with pytest.raises(T.NumericalError):
-            g.forward(Tensor(np.ones((1, 3, 8, 8))))
+            g.forward(np.ones((1, 3, 8, 8)))
+
+
+# one layer of each kind, and its input shape: the conv at strides 1-2 and
+# pads 0-2, the residual block with an identity skip, a 1x1 skip and upsampling
+ONE_LAYER = {
+    "dense": (M.dense("l", 3), (4,)),
+    **{
+        f"conv-s{s}-p{p}": (M.conv("l", 3, 3, stride=s, padding=p), (2, 5, 5))
+        for s in (1, 2)
+        for p in (0, 1, 2)
+    },
+    "relu": (M.relu("l"), (2, 3, 3)),
+    "flatten": (M.flatten("l"), (2, 3, 3)),
+    "reshape": (M.reshape("l", (3, 6)), (2, 3, 3)),
+    "residual-identity": (M.residual_block("l", 2), (2, 4, 4)),
+    "residual-1x1": (M.residual_block("l", 3), (2, 4, 4)),
+    "residual-upsample": (M.residual_block("l", 3, upsample=True), (2, 3, 3)),
+}
+
+
+class TestLayerVjp:
+    """Each kind's record against central differences of <forward(x), c>:
+    the gradient at x from a tape, and every parameter's from a training
+    forward. Parameters are drawn anew, the biases non-zero."""
+
+    @staticmethod
+    def _site(kind, np_rng):
+        spec, shape = ONE_LAYER[kind]
+        g = M.build([spec], shape, seed=1)
+        for d in g.params.values():
+            for pn in d:
+                d[pn] = np_rng.normal(size=d[pn].shape)
+        x = np_rng.normal(size=(2,) + shape)
+        c = np_rng.normal(size=(2,) + g.layer_shape("l"))
+        return g, x, c
+
+    @pytest.mark.parametrize("kind", sorted(ONE_LAYER))
+    def test_input_gradient_vs_fd(self, kind, np_rng):
+        g, x, c = self._site(kind, np_rng)
+        tape = []
+        g.forward(x, tape=tape)
+        assert len(tape) == 1
+        grad = T.backward(tape, c)
+        assert rel_err(grad, finite_diff(lambda v: float((g.forward(v) * c).sum()), x)) <= 1e-7
+
+    @pytest.mark.parametrize("kind", [k for k in sorted(ONE_LAYER) if M._geometry(*ONE_LAYER[k])[1]])
+    def test_parameter_gradients_vs_fd(self, kind, np_rng):
+        g, x, c = self._site(kind, np_rng)
+        tape, grads = [], {}
+        g.forward(x, tape=tape, param_grads=grads)
+        assert T.backward(tape, c) is None
+        params = g.params["l"]
+        assert sorted(grads["l"]) == sorted(params)
+        for pn, value in params.items():
+            def loss(v):
+                params[pn] = v
+                try:
+                    return float((g.forward(x) * c).sum())
+                finally:
+                    params[pn] = value
+
+            assert rel_err(grads["l"][pn], finite_diff(loss, value)) <= 1e-7, pn
 
 
 class TestInsertBlock:
@@ -204,7 +275,7 @@ class TestInsertBlock:
         damaged = M.insert_block(g, position=1, n_filters=8)
         for name in g.layer_names():
             assert damaged.layer_shape(name) == g.layer_shape(name)
-        x = Tensor(np_rng.normal(size=(1, 3, 8, 8)))
+        x = np_rng.normal(size=(1, 3, 8, 8))
         assert damaged.forward(x).shape == g.forward(x).shape
 
     def test_identity_init_is_noop_on_outputs(self, np_rng):
@@ -212,8 +283,8 @@ class TestInsertBlock:
         damaged = M.insert_block(g, position=1, n_filters=16)
         for layer in ("inserted1_conv1", "inserted1_conv2"):
             damaged.params[layer] = {"weight": np.eye(16).reshape(16, 16, 1, 1), "bias": np.zeros(16)}
-        x = Tensor(np_rng.normal(size=(1, 3, 8, 8)))
-        np.testing.assert_allclose(damaged.forward(x).data, g.forward(x).data, rtol=0, atol=0)
+        x = np_rng.normal(size=(1, 3, 8, 8))
+        np.testing.assert_allclose(damaged.forward(x), g.forward(x), rtol=0, atol=0)
 
     def test_random_init_pinned(self):
         # the inserted convs' parameters at seed 3 on the damage study's tiny-resnet;
@@ -244,18 +315,18 @@ class TestRescalePair:
     def test_output_preserved_and_feature_scaled(self, np_rng):
         g = M.tiny_cnn(seed=5)
         scaled = M.rescale_pair(g, "conv1", factor=4.0)
-        x = Tensor(np_rng.normal(size=(1, 3, 8, 8)))
+        x = np_rng.normal(size=(1, 3, 8, 8))
         y0, y1 = g.forward(x), scaled.forward(x)
-        assert np.abs(y0.data - y1.data).max() <= 1e-10
+        assert np.abs(y0 - y1).max() <= 1e-10
         f0 = g.forward(x, to_layer="conv1")
         f1 = scaled.forward(x, to_layer="conv1")
-        np.testing.assert_allclose(f1.data, f0.data / 4.0, rtol=0, atol=0)
+        np.testing.assert_allclose(f1, f0 / 4.0, rtol=0, atol=0)
 
     def test_dense_successor_after_flatten(self, np_rng):
         g = M.tiny_cnn(seed=5)
         scaled = M.rescale_pair(g, "conv2", factor=4.0)
-        x = Tensor(np_rng.normal(size=(1, 3, 8, 8)))
-        assert np.abs(g.forward(x).data - scaled.forward(x).data).max() <= 1e-10
+        x = np_rng.normal(size=(1, 3, 8, 8))
+        assert np.abs(g.forward(x) - scaled.forward(x)).max() <= 1e-10
 
     def test_inverse_restores_parameters(self):
         g = M.tiny_cnn(seed=5)
@@ -273,10 +344,10 @@ class TestRescalePair:
             seed=5,
         )
         scaled = M.rescale_pair(g, "d1", factor=4.0)
-        x = Tensor(np_rng.normal(size=(2, 8)))
-        assert np.abs(g.forward(x).data - scaled.forward(x).data).max() <= 1e-10
+        x = np_rng.normal(size=(2, 8))
+        assert np.abs(g.forward(x) - scaled.forward(x)).max() <= 1e-10
         np.testing.assert_allclose(
-            scaled.forward(x, to_layer="d1").data, g.forward(x, to_layer="d1").data / 4.0, rtol=0, atol=0
+            scaled.forward(x, to_layer="d1"), g.forward(x, to_layer="d1") / 4.0, rtol=0, atol=0
         )
 
     def test_refuses_residual_block_in_between(self):
@@ -305,8 +376,8 @@ class TestCheckpoint:
         M.save_checkpoint(g, tmp_path / "ck", meta={"epoch": 3, "loss": 0.5, "seed": 9})
         loaded, meta = M.load_checkpoint(tmp_path / "ck")
         assert meta["epoch"] == 3
-        x = Tensor(np_rng.normal(size=(1, 1, 8, 8)))
-        np.testing.assert_array_equal(g.forward(x).data, loaded.forward(x).data)
+        x = np_rng.normal(size=(1, 1, 8, 8))
+        np.testing.assert_array_equal(g.forward(x), loaded.forward(x))
 
     def test_truncated_parameter_file_rejected(self, tmp_path):
         g = M.tiny_cnn(seed=2)
@@ -405,7 +476,7 @@ class TestDecoderStyleGraphs:
             seed=1,
         )
         assert g.layer_shape("up") == (4, 8, 8)
-        out = g.forward(Tensor(np_rng.normal(size=(1, 4, 4, 4))))
+        out = g.forward(np_rng.normal(size=(1, 4, 4, 4)))
         assert out.shape == (1, 1, 8, 8)
 
     def test_reshape_layer(self, np_rng):
@@ -414,5 +485,5 @@ class TestDecoderStyleGraphs:
             (8,),
             seed=1,
         )
-        out = g.forward(Tensor(np_rng.normal(size=(1, 8))))
+        out = g.forward(np_rng.normal(size=(1, 8)))
         assert out.shape == (1, 1, 4, 4)

@@ -14,7 +14,7 @@ from layerlens.sid import GAUSSIAN_ENTROPY_CONST as C
 from layerlens.sid import SidConfig, SidResult, SigmaField, estimate_sid, fit_sigma
 from layerlens.train import TrainConfig
 
-from conftest import result_digest, zero_surrogate
+from conftest import finite_diff, rel_err, result_digest, zero_surrogate
 
 RU_FLOOR = math.log(1e-6) + C  # a unit's entropy at the 1e-12 floor on its error variance
 
@@ -105,12 +105,11 @@ class TestTrainDecoder:
         trained = R.train_decoder(g, "conv2", xs, cfg)
 
         untrained = R.make_decoder(g.layer_shape("conv2"), g.input_shape, seed=cfg.seed)
-        from layerlens import tensor as T
         from layerlens.sid import _forward_chunked
 
         feats = _forward_chunked(g, xs, "conv2")
-        recon = untrained.forward(T.Tensor(feats))
-        untrained_mse = float(np.mean((recon.data - xs) ** 2))
+        recon = untrained.forward(feats)
+        untrained_mse = float(np.mean((recon - xs) ** 2))
         assert trained.val_mse < untrained_mse
 
     @pytest.mark.parametrize("layer", ["img", "c"])
@@ -186,6 +185,18 @@ def test_ru_loss_pinned(ru_loss_site):
     )
 
 
+def test_unit_entropy_gradient_vs_fd():
+    # RU's per-unit entropy and its VJP; a unit below the floor has none
+    err_sq = np.array([[0.3, 0.002], [1.7, 0.05]])
+    H, vjp = R._unit_entropy(err_sq)
+    np.testing.assert_array_equal(H, 0.5 * np.log(err_sq) + C)
+    fd = finite_diff(lambda v: -0.7 * float(R._unit_entropy(v)[0].sum()), err_sq, h=1e-7)
+    assert rel_err(vjp(-0.7), fd) <= 1e-6
+    err_sq[0, 1] = 2e-13
+    H, vjp = R._unit_entropy(err_sq)
+    assert H[0, 1] == 0.5 * np.log(1e-12) + C and vjp(-0.7)[0, 1] == 0.0
+
+
 def test_ru_loss_entropy_is_the_reported_map(ru_loss_site):
     # the step maximises the H_hat pixel_ru reports: on one set of draws its
     # value drops by sum(0.5*log(max(v_i, floor)) + C) from lambda 0 to 1.
@@ -198,7 +209,7 @@ def test_ru_loss_entropy_is_the_reported_map(ru_loss_site):
 
     noise = RngStream(7).normal((64,) + x.shape)
     feats = model.forward(x[None] + sigma.sigma * noise, to_layer="conv2")
-    v = ((dec.forward(feats).data - x) ** 2).mean(axis=0)
+    v = ((dec.forward(feats) - x) ** 2).mean(axis=0)
     h = 0.5 * np.log(np.maximum(v, 1e-12)) + C
     assert value(0.0) - value(1.0) == pytest.approx(float(h.sum()), rel=1e-9)
     reported, _ = R.pixel_ru(model, dec, "conv2", x, sigma, 64, RngStream(7))

@@ -30,7 +30,7 @@ def _load(name):
 def test_bench_step_runs(capsys):
     _load("bench_step").main(["tiny-resnet", "stem", "sid", "--seconds", "0.05"])
     out = capsys.readouterr().out
-    assert "tiny-resnet/stem sid:" in out and "2 tape nodes per step" in out
+    assert "tiny-resnet/stem sid:" in out and "1 tape record(s) per step" in out
     assert "80 steps, conformant True" in out
     for phase in ("jacobian probe", "baseline", "dead-unit probe", "steps", "certification"):
         assert f"  {phase} " in out

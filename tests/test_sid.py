@@ -627,63 +627,62 @@ def test_unnormalized_diagnostic_is_the_step_at_divisor_one(monkeypatch, ru_loss
 
 
 class TestTapeNodes:
-    """Leanness guard: the number of op results (tensor._result calls) in the
-    hot path. One default sid_loss at tiny-resnet/stem, given f0, recorded 14
-    when the conv bias was a reshape and an add and the fit term a sub, mul,
-    reduce_sum and mul, then 9 (exp, mul, add, conv2d, sum_sq_diff, the
-    entropy's add and reduce_sum, the lambda mul and the final sub). Now the
-    tape starts at the perturbed input and the Gaussian entropy is off it: 2
-    (conv2d, sum_sq_diff). One ru_loss at tiny-cnn/conv2 recorded 34 with the
-    sigma chain (exp, mul, add) on the tape and records 31. A conv layer's
-    forward went from 3 to 1."""
+    """Leanness guard: the tape records one step runs, counted from the tapes
+    handed to tensor.backward. The general tape this replaced recorded an op
+    result per operation: 2 per sid_loss at tiny-resnet/stem (conv2d,
+    sum_sq_diff) and 31 per ru_loss at tiny-cnn/conv2. A record is now one
+    layer's VJP, and a loss gives its gradient without one: 1 (stem) and 7
+    (conv1, relu1 and conv2, then the decoder's three residual blocks and
+    output conv)."""
 
     @staticmethod
     def _count(monkeypatch):
-        count = [0]
-        result = T._result
+        records = []
+        backward = T.backward
 
-        def counting(*args):
-            count[0] += 1
-            return result(*args)
+        def counting(tape, *args):
+            records.append(len(tape))
+            return backward(tape, *args)
 
-        monkeypatch.setattr(T, "_result", counting)
-        return count
+        monkeypatch.setattr(T, "backward", counting)
+        return records
 
     def test_sid_loss(self, monkeypatch):
         model, x, sigma = _stem_loss_site()
         plain = zero_surrogate(model, "stem", x)
-        count = self._count(monkeypatch)
+        records = self._count(monkeypatch)
         S.sid_loss(plain, sigma, 0.05, 0.003, 32, RngStream(3))
-        assert count[0] == 2
+        assert records == [1]
 
     def test_ru_loss(self, monkeypatch, ru_loss_site):
         model, dec, x, sigma = ru_loss_site
         plain = zero_surrogate(model, "conv2", x)
-        count = self._count(monkeypatch)
+        records = self._count(monkeypatch)
         R.ru_loss(dec, plain, sigma, 0.3, 0.003, 32, RngStream(3))
-        assert count[0] == 31
+        assert records == [4, 3]  # the decoder's tape, then the network's
 
-    def test_conv_layer_forward(self, monkeypatch):
+    def test_conv_layer_forward(self):
+        # one record per layer: the conv's bias and finite check are inside it
         model, x, _ = _stem_loss_site()
-        count = self._count(monkeypatch)
-        model.forward(np.repeat(x[None], 4, axis=0), to_layer="stem")
-        assert count[0] == 1
+        tape = []
+        model.forward(np.repeat(x[None], 4, axis=0), to_layer="stem", tape=tape)
+        assert len(tape) == 1
 
     def test_forward_wraps_only_the_layers_it_runs(self, monkeypatch):
-        # the whole network's parameters were wrapped up front: 20 at tiny-resnet
+        # the whole network's parameters were once wrapped up front (20 at
+        # tiny-resnet); now nothing is wrapped, and a forward reads only the
+        # parameters of the layers it runs
         model, x, _ = _stem_loss_site()
-        wrapped = []
-        wrap = T.Tensor.wrap.__func__
+        read = []
 
-        def recording(cls, arr, *args, **kwargs):
-            wrapped.append(arr)
-            return wrap(cls, arr, *args, **kwargs)
+        class Recording(dict):
+            def __getitem__(self, layer):
+                read.append(layer)
+                return dict.__getitem__(self, layer)
 
-        monkeypatch.setattr(T.Tensor, "wrap", classmethod(recording))
+        monkeypatch.setattr(model, "params", Recording(model.params))
         model.forward(x[None], to_layer="stem")
-        stem = model.params["stem"]
-        assert len(wrapped) == 2
-        assert wrapped[0] is stem["weight"] and wrapped[1] is stem["bias"]
+        assert read == ["stem"]
 
 
 def _unit_columns_sq(model, layer, x):
@@ -691,7 +690,7 @@ def _unit_columns_sq(model, layer, x):
     and independent of the estimator's own probe."""
     f0 = S.clean_feature(model, layer, x)
     eye = np.eye(x.size).reshape((x.size,) + x.shape)
-    f = model.forward(x[None] + eye, to_layer=layer).data
+    f = model.forward(x[None] + eye, to_layer=layer)
     return ((f - f0) ** 2).reshape(x.size, -1).sum(axis=1).reshape(x.shape)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from layerlens import data as D
 from layerlens import model as M
-from layerlens import tensor as T
 from layerlens.rng import RngStream, derive_seed
 from layerlens.train import TrainConfig, TrainingDiverged, train
 
@@ -17,8 +16,8 @@ def make_linear_regression(n: int = 64, slope: float = 2.0, seed: int = 0):
 
 
 def accuracy(model: M.ModelGraph, images: np.ndarray, labels: np.ndarray) -> float:
-    logits = model.forward(T.Tensor(images))
-    return float((logits.data.argmax(axis=1) == labels).mean())
+    logits = model.forward(images)
+    return float((logits.argmax(axis=1) == labels).mean())
 
 
 class TestTrain:
