@@ -238,8 +238,8 @@ class ModelGraph:
         Takes a batch: one leading axis over samples shaped like input_shape
         (a single sample x goes in as x[None]). Without a tape nothing is kept.
         With a tape (a list), each layer appends its record for
-        tensor.backward: its VJP, from the gradient at its output to the terms
-        of the gradient at its input. With `param_grads` (a dict) as well, x
+        tensor.backward: its VJP, from the gradient at its output to the
+        gradient at its input. With `param_grads` (a dict) as well, x
         is data: each record writes its layer's parameter gradients into
         param_grads[layer], and no gradient is computed upstream of the first
         layer with parameters.
@@ -266,19 +266,18 @@ class ModelGraph:
         return h
 
     def _apply(self, spec: LayerSpec, x: np.ndarray, param_grads: dict | None, wanted: bool):
-        """The layer's output on x and its VJP, which returns the terms of the
-        gradient at x (none unless `wanted`) and, given param_grads, writes
-        the layer's parameter gradients into param_grads[layer]."""
+        """The layer's output on x and its VJP, which returns the gradient at
+        x (None unless `wanted`) and, given param_grads, writes the layer's
+        parameter gradients into param_grads[layer]."""
         kind = spec.kind
         if kind == "relu":
-            return T.relu(x), lambda g: (g * (x > 0),)
+            return T.relu(x), lambda g: g * (x > 0)
         if kind in ("flatten", "reshape"):
-            return T.reshape(x, (x.shape[0],) + self._shapes[spec.name]), lambda g: (g.reshape(x.shape),)
+            return T.reshape(x, (x.shape[0],) + self._shapes[spec.name]), lambda g: g.reshape(x.shape)
         p = self.params[spec.name]
         pg = None if param_grads is None else param_grads.setdefault(spec.name, {})
         if kind == "conv":
-            out, vjp = _conv(x, p, pg, "", spec.stride, spec.padding, wanted)
-            return out, lambda g: _terms(vjp(g))
+            return _conv(x, p, pg, "", spec.stride, spec.padding, wanted)
         if kind == "residual_block":
             return _residual_block(x, p, pg, spec.upsample, wanted)
         if kind != "dense":
@@ -288,7 +287,7 @@ class ModelGraph:
         def vjp(g):
             if pg is not None:  # the bias's sums the batch axis, as broadcasting it onto x @ w would
                 pg["weight"], pg["bias"] = _grad(x.T @ g), _grad(g.sum(axis=0))
-            return _terms(_grad(g @ w.T) if wanted else None)
+            return _grad(g @ w.T) if wanted else None
 
         return T.add(T.matmul(x, w), p["bias"]), vjp
 
@@ -296,11 +295,6 @@ class ModelGraph:
 # ---------------------------------------------------------------------------
 # the VJPs of the convolutional kinds
 # ---------------------------------------------------------------------------
-
-
-def _terms(grad: np.ndarray | None) -> tuple:
-    """A record's terms of the gradient at its input: `grad`, or none."""
-    return () if grad is None else (grad,)
 
 
 def _grad(arr: np.ndarray) -> np.ndarray:
@@ -331,12 +325,16 @@ def _conv(x, p: dict, pg: dict | None, name: str, stride: int, padding: int, wan
 
 
 def _transpose_conv(x, p: dict, pg: dict | None, name: str, stride: int, padding: int, wanted: bool):
-    """transpose_conv2d of x with kernels p[name + "weight"] and bias
+    """The transposed conv of x with kernels p[name + "weight"], the exact
+    adjoint of conv2d with them (tensor._conv_input_grad), plus the bias
     p[name + "bias"], and its VJP, which gathers the gradient's columns once
     for both the input and the kernel gradient, and returns the gradient at x
     (None unless `wanted`)."""
     w = p[name + "weight"]
     K, _, kh, kw = w.shape
+    hw = ((x.shape[2] - 1) * stride + kh - 2 * padding, (x.shape[3] - 1) * stride + kw - 2 * padding)
+    out = T._conv_input_grad(x, w, hw, stride, padding)
+    out += p[name + "bias"].reshape(-1, 1, 1)
 
     def vjp(g):
         cols = T._im2col(g, kh, kw, stride, padding)[0]
@@ -346,18 +344,14 @@ def _transpose_conv(x, p: dict, pg: dict | None, name: str, stride: int, padding
             pg[name + "bias"] = _grad(g.sum(axis=0).sum(axis=(1, 2)))
         return _grad(np.matmul(w.reshape(K, -1), cols).reshape(x.shape)) if wanted else None
 
-    return T.transpose_conv2d(x, w, stride, padding, p[name + "bias"]), vjp
+    return T._checked(out, "transpose_conv2d"), vjp
 
 
 def _residual_block(x, p: dict, pg: dict | None, upsample: bool, wanted: bool):
-    """relu(main(x) + skip(x)) and its VJP, which returns the two paths'
-    gradients at x as two terms: an identity skip's before main's, a conv
-    skip's after it. tensor.backward adds them in that order after a gradient
-    that reached x first (RU's fit term at a decoder's input): the order of
-    the reverse sweep over the whole graph that the pinned digests were taken
-    with. main is conv1 -> relu -> conv2, and skip the identity or a 1x1 conv;
-    upsampling, conv1 is a 4x4 stride-2 transpose conv (up) and skip a 2x2
-    one."""
+    """relu(main(x) + skip(x)) and its VJP, which returns the gradient at x,
+    the sum of the two paths' (one float addition, which commutes). main is
+    conv1 -> relu -> conv2, and skip the identity or a 1x1 conv; upsampling,
+    conv1 is a 4x4 stride-2 transpose conv (up) and skip a 2x2 one."""
     if upsample:
         first, first_vjp = _transpose_conv(x, p, pg, "up_", 2, 1, wanted)
     else:
@@ -374,10 +368,8 @@ def _residual_block(x, p: dict, pg: dict | None, upsample: bool, wanted: bool):
     def vjp(g):
         g = g * (a > 0)
         gx = first_vjp(m_vjp(g) * (first > 0))
-        if skip_vjp is None:
-            return (g, gx) if wanted else ()
-        gs = skip_vjp(g)
-        return (gx, gs) if wanted else ()
+        gs = g if skip_vjp is None else skip_vjp(g)
+        return gx + gs if wanted else None
 
     return T.relu(a), vjp
 

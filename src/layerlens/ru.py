@@ -190,12 +190,16 @@ def ru_loss(
     One set of draws feeds both the feature-deviation term and the per-unit
     reconstruction variances (shared draws lower the gradient variance)."""
 
-    def entropy(fp, g, carried):
+    def entropy(fp):
         tape = []
         err = T.sub(decoder.forward(fp, tape=tape), surrogate.x)
         H, vjp = _unit_entropy(T.mul(T.reduce_sum(T.mul(err, err), axis=0), 1.0 / samples))
-        t = (vjp(g) * (1.0 / samples)) * err  # back through the mean, then err * err
-        return T.reduce_sum(H), T.backward(tape, _checked(t + t, "backward"), carried)
+
+        def entropy_vjp(g):
+            t = (vjp(g) * (1.0 / samples)) * err  # back through the mean, then err * err
+            return T.backward(tape, _checked(t + t, "backward"))
+
+        return T.reduce_sum(H), entropy_vjp
 
     return _entropy_loss(surrogate, sigma, lam, fit_scale, samples, rng, entropy)
 

@@ -29,7 +29,7 @@ from .train import Adam
 
 GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2.0 * math.pi * math.e)
 
-_CERT_CHUNK = 128  # row bound for every batched forward and surrogate product
+_CERT_CHUNK = 128  # row bound for every batched forward and Surrogate.total product
 
 
 class DegenerateLayerError(RuntimeError):
@@ -168,12 +168,9 @@ class Surrogate:
             return float((np.square(np.ravel(scale)) * self.c).sum())
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        """G z_b for each row z_b of a (draws, n) batch, _CERT_CHUNK rows per
-        product: l(z_b) = z_b . G z_b and its gradient is 2 G z_b."""
-        out = np.empty_like(z)
-        for lo in range(0, len(z), _CERT_CHUNK):
-            np.matmul(z[lo : lo + _CERT_CHUNK], self.gram, out=out[lo : lo + _CERT_CHUNK])
-        return out
+        """G z_b for each row z_b of a (draws, n) batch: l(z_b) = z_b . G z_b
+        and its gradient is 2 G z_b."""
+        return z @ self.gram
 
     def total(self, z: np.ndarray) -> float:
         """sum_b l(z_b) over the rows of a (draws, n) batch, without keeping G z."""
@@ -238,15 +235,15 @@ def _entropy_loss(
     fit_scale: float,
     samples: int,
     rng: RngStream,
-    entropy: Callable[[np.ndarray, float, np.ndarray], tuple[np.ndarray, np.ndarray]] | None,
+    entropy: Callable[[np.ndarray], tuple[np.ndarray, Callable]] | None,
 ) -> tuple[float, np.ndarray]:
     """fit - lam * entropy and its gradient w.r.t. log_sigma, from `samples`
     fresh reparameterized draws x' = x + sigma * noise at the surrogate's x.
     The fit term is the mean squared deviation of the surrogate's feature from
-    its clean f0 over fit_scale. `entropy(fp, g, carried)` returns the entropy
-    being maximized, built from the perturbed feature fp, and the gradient at
-    fp: `carried` (the fit term's) plus g times the entropy's, added term by
-    term after it (tensor.backward). None leaves the fit term alone.
+    its clean f0 over fit_scale. `entropy(fp)` returns the entropy being
+    maximized, built from the perturbed feature fp, and its VJP: from g to g
+    times the entropy's gradient at fp, which is added to the fit term's
+    once. None leaves the fit term alone.
 
     The tape starts at x': the forward records the network's layers, and the
     gradient at fp, with g = -lam, runs back through them to dL/dx'. The
@@ -278,8 +275,9 @@ def _entropy_loss(
     scale = 1.0 / (samples * fit_scale)
     loss, grad_fp = T.sum_sq_diff(fp, surrogate.f0, scale)
     if entropy is not None:
-        ent, grad_fp = entropy(fp, -lam, grad_fp)
+        ent, vjp = entropy(fp)
         loss = T.sub(loss, T.mul(ent, lam))
+        grad_fp = grad_fp + vjp(-lam)
     grad_xp = T.backward(tape, grad_fp)
     value = loss - ell * scale + surrogate.mean(sig) / fit_scale
     gz *= 2.0 * scale

@@ -4,9 +4,10 @@ Everything is double precision and row-major. Kernels are pure (inputs are
 never mutated) and abort with NumericalError the moment a NaN or Inf shows
 up, instead of letting it propagate. There is no autodiff type: a forward of
 ModelGraph given a tape (a list) appends one record per layer, a function from
-the gradient at the layer's output to the terms of the gradient at its input,
-and `backward` runs the records in reverse. Each loss returns its value and
-its gradient. Convolutions take batches (B,C,H,W).
+the gradient at the layer's output to the gradient at its input, and
+`backward` folds the records in reverse. Each loss returns its value and its
+gradient. Convolutions take batches (B,C,H,W); the transposed conv is
+conv2d's input adjoint, `_conv_input_grad`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "div",
     "matmul",
     "conv2d",
-    "transpose_conv2d",
     "relu",
     "mse",
     "reduce_sum",
@@ -205,16 +205,6 @@ def _conv_input_grad(g: np.ndarray, kernels: np.ndarray, hw: tuple, stride: int,
     return _flipped_adjoint(g, kernels, hw, stride, pad)
 
 
-def _add_bias(out: np.ndarray, bias, op: str) -> None:
-    """Add a per-channel bias (K,), when given, to a fresh (B,K,H,W) output in place."""
-    if bias is None:
-        return
-    K = out.shape[1]
-    if bias.shape != (K,):
-        raise ShapeError(f"{op}: bias must have shape ({K},), got {bias.shape}")
-    out += bias.reshape(K, 1, 1)
-
-
 def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None, cols=None) -> np.ndarray:
     """Cross-correlation of a batch (B,C,H,W) with kernels (K,C,kh,kw), plus
     a per-channel bias (K,) when given; a single (C,H,W) sample takes x[None].
@@ -239,33 +229,11 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None, cols=None) 
         cols = _im2col(x, kh, kw, stride, padding)[0]
     oh, ow = (H + 2 * padding - kh) // stride + 1, (W + 2 * padding - kw) // stride + 1
     out = np.matmul(kernels.reshape(K, C * kh * kw), cols).reshape(B, K, oh, ow)
-    _add_bias(out, bias, "conv2d")
+    if bias is not None:
+        if bias.shape != (K,):
+            raise ShapeError(f"conv2d: bias must have shape ({K},), got {bias.shape}")
+        out += bias.reshape(K, 1, 1)
     return _checked(out, "conv2d")
-
-
-def transpose_conv2d(y, kernels, stride: int = 1, padding: int = 0, bias=None) -> np.ndarray:
-    """Exact adjoint of conv2d with the same kernels/stride/padding, plus a
-    per-channel bias (C,) when given.
-
-    Maps a batch (B,K,H',W') back to (B,C,H,W) with H = (H'-1)*stride + kh -
-    2*padding, so that <conv2d(x), y> == <x, transpose_conv2d(y)> for all x, y
-    (no bias).
-    """
-    if y.ndim != 4:
-        raise ShapeError(f"transpose_conv2d: input must be 4-D (B,K,H,W), got {y.shape}")
-    if kernels.ndim != 4:
-        raise ShapeError(f"transpose_conv2d: kernels must be 4-D, got {kernels.shape}")
-    K, C, kh, kw = kernels.shape
-    _, Ky, Hy, Wy = y.shape
-    if Ky != K:
-        raise ShapeError(f"transpose_conv2d: channel mismatch, input {Ky} vs kernels {K}")
-    H = (Hy - 1) * stride + kh - 2 * padding
-    W = (Wy - 1) * stride + kw - 2 * padding
-    if H < 1 or W < 1:
-        raise ShapeError("transpose_conv2d: output size would be empty")
-    out = _conv_input_grad(y, kernels, (H, W), stride, padding)
-    _add_bias(out, bias, "transpose_conv2d")
-    return _checked(out, "transpose_conv2d")
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +292,13 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def backward(tape: list, grad: np.ndarray, carried: np.ndarray | None = None):
-    """Run a tape's records in reverse from `grad`, the gradient at the output
-    of its last record, and return the gradient at the input of its first
-    (None when that record computes none). Each record returns the terms of
-    the gradient at its input; they are summed in order, after `carried`, a
-    gradient that reached the tape's input first by another path. Each record
-    checks what it computes, and is dropped from the tape, with what it kept
-    of the forward, once it has run."""
+def backward(tape: list, grad: np.ndarray):
+    """Fold a tape's records in reverse from `grad`, the gradient at the
+    output of its last record: each record maps the gradient at its output to
+    the one at its input, and the fold returns that of its first record (None
+    when that record computes none). Each record checks what it computes, and
+    is dropped from the tape, with what it kept of the forward, once it has
+    run."""
     while tape:
-        terms = tape.pop()(grad)
-        grad = None if tape else carried
-        for term in terms:
-            grad = term if grad is None else grad + term
+        grad = tape.pop()(grad)
     return grad

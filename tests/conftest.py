@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -13,6 +14,7 @@ from layerlens import sid as S
 from layerlens.train import TrainConfig
 
 
+@functools.cache
 def _openblas_core() -> str:
     """The OpenBLAS core in force, asked of the scipy-openblas library that
     numpy's wheel bundles; "unknown" when there is none to ask."""
@@ -26,6 +28,18 @@ def _openblas_core() -> str:
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         return corename().decode()
     return "unknown"
+
+
+def pinned_by_core(values: dict):
+    """The pinned value of `values` (by OpenBLAS core) for the core in force.
+    A GEMM's last bits depend on the kernel that sums its products, so bytes
+    that pass through one are pinned per core. Each value was taken with
+    numpy 2.4.6 and scipy-openblas 0.3.31 (the Python 3.10 job's older numpy
+    is unverified). A core with no measured value fails the test."""
+    core = _openblas_core()
+    if core not in values:
+        pytest.fail(f"no value measured under OpenBLAS core {core} (measured: {', '.join(values)})")
+    return values[core]
 
 
 def pytest_report_header(config):

@@ -18,7 +18,9 @@ def conv_record(x, kernels, stride=1, pad=0, bias=None, grads=None):
 
 
 def transpose_conv_record(y, kernels, stride=1, pad=0, bias=None, grads=None):
-    """The same for an upsampling block's transpose conv."""
+    """The same for an upsampling block's transpose conv; its bias is zero
+    unless given."""
+    bias = np.zeros(kernels.shape[1]) if bias is None else bias
     return M._transpose_conv(y, {"weight": kernels, "bias": bias}, grads, "", stride, pad, True)
 
 
@@ -109,12 +111,9 @@ class TestConv2d:
             T.conv2d(np.zeros((1, 1, 5, 5)), np.zeros((1, 1, 2, 2)), stride=2)
 
     def test_unbatched_input_rejected(self):
-        # both convolutions take a batch (B,C,H,W) only; one sample is x[None]
-        k = np.zeros((1, 1, 3, 3))
+        # conv2d takes a batch (B,C,H,W) only; one sample is x[None]
         with pytest.raises(T.ShapeError, match=r"\(1, 5, 5\)"):
-            T.conv2d(np.zeros((1, 5, 5)), k)
-        with pytest.raises(T.ShapeError, match=r"\(1, 5, 5\)"):
-            T.transpose_conv2d(np.zeros((1, 5, 5)), k)
+            T.conv2d(np.zeros((1, 5, 5)), np.zeros((1, 1, 3, 3)))
 
     def test_kernel_gradient_vs_fd(self, np_rng):
         x0 = np_rng.normal(size=(1, 2, 5, 5))
@@ -159,6 +158,9 @@ class TestConv2d:
 
 
 class TestTransposeConv2d:
+    """The transposed conv is conv2d's input adjoint, _conv_input_grad, which
+    an upsampling block's record runs as its forward."""
+
     @pytest.mark.parametrize(
         "c,k,h,w,kh,stride,pad",
         [
@@ -171,14 +173,14 @@ class TestTransposeConv2d:
         ],
     )
     def test_adjoint_identity(self, c, k, h, w, kh, stride, pad, np_rng):
-        # <conv(x), y> == <x, conv^T(y)> pins transpose_conv2d as the exact adjoint
+        # <conv(x), y> == <x, conv^T(y)> pins _conv_input_grad as the exact adjoint
         if (h + 2 * pad - kh) % stride or (w + 2 * pad - kh) % stride:
             pytest.skip("shape not conv-compatible")
         kern = np_rng.normal(size=(k, c, kh, kh))
         x = np_rng.normal(size=(1, c, h, w))
         fx = T.conv2d(x, kern, stride=stride, padding=pad)
         y = np_rng.normal(size=fx.shape)
-        back = T.transpose_conv2d(y, kern, stride=stride, padding=pad)
+        back = T._conv_input_grad(y, kern, (h, w), stride, pad)
         lhs = float((fx * y).sum())
         rhs = float((x * back).sum())
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -204,7 +206,7 @@ class TestTransposeConv2d:
         x = rng.normal(size=(1, c, h, h))
         fx = T.conv2d(x, kern, stride=stride, padding=pad)
         y = rng.normal(size=fx.shape)
-        back = T.transpose_conv2d(y, kern, stride=stride, padding=pad)
+        back = T._conv_input_grad(y, kern, (h, h), stride, pad)
         lhs = float((fx * y).sum())
         rhs = float((x * back).sum())
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
@@ -218,10 +220,10 @@ class TestTransposeConv2d:
         grad_y = vjp(c)
 
         def loss_y(v):
-            return float((T.transpose_conv2d(v, k0, stride=2) * c).sum())
+            return float((transpose_conv_record(v, k0, stride=2)[0] * c).sum())
 
         def loss_k(v):
-            return float((T.transpose_conv2d(y0, v, stride=2) * c).sum())
+            return float((transpose_conv_record(y0, v, stride=2)[0] * c).sum())
 
         assert rel_err(grad_y, finite_diff(loss_y, y0)) <= 1e-4
         assert rel_err(grads["weight"], finite_diff(loss_k, k0)) <= 1e-4
@@ -245,21 +247,22 @@ class TestTransposeConv2d:
 class TestBiasInsideConv:
     """A bias operand gives the bits of the conv-plus-add composition it
     replaces: forward, and the input, kernel and bias gradients, the bias's
-    summed as broadcasting a (K,1,1) bias onto the output would sum it."""
+    summed as broadcasting a (K,1,1) bias onto the output would sum it. The
+    transposed conv's record, which always has a bias, is composed with a
+    zero one."""
 
     @pytest.mark.parametrize("op", ["conv2d", "transpose_conv2d"])
     @pytest.mark.parametrize("batched", [True, False])  # False: a batch of one
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("pad", [0, 1])
     def test_matches_conv_plus_reshaped_add(self, op, batched, stride, pad, np_rng):
-        conv = getattr(T, op)
         record = conv_record if op == "conv2d" else transpose_conv_record
         c, k = 2, 3
         in_ch, out_ch = (c, k) if op == "conv2d" else (k, c)
         x0 = np_rng.normal(size=((4,) if batched else (1,)) + (in_ch, 7, 7))
         k0 = np_rng.normal(size=(k, c, 3, 3))
         b0 = np_rng.normal(size=out_ch)
-        g = np_rng.normal(size=conv(x0, k0, stride, pad).shape)
+        g = np_rng.normal(size=record(x0, k0, stride, pad)[0].shape)
 
         def run(fused):
             grads = {}
@@ -280,8 +283,6 @@ class TestBiasInsideConv:
         k = np_rng.normal(size=(3, 2, 3, 3))
         with pytest.raises(T.ShapeError, match="bias"):
             T.conv2d(x, k, 1, 1, np.zeros(2))
-        with pytest.raises(T.ShapeError, match="bias"):
-            T.transpose_conv2d(np.zeros((1, 3, 5, 5)), k, 1, 1, np.zeros(3))
 
 
 def scatter_input_grad(g, kernels, x_shape, stride, pad):
@@ -322,7 +323,7 @@ class TestInputGradientAgainstScatter:
         g = np_rng.normal(size=out.shape)
         want = scatter_input_grad(g, kern, x0.shape, stride, pad)
         np.testing.assert_allclose(vjp(g), want, rtol=0, atol=1e-12)
-        back = T.transpose_conv2d(g, kern, stride, pad)
+        back = transpose_conv_record(g, kern, stride, pad)[0]
         np.testing.assert_allclose(back, want, rtol=0, atol=1e-12)
 
 
@@ -398,7 +399,7 @@ def _gather_geometries():
 class TestGatherKernelsMatchStridedKernels:
     """The cached-index gathers give the bits of the padded-buffer, strided-
     window kernels they replaced: columns, forward, both input adjoints, the
-    kernel gradient and transpose_conv2d."""
+    kernel gradient and the transposed conv's record."""
 
     @pytest.mark.parametrize("kh,kw,stride,pad,H,W", _gather_geometries())
     def test_bit_for_bit(self, kh, kw, stride, pad, H, W, np_rng):
@@ -556,16 +557,18 @@ class TestBackward:
 
     def test_diamond_graph_accumulates(self, np_rng):
         # a residual block is the chain's one diamond: its record returns the
-        # identity skip's term and then the main path's, and backward adds
-        # them in that order, after a gradient that reached x first
+        # identity skip's gradient plus the main path's, each built from the
+        # block's parts
         g = M.build([M.residual_block("b", 2)], (2, 3, 3), seed=0)
-        x, grad, carried = (np_rng.normal(size=(1, 2, 3, 3)) for _ in range(3))
+        p = g.params["b"]
+        x, grad = (np_rng.normal(size=(1, 2, 3, 3)) for _ in range(2))
+        skip = grad * (g.forward(x) > 0)
+        first, first_vjp = M._conv(x, p, None, "conv1_", 1, 1, True)
+        m_vjp = M._conv(T.relu(first), p, None, "conv2_", 1, 1, True)[1]
+        main = first_vjp(m_vjp(skip) * (first > 0))
         tape = []
         g.forward(x, tape=tape)
-        skip, main = tape[0](grad)
-        np.testing.assert_array_equal(skip, grad * (g.forward(x) > 0))
-        np.testing.assert_array_equal(T.backward(list(tape), grad), skip + main)
-        np.testing.assert_array_equal(T.backward(tape, grad, carried), (carried + skip) + main)
+        np.testing.assert_array_equal(T.backward(tape, grad), skip + main)
 
 
 class TestPurityAndErrors:
