@@ -1,25 +1,28 @@
 #!/usr/bin/env python3
 """Time one estimator step, and the phases of one default estimate, at a layer.
 
-For a preset (tiny-cnn or tiny-resnet at 1x8x8, seeded like the benchmark's
-images and models), a layer and an estimator (sid or ru), runs one default
-estimate and prints:
+For a preset (tiny-cnn or tiny-resnet, at --shape C,H,W, 1,8,8 by default,
+seeded like the benchmark's images and models), a layer and an estimator (sid
+or ru), runs one default estimate and prints:
 - the median milliseconds of one step: the estimate's first
   loss-and-gradient evaluation, replayed with the arguments fit_sigma gave it;
 - the tape records (one per layer the step differentiates through) that one
   step runs, counted from the tapes handed to tensor.backward;
 - the split of the estimate's wall time into Jacobian probe, baseline,
-  dead-unit probe, steps, certification, pixel_ru (ru only) and the rest.
+  dead-unit probe, steps, certification, pixel_ru (ru only) and the rest;
+- the peak traced memory (tracemalloc) of each phase and of the rest, from
+  one more estimate run under tracemalloc after the timed one.
 
 ru uses a one-epoch decoder: a step costs the same whatever the decoder learned.
 
-    PYTHONPATH=src python scripts/bench_step.py tiny-resnet stem sid [--seconds 2]
+    PYTHONPATH=src python scripts/bench_step.py tiny-resnet stem sid [--seconds 2] [--shape 3,32,32]
 """
 
 import argparse
 import contextlib
 import copy
 import time
+import tracemalloc
 from collections import defaultdict
 from functools import partial
 from unittest import mock
@@ -36,10 +39,12 @@ from layerlens.train import TrainConfig
 
 
 @contextlib.contextmanager
-def timed(targets, totals, first_step):
+def timed(targets, totals, first_step, peaks=None):
     """Accumulate the wall time of each (module, attribute, phase) call into
     totals[phase] while the block runs, and append the first "steps" call to
-    first_step as a partial of the unwrapped function."""
+    first_step as a partial of the unwrapped function. Given peaks, with
+    tracemalloc tracing, keep the largest traced peak of each phase's calls
+    in peaks[phase], and of the time between them in peaks["rest"]."""
     saved = [(module, name, getattr(module, name)) for module, name, _ in targets]
 
     def wrapper(fn, phase):
@@ -49,11 +54,17 @@ def timed(targets, totals, first_step):
                 kept = [copy.deepcopy(a) if isinstance(a, (S.SigmaField, RngStream)) else a
                         for a in args]
                 first_step.append(partial(fn, *kept, **kwargs))
+            if peaks is not None:
+                peaks["rest"] = max(peaks["rest"], tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 totals[phase] += time.perf_counter() - t0
+                if peaks is not None:
+                    peaks[phase] = max(peaks[phase], tracemalloc.get_traced_memory()[1])
+                    tracemalloc.reset_peak()
 
         return call
 
@@ -73,10 +84,12 @@ def main(argv=None):
     ap.add_argument("estimator", choices=("sid", "ru"))
     ap.add_argument("--seconds", type=float, default=2.0, help="timing budget for steps")
     ap.add_argument("--seed", type=int, default=3)
+    ap.add_argument("--shape", type=lambda s: tuple(int(n) for n in s.split(",")), default=(1, 8, 8),
+                    help="input shape C,H,W")
     args = ap.parse_args(argv)
 
-    images, _ = D.make_fourclass_images(n=96, shape=(1, 8, 8), seed=args.seed)
-    model = M.build_architecture(args.preset, (1, 8, 8), 4, seed=args.seed)
+    images, _ = D.make_fourclass_images(n=96, shape=args.shape, seed=args.seed)
+    model = M.build_architecture(args.preset, args.shape, 4, seed=args.seed)
     x, layer = images[0], args.layer
     cfg = S.SidConfig(seed=args.seed)
     if args.estimator == "ru":
@@ -92,14 +105,13 @@ def main(argv=None):
     ]
     if args.estimator == "ru":
         targets += [(R, "ru_loss", "steps"), (R, "pixel_ru", "pixel_ru")]
+        estimate = partial(R.estimate_ru, model, decoder, layer, x, cfg)
     else:
         targets += [(S, "sid_loss", "steps")]
+        estimate = partial(S.estimate_sid, model, layer, x, cfg)
     with timed(targets, totals, first_step):
         t0 = time.perf_counter()
-        if args.estimator == "ru":
-            res = R.estimate_ru(model, decoder, layer, x, cfg)
-        else:
-            res = S.estimate_sid(model, layer, x, cfg)
+        res = estimate()
         wall = time.perf_counter() - t0
     step = first_step[0]
 
@@ -128,6 +140,18 @@ def main(argv=None):
         print(f"  {phase:<16} {secs:8.3f} s {100 * secs / wall:5.1f}%")
     rest = wall - sum(totals.values())
     print(f"  {'rest':<16} {rest:8.3f} s {100 * rest / wall:5.1f}%")
+
+    peaks = defaultdict(int)
+    tracemalloc.start()
+    try:
+        with timed(targets, defaultdict(float), first_step, peaks):
+            estimate()
+        peaks["rest"] = max(peaks["rest"], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    print(f"traced peak of one more estimate, {'x'.join(map(str, args.shape))} input:")
+    for phase, peak in sorted(peaks.items(), key=lambda kv: -kv[1]):
+        print(f"  {phase:<16} {peak / 2**20:8.2f} MiB")
 
 
 if __name__ == "__main__":

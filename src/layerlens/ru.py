@@ -33,6 +33,7 @@ from .sid import (
     SidConfig,
     SigmaField,
     Surrogate,
+    _ROWS,
     _entropy_loss,
     _forward_chunked,
     fit_sigma,
@@ -132,7 +133,7 @@ def train_decoder(
     train_idx, val_idx = train_val_split(len(images), 0.1, seed=cfg.seed)
     mse_cfg = replace(cfg, loss="mse")
     trained, _ = train(decoder, (feats[train_idx], images[train_idx]), mse_cfg)
-    recon = trained.forward(feats[val_idx])
+    recon = _forward_chunked(trained, feats[val_idx], None)
     val_mse = float(np.mean((recon - images[val_idx]) ** 2))
     return DecoderSpec(graph=trained, layer=layer, val_mse=val_mse)
 
@@ -165,12 +166,20 @@ def pixel_ru(
     Returns (H_hat_i shaped like x, flat indices of floor-clamped units).
     """
     x = np.asarray(x, dtype=np.float64)
-    noise = rng.normal((samples,) + x.shape)
-    feats = _forward_chunked(model, x[None] + sigma.sigma * noise, layer)
-    recon = _forward_chunked(decoder, feats, None)
-    if recon.shape[1:] != x.shape:
-        raise T.ShapeError(f"decoder output {recon.shape[1:]} does not match input {x.shape}")
-    err_sq = ((recon - x) ** 2).mean(axis=0)
+    xs = rng.normal((samples,) + x.shape)
+    xs *= sigma.sigma
+    xs += x
+    total = None  # sum over the draws so far of (recon - x)^2, in draw order
+    for lo in range(0, samples, _ROWS):
+        recon = decoder.forward(model.forward(xs[lo : lo + _ROWS], to_layer=layer))
+        if recon.shape[1:] != x.shape:
+            raise T.ShapeError(f"decoder output {recon.shape[1:]} does not match input {x.shape}")
+        err = recon - x
+        err *= err
+        if total is not None:
+            err[0] += total  # the running sum heads the chunk: one sequential sum over all draws
+        total = err.sum(axis=0)
+    err_sq = total / samples
     clamped = np.flatnonzero(err_sq.reshape(-1) < _VAR_FLOOR)
     return _unit_entropy(err_sq)[0], clamped
 

@@ -29,7 +29,8 @@ from .train import Adam
 
 GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2.0 * math.pi * math.e)
 
-_CERT_CHUNK = 128  # row bound for every batched forward and Surrogate.total product
+_ROWS = 32  # row bound for every batched forward: one step's batch of draws
+_CERT_CHUNK = 128  # width of linear_surrogate's feature blocks, which sets G's bytes
 
 
 class DegenerateLayerError(RuntimeError):
@@ -172,11 +173,6 @@ class Surrogate:
         and its gradient is 2 G z_b."""
         return z @ self.gram
 
-    def total(self, z: np.ndarray) -> float:
-        """sum_b l(z_b) over the rows of a (draws, n) batch, without keeping G z."""
-        chunks = (z[lo : lo + _CERT_CHUNK] for lo in range(0, len(z), _CERT_CHUNK))
-        return sum(float(np.vdot(chunk, chunk @ self.gram)) for chunk in chunks)
-
 
 def clean_feature(model: ModelGraph, layer: str, x: np.ndarray) -> np.ndarray:
     """The layer's feature f0 at the unperturbed input, unbatched."""
@@ -184,11 +180,11 @@ def clean_feature(model: ModelGraph, layer: str, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_chunked(model: ModelGraph, xs: np.ndarray, layer: str) -> np.ndarray:
-    """The layer's features of a batch, forwarded _CERT_CHUNK rows at a time
-    into one array."""
+    """The layer's features of a batch, forwarded _ROWS rows at a time into
+    one array."""
     out = None
-    for lo in range(0, len(xs), _CERT_CHUNK):
-        f = model.forward(xs[lo : lo + _CERT_CHUNK], to_layer=layer)
+    for lo in range(0, len(xs), _ROWS):
+        f = model.forward(xs[lo : lo + _ROWS], to_layer=layer)
         if out is None:
             if len(f) == len(xs):
                 return f
@@ -199,19 +195,35 @@ def _forward_chunked(model: ModelGraph, xs: np.ndarray, layer: str) -> np.ndarra
     return out
 
 
+def _deviation_terms(surrogate: Surrogate, scale, samples: int, rng: RngStream) -> np.ndarray:
+    """The per-draw terms d_b - l(z_b) of the surrogate's Monte Carlo mean
+    squared deviation under input noise z_b = scale * N(0, I), from `samples`
+    draws of rng: d_b is the squared deviation of the feature at x + z_b from
+    the clean f0. Forwarded _ROWS draws at a time, so only those draws'
+    features are ever held."""
+    xs = rng.normal((samples,) + surrogate.x.shape)
+    terms = np.empty(samples)
+    with np.errstate(all="ignore"):  # a non-finite value raises NumericalError
+        xs *= scale
+        z = xs.reshape(samples, -1)
+        for lo in range(0, samples, _ROWS):
+            zb = z[lo : lo + _ROWS]
+            ell = (zb * surrogate.apply(zb)).sum(axis=1)  # l(z_b), before z_b becomes x'
+            xb = xs[lo : lo + _ROWS]
+            xb += surrogate.x
+            dev = surrogate.model.forward(xb, to_layer=surrogate.layer)
+            dev -= surrogate.f0
+            dev *= dev
+            terms[lo : lo + len(xb)] = dev.reshape(len(xb), -1).sum(axis=1) - ell
+    return terms
+
+
 def _mean_sq_deviation(surrogate: Surrogate, scale, samples: int, rng: RngStream) -> float:
     """Monte Carlo mean squared deviation of the surrogate's feature from its
     clean f0 under input noise scale * N(0, I), from `samples` draws of rng,
     with the surrogate as control variate."""
-    xs = rng.normal((samples,) + surrogate.x.shape)
     with np.errstate(all="ignore"):  # a non-finite value raises NumericalError
-        xs *= scale
-        ell = surrogate.total(xs.reshape(samples, -1))  # sum_b l(z_b)
-        xs += surrogate.x
-        dev = _forward_chunked(surrogate.model, xs, surrogate.layer)
-        dev -= surrogate.f0
-        dev *= dev
-        return float((dev.sum() - ell) / samples + surrogate.mean(scale))
+        return float(_deviation_terms(surrogate, scale, samples, rng).mean() + surrogate.mean(scale))
 
 
 def feature_baseline(surrogate: Surrogate, tau: float, samples: int, rng: RngStream) -> float:
@@ -364,11 +376,11 @@ def default_sigma_cap(x: np.ndarray) -> float:
 def _probe(model: ModelGraph, layer: str, x: np.ndarray, scale: float, units: np.ndarray):
     """The layer's flattened features at the probe rows x +- scale * e_i of the
     flat indices i in `units` (units[j] up in row 2j, down in row 2j+1), built
-    and forwarded _CERT_CHUNK rows at a time: yields (first row, features) per
+    and forwarded _ROWS rows at a time: yields (first row, features) per
     chunk, so memory does not grow with n^2."""
     n = x.size
-    for lo in range(0, 2 * len(units), _CERT_CHUNK):
-        rows = np.arange(lo, min(lo + _CERT_CHUNK, 2 * len(units)))
+    for lo in range(0, 2 * len(units), _ROWS):
+        rows = np.arange(lo, min(lo + _ROWS, 2 * len(units)))
         m = len(rows)
         probes = np.repeat(x.reshape(1, n), m, axis=0)
         probes[np.arange(m), units[rows // 2]] += np.where(rows % 2, -scale, scale)

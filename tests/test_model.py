@@ -7,8 +7,10 @@ import pytest
 from layerlens import lltn
 from layerlens import model as M
 from layerlens import tensor as T
+from layerlens.rng import RngStream
+from layerlens.sid import _ROWS
 
-from conftest import finite_diff, rel_err
+from conftest import finite_diff, pinned_by_core, rel_err
 
 
 def _identity_dense_chain(n=4, depth=2):
@@ -146,6 +148,43 @@ class TestForwardTo:
         for i in range(3):
             single = g.forward(xs[i : i + 1], to_layer="block2")
             np.testing.assert_allclose(batched[i : i + 1], single, rtol=0, atol=0)
+
+    def test_forward_equals_its_row_bounded_chunks(self, np_rng):
+        # the estimators forward at most sid._ROWS rows at a time; through
+        # conv, relu, flatten, reshape and every residual block (identity
+        # skip, 1x1 conv skip, upsampling) the rows come out bit for bit as
+        # from one forward of all of them
+        g = M.build(
+            [
+                M.conv("c", 4, 3, padding=1),
+                M.relu("r"),
+                M.residual_block("identity", 4),
+                M.residual_block("conv_skip", 6),
+                M.residual_block("up", 6, upsample=True),
+                M.flatten("flat"),
+                M.reshape("img", (6, 32, 8)),
+            ],
+            (2, 8, 8),
+            seed=4,
+        )
+        xs = np_rng.normal(size=(3 * _ROWS + 5, 2, 8, 8))
+        for layer in g.layer_names():
+            full = g.forward(xs, to_layer=layer)
+            chunks = [g.forward(xs[lo : lo + _ROWS], to_layer=layer) for lo in range(0, len(xs), _ROWS)]
+            np.testing.assert_array_equal(np.concatenate(chunks), full, err_msg=layer)
+
+    def test_dense_rows_depend_on_the_batch(self):
+        # a dense layer's GEMM may sum a row in another order in a larger
+        # batch, so an estimate at a dense site depends on the row bound.
+        # Measured: SkylakeX kernels switch between 256 and 512 rows of this
+        # shape (up to 1.4e-14 apart at tiny-resnet logits); Haswell's do not
+        g = M.tiny_resnet((1, 8, 8), 4, seed=3)
+        xs = RngStream(7).normal((1024, 1, 8, 8))
+        full = g.forward(xs, to_layer="logits")
+        chunks = np.concatenate([g.forward(xs[lo : lo + _ROWS], to_layer="logits")
+                                 for lo in range(0, len(xs), _ROWS)])
+        assert np.abs(chunks - full).max() <= 1e-12 * np.abs(full).max()
+        assert np.array_equal(chunks, full) == pinned_by_core({"SkylakeX": False, "Haswell": True})
 
     def test_tape_only_where_a_leaf_needs_a_gradient(self, np_rng):
         # no tape, nothing kept; a tape records one VJP per layer, run and

@@ -11,7 +11,7 @@ from layerlens import model as M
 from layerlens import ru as R
 from layerlens.rng import RngStream, derive_seed
 from layerlens.sid import GAUSSIAN_ENTROPY_CONST as C
-from layerlens.sid import SidConfig, SidResult, SigmaField, estimate_sid, fit_sigma
+from layerlens.sid import _ROWS, SidConfig, SidResult, SigmaField, estimate_sid, fit_sigma
 from layerlens.train import TrainConfig
 
 from conftest import finite_diff, pinned_by_core, rel_err, result_digest, zero_surrogate
@@ -240,16 +240,28 @@ def test_ru_loss_entropy_is_the_reported_map(ru_loss_site):
     np.testing.assert_array_equal(reported, h)
 
 
+def test_pixel_ru_streams_its_draws_in_order(ru_loss_site):
+    # forwarded _ROWS draws at a time, with the running sum heading each
+    # chunk's sum: bit for bit the mean over one forward of every draw, with
+    # a last chunk of one row
+    model, dec, x, sigma = ru_loss_site
+    samples = 3 * _ROWS + 1
+    noise = RngStream(8).normal((samples,) + x.shape)
+    recon = dec.forward(model.forward(x[None] + sigma.sigma * noise, to_layer="conv2"))
+    h = 0.5 * np.log(np.maximum(((recon - x) ** 2).mean(axis=0), 1e-12)) + C
+    reported, _ = R.pixel_ru(model, dec, "conv2", x, sigma, samples, RngStream(8))
+    np.testing.assert_array_equal(reported, h)
+
+
 def test_estimate_ru_pinned(ru_loss_site):
-    # result bytes of a two-round estimate, taken when the baseline, the
-    # dead-unit probe and every certification forwarded the clean input
-    # for themselves
+    # result bytes of a two-round estimate, taken when the baseline and
+    # every certification averaged their per-draw terms d_b - l(z_b)
     model, dec, x, _ = ru_loss_site
     res = R.estimate_ru(model, R.DecoderSpec(dec, "conv2", 0.0), "conv2", x, SidConfig(seed=3, max_steps=10))
     assert res.steps_used == 20
     assert result_digest(res) == pinned_by_core({
-        "SkylakeX": "188b73dc2b2544b18366af7f04c2cfde6a5ae0b04d9dbabee5a5d7f5886ffc09",
-        "Haswell": "37923a11eb80ee1a48dbbfdf6ad6123942639113423370934ebdb248ba5dda16",
+        "SkylakeX": "9763ffb4c2bec21f0a66b2d28a162a784633b8ff0d3454169f2855c47a45b7c4",
+        "Haswell": "e28addafb5081cfc794d7914575edb7c81147534a822179dc385d5c17a7f86b7",
     })
 
 

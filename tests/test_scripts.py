@@ -28,12 +28,14 @@ def _load(name):
 
 
 def test_bench_step_runs(capsys):
-    _load("bench_step").main(["tiny-resnet", "stem", "sid", "--seconds", "0.05"])
+    _load("bench_step").main(["tiny-resnet", "stem", "sid", "--seconds", "0.05", "--shape", "2,6,6"])
     out = capsys.readouterr().out
     assert "tiny-resnet/stem sid:" in out and "1 tape record(s) per step" in out
     assert "80 steps, conformant True" in out
-    for phase in ("jacobian probe", "baseline", "dead-unit probe", "steps", "certification"):
-        assert f"  {phase} " in out
+    timed, traced = out.split("traced peak of one more estimate, 2x6x6 input:")
+    for phase in ("jacobian probe", "baseline", "dead-unit probe", "steps", "certification", "rest"):
+        assert f"  {phase} " in timed
+        assert f"  {phase} " in traced
 
 
 def test_bench_conv_runs(capsys):

@@ -403,7 +403,7 @@ class TestLambdaStart:
         assert _first_lambda(g, "head", x, cfg) == 2 * cfg.alpha / 4
 
     def test_dead_units_in_bounded_memory(self):
-        # a 3x16x16 input to a wide dense head: 1536 probe rows in 12 chunks,
+        # a 3x16x16 input to a wide dense head: 1536 probe rows in 48 chunks,
         # dead units in five of them. Building every probe row and feature at
         # once peaked at 85 MB here. The linearisation forwards all of them
         # and the dead-unit probe only the five flat units' rows
@@ -572,21 +572,42 @@ def test_sid_loss_gradient_is_the_fit_gradient_minus_lambda(ru_loss_site, linear
     "layer,digest",
     [
         ("stem", {
-            "SkylakeX": "c1e9de3fd9513a761e1da2c18012aa5c8e904ea3b90f29bbae6b0a9f3b0cca2d",
+            "SkylakeX": "179c5cf18017da00316b158479573218d33a2f72c74afba3be546a67d2b1933f",
             "Haswell": "fbe6cd2d55c2522cddd1d9a1b83d85af7e29a6aded1fe39b432edb5873298601",
         }),
         ("block1", {
-            "SkylakeX": "c549c42244fbbbd11cee774b69a816d9d8b493f5ca296ed55092425ace0d7133",
-            "Haswell": "13038c80f01bc5febe2bd8378424f46b851957e1eb82dc1d1b77e08779161bf2",
+            "SkylakeX": "9268f712ac161386543622240f5a25681dd9450024a4f4a2b1df085d9d99a7a7",
+            "Haswell": "5bf12b70bc3fa796e6d2901d535f42298a50fdd94aeb9af896f990bd60cfe9b8",
         }),
     ],
     ids=["stem", "block1"],
 )
 def test_estimate_sid_pinned(layer, digest):
-    # default-config result bytes, taken when the baseline, the dead-unit
-    # probe and every certification forwarded the clean input for themselves
+    # default-config result bytes, taken when the baseline and every
+    # certification averaged their per-draw terms d_b - l(z_b)
     model, x, _ = _stem_loss_site()
     assert result_digest(S.estimate_sid(model, layer, x, S.SidConfig(seed=3))) == pinned_by_core(digest)
+
+
+@pytest.mark.parametrize("term", ["certify_epsilon", "pixel_ru"])
+def test_held_out_terms_hold_no_draws_by_features_array(ru_loss_site, term):
+    # 1024 draws at tiny-cnn conv2 (512 features): one (draws, features)
+    # float64 array is 4 MiB. Forwarding 128 rows at a time into such arrays
+    # peaked at 11.1 and 12.6 MiB; streamed 32 rows at a time, at 2.2 and 2.6
+    model, dec, x, sigma = ru_loss_site
+    surrogate = S.linear_surrogate(model, "conv2", x, 0.01)
+    draws = 1024
+    held = draws * math.prod(model.layer_shape("conv2")) * 8
+    tracemalloc.start()
+    try:
+        if term == "certify_epsilon":
+            S.certify_epsilon(model, "conv2", x, sigma, draws, RngStream(1), surrogate)
+        else:
+            R.pixel_ru(model, dec, "conv2", x, sigma, draws, RngStream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held == 4 * 2**20 and peak < held
 
 
 @pytest.mark.parametrize("estimator", ["sid", "ru"])
@@ -785,14 +806,42 @@ class TestControlVariate:
         )
 
     def test_products_run_in_chunks(self):
-        # more draws than _CERT_CHUNK: the chunked products match the one-shot ones
+        # 300 draws, streamed S._ROWS at a time with a short last chunk: each
+        # l(z_b) matches the one-shot row sum of z * G z. A constant feature
+        # (a zero-weight dense head) has d_b = 0, so its per-draw terms are
+        # -l(z_b) alone
         model, x, _ = _stem_loss_site()
         surrogate = S.linear_surrogate(model, "stem", x, 0.01)
-        z = RngStream(5).normal((2 * S._CERT_CHUNK + 44, x.size))
+        samples = 2 * S._CERT_CHUNK + 44
+        z = 0.5 * RngStream(5).normal((samples, x.size))
         gz = z @ surrogate.gram
         np.testing.assert_allclose(surrogate.apply(z), gz, rtol=1e-12, atol=0.0)
-        assert surrogate.total(z) == pytest.approx(float((z * gz).sum()), rel=1e-12)
+        constant = M.build([M.flatten("f"), M.dense("head", 3)], x.shape, seed=1)
+        constant.params["head"]["weight"][:] = 0.0
+        f0 = S.clean_feature(constant, "head", x)
+        flat = S.Surrogate(constant, "head", x, f0, surrogate.gram)
+        terms = S._deviation_terms(flat, 0.5, samples, RngStream(5))
+        np.testing.assert_allclose(-terms, (z * gz).sum(axis=1), rtol=1e-12, atol=0.0)
         assert surrogate.mean(0.5) == pytest.approx(0.25 * float(np.trace(surrogate.gram)), rel=1e-12)
+
+    def test_per_draw_terms_at_a_nonlinear_layer(self):
+        # d_b - l(z_b) per draw, as from one forward of every draw, and their
+        # mean plus the control variate's is the Monte Carlo term
+        images, _ = D.make_fourclass_images(n=8, shape=(1, 8, 8), seed=3)
+        x = images[0]
+        model = M.tiny_resnet((1, 8, 8), 4, seed=3)
+        surrogate = S.linear_surrogate(model, "block1", x, 0.01)
+        field = S.SigmaField(np.log(0.02) + 0.3 * np.sin(np.arange(x.size)).reshape(x.shape))
+        sigma = field.sigma
+        samples = 3 * S._ROWS + 7
+        z = sigma * RngStream(9).normal((samples,) + x.shape)
+        d = ((model.forward(x + z, to_layer="block1") - surrogate.f0) ** 2).reshape(samples, -1).sum(axis=1)
+        flat = z.reshape(samples, -1)
+        ell = (flat * (flat @ surrogate.gram)).sum(axis=1)
+        terms = S._deviation_terms(surrogate, sigma, samples, RngStream(9))
+        np.testing.assert_allclose(terms, d - ell, rtol=0.0, atol=1e-12 * d.max())
+        eps = S.certify_epsilon(model, "block1", x, field, samples, RngStream(9), surrogate)
+        assert eps == terms.mean() + surrogate.mean(sigma)
 
     def test_gradient_vs_fd_with_common_random_numbers(self):
         # the corrected value's own derivative is the corrected gradient

@@ -28,16 +28,16 @@ def workloads():
     "name,digest,steps",
     [
         ("sid-stem", {
-            "SkylakeX": "16444e6c4982ea57177732b9a20f2650be04b181e7691886b2bfacb27db9287c",
-            "Haswell": "234d6fcda0f5cd8a0b39ffe38358ce1f74e6924e428573345ed9d09f4291fe83",
+            "SkylakeX": "1adff3d1f43287267bc385e770225b048d292a472f26438416553c9c06432957",
+            "Haswell": "ecde2e6bbae80bd56c24ff7689a8ca78a322fb711b2292a68556fa7c5b9e49e1",
         }, 80),
         ("ru-cli", {
-            "SkylakeX": "2a39b83a817f9537651f1ce18fae96796bb70db73486f6c7395f34d8876e791e",
-            "Haswell": "1b21d49d26cea5bc5d3d9057164c2e21d5a10900ed6f2e96358328c67cf7f6f5",
+            "SkylakeX": "00d52fcc8e0f4a665d2adf4a3f204097dd1804f305738090850b04f6612cedb0",
+            "Haswell": "4452250264e004fb2659889ab62ec236ef7ac6fe1cabaaf99133dbe239892264",
         }, 600),
         ("damage", {
-            "SkylakeX": "b5ea2dbb109a74e6f1baefc731462928e93054abfd59ff23fa7397d7f5509540",
-            "Haswell": "804cad4e504b00266e5249086eeb9f0aa1f9da980c42fe3369366c1ee1cd3bc6",
+            "SkylakeX": "50b6174be312afbd43898f169e010358ac3b064a6f7e62a980135744dc75278f",
+            "Haswell": "d0dc9fdbf84e005d88267de60c329dee8d2f0d42156a7179416c02a0ce4c01e8",
         }, 0),
     ],
     ids=["sid-stem", "ru-cli", "damage"],
