@@ -105,7 +105,7 @@ def main(argv=None):
         kern = rng.normal(size=(k, c, KSIZE, KSIZE))
         bias = rng.normal(size=k)
         g = rng.normal(size=(b, k) + HW)
-        cols = T._im2col(x, KSIZE, KSIZE, STRIDE, PAD)[0]
+        cols = T._im2col(x, KSIZE, KSIZE, STRIDE, PAD)
         want_cols = strided_im2col(x, KSIZE, KSIZE, STRIDE, PAD)
         want_forward = np.matmul(kern.reshape(k, -1), want_cols).reshape(b, k, *HW)
         want_forward += bias.reshape(k, 1, 1)

@@ -28,6 +28,17 @@ _HOMOGENEOUS_KINDS = {"relu", "flatten", "reshape"}  # safe to sit between a res
 
 _is_int = TYPE_CHECKS["int"]
 
+# Per kind: the LayerSpec fields its layers need and those they may set too.
+# Every other field keeps its default; a residual block's kernel is 3.
+_KIND_FIELDS = {
+    "dense": (("units",), ()),
+    "conv": (("channels", "kernel"), ("stride", "padding")),
+    "relu": ((), ()),
+    "flatten": ((), ()),
+    "reshape": (("shape",), ()),
+    "residual_block": (("channels", "kernel"), ("upsample",)),
+}
+
 
 class BuildError(ValueError):
     """Layer specs do not chain into a valid graph."""
@@ -96,13 +107,26 @@ def residual_block(name: str, channels: int, upsample: bool = False) -> LayerSpe
 def _check_spec(spec: LayerSpec) -> None:
     """BuildError unless every field of `spec` has its annotated type, the
     name can be part of a file name (checkpoints and outputs are named after
-    layers), every size is positive and the padding is not negative."""
+    layers), the kind is known and its spec sets exactly the fields the kind
+    reads (_KIND_FIELDS), every size is positive and the padding is not
+    negative."""
     try:
         check_field_types(spec)
     except TypeError as err:
         raise BuildError(f"layer {spec.name!r}: {err}") from None
     if not spec.name or "/" in spec.name or "\\" in spec.name:
         raise BuildError(f"layer {spec.name!r}: name must be non-empty and contain no '/' or '\\'")
+    if spec.kind not in _KIND_FIELDS:
+        raise BuildError(f"layer {spec.name!r}: unknown kind {spec.kind!r}")
+    required, optional = _KIND_FIELDS[spec.kind]
+    for f in fields(spec)[2:]:  # the fields after kind and name
+        value = getattr(spec, f.name)
+        if f.name in required and value is None:
+            raise BuildError(f"layer {spec.name!r}: {spec.kind} needs field {f.name!r}")
+        if f.name not in required + optional and value != f.default:
+            raise BuildError(f"layer {spec.name!r}: {spec.kind} does not read field {f.name!r}")
+    if spec.kind == "residual_block" and spec.kernel != 3:
+        raise BuildError(f"layer {spec.name!r}: residual_block's kernel must be 3, got {spec.kernel}")
     for name in ("channels", "kernel", "stride", "units"):
         value = getattr(spec, name)
         if value is not None and value < 1:
@@ -148,21 +172,19 @@ def _geometry(spec: LayerSpec, in_shape: tuple) -> tuple[tuple, list]:
                 f"layer {spec.name!r}: cannot reshape {in_shape} to {tuple(spec.shape)}"
             )
         return tuple(spec.shape), []
-    if kind == "residual_block":
-        c, h, w = in_shape
-        conv2 = [("conv2_weight", (ch, ch, 3, 3), ch * 9), ("conv2_bias", (ch,), 0)]
-        if spec.upsample:
-            return (ch, 2 * h, 2 * w), [
-                ("up_weight", (c, ch, 4, 4), c * 16),
-                ("up_bias", (ch,), 0),
-                ("skip_weight", (c, ch, 2, 2), c * 4),
-                ("skip_bias", (ch,), 0),
-            ] + conv2
-        layout = [("conv1_weight", (ch, c, 3, 3), c * 9), ("conv1_bias", (ch,), 0)]
-        if ch != c:
-            layout += [("skip_weight", (ch, c, 1, 1), c), ("skip_bias", (ch,), 0)]
-        return (ch, h, w), layout + conv2
-    raise BuildError(f"layer {spec.name!r}: unknown kind {kind!r}")
+    c, h, w = in_shape  # residual_block, the last kind _check_spec knows
+    conv2 = [("conv2_weight", (ch, ch, 3, 3), ch * 9), ("conv2_bias", (ch,), 0)]
+    if spec.upsample:
+        return (ch, 2 * h, 2 * w), [
+            ("up_weight", (c, ch, 4, 4), c * 16),
+            ("up_bias", (ch,), 0),
+            ("skip_weight", (c, ch, 2, 2), c * 4),
+            ("skip_bias", (ch,), 0),
+        ] + conv2
+    layout = [("conv1_weight", (ch, c, 3, 3), c * 9), ("conv1_bias", (ch,), 0)]
+    if ch != c:
+        layout += [("skip_weight", (ch, c, 1, 1), c), ("skip_bias", (ch,), 0)]
+    return (ch, h, w), layout + conv2
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +302,7 @@ class ModelGraph:
             return _conv(x, p, pg, "", spec.stride, spec.padding, wanted)
         if kind == "residual_block":
             return _residual_block(x, p, pg, spec.upsample, wanted)
-        if kind != "dense":
-            raise BuildError(f"unknown layer kind {kind!r}")
-        w = p["weight"]
+        w = p["weight"]  # dense
 
         def vjp(g):
             if pg is not None:  # the bias's sums the batch axis, as broadcasting it onto x @ w would
@@ -303,22 +323,29 @@ def _grad(arr: np.ndarray) -> np.ndarray:
     return T._checked(arr, "backward")
 
 
+def _write_grads(pg: dict, name: str, w, a, cols, g) -> None:
+    """Write a conv record's kernel and bias gradients into pg: the kernel's
+    is sum_b a_b (K, n) times cols_b^T (n, C*kh*kw), where a conv pairs its
+    output gradient g with x's columns and a transposed conv pairs x with
+    g's columns; the bias's sums g over the batch axis, then the spatial ones,
+    as broadcasting a (channels,1,1) bias onto the output would."""
+    gw = np.matmul(a.reshape(len(a), len(w), -1), cols.transpose(0, 2, 1)).sum(axis=0)
+    pg[name + "weight"] = _grad(gw.reshape(w.shape))
+    pg[name + "bias"] = _grad(g.sum(axis=0).sum(axis=(1, 2)))
+
+
 def _conv(x, p: dict, pg: dict | None, name: str, stride: int, padding: int, wanted: bool):
     """conv2d of x with kernels p[name + "weight"] and bias p[name + "bias"],
     and its VJP, which returns the gradient at x (None unless `wanted`). Only
     a VJP that writes parameter gradients (pg) keeps x's columns, for the
-    kernel's; the bias's sums the batch axis, then the spatial ones, as
-    broadcasting a (K,1,1) bias onto the output would."""
+    kernel's."""
     w = p[name + "weight"]
-    K, _, kh, kw = w.shape
-    cols = None if pg is None else T._im2col(x, kh, kw, stride, padding)[0]
+    cols = None if pg is None else T._im2col(x, *w.shape[2:], stride, padding)
     hw = x.shape[2:]
 
     def vjp(g):
         if pg is not None:
-            gw = np.matmul(g.reshape(len(g), K, -1), cols.transpose(0, 2, 1)).sum(axis=0)
-            pg[name + "weight"] = _grad(gw.reshape(w.shape))
-            pg[name + "bias"] = _grad(g.sum(axis=0).sum(axis=(1, 2)))
+            _write_grads(pg, name, w, g, cols, g)
         return _grad(T._conv_input_grad(g, w, hw, stride, padding)) if wanted else None
 
     return T.conv2d(x, w, stride, padding, p[name + "bias"], cols), vjp
@@ -327,22 +354,20 @@ def _conv(x, p: dict, pg: dict | None, name: str, stride: int, padding: int, wan
 def _transpose_conv(x, p: dict, pg: dict | None, name: str, stride: int, padding: int, wanted: bool):
     """The transposed conv of x with kernels p[name + "weight"], the exact
     adjoint of conv2d with them (tensor._conv_input_grad), plus the bias
-    p[name + "bias"], and its VJP, which gathers the gradient's columns once
-    for both the input and the kernel gradient, and returns the gradient at x
-    (None unless `wanted`)."""
+    p[name + "bias"], and its VJP, whose gradient at x (None unless `wanted`)
+    is conv2d of the output gradient g; g's columns are gathered once, for
+    that and for the kernel gradient."""
     w = p[name + "weight"]
-    K, _, kh, kw = w.shape
+    kh, kw = w.shape[2:]
     hw = ((x.shape[2] - 1) * stride + kh - 2 * padding, (x.shape[3] - 1) * stride + kw - 2 * padding)
     out = T._conv_input_grad(x, w, hw, stride, padding)
     out += p[name + "bias"].reshape(-1, 1, 1)
 
     def vjp(g):
-        cols = T._im2col(g, kh, kw, stride, padding)[0]
+        cols = T._im2col(g, kh, kw, stride, padding)
         if pg is not None:
-            gw = np.matmul(x.reshape(len(x), K, -1), cols.transpose(0, 2, 1)).sum(axis=0)
-            pg[name + "weight"] = _grad(gw.reshape(w.shape))
-            pg[name + "bias"] = _grad(g.sum(axis=0).sum(axis=(1, 2)))
-        return _grad(np.matmul(w.reshape(K, -1), cols).reshape(x.shape)) if wanted else None
+            _write_grads(pg, name, w, x, cols, g)
+        return T.conv2d(g, w, stride, padding, cols=cols) if wanted else None
 
     return T._checked(out, "transpose_conv2d"), vjp
 

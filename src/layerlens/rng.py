@@ -62,18 +62,19 @@ class RngStream:
         g = self._generator()
         self.counter += 1
         pairs = (n + 1) // 2
-        r = g.random(pairs)
+        z = np.empty(2 * pairs)  # the radii, then the cosines, in the first half
+        r, theta = z[:pairs], z[pairs:]  # the angles, then the sines, in the second
+        g.random(out=r)
         np.subtract(1.0, r, out=r)  # in (0, 1], keeps log finite
         np.log(r, out=r)
         r *= -2.0
         np.sqrt(r, out=r)
-        theta = g.random(pairs)
+        g.random(out=theta)
         theta *= 2.0 * np.pi
-        z = np.empty(2 * pairs)  # cosines in the first half, sines in the second
-        np.cos(theta, out=z[:pairs])
-        np.sin(theta, out=z[pairs:])
-        z[:pairs] *= r
-        z[pairs:] *= r
+        cos = np.cos(theta)
+        np.sin(theta, out=theta)
+        theta *= r
+        r *= cos
         return z[:n].reshape(shape)
 
     def uniform(self, shape) -> np.ndarray:

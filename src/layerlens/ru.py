@@ -124,16 +124,13 @@ def train_decoder(
     images = np.asarray(dataset, dtype=np.float64)
     if len(images) == 0:
         raise ValueError("dataset is empty")
-    feature_shape = model.layer_shape(layer)
     if decoder is None:
-        decoder = make_decoder(feature_shape, model.input_shape, seed=cfg.seed)
+        decoder = make_decoder(model.layer_shape(layer), model.input_shape, seed=cfg.seed)
     feats = _forward_chunked(model, images, layer)
-    if feats.shape[1:] != tuple(feature_shape):
-        raise ValueError(f"feature shape mismatch: {feats.shape[1:]} vs {feature_shape}")
     train_idx, val_idx = train_val_split(len(images), 0.1, seed=cfg.seed)
     mse_cfg = replace(cfg, loss="mse")
     trained, _ = train(decoder, (feats[train_idx], images[train_idx]), mse_cfg)
-    recon = _forward_chunked(trained, feats[val_idx], None)
+    recon = _forward_chunked(trained, feats[val_idx], trained.layers[-1].name)
     val_mse = float(np.mean((recon - images[val_idx]) ** 2))
     return DecoderSpec(graph=trained, layer=layer, val_mse=val_mse)
 

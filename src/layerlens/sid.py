@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -29,7 +30,9 @@ from .train import Adam
 
 GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2.0 * math.pi * math.e)
 
-_ROWS = 32  # row bound for every batched forward: one step's batch of draws
+# Row bound of every forward without a tape. A sigma step forwards its
+# samples_per_step draws (32 by default) as one taped batch.
+_ROWS = 32
 _CERT_CHUNK = 128  # width of linear_surrogate's feature blocks, which sets G's bytes
 
 
@@ -182,16 +185,9 @@ def clean_feature(model: ModelGraph, layer: str, x: np.ndarray) -> np.ndarray:
 def _forward_chunked(model: ModelGraph, xs: np.ndarray, layer: str) -> np.ndarray:
     """The layer's features of a batch, forwarded _ROWS rows at a time into
     one array."""
-    out = None
+    out = np.empty((len(xs),) + model.layer_shape(layer))
     for lo in range(0, len(xs), _ROWS):
-        f = model.forward(xs[lo : lo + _ROWS], to_layer=layer)
-        if out is None:
-            if len(f) == len(xs):
-                return f
-            out = np.empty((len(xs),) + f.shape[1:])
-        out[lo : lo + len(f)] = f
-    if out is None:
-        raise ValueError("no rows to forward")
+        out[lo : lo + _ROWS] = model.forward(xs[lo : lo + _ROWS], to_layer=layer)
     return out
 
 
@@ -327,13 +323,15 @@ def certify_epsilon(
     rng: RngStream,
     surrogate: Surrogate | None = None,
 ) -> float:
-    """Low-variance epsilon estimate from held-out draws (no gradient), with
-    `surrogate` as control variate, at its site. None is plain Monte Carlo at
-    (model, layer, x): the zero-G linearisation at the clean feature, which
-    subtracts and adds back nothing."""
+    """Low-variance epsilon estimate from held-out draws (no gradient) at
+    (model, layer, x), with `surrogate` as control variate; a surrogate of
+    another site is a ValueError. None is plain Monte Carlo: the zero-G
+    linearisation at the clean feature, which subtracts and adds back nothing."""
     if surrogate is None:
         n = sigma.log_sigma.size
         surrogate = Surrogate(model, layer, x, clean_feature(model, layer, x), np.zeros((n, n)))
+    elif not (surrogate.model is model and surrogate.layer == layer and np.array_equal(surrogate.x, x)):
+        raise ValueError(f"the surrogate linearises another site than layer {layer!r} at this x")
     return _mean_sq_deviation(surrogate, sigma.sigma, samples, rng)
 
 
@@ -418,12 +416,11 @@ def linear_surrogate(model: ModelGraph, layer: str, x: np.ndarray, h: float) -> 
     the cost."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    blocks = None  # per feature block: its units' indices and rows of J^T
+    # per feature block: its units' indices and rows of J^T
+    blocks = [([], []) for _ in range(0, math.prod(model.layer_shape(layer)), _CERT_CHUNK)]
     for lo, f in _probe(model, layer, x, h, np.arange(n)):
         jt = (f[0::2] - f[1::2]) / (2.0 * h)  # J^T rows of units lo/2, lo/2 + 1, ...
         units = np.arange(lo // 2, lo // 2 + len(jt))
-        if blocks is None:
-            blocks = [([], []) for _ in range(0, jt.shape[1], _CERT_CHUNK)]
         for k, (index, rows) in enumerate(blocks):
             part = jt[:, k * _CERT_CHUNK : (k + 1) * _CERT_CHUNK]
             live = part.any(axis=1)
@@ -490,6 +487,8 @@ def fit_sigma(
         lambda_start = 2.0 * cfg.alpha / max(x.size - dead.size, 1) if cfg.normalize else 1.0
     search = LambdaSearch(lambda_start)
     step_rng = root.spawn("est/steps")
+    # every certification: the same est/heldout draws, with the surrogate
+    certify = partial(certify_epsilon, model, layer, x, samples=cfg.certify_samples, surrogate=surrogate)
     steps_used = 0
     tail_from = cfg.max_steps // 2
     rounds = cfg.max_rounds if cfg.normalize else 1
@@ -510,9 +509,7 @@ def fit_sigma(
         stuck = np.array_equal(sigma.log_sigma, start)
         # Polyak tail average damps the stochastic equilibrium jitter
         sigma.log_sigma = np.minimum(tail_sum / (cfg.max_steps - tail_from), log_cap)
-        epsilon = certify_epsilon(
-            model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout"), surrogate
-        )
+        epsilon = certify(sigma, rng=root.spawn("est/heldout"))
         if abs(epsilon - target) <= cfg.lambda_tolerance * target or (stuck and epsilon < target):
             break
     if cfg.normalize and epsilon > 0:
@@ -525,9 +522,7 @@ def fit_sigma(
             np.minimum(sigma.log_sigma + 0.5 * math.log(target / epsilon), log_cap),
             sigma.log_sigma,
         )
-        epsilon = certify_epsilon(
-            model, layer, x, sigma, cfg.certify_samples, root.spawn("est/heldout"), surrogate
-        )
+        epsilon = certify(sigma, rng=root.spawn("est/heldout"))
     return sigma, dict(
         epsilon_achieved=epsilon,
         delta_f_sq=delta_f_sq,

@@ -7,7 +7,7 @@ ModelGraph given a tape (a list) appends one record per layer, a function from
 the gradient at the layer's output to the gradient at its input, and
 `backward` folds the records in reverse. Each loss returns its value and its
 gradient. Convolutions take batches (B,C,H,W); the transposed conv is
-conv2d's input adjoint, `_conv_input_grad`.
+conv2d's input adjoint, `_conv_input_grad`, and its input gradient conv2d.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def _window_index(kind: str, channels: int, H: int, W: int, kh: int, kw: int, st
     c = np.arange(channels).reshape(channels, 1, 1)
     index = np.where(src < 0, channels * size, src + c * size).reshape(channels * kh * kw, -1)
     index.setflags(write=False)
-    return index, oh, ow
+    return index
 
 
 def _gather(src: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -164,10 +164,9 @@ def _gather(src: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take(flat, index, axis=1)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
     """x (B,C,H,W) -> columns (B, C*kh*kw, oh*ow), in (C,kh,kw) row order."""
-    index, oh, ow = _window_index("im2col", *x.shape[1:], kh, kw, stride, pad)
-    return _gather(x, index), oh, ow
+    return _gather(x, _window_index("im2col", *x.shape[1:], kh, kw, stride, pad))
 
 
 def _scatter_adjoint(g: np.ndarray, kernels: np.ndarray, hw: tuple, stride: int, pad: int):
@@ -177,7 +176,7 @@ def _scatter_adjoint(g: np.ndarray, kernels: np.ndarray, hw: tuple, stride: int,
     K, C, kh, kw = kernels.shape
     B = g.shape[0]
     cols = np.matmul(kernels.reshape(K, C * kh * kw).T, g.reshape(B, K, -1))
-    index = _window_index("col2im", C, *hw, kh, kw, stride, pad)[0]
+    index = _window_index("col2im", C, *hw, kh, kw, stride, pad)
     return _gather(cols, index.reshape(C, kh * kw, -1)).sum(axis=2).reshape(B, C, *hw)
 
 
@@ -187,7 +186,7 @@ def _flipped_adjoint(g: np.ndarray, kernels: np.ndarray, hw: tuple, stride: int,
     a pad beyond kh-1 crops instead. One gather of (B, K*kh*kw, H*W), one GEMM."""
     K, C, kh, kw = kernels.shape
     B = g.shape[0]
-    cols = _gather(g, _window_index("flipped", K, *hw, kh, kw, stride, pad)[0])
+    cols = _gather(g, _window_index("flipped", K, *hw, kh, kw, stride, pad))
     flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, K * kh * kw)
     return np.matmul(flipped, cols).reshape(B, C, *hw)
 
@@ -226,7 +225,7 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None, cols=None) 
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}"
         )
     if cols is None:
-        cols = _im2col(x, kh, kw, stride, padding)[0]
+        cols = _im2col(x, kh, kw, stride, padding)
     oh, ow = (H + 2 * padding - kh) // stride + 1, (W + 2 * padding - kw) // stride + 1
     out = np.matmul(kernels.reshape(K, C * kh * kw), cols).reshape(B, K, oh, ow)
     if bias is not None:

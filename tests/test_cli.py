@@ -919,6 +919,11 @@ class TestConfigHandling:
             '{"input_shape": [1, 8, 8], "layers": [{"kind": "transpose_conv", "name": "conv1", "channels": 8, "kernel": 2}]}',
             '{"input_shape": [1, 8, 8], "layers": [{"kind": "conv", "name": "conv1", "channels": 8, "kernel": 3}, '
             '{"kind": "relu", "name": "r", "source": "conv1"}]}',
+            # a field the layer's kind needs is missing, or one it does not read is set
+            '{"input_shape": [1, 8, 8], "layers": [{"kind": "flatten", "name": "f"}, {"kind": "dense", "name": "conv1"}]}',
+            '{"input_shape": [1, 8, 8], "layers": [{"kind": "conv", "name": "conv1", "channels": 8}]}',
+            '{"input_shape": [1, 8, 8], "layers": [{"kind": "residual_block", "name": "conv1", "channels": 8, '
+            '"kernel": 5, "stride": 2}]}',
             # a layer name that reaches outside the checkpoint directory
             '{"input_shape": [1, 8, 8], "layers": [{"kind": "relu", "name": "../r"}, '
             '{"kind": "conv", "name": "conv1", "channels": 8, "kernel": 3, "padding": 1}]}',

@@ -8,7 +8,7 @@ from layerlens import lltn
 from layerlens import model as M
 from layerlens import tensor as T
 from layerlens.rng import RngStream
-from layerlens.sid import _ROWS
+from layerlens.sid import _ROWS, _forward_chunked
 
 from conftest import finite_diff, pinned_by_core, rel_err
 
@@ -68,6 +68,29 @@ class TestBuild:
     def test_unknown_kind_rejected(self):
         with pytest.raises(M.BuildError, match="unknown kind"):
             M.build([M.relu("r"), M.LayerSpec(kind="pool", name="p")], (4,))
+
+    @pytest.mark.parametrize(
+        "spec,field",
+        [
+            # a field its kind needs is missing: dense built as (None,), conv raised TypeError
+            (M.LayerSpec("dense", "d"), "'units'"),
+            (M.LayerSpec("conv", "d", channels=4), "'kernel'"),
+            (M.LayerSpec("reshape", "d"), "'shape'"),
+            (M.LayerSpec("residual_block", "d", kernel=3), "'channels'"),
+            # a field its kind does not read: the block loaded as 3x3, stride 1
+            (M.LayerSpec("residual_block", "d", channels=4, kernel=3, stride=2), "'stride'"),
+            (M.LayerSpec("dense", "d", units=3, kernel=3), "'kernel'"),
+            (M.LayerSpec("conv", "d", channels=4, kernel=3, upsample=True), "'upsample'"),
+            (M.LayerSpec("relu", "d", padding=1), "'padding'"),
+            (M.LayerSpec("flatten", "d", shape=(16, 4)), "'shape'"),
+            (M.LayerSpec("residual_block", "d", channels=4), "'kernel'"),
+            (M.LayerSpec("residual_block", "d", channels=4, kernel=5), "kernel must be 3"),
+        ],
+    )
+    def test_spec_sets_exactly_the_fields_its_kind_reads(self, spec, field):
+        head = [M.flatten("f")] if spec.kind in ("dense", "reshape") else []
+        with pytest.raises(M.BuildError, match=f"layer 'd': .*{field}"):
+            M.build(head + [spec], (4, 4, 4))
 
     @pytest.mark.parametrize("name", ["", "a/b", "../r", "a\\b"])
     def test_name_that_is_not_a_file_name_rejected(self, name):
@@ -172,6 +195,26 @@ class TestForwardTo:
             full = g.forward(xs, to_layer=layer)
             chunks = [g.forward(xs[lo : lo + _ROWS], to_layer=layer) for lo in range(0, len(xs), _ROWS)]
             np.testing.assert_array_equal(np.concatenate(chunks), full, err_msg=layer)
+
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 96])
+    def test_forward_chunked_equals_its_row_bounded_forwards(self, rows, np_rng):
+        # sized from the graph's recorded shape, with no early return at up
+        # to _ROWS rows; dense layers are left out, their rows depend on the batch
+        g = M.build(
+            [
+                M.conv("c", 4, 3, padding=1),
+                M.residual_block("identity", 4),
+                M.residual_block("conv_skip", 6),
+                M.residual_block("up", 6, upsample=True),
+            ],
+            (2, 8, 8),
+            seed=4,
+        )
+        xs = np_rng.normal(size=(rows, 2, 8, 8))
+        for layer in g.layer_names():
+            chunks = [g.forward(xs[lo : lo + _ROWS], to_layer=layer) for lo in range(0, rows, _ROWS)]
+            got = _forward_chunked(g, xs, layer)
+            np.testing.assert_array_equal(got, np.concatenate(chunks), err_msg=layer)
 
     def test_dense_rows_depend_on_the_batch(self):
         # a dense layer's GEMM may sum a row in another order in a larger

@@ -754,6 +754,18 @@ class TestControlVariate:
         exact = float((sigma.sigma**2 * _unit_columns_sq(model, layer, x)).sum())
         assert eps == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("other", ["model", "layer", "x"])
+    def test_certification_refuses_a_surrogate_of_another_site(self, other):
+        # it measured the surrogate's own site, whatever (model, layer, x) said
+        model, x = M.tiny_resnet((1, 8, 8), 4, seed=3), RngStream(4).normal((1, 8, 8))
+        surrogate = S.linear_surrogate(model, "stem", x, 0.01)
+        site = {"model": model, "layer": "stem", "x": x}
+        site[other] = {"model": model.clone(), "layer": "block1", "x": x + 0.5}[other]
+        sigma = S.SigmaField.constant(x.shape, 0.01)
+        with pytest.raises(ValueError, match="another site"):
+            S.certify_epsilon(*site.values(), sigma, 32, RngStream(1), surrogate)
+        S.certify_epsilon(model, "stem", x.copy(), sigma, 32, RngStream(1), surrogate)
+
     @pytest.mark.parametrize("site", ["stem", "conv1"])
     def test_estimate_matches_closed_form_on_a_linear_layer(self, site):
         # the fit's gradient has no noise here, so the result is the same at

@@ -243,6 +243,23 @@ class TestTransposeConv2d:
         vjp(2.0 * out)
         assert calls == [(16, 8, 8, 8)]
 
+    @pytest.mark.parametrize("kh,stride,pad", [(4, 2, 1), (2, 2, 0)])  # the block's up, skip
+    def test_record_gradients_are_the_explicit_products(self, kh, stride, pad, np_rng):
+        # the input gradient is conv2d of g, the bits of the inline GEMM
+        # w (K, C*kh*kw) times g's columns; the kernel and bias gradients are
+        # sum_b x_b times those columns transposed, and g summed over b, h, w
+        x = np_rng.normal(size=(5, 3, 4, 4))
+        w = np_rng.normal(size=(3, 8, kh, kh))
+        grads = {}
+        out, vjp = transpose_conv_record(x, w, stride, pad, np_rng.normal(size=8), grads)
+        g = np_rng.normal(size=out.shape)
+        grad_x = vjp(g)
+        cols = T._im2col(g, kh, kh, stride, pad)
+        assert np.array_equal(grad_x, np.matmul(w.reshape(3, -1), cols).reshape(x.shape))
+        want_gw = np.matmul(x.reshape(5, 3, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+        assert np.array_equal(grads["weight"], want_gw.reshape(w.shape))
+        assert np.array_equal(grads["bias"], g.sum(axis=0).sum(axis=(1, 2)))
+
 
 class TestBiasInsideConv:
     """A bias operand gives the bits of the conv-plus-add composition it
@@ -407,8 +424,7 @@ class TestGatherKernelsMatchStridedKernels:
             x0 = np_rng.normal(size=(3, C, H, W))
             k0 = np_rng.normal(size=(K, C, kh, kw))
             want_cols, oh, ow = strided_im2col(x0, kh, kw, stride, pad)
-            cols, oh2, ow2 = T._im2col(x0, kh, kw, stride, pad)
-            assert (oh, ow) == (oh2, ow2) and np.array_equal(cols, want_cols)
+            assert np.array_equal(T._im2col(x0, kh, kw, stride, pad), want_cols)
             g = np_rng.normal(size=(3, K, oh, ow))
 
             grads = {}
@@ -458,7 +474,7 @@ class TestGatherKernelsMatchStridedKernels:
             T._im2col(np_rng.normal(size=(B, 5, 9, 11)), 3, 2, 1, 1)
         after = T._window_index.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
-        index = T._window_index(*geometry)[0]
+        index = T._window_index(*geometry)
         with pytest.raises(ValueError, match="read-only"):
             index[0, 0] = 0
 
