@@ -11,39 +11,25 @@ largest difference of each from its reference: the forward from the strided
 columns' GEMM plus the bias, the two gradients from the loop, and the columns
 from the strided ones. The forward and the columns must read 0.0.
 
-First it pins glibc's mmap and trim thresholds for its own process (mallopt,
-through ctypes): left dynamic, they decide by allocation order whether the
-scatter's buffers, above the default 128 KiB threshold, come back as fresh
-zero pages, and that column then moves severalfold between runs. Off glibc
-nothing is pinned, and the first line says so.
+First it pins glibc's mmap and trim thresholds for its own process, as the
+CLI does (`cli.pin_malloc`): left dynamic, they decide by allocation order
+whether the scatter's buffers, above the default 128 KiB threshold, come back
+as fresh zero pages, and that column then moves severalfold between runs.
+Off glibc nothing is pinned, and the first line says so.
 
     PYTHONPATH=src python scripts/bench_conv.py [--seconds 0.3]
 """
 
 import argparse
-import ctypes
 import time
 
 import numpy as np
 
 from layerlens import tensor as T
+from layerlens.cli import pin_malloc
 
 SHAPES = [(32, 1, 8), (32, 8, 8), (1, 8, 8), (128, 8, 8)]
 HW, KSIZE, STRIDE, PAD = (8, 8), 3, 1, 1
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
-MMAP_THRESHOLD, TRIM_THRESHOLD = 16 << 20, 64 << 20  # above every buffer at SHAPES
-
-
-def pin_malloc() -> str:
-    """Fix glibc's mmap and trim thresholds for this process; a note of what was done."""
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return "malloc thresholds not pinned (no glibc)"
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    if not (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)):
-        return "malloc thresholds not pinned (mallopt refused)"
-    return f"malloc mmap/trim thresholds pinned at {MMAP_THRESHOLD >> 20}/{TRIM_THRESHOLD >> 20} MiB"
 
 
 def loop_scatter(g, kernels, hw, stride, pad):

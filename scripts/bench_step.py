@@ -9,7 +9,11 @@ or ru), runs one default estimate and prints:
 - the tape records (one per layer the step differentiates through) that one
   step runs, counted from the tapes handed to tensor.backward;
 - the split of the estimate's wall time into Jacobian probe, baseline,
-  dead-unit probe, steps, certification, pixel_ru (ru only) and the rest;
+  dead-unit probe, steps, certification, pixel_ru (ru only) and the rest,
+  each with the minor page faults taken during it (getrusage ru_minflt).
+  It measures the library path, so it does not pin malloc's thresholds as
+  the CLI does, and a phase whose buffers go back to the OS on free and are
+  faulted in again on reuse shows here;
 - the peak traced memory (tracemalloc) of each phase and of the rest, from
   one more estimate run under tracemalloc after the timed one.
 
@@ -21,6 +25,7 @@ ru uses a one-epoch decoder: a step costs the same whatever the decoder learned.
 import argparse
 import contextlib
 import copy
+import resource
 import time
 import tracemalloc
 from collections import defaultdict
@@ -38,13 +43,18 @@ from layerlens.rng import RngStream
 from layerlens.train import TrainConfig
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 @contextlib.contextmanager
-def timed(targets, totals, first_step, peaks=None):
-    """Accumulate the wall time of each (module, attribute, phase) call into
-    totals[phase] while the block runs, and append the first "steps" call to
-    first_step as a partial of the unwrapped function. Given peaks, with
-    tracemalloc tracing, keep the largest traced peak of each phase's calls
-    in peaks[phase], and of the time between them in peaks["rest"]."""
+def timed(targets, totals, faults, first_step, peaks=None):
+    """Accumulate the wall time and the minor page faults of each (module,
+    attribute, phase) call into totals[phase] and faults[phase] while the
+    block runs, and append the first "steps" call to first_step as a partial
+    of the unwrapped function. Given peaks, with tracemalloc tracing, keep
+    the largest traced peak of each phase's calls in peaks[phase], and of
+    the time between them in peaks["rest"]."""
     saved = [(module, name, getattr(module, name)) for module, name, _ in targets]
 
     def wrapper(fn, phase):
@@ -57,11 +67,12 @@ def timed(targets, totals, first_step, peaks=None):
             if peaks is not None:
                 peaks["rest"] = max(peaks["rest"], tracemalloc.get_traced_memory()[1])
                 tracemalloc.reset_peak()
-            t0 = time.perf_counter()
+            f0, t0 = minor_faults(), time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 totals[phase] += time.perf_counter() - t0
+                faults[phase] += minor_faults() - f0
                 if peaks is not None:
                     peaks[phase] = max(peaks[phase], tracemalloc.get_traced_memory()[1])
                     tracemalloc.reset_peak()
@@ -95,7 +106,7 @@ def main(argv=None):
     if args.estimator == "ru":
         decoder = R.train_decoder(model, layer, images, TrainConfig(epochs=1, seed=args.seed))
 
-    totals = defaultdict(float)
+    totals, faults = defaultdict(float), defaultdict(int)
     first_step = []
     targets = [
         (S, "linear_surrogate", "jacobian probe"),
@@ -109,10 +120,11 @@ def main(argv=None):
     else:
         targets += [(S, "sid_loss", "steps")]
         estimate = partial(S.estimate_sid, model, layer, x, cfg)
-    with timed(targets, totals, first_step):
-        t0 = time.perf_counter()
+    with timed(targets, totals, faults, first_step):
+        f0, t0 = minor_faults(), time.perf_counter()
         res = estimate()
         wall = time.perf_counter() - t0
+        faults["rest"] = minor_faults() - f0 - sum(faults.values())
     step = first_step[0]
 
     records = []
@@ -137,14 +149,14 @@ def main(argv=None):
     print(f"one default estimate: {wall:.3f} s, {res.steps_used} steps, "
           f"conformant {res.conformant}")
     for phase, secs in sorted(totals.items(), key=lambda kv: -kv[1]):
-        print(f"  {phase:<16} {secs:8.3f} s {100 * secs / wall:5.1f}%")
+        print(f"  {phase:<16} {secs:8.3f} s {100 * secs / wall:5.1f}% {faults[phase]:9d} minor faults")
     rest = wall - sum(totals.values())
-    print(f"  {'rest':<16} {rest:8.3f} s {100 * rest / wall:5.1f}%")
+    print(f"  {'rest':<16} {rest:8.3f} s {100 * rest / wall:5.1f}% {faults['rest']:9d} minor faults")
 
     peaks = defaultdict(int)
     tracemalloc.start()
     try:
-        with timed(targets, defaultdict(float), first_step, peaks):
+        with timed(targets, defaultdict(float), defaultdict(int), first_step, peaks):
             estimate()
         peaks["rest"] = max(peaks["rest"], tracemalloc.get_traced_memory()[1])
     finally:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 non-conformant constraint (or failed coherency),
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -505,7 +506,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+# the largest mmap threshold glibc takes on 64-bit, above every per-step
+# buffer up to the 18 MiB columns of a 32-row 3x32x32 conv, and four times
+# that of free heap top kept before it is trimmed
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 128 << 20
+
+
+def pin_malloc() -> str:
+    """Fix glibc's mmap and trim thresholds for this process (and the workers
+    it forks); a note of what was done. Left dynamic, they decide by
+    allocation order whether a step's MB-size temporaries are handed back to
+    the OS on free and faulted in again on the next step, which made a run's
+    time bimodal. Off glibc nothing is pinned."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return "malloc thresholds not pinned (no glibc)"
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    if not (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)):
+        return "malloc thresholds not pinned (mallopt refused)"
+    return f"malloc mmap/trim thresholds pinned at {_MMAP_THRESHOLD >> 20}/{_TRIM_THRESHOLD >> 20} MiB"
+
+
 def main(argv=None) -> int:
+    pin_malloc()
     args = build_parser().parse_args(argv)
     try:
         raw = Path(args.config).read_text()

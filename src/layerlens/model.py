@@ -337,18 +337,18 @@ def _write_grads(pg: dict, name: str, w, a, cols, g) -> None:
 def _conv(x, p: dict, pg: dict | None, name: str, stride: int, padding: int, wanted: bool):
     """conv2d of x with kernels p[name + "weight"] and bias p[name + "bias"],
     and its VJP, which returns the gradient at x (None unless `wanted`). Only
-    a VJP that writes parameter gradients (pg) keeps x's columns, for the
-    kernel's."""
+    a VJP that writes parameter gradients (pg) keeps x, and it gathers x's
+    columns again for the kernel's: they are kh*kw times x's size."""
     w = p[name + "weight"]
-    cols = None if pg is None else T._im2col(x, *w.shape[2:], stride, padding)
     hw = x.shape[2:]
+    kept = None if pg is None else x  # a sigma step's record drops x
 
     def vjp(g):
         if pg is not None:
-            _write_grads(pg, name, w, g, cols, g)
+            _write_grads(pg, name, w, g, T._im2col(kept, *w.shape[2:], stride, padding), g)
         return _grad(T._conv_input_grad(g, w, hw, stride, padding)) if wanted else None
 
-    return T.conv2d(x, w, stride, padding, p[name + "bias"], cols), vjp
+    return T.conv2d(x, w, stride, padding, p[name + "bias"]), vjp
 
 
 def _transpose_conv(x, p: dict, pg: dict | None, name: str, stride: int, padding: int, wanted: bool):

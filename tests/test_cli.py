@@ -1054,3 +1054,40 @@ class TestConfigHandling:
             },
         )
         assert run("sid", cfg) == 3
+
+
+class TestMallocPin:
+    """main pins glibc's mmap and trim thresholds before anything else runs,
+    and a process where they cannot be pinned runs unpinned."""
+
+    class Libc:
+        def __init__(self, calls, returns=1):
+            def mallopt(param, value):
+                calls.append((param, value))
+                return returns
+
+            self.mallopt = mallopt
+
+    def test_pinned_before_the_arguments_are_parsed(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: calls.append(name) or self.Libc(calls))
+        parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append("parse") or parser())
+        with pytest.raises(SystemExit):
+            main(["no-such-verb"])
+        assert calls == ["libc.so.6", (-3, 32 << 20), (-1, 128 << 20), "parse"]
+
+    @pytest.mark.parametrize("libc", ["absent", "no mallopt", "refuses"])
+    def test_unpinned_run_still_succeeds(self, workspace, monkeypatch, libc):
+        def cdll(name):
+            if libc == "absent":
+                raise OSError(f"{name}: cannot open shared object file")
+            return object() if libc == "no mallopt" else self.Libc([], returns=0)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert "not pinned" in cli.pin_malloc()
+        root = workspace["root"]
+        config = dict(estimator_patch(), dataset=workspace["dataset"], model=CNN, inputs=[0],
+                      outputs=str(root / "out"), seed=2)
+        assert run("sid", write_config(root, "sid.json", config)) == 0
+        assert (root / "out" / "sid_conv1_0.json").exists()

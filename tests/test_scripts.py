@@ -10,6 +10,7 @@ runs the script.
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 from layerlens import cli
@@ -34,7 +35,8 @@ def test_bench_step_runs(capsys):
     assert "80 steps, conformant True" in out
     timed, traced = out.split("traced peak of one more estimate, 2x6x6 input:")
     for phase in ("jacobian probe", "baseline", "dead-unit probe", "steps", "certification", "rest"):
-        assert f"  {phase} " in timed
+        # each timed phase has its minor page faults, a count, next to its time
+        assert re.search(rf"^  {phase} +[0-9.]+ s +[0-9.]+% +[0-9]+ minor faults$", timed, re.M)
         assert f"  {phase} " in traced
 
 

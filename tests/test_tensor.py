@@ -156,6 +156,28 @@ class TestConv2d:
             single = T.conv2d(xs[i : i + 1], k, padding=1)
             np.testing.assert_allclose(batched[i : i + 1], single, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_record_gradients_are_the_explicit_products(self, stride, pad, np_rng):
+        # a training record keeps x, not its columns, and gathers them in its
+        # VJP (a record without parameter gradients keeps neither): the
+        # kernel gradient is sum_b g_b times x_b's columns transposed, the
+        # bias's g summed over b, h, w, and the input gradient conv2d's adjoint
+        x = np_rng.normal(size=(4, 3, 7, 7))
+        w = np_rng.normal(size=(5, 3, 3, 3))
+        cols = T._im2col(x, 3, 3, stride, pad)
+        for grads in (None, {}):
+            out, vjp = conv_record(x, w, stride, pad, np_rng.normal(size=5), grads)
+            kept = [c.cell_contents for c in vjp.__closure__]
+            assert any(v is x for v in kept) == (grads is not None)
+            assert not any(getattr(v, "shape", None) == cols.shape for v in kept)
+        g = np_rng.normal(size=out.shape)
+        grad_x = vjp(g)
+        assert np.array_equal(grad_x, T._conv_input_grad(g, w, (7, 7), stride, pad))
+        want_gw = np.matmul(g.reshape(4, 5, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+        assert np.array_equal(grads["weight"], want_gw.reshape(w.shape))
+        assert np.array_equal(grads["bias"], g.sum(axis=0).sum(axis=(1, 2)))
+
 
 class TestTransposeConv2d:
     """The transposed conv is conv2d's input adjoint, _conv_input_grad, which

@@ -1,12 +1,14 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from layerlens import data as D
 from layerlens import model as M
+from layerlens import ru as R
 from layerlens.rng import RngStream, derive_seed
-from layerlens.train import TrainConfig, TrainingDiverged, train
+from layerlens.train import TrainConfig, TrainingDiverged, _batch_step, train
 
 from conftest import pinned_by_core
 
@@ -134,6 +136,21 @@ class TestCnnTraining:
             "Haswell": "250ac26c1e075ef7adc569eda77bb438f3030e43397a9cc97ce9f88b10310386",
         })
         assert trace == pytest.approx([1.0524, 0.1563, 0.058], abs=5e-5)
+
+    def test_batch_step_keeps_no_column_matrix(self, np_rng):
+        # a conv record keeps its input and gathers the columns in its VJP,
+        # so one decoder step traces 1.6 MiB; holding every conv's 3x3
+        # columns until the backward sweep instead takes 4.6 MiB
+        decoder = R.make_decoder((8, 8, 8), (1, 8, 8), seed=0)
+        xb, yb = np_rng.normal(size=(16, 8, 8, 8)), np_rng.normal(size=(16, 1, 8, 8))
+        _batch_step(decoder, xb, yb, "mse")  # builds the cached gather indices
+        tracemalloc.start()
+        try:
+            _batch_step(decoder, xb, yb, "mse")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
 
 class TestDatasets:
