@@ -297,7 +297,10 @@ def cmd_estimate(run: Run) -> bool:
     decoders = {}
     if dec_cfg is not None:
         for layer in layers:
-            dec = train_decoder(model, layer, run.images, dec_cfg)
+            try:
+                dec = train_decoder(model, layer, run.images, dec_cfg)
+            except ValueError as err:  # too few images to split, or a BuildError
+                raise ConfigError(str(err)) from err
             M.save_checkpoint(dec.graph, run.out / f"decoder_{layer}", meta={"layer": layer, "val_mse": dec.val_mse, "seed": run.seed})
             decoders[layer] = dec
 

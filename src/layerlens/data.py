@@ -49,6 +49,8 @@ def load_lltn_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     for path, arr in ((images_path, images), (labels_path, labels)):
         if not np.isfinite(arr).all():
             raise DatasetError(f"{path}: holds a non-finite value (NaN or Inf)")
+    if len(images) == 0:
+        raise DatasetError(f"{images_path}: holds no images")
     if labels.ndim == 1 and np.allclose(labels, np.round(labels)):
         labels = labels.astype(np.int64)
     if len(images) != len(labels):

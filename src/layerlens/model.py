@@ -137,14 +137,6 @@ def _check_spec(spec: LayerSpec) -> None:
         raise BuildError(f"layer {spec.name!r}: shape must be positive integers, got {list(spec.shape)}")
 
 
-def _conv_out(h: int, k: int, s: int, p: int, name: str) -> int:
-    if k > h + 2 * p:
-        raise BuildError(f"layer {name!r}: kernel {k} exceeds padded input {h + 2 * p}")
-    if (h + 2 * p - k) % s:
-        raise BuildError(f"layer {name!r}: non-integer output size (input {h}, k={k}, s={s}, p={p})")
-    return (h + 2 * p - k) // s + 1
-
-
 def _geometry(spec: LayerSpec, in_shape: tuple) -> tuple[tuple, list]:
     """(output shape, parameter layout) of a layer on input `in_shape`. The
     layout lists (name, shape, He fan-in) of each parameter in drawing order;
@@ -159,8 +151,10 @@ def _geometry(spec: LayerSpec, in_shape: tuple) -> tuple[tuple, list]:
         return (spec.units,), [("weight", (c, spec.units), c), ("bias", (spec.units,), 0)]
     if kind == "conv":
         c, h, w = in_shape
-        ho = _conv_out(h, k, spec.stride, spec.padding, spec.name)
-        wo = _conv_out(w, k, spec.stride, spec.padding, spec.name)
+        try:
+            ho, wo = (T.conv_out(n, k, spec.stride, spec.padding) for n in (h, w))
+        except T.ShapeError as err:
+            raise BuildError(f"layer {spec.name!r}: {err}") from None
         return (ch, ho, wo), [("weight", (ch, c, k, k), c * k * k), ("bias", (ch,), 0)]
     if kind == "relu":
         return in_shape, []

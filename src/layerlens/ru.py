@@ -122,8 +122,8 @@ def train_decoder(
     never touch its parameters again.
     """
     images = np.asarray(dataset, dtype=np.float64)
-    if len(images) == 0:
-        raise ValueError("dataset is empty")
+    if len(images) < 2:
+        raise ValueError(f"dataset has {len(images)} image(s); a decoder needs at least 2 to train and validate")
     if decoder is None:
         decoder = make_decoder(model.layer_shape(layer), model.input_shape, seed=cfg.seed)
     feats = _forward_chunked(model, images, layer)

@@ -255,9 +255,8 @@ def _entropy_loss(
 
     The tape starts at x': the forward records the network's layers, and the
     gradient at fp, with g = -lam, runs back through them to dL/dx'. The
-    sigma chain is computed here, each value checked under the name of its
-    operation (the forward checks x'), and the pathwise gradient is
-    sigma * sum_b(dL/dx'_b * noise_b).
+    sigma chain runs on the checked kernels (the forward checks x'), and the
+    pathwise gradient sigma * sum_b(dL/dx'_b * noise_b) is checked once.
 
     The surrogate is the fit term's control variate, off the tape: its draws'
     mean l(z_b) / fit_scale leaves the value and dL/dx'_b loses
@@ -271,9 +270,9 @@ def _entropy_loss(
     log_sigma = sigma.log_sigma
     _check_finite(log_sigma, "log_sigma")
     noise = rng.normal((samples,) + x.shape)
+    sig = T.exp(log_sigma)
+    xp = T.mul(sig, noise)
     with np.errstate(all="ignore"):  # non-finite values raise NumericalError
-        sig = _checked(np.exp(log_sigma), "exp")
-        xp = _checked(sig * noise, "mul")
         z = xp.reshape(samples, -1)
         gz = surrogate.apply(z)
         ell = np.vdot(z, gz)  # sum_b l(z_b), before z becomes x'
@@ -290,8 +289,7 @@ def _entropy_loss(
     value = loss - ell * scale + surrogate.mean(sig) / fit_scale
     gz *= 2.0 * scale
     grad_xp = grad_xp - gz.reshape(grad_xp.shape)
-    grad = _checked((grad_xp * noise).sum(axis=0), "backward") * sig
-    _check_finite(grad, "backward")
+    grad = _checked((grad_xp * noise).sum(axis=0) * sig, "backward")
     grad += 2.0 * sig * sig * surrogate.c.reshape(sig.shape) / fit_scale
     return float(value), grad
 
@@ -489,7 +487,6 @@ def fit_sigma(
     step_rng = root.spawn("est/steps")
     # every certification: the same est/heldout draws, with the surrogate
     certify = partial(certify_epsilon, model, layer, x, samples=cfg.certify_samples, surrogate=surrogate)
-    steps_used = 0
     tail_from = cfg.max_steps // 2
     rounds = cfg.max_rounds if cfg.normalize else 1
     for round_ in range(rounds):
@@ -503,7 +500,6 @@ def fit_sigma(
             # a linear decay to 2% of the step size damps sigma's stochastic jitter
             lr = cfg.sigma_lr * (1.0 - 0.98 * min(1.0, (step + 1) / cfg.max_steps))
             sigma.log_sigma = np.minimum(adam.step(sigma.log_sigma, grad, lr), log_cap)
-            steps_used += 1
             if step >= tail_from:
                 tail_sum += sigma.log_sigma
         stuck = np.array_equal(sigma.log_sigma, start)
@@ -527,7 +523,7 @@ def fit_sigma(
         epsilon_achieved=epsilon,
         delta_f_sq=delta_f_sq,
         lambda_final=search.lam,
-        steps_used=steps_used,
+        steps_used=(round_ + 1) * cfg.max_steps,
         capped_units=[int(i) for i in np.flatnonzero(sigma.log_sigma >= log_cap - 1e-12)],
         conformant=abs(epsilon - target) <= cfg.lambda_tolerance * target,
         seed=cfg.seed,

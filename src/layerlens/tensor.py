@@ -16,27 +16,6 @@ import functools
 
 import numpy as np
 
-__all__ = [
-    "NumericalError",
-    "ShapeError",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "matmul",
-    "conv2d",
-    "relu",
-    "mse",
-    "reduce_sum",
-    "sum_sq_diff",
-    "log",
-    "exp",
-    "reshape",
-    "clip_min",
-    "softmax_cross_entropy",
-    "backward",
-]
-
 
 class NumericalError(ArithmeticError):
     """An operation produced a NaN or Inf; the op is aborted, not propagated."""
@@ -80,7 +59,7 @@ def mul(a, b) -> np.ndarray:
     return _pointwise("mul", np.multiply, a, b)
 
 
-# Not called by the program: perfbench/tracer.py wraps these names on this module.
+# Not called by the program: perfbench/tracer.py wraps this name on this module.
 def div(a, b) -> np.ndarray:
     return _pointwise("div", np.divide, a, b)
 
@@ -124,6 +103,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def conv_out(n: int, k: int, stride: int, pad: int) -> int:
+    """Output size along one axis of a conv over n inputs with k taps, stride
+    and padding pad; ShapeError unless the taps fit in the padded input and
+    step across it a whole number of times."""
+    if k > n + 2 * pad:
+        raise ShapeError(f"kernel {k} exceeds padded input {n + 2 * pad}")
+    if (n + 2 * pad - k) % stride:
+        raise ShapeError(f"non-integer output size (input {n}, k={k}, s={stride}, p={pad})")
+    return (n + 2 * pad - k) // stride + 1
+
+
 @functools.lru_cache(maxsize=64)
 def _window_index(kind: str, channels: int, H: int, W: int, kh: int, kw: int, stride: int, pad: int):
     """Read-only (channels*kh*kw, n) gather index for one sample of a conv of
@@ -135,7 +125,7 @@ def _window_index(kind: str, channels: int, H: int, W: int, kh: int, kw: int, st
     "flipped": over the H*W pixels, the entry of gradient channel c that the
     flipped tap (i,j) reads: the gradient stride-dilated and padded by
     kh-1-pad, or cropped where that is negative. No batch size in the key."""
-    oh, ow = (H + 2 * pad - kh) // stride + 1, (W + 2 * pad - kw) // stride + 1
+    oh, ow = conv_out(H, kh, stride, pad), conv_out(W, kw, stride, pad)
     i, j, p, q = np.ix_(range(kh), range(kw), range(oh), range(ow))
     y, x = p * stride + i - pad, q * stride + j - pad
     hit = ((0 <= y) & (y < H) & (0 <= x) & (x < W)).reshape(kh * kw, oh * ow)
@@ -217,16 +207,12 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None, cols=None) 
     B, Cx, H, W = x.shape
     if Cx != C:
         raise ShapeError(f"conv2d: channel mismatch, input {Cx} vs kernels {C}")
-    if kh > H + 2 * padding or kw > W + 2 * padding:
-        raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than padded input {H}x{W}")
-    if (H + 2 * padding - kh) % stride or (W + 2 * padding - kw) % stride:
-        raise ShapeError(
-            f"conv2d: non-integer output size for input {H}x{W}, "
-            f"kernel {kh}x{kw}, stride {stride}, padding {padding}"
-        )
+    try:
+        oh, ow = conv_out(H, kh, stride, padding), conv_out(W, kw, stride, padding)
+    except ShapeError as err:
+        raise ShapeError(f"conv2d: {err}") from None
     if cols is None:
         cols = _im2col(x, kh, kw, stride, padding)
-    oh, ow = (H + 2 * padding - kh) // stride + 1, (W + 2 * padding - kw) // stride + 1
     out = np.matmul(kernels.reshape(K, C * kh * kw), cols).reshape(B, K, oh, ow)
     if bias is not None:
         if bias.shape != (K,):

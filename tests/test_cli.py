@@ -310,6 +310,24 @@ class TestRuVerb:
         err = capsys.readouterr().err
         assert "(2, 4, 4)" in err and "(1, 6, 6)" in err
 
+    def test_one_image_dataset_is_config_error(self, workspace, capsys):
+        # the 90/10 split gave the one image to validation: "dataset is empty", exit 1
+        root = workspace["root"]
+        images, labels = D.make_fourclass_images(n=1, shape=(1, 8, 8), seed=3)
+        ip, lp = D.save_lltn_pair(root / "one", images, labels)
+        config = {
+            "dataset": {"format": "lltn", "images": str(ip), "labels": str(lp)},
+            "model": CNN,
+            **estimator_patch(),
+            "decoder": {"epochs": 1, "loss": "mse"},
+            "inputs": [0],
+            "outputs": str(root / "o"),
+        }
+        assert run("ru", write_config(root, "one.json", config)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "1 image(s)" in err and "at least 2" in err
+
 
 class TestConcentrationVerb:
     def test_bbox_mask_csv(self, workspace):
@@ -983,17 +1001,20 @@ class TestConfigHandling:
         assert run("sid", cfg) == 4
 
     @pytest.mark.parametrize("verb", ["train", "sid"])
-    @pytest.mark.parametrize("bad", ["nan-pixel", "inf-label"])
+    @pytest.mark.parametrize("bad", ["nan-pixel", "inf-label", "no-images"])
     def test_non_finite_dataset_value_is_io_error(self, workspace, capsys, verb, bad):
         # a NaN pixel ended both verbs with exit 2 naming a tensor op; an inf
-        # label was cast to -2**63 and ended them with exit 3
+        # label was cast to -2**63 and ended them with exit 3; a pair with no
+        # images ended train with "dataset is empty", exit 1
         root = workspace["root"]
         images, labels = D.make_fourclass_images(n=48, shape=(1, 8, 8), seed=3)
         labels = labels.astype(np.float64)
         if bad == "nan-pixel":
             images[5, 0, 2, 3] = np.nan
-        else:
+        elif bad == "inf-label":
             labels[7] = np.inf
+        else:
+            images, labels = images[:0], labels[:0]
         ip, lp = D.save_lltn_pair(root / "bad" / "set", images, labels)
         config = {
             "dataset": {"format": "lltn", "images": str(ip), "labels": str(lp)},
@@ -1003,7 +1024,9 @@ class TestConfigHandling:
         }
         assert run(verb, write_config(root, "nonfinite.json", config)) == 4
         err = capsys.readouterr().err
-        assert str(ip if bad == "nan-pixel" else lp) in err and "non-finite" in err
+        assert err.startswith("i/o error:") and err.count("\n") == 1
+        assert str(lp if bad == "inf-label" else ip) in err
+        assert ("no images" if bad == "no-images" else "non-finite") in err
 
     def test_env_seed_is_last_resort(self, workspace, monkeypatch):
         root = workspace["root"]

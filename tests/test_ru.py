@@ -126,9 +126,11 @@ class TestTrainDecoder:
         assert res.H_hat_i.shape == (16,)
         assert np.isfinite(res.H_hat_i).all()
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            R.train_decoder(identity_model(2), "id", np.zeros((0, 2)), TrainConfig(loss="mse"))
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_dataset_rejected(self, n):
+        # at n=1 the 90/10 split gave the image to validation and none to training
+        with pytest.raises(ValueError, match=rf"has {n} image\(s\).*at least 2"):
+            R.train_decoder(identity_model(2), "id", np.zeros((n, 2)), TrainConfig(loss="mse"))
 
 
 class TestPixelRu:

@@ -110,6 +110,30 @@ class TestConv2d:
         with pytest.raises(T.ShapeError):
             T.conv2d(np.zeros((1, 1, 5, 5)), np.zeros((1, 1, 2, 2)), stride=2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        k=st.integers(1, 5),
+        stride=st.integers(1, 3),
+        pad=st.integers(0, 3),
+    )
+    def test_one_output_size_rule(self, h, w, k, stride, pad):
+        # conv2d, its columns and the graph's recorded shape all read conv_out
+        x, kernels = np.zeros((1, 1, h, w)), np.zeros((2, 1, k, k))
+        specs = [M.conv("the_conv", 2, k, stride=stride, padding=pad)]
+        try:
+            oh, ow = (T.conv_out(n, k, stride, pad) for n in (h, w))
+        except T.ShapeError:
+            with pytest.raises(T.ShapeError):
+                T.conv2d(x, kernels, stride, pad)
+            with pytest.raises(M.BuildError, match="layer 'the_conv'"):
+                M.build(specs, (1, h, w))
+            return
+        assert T.conv2d(x, kernels, stride, pad).shape == (1, 2, oh, ow)
+        assert T._im2col(x, k, k, stride, pad).shape[2] == oh * ow
+        assert M.build(specs, (1, h, w)).layer_shape("the_conv") == (2, oh, ow)
+
     def test_unbatched_input_rejected(self):
         # conv2d takes a batch (B,C,H,W) only; one sample is x[None]
         with pytest.raises(T.ShapeError, match=r"\(1, 5, 5\)"):
