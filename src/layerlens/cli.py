@@ -287,22 +287,19 @@ def cmd_estimate(run: Run) -> bool:
     layers = run.layers(model)
     picks = run.inputs()
     cfg = run.estimator_config()
-    dec_cfg = None
+    decoders = {}
     if run.verb == "ru":
         dec_cfg = run.train_config("decoder", {"epochs": 30, "learning_rate": 0.01, "loss": "mse"})
         if dec_cfg.loss != "mse":  # a decoder learns to reconstruct its input
             raise ConfigError(f"decoder.loss must be \"mse\", got {dec_cfg.loss!r}")
-    run.write_resolved()
-
-    decoders = {}
-    if dec_cfg is not None:
-        for layer in layers:
+        for layer in layers:  # every decoder before the first write: a refusal leaves no file
             try:
-                dec = train_decoder(model, layer, run.images, dec_cfg)
+                decoders[layer] = train_decoder(model, layer, run.images, dec_cfg)
             except ValueError as err:  # too few images to split, or a BuildError
                 raise ConfigError(str(err)) from err
-            M.save_checkpoint(dec.graph, run.out / f"decoder_{layer}", meta={"layer": layer, "val_mse": dec.val_mse, "seed": run.seed})
-            decoders[layer] = dec
+    run.write_resolved()
+    for layer, dec in decoders.items():
+        M.save_checkpoint(dec.graph, run.out / f"decoder_{layer}", meta={"layer": layer, "val_mse": dec.val_mse, "seed": run.seed})
 
     cells = [(layer, i, run.images[i], decoders.get(layer)) for layer in layers for i in picks]
     estimate = partial(_estimate_and_save, model=model, cfg=cfg, out=run.out, verb=run.verb)

@@ -356,11 +356,12 @@ def _transpose_conv(x, p: dict, pg: dict | None, name: str, stride: int, padding
     hw = ((x.shape[2] - 1) * stride + kh - 2 * padding, (x.shape[3] - 1) * stride + kw - 2 * padding)
     out = T._conv_input_grad(x, w, hw, stride, padding)
     out += p[name + "bias"].reshape(-1, 1, 1)
+    kept = None if pg is None else x  # a sigma step's record drops x
 
     def vjp(g):
         cols = T._im2col(g, kh, kw, stride, padding)
         if pg is not None:
-            _write_grads(pg, name, w, x, cols, g)
+            _write_grads(pg, name, w, kept, cols, g)
         return T.conv2d(g, w, stride, padding, cols=cols) if wanted else None
 
     return T._checked(out, "transpose_conv2d"), vjp

@@ -33,9 +33,9 @@ from .sid import (
     SidConfig,
     SigmaField,
     Surrogate,
-    _ROWS,
     _entropy_loss,
     _forward_chunked,
+    _perturbed_features,
     fit_sigma,
 )
 
@@ -163,18 +163,14 @@ def pixel_ru(
     Returns (H_hat_i shaped like x, flat indices of floor-clamped units).
     """
     x = np.asarray(x, dtype=np.float64)
-    xs = rng.normal((samples,) + x.shape)
-    xs *= sigma.sigma
-    xs += x
-    total = None  # sum over the draws so far of (recon - x)^2, in draw order
-    for lo in range(0, samples, _ROWS):
-        recon = decoder.forward(model.forward(xs[lo : lo + _ROWS], to_layer=layer))
+    total = 0.0  # sum over the draws so far of (recon - x)^2, in draw order
+    for _, feats in _perturbed_features(model, layer, x, sigma.sigma, samples, rng):
+        recon = decoder.forward(feats)
         if recon.shape[1:] != x.shape:
             raise T.ShapeError(f"decoder output {recon.shape[1:]} does not match input {x.shape}")
         err = recon - x
         err *= err
-        if total is not None:
-            err[0] += total  # the running sum heads the chunk: one sequential sum over all draws
+        err[0] += total  # the running sum heads the chunk: one sequential sum over all draws
         total = err.sum(axis=0)
     err_sq = total / samples
     clamped = np.flatnonzero(err_sq.reshape(-1) < _VAR_FLOOR)

@@ -191,27 +191,31 @@ def _forward_chunked(model: ModelGraph, xs: np.ndarray, layer: str) -> np.ndarra
     return out
 
 
+def _perturbed_features(model: ModelGraph, layer: str, x: np.ndarray, scale, samples: int, rng: RngStream):
+    """The held-out perturbed forward both estimators read: `samples` draws
+    z_b = scale * N(0, I) from one call of rng, yielded per chunk of _ROWS
+    in draw order with the layer's features at x + z_b, (z, features)."""
+    noise = rng.normal((samples,) + x.shape)
+    for lo in range(0, samples, _ROWS):
+        z = noise[lo : lo + _ROWS]
+        with np.errstate(all="ignore"):  # a non-finite x + z raises NumericalError in the forward
+            z *= scale
+            xb = z + x
+        yield z, model.forward(xb, to_layer=layer)
+
+
 def _deviation_terms(surrogate: Surrogate, scale, samples: int, rng: RngStream) -> np.ndarray:
     """The per-draw terms d_b - l(z_b) of the surrogate's Monte Carlo mean
     squared deviation under input noise z_b = scale * N(0, I), from `samples`
     draws of rng: d_b is the squared deviation of the feature at x + z_b from
-    the clean f0. Forwarded _ROWS draws at a time, so only those draws'
-    features are ever held."""
-    xs = rng.normal((samples,) + surrogate.x.shape)
-    terms = np.empty(samples)
-    with np.errstate(all="ignore"):  # a non-finite value raises NumericalError
-        xs *= scale
-        z = xs.reshape(samples, -1)
-        for lo in range(0, samples, _ROWS):
-            zb = z[lo : lo + _ROWS]
-            ell = (zb * surrogate.apply(zb)).sum(axis=1)  # l(z_b), before z_b becomes x'
-            xb = xs[lo : lo + _ROWS]
-            xb += surrogate.x
-            dev = surrogate.model.forward(xb, to_layer=surrogate.layer)
-            dev -= surrogate.f0
-            dev *= dev
-            terms[lo : lo + len(xb)] = dev.reshape(len(xb), -1).sum(axis=1) - ell
-    return terms
+    the clean f0. Its caller, _mean_sq_deviation, holds the errstate."""
+    terms = []
+    for z, dev in _perturbed_features(surrogate.model, surrogate.layer, surrogate.x, scale, samples, rng):
+        z = z.reshape(len(z), -1)
+        dev -= surrogate.f0
+        dev *= dev
+        terms.append(dev.reshape(len(z), -1).sum(axis=1) - (z * surrogate.apply(z)).sum(axis=1))
+    return np.concatenate(terms)
 
 
 def _mean_sq_deviation(surrogate: Surrogate, scale, samples: int, rng: RngStream) -> float:

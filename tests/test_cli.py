@@ -309,6 +309,7 @@ class TestRuVerb:
         assert run("ru", write_config(root, "six.json", config)) == 3
         err = capsys.readouterr().err
         assert "(2, 4, 4)" in err and "(1, 6, 6)" in err
+        assert list((root / "o").iterdir()) == []
 
     def test_one_image_dataset_is_config_error(self, workspace, capsys):
         # the 90/10 split gave the one image to validation: "dataset is empty", exit 1
@@ -327,6 +328,8 @@ class TestRuVerb:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "1 image(s)" in err and "at least 2" in err
+        # refused before the first write: no resolved config of a run that never happened
+        assert list((root / "o").iterdir()) == []
 
 
 class TestConcentrationVerb:

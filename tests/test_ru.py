@@ -9,9 +9,10 @@ import pytest
 from layerlens import lltn
 from layerlens import model as M
 from layerlens import ru as R
+from layerlens import tensor as T
 from layerlens.rng import RngStream, derive_seed
 from layerlens.sid import GAUSSIAN_ENTROPY_CONST as C
-from layerlens.sid import _ROWS, SidConfig, SidResult, SigmaField, estimate_sid, fit_sigma
+from layerlens.sid import _ROWS, SidConfig, SidResult, SigmaField, certify_epsilon, estimate_sid, fit_sigma
 from layerlens.train import TrainConfig
 
 from conftest import finite_diff, pinned_by_core, rel_err, result_digest, zero_surrogate
@@ -253,6 +254,20 @@ def test_pixel_ru_streams_its_draws_in_order(ru_loss_site):
     h = 0.5 * np.log(np.maximum(((recon - x) ** 2).mean(axis=0), 1e-12)) + C
     reported, _ = R.pixel_ru(model, dec, "conv2", x, sigma, samples, RngStream(8))
     np.testing.assert_array_equal(reported, h)
+
+
+@pytest.mark.parametrize("held_out", ["certify_epsilon", "pixel_ru"])
+def test_overflowing_perturbation_is_a_numerical_error(ru_loss_site, held_out):
+    # sigma 1e308 overflows sigma * noise: both held-out passes refuse the
+    # non-finite x + z at the forward's input check, where pixel_ru once
+    # warned "overflow encountered in multiply"
+    model, dec, x, _ = ru_loss_site
+    sigma = SigmaField(np.full(x.shape, np.log(1e308)))
+    with pytest.raises(T.NumericalError, match="input: non-finite"):
+        if held_out == "certify_epsilon":
+            certify_epsilon(model, "conv2", x, sigma, 64, RngStream(3))
+        else:
+            R.pixel_ru(model, dec, "conv2", x, sigma, 64, RngStream(3))
 
 
 def test_estimate_ru_pinned(ru_loss_site):

@@ -1,17 +1,19 @@
 """The scripts under scripts/ against the program they call.
 
 Each script is run small, so a change to the program that a script does not
-follow (fit_sigma's loss contract for scripts/bench_step.py, the conv
-kernels' private formulations for scripts/bench_conv.py, SidConfig for the
-coherency demo, the damage config's keys for the damage demo, the data
-writers for the dataset script) fails here rather than only when someone next
-runs the script.
+follow (fit_sigma's loss contract and the estimators' function names for
+scripts/bench_step.py, the conv kernels' private formulations for
+scripts/bench_conv.py, SidConfig for the coherency demo, the damage config's
+keys for the damage demo, the data writers for the dataset script) fails here
+rather than only when someone next runs the script.
 """
 
 import importlib.util
 import json
 import re
 from pathlib import Path
+
+import pytest
 
 from layerlens import cli
 from layerlens import data as D
@@ -28,13 +30,23 @@ def _load(name):
     return module
 
 
-def test_bench_step_runs(capsys):
-    _load("bench_step").main(["tiny-resnet", "stem", "sid", "--seconds", "0.05", "--shape", "2,6,6"])
+@pytest.mark.parametrize(
+    "argv,records,steps,phases",
+    [
+        pytest.param("tiny-resnet stem sid --shape 2,6,6", 1, 80, (), id="sid"),
+        # the wrappers on ru.ru_loss and ru.pixel_ru; 240 steps under both
+        # the SkylakeX and the Haswell OpenBLAS kernels
+        pytest.param("tiny-cnn conv1 ru --shape 1,6,6", 5, 240, ("pixel_ru",), id="ru"),
+    ],
+)
+def test_bench_step_runs(argv, records, steps, phases, capsys):
+    preset, layer, estimator, _, shape = argv.split()
+    _load("bench_step").main(argv.split() + ["--seconds", "0.05"])
     out = capsys.readouterr().out
-    assert "tiny-resnet/stem sid:" in out and "1 tape record(s) per step" in out
-    assert "80 steps, conformant True" in out
-    timed, traced = out.split("traced peak of one more estimate, 2x6x6 input:")
-    for phase in ("jacobian probe", "baseline", "dead-unit probe", "steps", "certification", "rest"):
+    assert f"{preset}/{layer} {estimator}:" in out and f"{records} tape record(s) per step" in out
+    assert f"{steps} steps, conformant True" in out
+    timed, traced = out.split(f"traced peak of one more estimate, {shape.replace(',', 'x')} input:")
+    for phase in ("jacobian probe", "baseline", "dead-unit probe", "steps", "certification", *phases, "rest"):
         # each timed phase has its minor page faults, a count, next to its time
         assert re.search(rf"^  {phase} +[0-9.]+ s +[0-9.]+% +[0-9]+ minor faults$", timed, re.M)
         assert f"  {phase} " in traced

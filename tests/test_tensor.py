@@ -293,11 +293,14 @@ class TestTransposeConv2d:
     def test_record_gradients_are_the_explicit_products(self, kh, stride, pad, np_rng):
         # the input gradient is conv2d of g, the bits of the inline GEMM
         # w (K, C*kh*kw) times g's columns; the kernel and bias gradients are
-        # sum_b x_b times those columns transposed, and g summed over b, h, w
+        # sum_b x_b times those columns transposed, and g summed over b, h, w.
+        # As conv2d's, only a record with parameter gradients keeps x
         x = np_rng.normal(size=(5, 3, 4, 4))
         w = np_rng.normal(size=(3, 8, kh, kh))
-        grads = {}
-        out, vjp = transpose_conv_record(x, w, stride, pad, np_rng.normal(size=8), grads)
+        for grads in (None, {}):
+            out, vjp = transpose_conv_record(x, w, stride, pad, np_rng.normal(size=8), grads)
+            kept = [c.cell_contents for c in vjp.__closure__]
+            assert any(v is x for v in kept) == (grads is not None)
         g = np_rng.normal(size=out.shape)
         grad_x = vjp(g)
         cols = T._im2col(g, kh, kh, stride, pad)
