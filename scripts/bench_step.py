@@ -116,7 +116,7 @@ def main(argv=None):
     ]
     if args.estimator == "ru":
         targets += [(R, "ru_loss", "steps"), (R, "pixel_ru", "pixel_ru")]
-        estimate = partial(R.estimate_ru, model, decoder, layer, x, cfg)
+        estimate = partial(R.estimate_ru, model, decoder, x, cfg)
     else:
         targets += [(S, "sid_loss", "steps")]
         estimate = partial(S.estimate_sid, model, layer, x, cfg)

@@ -13,5 +13,5 @@ __version__ = "0.1.0"
 from .model import ModelGraph, build, insert_block, rescale_pair  # noqa: F401
 from .report import Mask, coherency_check, concentration, layerwise_report  # noqa: F401
 from .ru import DecoderSpec, RuResult, estimate_ru, pixel_ru, train_decoder  # noqa: F401
-from .sid import SidConfig, SidResult, SigmaField, estimate_sid, pixel_entropy  # noqa: F401
+from .sid import SidConfig, SidResult, SigmaField, estimate_sid  # noqa: F401
 from .train import TrainConfig, train  # noqa: F401

@@ -7,7 +7,8 @@ the tool version next to its outputs, uses atomic file writes, and is
 bit-reproducible for a fixed config and seed.
 
 Exit codes: 0 success, 2 non-conformant constraint (or failed coherency),
-3 config error, 4 I/O error.
+3 config error (a usage error or a non-finite number in the config
+included), 4 I/O error (a non-finite checkpoint parameter included).
 """
 
 from __future__ import annotations
@@ -76,6 +77,19 @@ def _validate(config: dict, verb: str) -> None:
         bad = set(config[section]) - keys
         if bad:
             raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
+
+
+def _finite(value, key: str) -> None:
+    """ConfigError at the first non-finite number under `key`: json reads NaN,
+    Infinity and 1e400, and no output, resolved_config.json included, holds one."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _finite(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _finite(v, f"{key}[{i}]")
 
 
 _is_int = TYPE_CHECKS["int"]
@@ -272,7 +286,7 @@ def _estimate_and_save(cell, model: M.ModelGraph, cfg: SidConfig, out: Path, ver
     layer, i, image, decoder = cell
     stem = f"{verb}_{layer}_{i}"
     if verb == "ru":
-        res = estimate_ru(model, decoder, layer, image, cfg)
+        res = estimate_ru(model, decoder, image, cfg)
     else:
         res = estimate_sid(model, layer, image, cfg)
     res.save(out, stem)
@@ -489,8 +503,16 @@ _VERBS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error: one line and exit 3. The verbs'
+    subparsers are built from this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"config error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="layerlens",
         description="Measure layerwise input-information discarding of neural networks.",
     )
@@ -547,6 +569,7 @@ def main(argv=None) -> int:
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
         _validate(config, args.verb)
+        _finite(config, "")
         seed = _resolve_seed(config, args)
         run = Run(config, args, args.verb, seed, _out_dir(config, args), *_load_dataset(config.get("dataset", {})))
         return EXIT_OK if _VERBS[args.verb][0](run) else EXIT_NON_CONFORMANT

@@ -63,12 +63,12 @@ def load_lltn_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def make_blobs(n: int = 200, seed: int = 0, separation: float = 6.0):
-    """Two well-separated Gaussian blobs in 2-D; linearly separable."""
+def make_blobs(n: int = 200, seed: int = 0):
+    """Two well-separated Gaussian blobs in 2-D, centred at (+-3, 0); linearly separable."""
     rng = RngStream(derive_seed(seed, "blobs"))
     half = n // 2
-    a = rng.normal((half, 2)) + np.array([separation / 2, 0.0])
-    b = rng.normal((n - half, 2)) - np.array([separation / 2, 0.0])
+    a = rng.normal((half, 2)) + np.array([3.0, 0.0])
+    b = rng.normal((n - half, 2)) - np.array([3.0, 0.0])
     x = np.concatenate([a, b])
     y = np.concatenate([np.zeros(half, dtype=np.int64), np.ones(n - half, dtype=np.int64)])
     order = RngStream(derive_seed(seed, "blobs/shuffle")).permutation(n)

@@ -518,11 +518,14 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
     for ln, layout in model._layouts.items():
         model.params[ln] = {}
         for pn, shape, _ in layout:
-            arr = lltn.read(path / f"{ln}__{pn}.lltn")
+            file = path / f"{ln}__{pn}.lltn"
+            arr = lltn.read(file)
             if arr.shape != shape:
                 raise lltn.LltnError(
                     f"checkpoint parameter {ln}.{pn} has shape {arr.shape}, expected {shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise lltn.LltnError(f"{file}: checkpoint parameter {ln}.{pn} holds a non-finite value (NaN or Inf)")
             model.params[ln][pn] = arr
     meta_file = path / "meta.json"
     meta = _read_json(meta_file) if meta_file.exists() else {}

@@ -113,9 +113,8 @@ def train_decoder(
     layer: str,
     dataset: np.ndarray,
     cfg: TrainConfig,
-    decoder: ModelGraph | None = None,
 ) -> DecoderSpec:
-    """Pre-train a decoder to reconstruct inputs from the layer's features.
+    """Pre-train the layer's make_decoder to reconstruct inputs from its features.
 
     The 90/10 train/validation split is seeded by cfg.seed; the reported MSE
     comes from the held-out part. The returned decoder is frozen: estimators
@@ -124,8 +123,7 @@ def train_decoder(
     images = np.asarray(dataset, dtype=np.float64)
     if len(images) < 2:
         raise ValueError(f"dataset has {len(images)} image(s); a decoder needs at least 2 to train and validate")
-    if decoder is None:
-        decoder = make_decoder(model.layer_shape(layer), model.input_shape, seed=cfg.seed)
+    decoder = make_decoder(model.layer_shape(layer), model.input_shape, seed=cfg.seed)
     feats = _forward_chunked(model, images, layer)
     train_idx, val_idx = train_val_split(len(images), 0.1, seed=cfg.seed)
     mse_cfg = replace(cfg, loss="mse")
@@ -206,15 +204,11 @@ def ru_loss(
     return _entropy_loss(surrogate, sigma, lam, fit_scale, samples, rng, entropy)
 
 
-def estimate_ru(
-    model: ModelGraph, decoder: DecoderSpec, layer: str, x, cfg: SidConfig
-) -> RuResult:
-    """Learn sigma maximizing reconstruction entropy under the same
-    feature-variance budget as the strict estimator (fit_sigma); report
-    per-unit H_hat from held-out draws."""
-    if decoder.layer != layer:
-        raise ValueError(f"decoder was trained for layer {decoder.layer!r}, not {layer!r}")
-    dec = decoder.graph
+def estimate_ru(model: ModelGraph, decoder: DecoderSpec, x, cfg: SidConfig) -> RuResult:
+    """Learn sigma maximizing reconstruction entropy at the decoder's layer
+    under the same feature-variance budget as the strict estimator
+    (fit_sigma); report per-unit H_hat from held-out draws."""
+    layer, dec = decoder.layer, decoder.graph
     # lambda starts at 1.0: fit_sigma's 2*alpha/n_live start solves SID's
     # entropy term only; RU's searches end nearer 1 and took more steps from it
     sigma, fit = fit_sigma(model, layer, x, cfg, partial(ru_loss, dec), 1.0)

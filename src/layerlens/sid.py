@@ -137,13 +137,6 @@ class SidResult(EstimateResult):
     _map = "H_i"
 
 
-def pixel_entropy(sigma_i: float) -> float:
-    """Differential entropy of one Gaussian unit: ln(sigma_i) + 0.5*ln(2*pi*e)."""
-    if sigma_i <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma_i}")
-    return math.log(sigma_i) + GAUSSIAN_ENTROPY_CONST
-
-
 def entropy_field(sigma: SigmaField) -> np.ndarray:
     return sigma.log_sigma + GAUSSIAN_ENTROPY_CONST
 
@@ -353,8 +346,6 @@ class LambdaSearch:
         sqrt(below * above) once bracketed, else the current lambda times
         target/epsilon clamped to [0.5, 2] (2 when epsilon <= 0)."""
         lam = self.lam
-        if epsilon_achieved == target:
-            return lam
         if epsilon_achieved < target:
             self.below = lam if self.below is None else max(self.below, lam)
         else:

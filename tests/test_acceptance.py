@@ -23,8 +23,8 @@ from layerlens.sid import (
     SidConfig,
     SigmaField,
     default_sigma_cap,
+    entropy_field,
     estimate_sid,
-    pixel_entropy,
     sid_loss,
 )
 
@@ -111,7 +111,7 @@ def equivalence_runs():
     x = np.linspace(0.1, 0.8, n)
     cfg = SidConfig(seed=1, samples_per_step=64, max_steps=300, certify_samples=1024)
     rs = estimate_sid(g, "id", x, cfg)
-    rr = estimate_ru(g, decoder, "id", x, cfg)
+    rr = estimate_ru(g, decoder, x, cfg)
     _track("equivalence_sid", rs, cfg.alpha)
     _track("equivalence_ru", rr, cfg.alpha)
     return rs, rr
@@ -130,7 +130,7 @@ def divergence_runs():
     decoder = DecoderSpec(graph=dec_graph, layer="sum", val_mse=float("nan"))
     cfg = SidConfig(seed=1, samples_per_step=64, max_steps=300)
     rs = estimate_sid(g, "sum", x, cfg)
-    rr = estimate_ru(g, decoder, "sum", x, cfg)
+    rr = estimate_ru(g, decoder, x, cfg)
     _track("divergence_sid", rs, cfg.alpha)
     _track("divergence_ru", rr, cfg.alpha)
     return x, cfg, rs, rr
@@ -169,10 +169,11 @@ def damage_run(tmp_path_factory):
 
 
 def test_criterion_1_gaussian_entropy_formula():
-    got = pixel_entropy(1.0)
+    # entropy_field is the per-unit entropy every SID estimate reports
+    got = entropy_field(SigmaField(np.log([1.0, math.e, 0.1])))
     want = 0.5 * math.log(2.0 * math.pi * math.e)
-    ok = abs(got - want) <= 1e-9 and abs(got - 1.418939) <= 1e-6
-    _verdict(1, ok, f"pixel_entropy(1) = {got:.9f} vs half-log(2*pi*e) = {want:.9f}")
+    ok = abs(got[0] - want) <= 1e-9 and np.abs(got - [1.418939, 2.418939, -0.883646]).max() <= 1e-6
+    _verdict(1, ok, f"entropy_field at sigma = 1, e, 0.1: {got.round(9).tolist()}; half-log(2*pi*e) = {want:.9f}")
 
 
 def test_criterion_2_closed_form_sid_on_linear_maps(linear_run):

@@ -6,6 +6,7 @@ import pytest
 
 from layerlens import cli
 from layerlens import data as D
+from layerlens import lltn
 from layerlens import model as M
 from layerlens.cli import main
 from layerlens.train import TrainConfig
@@ -1031,6 +1032,28 @@ class TestConfigHandling:
         assert str(lp if bad == "inf-label" else ip) in err
         assert ("no images" if bad == "no-images" else "non-finite") in err
 
+    @pytest.mark.parametrize("verb", ["train", "sid", "sweep"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_checkpoint_parameter_is_io_error(self, workspace, capsys, verb, bad):
+        # a NaN weight ended sid with exit 2 and "conv2d: non-finite value
+        # produced", naming neither the file nor the parameter
+        root = workspace["root"]
+        M.save_checkpoint(M.tiny_cnn((1, 8, 8), 4, seed=1), root / "ck", {"epoch": 1})
+        weight = root / "ck" / "conv1__weight.lltn"
+        arr = lltn.read(weight)
+        arr[0, 0, 1, 1] = bad
+        lltn.write(weight, arr)
+        config = {"dataset": workspace["dataset"], "outputs": str(root / "o")}
+        if verb == "sweep":
+            config.update(estimator_patch(), sweep={"checkpoints": [str(root / "ck")]})
+        else:
+            config["model"] = {"checkpoint": str(root / "ck")}
+            config.update({"train": {"epochs": 1}} if verb == "train" else estimator_patch())
+        assert run(verb, write_config(root, "nonfinite.json", config)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and err.count("\n") == 1
+        assert str(weight) in err and "conv1.weight" in err and "non-finite" in err
+
     def test_env_seed_is_last_resort(self, workspace, monkeypatch):
         root = workspace["root"]
         config = {
@@ -1055,6 +1078,37 @@ class TestConfigHandling:
         bad.write_text("{not json")
         assert main(["sid", "--config", str(bad)]) == 3
         assert "malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sid"], ["sid", "--config", "run.json", "--jobs", "two"], ["no-such-verb"]],
+        ids=["no-config", "jobs-not-int", "unknown-verb"],
+    )
+    def test_usage_error_is_config_error(self, capsys, argv):
+        # argparse exited 2, the code of an unmet budget, with usage and message on two lines
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["outputs-nan", "classes-overflow"])
+    def test_non_finite_number_in_an_unread_key_is_config_error(self, workspace, capsys, case):
+        # a key the verb does not read reached resolved_config.json, which
+        # refused the number with a traceback and exit 1
+        root = workspace["root"]
+        config = {"dataset": workspace["dataset"], "model": CNN, "outputs": str(root / "o"), **estimator_patch()}
+        if case == "outputs-nan":
+            config["outputs"], extra, key = float("nan"), ["--out", str(root / "o")], "outputs"
+        else:
+            M.save_checkpoint(M.tiny_cnn((1, 8, 8), 4, seed=1), root / "ck", {"epoch": 1})
+            config["model"], extra, key = {"checkpoint": str(root / "ck"), "classes": 1e400}, [], "model.classes"
+        path = write_config(root, "nonfinite.json", config)
+        Path(path).write_text(Path(path).read_text().replace("Infinity", "1e400"))  # as a user would write it
+        assert run("sid", path, *extra) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and key in err
+        assert not (root / "o").exists()
 
     def test_unknown_architecture_is_config_error(self, workspace):
         cfg = write_config(

@@ -27,11 +27,11 @@ def identity_model(n):
     return g
 
 
-def identity_decoder(n, layer="id"):
+def identity_decoder(n):
     g = M.build([M.dense("dec", n)], (n,), seed=0)
     g.params["dec"]["weight"] = np.eye(n)
     g.params["dec"]["bias"] = np.zeros(n)
-    return R.DecoderSpec(graph=g, layer=layer, val_mse=0.0)
+    return R.DecoderSpec(graph=g, layer="id", val_mse=0.0)
 
 
 def sum_model(n):
@@ -85,7 +85,7 @@ class TestMakeDecoder:
 
 
 class TestTrainDecoder:
-    def test_linear_decoder_recovers_identity_layer(self):
+    def test_linear_decoder_recovers_identity_layer(self, monkeypatch):
         # exactly invertible construction: feature IS the input, so a linear
         # decoder can reach zero reconstruction error on the manifold
         n = 8
@@ -93,7 +93,10 @@ class TestTrainDecoder:
         xs = make_linear_manifold(n=256, dim=n, rank=3, seed=2)
         lin = M.build([M.dense("dec", n)], (n,), seed=5)
         cfg = TrainConfig(learning_rate=0.05, batch_size=32, epochs=300, seed=0, loss="mse")
-        dec = R.train_decoder(g, "id", xs, cfg, decoder=lin)
+        # the default MLP decoder reaches only 2.3e-3 here; train_decoder looks
+        # make_decoder up at call time, so the linear one stands in for it
+        monkeypatch.setattr(R, "make_decoder", lambda *_, **__: lin)
+        dec = R.train_decoder(g, "id", xs, cfg)
         assert dec.val_mse <= 1e-4
         assert dec.layer == "id"
 
@@ -123,7 +126,7 @@ class TestTrainDecoder:
         dec = R.train_decoder(g, layer, xs, cfg)
         assert dec.graph.layers[0].kind == "flatten"
         assert dec.graph.input_shape == g.layer_shape(layer)
-        res = R.estimate_ru(g, dec, layer, xs[0], SidConfig(seed=2, max_steps=20, max_rounds=1))
+        res = R.estimate_ru(g, dec, xs[0], SidConfig(seed=2, max_steps=20, max_rounds=1))
         assert res.H_hat_i.shape == (16,)
         assert np.isfinite(res.H_hat_i).all()
 
@@ -274,7 +277,7 @@ def test_estimate_ru_pinned(ru_loss_site):
     # result bytes of a two-round estimate, taken when the baseline and
     # every certification averaged their per-draw terms d_b - l(z_b)
     model, dec, x, _ = ru_loss_site
-    res = R.estimate_ru(model, R.DecoderSpec(dec, "conv2", 0.0), "conv2", x, SidConfig(seed=3, max_steps=10))
+    res = R.estimate_ru(model, R.DecoderSpec(dec, "conv2", 0.0), x, SidConfig(seed=3, max_steps=10))
     assert res.steps_used == 20
     assert result_digest(res) == pinned_by_core({
         "SkylakeX": "9763ffb4c2bec21f0a66b2d28a162a784633b8ff0d3454169f2855c47a45b7c4",
@@ -290,7 +293,7 @@ class TestEstimateRu:
         x = np.linspace(0.1, 0.8, n)
         cfg = SidConfig(seed=0, samples_per_step=64, max_steps=300, certify_samples=1024)
         rs = estimate_sid(g, "id", x, cfg)
-        rr = R.estimate_ru(g, dec, "id", x, cfg)
+        rr = R.estimate_ru(g, dec, x, cfg)
         assert rs.conformant and rr.conformant
         assert np.abs(rr.H_hat_i - rs.H_i).max() <= 0.05
 
@@ -310,7 +313,7 @@ class TestEstimateRu:
         dec = splat_decoder(n)
         cfg = SidConfig(alpha=alpha, tau=tau, seed=1, samples_per_step=64, max_steps=300)
         rs = estimate_sid(g, "sum", x, cfg)
-        rr = R.estimate_ru(g, dec, "sum", x, cfg)
+        rr = R.estimate_ru(g, dec, x, cfg)
         assert float(rr.H_hat_i.mean() - rs.H_i.mean()) >= 0.5
         assert rr.H_hat_i.mean() == pytest.approx(mean_h_ru, abs=0.05)
 
@@ -320,8 +323,8 @@ class TestEstimateRu:
         dec = identity_decoder(n)
         x = np.array([0.2, 0.4, 0.6, 0.8])
         cfg = SidConfig(seed=9, max_steps=40, max_rounds=3, certify_samples=256)
-        a = R.estimate_ru(g, dec, "id", x, cfg)
-        b = R.estimate_ru(g, dec, "id", x, cfg)
+        a = R.estimate_ru(g, dec, x, cfg)
+        b = R.estimate_ru(g, dec, x, cfg)
         assert (a.H_hat_i == b.H_hat_i).all()
         assert a.epsilon_achieved == b.epsilon_achieved
 
@@ -330,7 +333,7 @@ class TestEstimateRu:
         g = identity_model(n)
         dec = identity_decoder(n)
         before = {pn: arr.copy() for pn, arr in dec.graph.params["dec"].items()}
-        R.estimate_ru(g, dec, "id", np.full(n, 0.3), SidConfig(seed=2, max_steps=30, max_rounds=2))
+        R.estimate_ru(g, dec, np.full(n, 0.3), SidConfig(seed=2, max_steps=30, max_rounds=2))
         for pn, arr in before.items():
             assert (dec.graph.params["dec"][pn] == arr).all()
 
@@ -338,7 +341,7 @@ class TestEstimateRu:
         n = 4
         g = identity_model(n)
         res = R.estimate_ru(
-            g, identity_decoder(n), "id", np.full(n, 0.5), SidConfig(seed=3, max_steps=30, max_rounds=2)
+            g, identity_decoder(n), np.full(n, 0.5), SidConfig(seed=3, max_steps=30, max_rounds=2)
         )
         assert res.H_hat_total == res.H_hat_i.sum()
         assert (res.H_hat_i >= RU_FLOOR - 1e-12).all()
@@ -358,17 +361,11 @@ class TestEstimateRu:
         g, dec, x = identity_model(4), identity_decoder(4), np.full(4, 0.5)
         cfg = SidConfig(seed=0, max_steps=1, max_rounds=1, certify_samples=64)
         if lambda_start is None:
-            R.estimate_ru(g, dec, "id", x, cfg)
+            R.estimate_ru(g, dec, x, cfg)
         else:
             loss = partial(R.ru_loss, dec.graph)
             fit_sigma(g, "id", x, cfg, loss, lambda_start)
         assert seen[0] == first
-
-    def test_layer_mismatch_rejected(self):
-        g = identity_model(3)
-        dec = identity_decoder(3, layer="other")
-        with pytest.raises(ValueError, match="other"):
-            R.estimate_ru(g, dec, "id", np.zeros(3), SidConfig(seed=0))
 
     def test_result_round_trip(self, tmp_path):
         import json
@@ -377,7 +374,7 @@ class TestEstimateRu:
 
         g = identity_model(2)
         res = R.estimate_ru(
-            g, identity_decoder(2), "id", np.array([0.1, 0.9]), SidConfig(seed=1, max_steps=20, max_rounds=2)
+            g, identity_decoder(2), np.array([0.1, 0.9]), SidConfig(seed=1, max_steps=20, max_rounds=2)
         )
         res.save(tmp_path, "ru_id")
         payload = json.loads((tmp_path / "ru_id.json").read_text())

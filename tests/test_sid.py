@@ -49,23 +49,22 @@ def random_conditioned_matrix(n: int, cond: float, seed: int) -> np.ndarray:
     return u @ np.diag(np.geomspace(1.0, cond, n)) @ v.T
 
 
+def unit_entropy(sigma: float) -> float:
+    """entropy_field, the one entropy formula, at one unit of scale sigma."""
+    return float(S.entropy_field(S.SigmaField.constant((1,), sigma))[0])
+
+
 class TestPixelEntropy:
     def test_unit_sigma_is_half_log_2pie(self):
-        assert S.pixel_entropy(1.0) == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=1e-15)
-        assert S.pixel_entropy(1.0) == pytest.approx(1.418939, abs=1e-6)
+        assert unit_entropy(1.0) == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=1e-15)
+        assert unit_entropy(1.0) == pytest.approx(1.418939, abs=1e-6)
 
     def test_sigma_e(self):
-        assert S.pixel_entropy(math.e) == pytest.approx(2.418939, abs=1e-6)
+        assert unit_entropy(math.e) == pytest.approx(2.418939, abs=1e-6)
 
     def test_sigma_point_one(self):
         # independent check: ln(0.1) + 0.5 ln(2 pi e) = -0.883646...
-        assert S.pixel_entropy(0.1) == pytest.approx(-0.883646, abs=1e-6)
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
-            S.pixel_entropy(0.0)
-        with pytest.raises(ValueError):
-            S.pixel_entropy(-1.0)
+        assert unit_entropy(0.1) == pytest.approx(-0.883646, abs=1e-6)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -73,7 +72,7 @@ class TestPixelEntropy:
         factor=st.floats(min_value=1.0 + 1e-9, max_value=1e3),
     )
     def test_strictly_increasing(self, a, factor):
-        assert S.pixel_entropy(a * factor) > S.pixel_entropy(a)
+        assert unit_entropy(a * factor) > unit_entropy(a)
 
 
 class TestFeatureBaseline:
@@ -116,7 +115,7 @@ class TestFeatureBaseline:
                 S.estimate_sid(model, "conv1", x, replace(cfg, tau=1e200))
             elif case == "ru-tau":
                 spec = R.DecoderSpec(dec, "conv2", 0.0)
-                R.estimate_ru(model, spec, "conv2", x, replace(cfg, tau=1e200))
+                R.estimate_ru(model, spec, x, replace(cfg, tau=1e200))
             else:
                 REP.coherency_check(model, "conv1", x, cfg, factor=1e-300)
 
@@ -621,7 +620,7 @@ def test_one_clean_forward_per_estimate(monkeypatch, ru_loss_site, estimator):
     if estimator == "sid":
         S.estimate_sid(model, "conv2", x, cfg)
     else:
-        R.estimate_ru(model, R.DecoderSpec(dec, "conv2", 0.0), "conv2", x, cfg)
+        R.estimate_ru(model, R.DecoderSpec(dec, "conv2", 0.0), x, cfg)
     assert len(calls) == 1
 
 
@@ -648,7 +647,7 @@ def test_unnormalized_diagnostic_is_the_step_at_divisor_one(monkeypatch, ru_loss
     if estimator == "sid":
         res = S.estimate_sid(model, layer, x, cfg)
     else:
-        res = R.estimate_ru(model, R.DecoderSpec(dec, layer, 0.0), layer, x, cfg)
+        res = R.estimate_ru(model, R.DecoderSpec(dec, layer, 0.0), x, cfg)
     # fit_scale, samples, rng end both step signatures
     assert {args[-3] for args in steps} == {1.0}
     surrogate = S.linear_surrogate(model, layer, x, cfg.tau)

@@ -40,7 +40,7 @@ def test_traced_steps_are_the_steps_used(tracer):
     decoder = R.train_decoder(model, "conv2", images, TrainConfig(epochs=1, seed=3))
     cfg = S.SidConfig(seed=3, max_steps=10, max_rounds=2, baseline_samples=64, certify_samples=64)
     sid = S.estimate_sid(model, "conv2", x, cfg)
-    ru = R.estimate_ru(model, decoder, "conv2", x, cfg)
+    ru = R.estimate_ru(model, decoder, x, cfg)
     calls = tracer.summary()["calls"]
     assert calls["sid.estimate_sid"] == 1 and calls["ru.estimate_ru"] == 1
     assert calls["sid.sid_loss"] == sid.steps_used
