@@ -1,10 +1,11 @@
 """Config-driven command line: train, sid, ru, concentration, coherency,
 damage, sweep, report.
 
-Anything structural lives in a JSON config; flags only override scalars
-(--seed, --alpha, --out, --jobs). Every run writes its resolved config plus
-the tool version next to its outputs, uses atomic file writes, and is
-bit-reproducible for a fixed config and seed.
+Anything structural lives in a JSON config; flags only override scalars.
+`main` folds --seed, --out and --alpha into the config once, and a run
+writes that config, with its command and tool version, as
+resolved_config.json, which --config takes again to make the same outputs.
+Writes are atomic, and a run is bit-reproducible for a fixed config and seed.
 
 Exit codes: 0 success, 2 non-conformant constraint (or failed coherency),
 3 config error (a usage error or a non-finite number in the config
@@ -57,8 +58,9 @@ _SECTION_KEYS = {
     "report": {"models"},
 }
 
-# every verb reads these; main resolves them before the verb runs
-_RUN_KEYS = {"dataset", "outputs", "seed"}
+# keys of every verb: main resolves dataset, outputs and seed before the verb
+# runs, and sets command and tool_version, which resolved_config.json records
+_RUN_KEYS = {"dataset", "outputs", "seed", "command", "tool_version"}
 
 
 class ConfigError(ValueError):
@@ -109,29 +111,6 @@ def _distinct(values: list, key: str) -> list:
     return values
 
 
-def _resolve_seed(config: dict, args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    if "seed" in config:
-        return _field(config["seed"], "seed", "int")
-    env = os.environ.get("LAYERLENS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"LAYERLENS_SEED must be an integer, got {env!r}") from None
-    return 0
-
-
-def _out_dir(config: dict, args) -> Path:
-    out = args.out or _field(config.get("outputs", ""), "outputs", "str")
-    if not out:
-        raise ConfigError("no output directory (set outputs in config or pass --out)")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _load_dataset(section: dict):
     fmt = section.get("format")
     if fmt == "cifar10":
@@ -155,11 +134,12 @@ def _check_layer(name, model: M.ModelGraph, key: str) -> str:
 
 @dataclasses.dataclass
 class Run:
-    """One invocation, resolved by `main` before its verb runs: the validated
-    config, the flags, the seed, the output directory and the dataset."""
+    """One invocation, resolved by `main` before its verb runs: the config
+    with its flags folded in, the verb, seed and output directory read from
+    it, the process count and the dataset."""
 
     config: dict
-    args: argparse.Namespace
+    jobs: int
     verb: str
     seed: int
     out: Path
@@ -210,11 +190,8 @@ class Run:
         return _distinct(list(idx), "inputs")
 
     def estimator_config(self) -> SidConfig:
-        fields = dict(self.config.get("estimator", {}))
-        if self.args.alpha is not None:
-            fields["alpha"] = float(self.args.alpha)
         try:
-            return SidConfig(seed=self.seed, **fields)
+            return SidConfig(seed=self.seed, **self.config.get("estimator", {}))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad estimator config: {err}") from err
 
@@ -244,13 +221,12 @@ class Run:
             )
 
     def write_resolved(self) -> None:
-        resolved = dict(self.config, seed=self.seed, tool_version=__version__, command=self.verb)
-        lltn.write_json(self.out / "resolved_config.json", resolved)
+        lltn.write_json(self.out / "resolved_config.json", self.config)
 
     def grid(self, models: list, layers: list, picks: list, cfg: SidConfig, mask=None) -> REP.LayerwiseReport:
         """The layerwise grid of `models` x `layers` over the picked inputs,
         written to {verb}.csv."""
-        rep = REP.layerwise_report(models, layers, self.images[picks], cfg, mask=mask, jobs=self.args.jobs)
+        rep = REP.layerwise_report(models, layers, self.images[picks], cfg, mask=mask, jobs=self.jobs)
         REP.export_csv(rep, self.out / f"{self.verb}.csv")
         return rep
 
@@ -317,7 +293,7 @@ def cmd_estimate(run: Run) -> bool:
 
     cells = [(layer, i, run.images[i], decoders.get(layer)) for layer in layers for i in picks]
     estimate = partial(_estimate_and_save, model=model, cfg=cfg, out=run.out, verb=run.verb)
-    results = REP.parallel_map(estimate, cells, run.args.jobs)
+    results = REP.parallel_map(estimate, cells, run.jobs)
     for stem, total, conformant in results:
         print(f"{stem}: total={total:.4f} conformant={conformant}")
     return all(ok for _, _, ok in results)
@@ -570,8 +546,26 @@ def main(argv=None) -> int:
             raise ConfigError("config must be a JSON object")
         _validate(config, args.verb)
         _finite(config, "")
-        seed = _resolve_seed(config, args)
-        run = Run(config, args, args.verb, seed, _out_dir(config, args), *_load_dataset(config.get("dataset", {})))
+        # the flags over the config as written, once: this is the config that
+        # runs, and the resolved_config.json each verb writes
+        config.update(command=args.verb, tool_version=__version__)
+        if args.seed is not None:
+            config["seed"] = args.seed
+        elif "seed" not in config:
+            env = os.environ.get("LAYERLENS_SEED", "0")
+            try:
+                config["seed"] = int(env)
+            except ValueError:
+                raise ConfigError(f"LAYERLENS_SEED must be an integer, got {env!r}") from None
+        if args.out:
+            config["outputs"] = args.out
+        if args.alpha is not None and "estimator" in _VERBS[args.verb][1]:
+            config["estimator"] = dict(config.get("estimator", {}), alpha=args.alpha)
+        seed, out = _field(config["seed"], "seed", "int"), _field(config.get("outputs", ""), "outputs", "str")
+        if not out:
+            raise ConfigError("no output directory (set outputs in config or pass --out)")
+        Path(out).mkdir(parents=True, exist_ok=True)
+        run = Run(config, args.jobs, args.verb, seed, Path(out), *_load_dataset(config.get("dataset", {})))
         return EXIT_OK if _VERBS[args.verb][0](run) else EXIT_NON_CONFORMANT
     except (ConfigError, M.BuildError, M.UnknownLayerError, M.RescaleError) as err:
         print(f"config error: {err}", file=sys.stderr)

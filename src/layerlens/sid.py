@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -34,6 +34,7 @@ GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2.0 * math.pi * math.e)
 # samples_per_step draws (32 by default) as one taped batch.
 _ROWS = 32
 _CERT_CHUNK = 128  # width of linear_surrogate's feature blocks, which sets G's bytes
+_SIGMA_LR = 0.1  # fit_sigma's Adam step size on log sigma, before its decay
 
 
 class DegenerateLayerError(RuntimeError):
@@ -63,8 +64,6 @@ class SidConfig:
     tau: float = 0.01
     samples_per_step: int = 32
     max_steps: int = 80  # inner Adam steps per lambda round
-    sigma_lr: float = 0.1
-    lambda_tolerance: float = 0.05  # relative epsilon tolerance for conformance
     sigma_cap: float | None = None  # None -> 10x input dynamic range
     seed: int = 0
     max_rounds: int = 20  # lambda adaptation budget
@@ -77,10 +76,11 @@ class SidConfig:
     # normalization, hiding exactly the scale-dependence this mode exists to
     # expose.
     normalize: bool = True
+    lambda_tolerance: ClassVar[float] = 0.05  # relative epsilon tolerance for conformance
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("alpha", "tau", "sigma_lr", "sigma_cap"):
+        for name in ("alpha", "tau", "sigma_cap"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -89,8 +89,6 @@ class SidConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if not 0.0 < self.lambda_tolerance < 1.0:
-            raise ValueError("lambda_tolerance must be in (0, 1)")
 
 
 @dataclass(kw_only=True)
@@ -115,12 +113,7 @@ class EstimateResult:
         return getattr(self, self._map)
 
     def to_json(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name not in ("sigma", self._map):
-                out[f.name] = list(map(int, value)) if isinstance(value, list) else value
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("sigma", self._map)}
 
     def save(self, directory, stem: str) -> None:
         directory = Path(directory)
@@ -493,7 +486,7 @@ def fit_sigma(
         for step in range(cfg.max_steps):
             _, grad = loss(surrogate, sigma, search.lam, fit_scale, cfg.samples_per_step, step_rng)
             # a linear decay to 2% of the step size damps sigma's stochastic jitter
-            lr = cfg.sigma_lr * (1.0 - 0.98 * min(1.0, (step + 1) / cfg.max_steps))
+            lr = _SIGMA_LR * (1.0 - 0.98 * min(1.0, (step + 1) / cfg.max_steps))
             sigma.log_sigma = np.minimum(adam.step(sigma.log_sigma, grad, lr), log_cap)
             if step >= tail_from:
                 tail_sum += sigma.log_sigma

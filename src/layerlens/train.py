@@ -1,4 +1,4 @@
-"""Desk-scale training: SGD/Adam on a layer graph with per-epoch checkpoints."""
+"""Desk-scale training: Adam on a layer graph with per-epoch checkpoints."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adam"  # "sgd" | "adam"
     learning_rate: float = 1e-2
     batch_size: int = 16
     epochs: int = 5
@@ -35,8 +34,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.loss not in ("cross_entropy", "mse"):
             raise ValueError(f"unknown loss {self.loss!r}")
 
@@ -57,11 +54,6 @@ class Adam:
         mhat = self.m / (1 - 0.9**self.t)
         vhat = self.v / (1 - 0.999**self.t)
         return value - lr * mhat / (np.sqrt(vhat) + 1e-8)
-
-
-class Sgd:
-    def step(self, value: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        return value - lr * grad
 
 
 def _batch_step(model: ModelGraph, xb: np.ndarray, yb: np.ndarray, kind: str) -> tuple[float, dict]:
@@ -94,8 +86,7 @@ def train(
     if n == 0:
         raise ValueError("dataset is empty")
     trained = model.clone()
-    make = Adam if cfg.optimizer == "adam" else Sgd
-    opts = {(ln, pn): make() for ln, d in trained.params.items() for pn in d}
+    opts = {(ln, pn): Adam() for ln, d in trained.params.items() for pn in d}
     trace: list[float] = []
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         order = RngStream(derive_seed(cfg.seed, f"shuffle/{epoch}")).permutation(n)

@@ -718,7 +718,9 @@ class TestConfigHandling:
             ("sid", estimator_patch(normalize=False), "normalize"),
             ("sid", estimator_patch(sigma_cap=-1.0), "sigma_cap"),
             ("sid", estimator_patch(sigma_cap=float("nan")), "sigma_cap"),
-            ("sid", estimator_patch(sigma_lr=-0.05), "sigma_lr"),
+            # nor is the sigma fit's step size, a constant (a case's id holds
+            # its position, so the later cases of removed keys are at the end)
+            ("sid", estimator_patch(sigma_lr=0.05), "sigma_lr"),
             ("sid", estimator_patch(max_steps=0), "max_steps"),
             ("sid", estimator_patch(max_rounds=0), "max_rounds"),
             ("sid", estimator_patch(baseline_samples=0), "baseline_samples"),
@@ -762,6 +764,10 @@ class TestConfigHandling:
             ("ru", {"layers": ["conv1"], "decoder": {"learning_rate": float("inf")}}, "learning_rate"),
             # the input pseudo-layer has no weights for coherency to rescale
             ("coherency", {"coherency": {"layer": "input"}}, "'input' is the input pseudo-layer"),
+            # the conformance band is a constant, and training has one optimizer
+            ("sid", estimator_patch(lambda_tolerance=0.1), "lambda_tolerance"),
+            ("damage", {"model": RESNET, "train": {"optimizer": "sgd"}}, "optimizer"),
+            ("ru", {"layers": ["conv1"], "decoder": {"optimizer": "adam"}}, "optimizer"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):
@@ -1072,6 +1078,49 @@ class TestConfigHandling:
         assert run("sid", write_config(root, "env2.json", config), "--seed", "5") == 0
         resolved = json.loads((root / "envseed2" / "resolved_config.json").read_text())
         assert resolved["seed"] == 5
+
+    def test_non_integer_env_seed_is_config_error(self, workspace, capsys, monkeypatch):
+        root = workspace["root"]
+        monkeypatch.setenv("LAYERLENS_SEED", "seven")
+        config = {"dataset": workspace["dataset"], "model": CNN, "outputs": str(root / "o"), **estimator_patch()}
+        assert run("sid", write_config(root, "envseed.json", config)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and "LAYERLENS_SEED" in err
+        assert not (root / "o").exists()
+
+    @pytest.mark.parametrize("verb", list(cli._VERBS))
+    def test_resolved_config_reruns_to_the_same_outputs(self, workspace, verb):
+        # resolved_config.json is the config that ran, its flags folded in:
+        # run again from it into another directory, it makes the same files
+        patch = {
+            "train": {"model": CNN, "train": {"epochs": 1}},
+            "sid": {"model": CNN, "layers": ["conv1"]},
+            "ru": {"model": CNN, "layers": ["conv1"], "decoder": {"epochs": 1}},
+            "concentration": {"model": CNN, "layers": ["conv1"], "mask": {"bbox": {"x": 0, "y": 0, "w": 4, "h": 4}}},
+            "coherency": {"model": CNN, "coherency": {"layer": "conv1"}},
+            "damage": {"model": RESNET, "train": {"epochs": 1}, "damage": {"positions": [1]}, "layers": ["block1"]},
+            "sweep": {"sweep": {"checkpoints": ["@ckpt/a", "@ckpt/b"]}, "layers": ["conv1"]},
+            "report": {"report": {"models": [{"id": "a", "checkpoint": "@ckpt/a"}]}, "layers": ["conv1"]},
+        }[verb]
+        root = workspace["root"]
+        for epoch, name in enumerate("ab"):
+            M.save_checkpoint(M.tiny_cnn((1, 8, 8), 4, seed=epoch), root / name, {"epoch": epoch})
+        config = {"dataset": workspace["dataset"], "outputs": str(root / "first"), **patch}
+        if verb != "train":
+            config.update(estimator=dict(TINY_ESTIMATOR, max_steps=4, max_rounds=1), inputs=[0])
+        config = json.loads(json.dumps(config).replace("@ckpt", str(root)))
+        code = run(verb, write_config(root, "first.json", config), "--seed", "7", "--alpha", "2.5")
+        assert code in (0, 2)
+        resolved = json.loads((root / "first" / "resolved_config.json").read_text())
+        assert (resolved["seed"], resolved["command"]) == (7, verb)
+        if verb == "train":  # train reads no estimator, so --alpha sets nothing
+            assert "estimator" not in resolved
+        else:
+            assert resolved["estimator"]["alpha"] == 2.5
+        assert run(verb, str(root / "first" / "resolved_config.json"), "--out", str(root / "again")) == code
+        assert_same_outputs(root / "first", root / "again")
+        again = json.loads((root / "again" / "resolved_config.json").read_text())
+        assert again == dict(resolved, outputs=str(root / "again"))
 
     def test_malformed_json_is_config_error(self, workspace, capsys):
         bad = workspace["root"] / "broken.json"

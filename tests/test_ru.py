@@ -399,7 +399,7 @@ FIT = dict(
         (
             R.RuResult(
                 H_hat_i=np.arange(4.0).reshape(1, 2, 2), H_hat_total=6.0, decoder_mse=0.125,
-                clamped_units=[np.int64(1)], **FIT,
+                clamped_units=[1], **FIT,
             ),
             "H_hat_total capped_units clamped_units conformant decoder_mse delta_f_sq "
             "epsilon_achieved lambda_final seed steps_used",

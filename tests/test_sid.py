@@ -1,7 +1,7 @@
 import hashlib
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -349,15 +349,12 @@ class TestEstimateSid:
             S.SidConfig(alpha=0.0)
         with pytest.raises(ValueError):
             S.SidConfig(tau=-0.1)
-        with pytest.raises(ValueError):
-            S.SidConfig(lambda_tolerance=1.5)
         bad_values = [
             ("alpha", math.nan),
             ("alpha", math.inf),
             ("tau", math.inf),
             ("sigma_cap", -1.0),
             ("sigma_cap", math.nan),
-            ("sigma_lr", -0.05),
             ("max_steps", 0),
             ("max_rounds", 0),
             ("baseline_samples", 0),
@@ -367,6 +364,9 @@ class TestEstimateSid:
             with pytest.raises(ValueError, match=name):
                 S.SidConfig(**{name: value})
         assert S.SidConfig(sigma_cap=None).sigma_cap is None
+        # the sigma fit's step size and conformance band are constants no config sets
+        assert S.SidConfig().lambda_tolerance == 0.05
+        assert not {"sigma_lr", "lambda_tolerance"} & {f.name for f in fields(S.SidConfig)}
 
 
 def _first_lambda(model, layer, x, cfg, lambda_start=None) -> float:

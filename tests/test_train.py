@@ -32,7 +32,7 @@ class TestTrain:
         assert w_star == pytest.approx(2.0, abs=1e-12)
 
         g = M.build([M.dense("w", 1)], (1,), seed=3)
-        cfg = TrainConfig(optimizer="adam", learning_rate=0.05, batch_size=16, epochs=200, loss="mse")
+        cfg = TrainConfig(learning_rate=0.05, batch_size=16, epochs=200, loss="mse")
         trained, trace = train(g, (x, y), cfg)
         assert abs(float(trained.params["w"]["weight"][0, 0]) - w_star) <= 1e-3
         assert trace[-1] < trace[0]
@@ -54,7 +54,8 @@ class TestTrain:
     def test_divergence_aborts_with_diagnostic(self):
         x, y = make_linear_regression(n=32)
         g = M.build([M.dense("w", 1)], (1,), seed=3)
-        cfg = TrainConfig(optimizer="sgd", learning_rate=1e12, epochs=10, loss="mse")
+        # Adam's step is bounded by the rate, so only a huge rate overflows
+        cfg = TrainConfig(learning_rate=1e200, epochs=10, loss="mse")
         with pytest.raises(TrainingDiverged, match="epoch"):
             train(g, (x, y), cfg)
 
@@ -91,8 +92,6 @@ class TestTrain:
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainConfig(optimizer="lbfgs")
 
 
 class TestCnnTraining:
@@ -118,24 +117,6 @@ class TestCnnTraining:
             "SkylakeX": "2edab8af1848dd5c5ac6764beedc7972bab9dddfd6c8e689a5842ca0d2be667a",
             "Haswell": "19a6562999d981396fd4d39dbc2ae56106faea8b16b9739f3af64c6560723c64",
         })
-
-    def test_sgd_parameters_and_trace_pinned(self):
-        # every parameter's bits after three epochs of plain SGD, which has
-        # no moment weights to round
-        x, y = D.make_fourclass_images(n=32, seed=3)
-        g = M.tiny_cnn(input_shape=(1, 8, 8), seed=3)
-        cfg = TrainConfig(optimizer="sgd", learning_rate=0.05, epochs=3, batch_size=16, seed=3)
-        trained, trace = train(g, (x, y), cfg)
-        h = hashlib.sha256()
-        for layer in sorted(trained.params):
-            for name in sorted(trained.params[layer]):
-                h.update(f"{layer}/{name}".encode())
-                h.update(np.ascontiguousarray(trained.params[layer][name]).tobytes())
-        assert h.hexdigest() == pinned_by_core({
-            "SkylakeX": "4f5f42764a7c33c02220eea75895d7f4e598084335ed010b612dacbbe41ba494",
-            "Haswell": "250ac26c1e075ef7adc569eda77bb438f3030e43397a9cc97ce9f88b10310386",
-        })
-        assert trace == pytest.approx([1.0524, 0.1563, 0.058], abs=5e-5)
 
     def test_batch_step_keeps_no_column_matrix(self, np_rng):
         # a conv record keeps its input and gathers the columns in its VJP,
