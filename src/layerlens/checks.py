@@ -19,7 +19,6 @@ TYPE_CHECKS = {
     "int": _is_int,
     "int | None": lambda v: v is None or _is_int(v),
     "float": _is_real,
-    "float | None": lambda v: v is None or _is_real(v),
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
     "tuple | None": lambda v: v is None or isinstance(v, tuple),

@@ -127,7 +127,7 @@ def _load_dataset(section: dict):
 
 
 def _check_layer(name, model: M.ModelGraph, key: str) -> str:
-    if not isinstance(name, str) or (name != M.INPUT_LAYER and name not in model.layer_names()):
+    if not isinstance(name, str) or name not in model.layer_names():
         raise ConfigError(f"{key}: unknown layer {name!r}")
     return name
 
@@ -221,6 +221,7 @@ class Run:
             )
 
     def write_resolved(self) -> None:
+        self.out.mkdir(parents=True, exist_ok=True)
         lltn.write_json(self.out / "resolved_config.json", self.config)
 
     def grid(self, models: list, layers: list, picks: list, cfg: SidConfig, mask=None) -> REP.LayerwiseReport:
@@ -531,7 +532,7 @@ def main(argv=None) -> int:
     pin_malloc()
     args = build_parser().parse_args(argv)
     try:
-        raw = Path(args.config).read_text()
+        raw = Path(args.config).read_bytes()
     except OSError as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return EXIT_IO
@@ -539,8 +540,8 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         try:
-            config = json.loads(raw)
-        except json.JSONDecodeError as err:
+            config = json.loads(raw.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise ConfigError(f"malformed JSON in {args.config}: {err}") from err
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
@@ -564,7 +565,6 @@ def main(argv=None) -> int:
         seed, out = _field(config["seed"], "seed", "int"), _field(config.get("outputs", ""), "outputs", "str")
         if not out:
             raise ConfigError("no output directory (set outputs in config or pass --out)")
-        Path(out).mkdir(parents=True, exist_ok=True)
         run = Run(config, args.jobs, args.verb, seed, Path(out), *_load_dataset(config.get("dataset", {})))
         return EXIT_OK if _VERBS[args.verb][0](run) else EXIT_NON_CONFORMANT
     except (ConfigError, M.BuildError, M.UnknownLayerError, M.RescaleError) as err:

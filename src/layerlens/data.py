@@ -17,21 +17,14 @@ class DatasetError(IOError):
     pass
 
 
-def load_cifar10(paths) -> tuple[np.ndarray, np.ndarray]:
-    """Read CIFAR-10 binary batch files into ((N,3,32,32) float64 in [0,1], (N,) labels)."""
-    if isinstance(paths, (str, Path)):
-        paths = [paths]
-    images, labels = [], []
-    for p in paths:
-        raw = Path(p).read_bytes()
-        if len(raw) == 0 or len(raw) % CIFAR_RECORD:
-            raise DatasetError(
-                f"{p}: size {len(raw)} is not a whole number of {CIFAR_RECORD}-byte records"
-            )
-        rec = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
-        labels.append(rec[:, 0].astype(np.int64))
-        images.append(rec[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0)
-    return np.concatenate(images), np.concatenate(labels)
+def load_cifar10(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read one CIFAR-10 binary batch file into ((N,3,32,32) float64 in [0,1], (N,) labels)."""
+    raw = Path(path).read_bytes()
+    if len(raw) == 0 or len(raw) % CIFAR_RECORD:
+        raise DatasetError(f"{path}: size {len(raw)} is not a whole number of {CIFAR_RECORD}-byte records")
+    rec = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
+    images = rec[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
+    return images, rec[:, 0].astype(np.int64)
 
 
 def save_lltn_pair(prefix, images: np.ndarray, labels: np.ndarray) -> tuple[Path, Path]:

@@ -21,8 +21,6 @@ from . import tensor as T
 from .checks import TYPE_CHECKS, check_field_types
 from .rng import RngStream, derive_seed
 
-INPUT_LAYER = "input"  # reserved pseudo-layer name: the unmodified input
-
 _LINEAR_KINDS = {"dense", "conv"}  # rescalable, parameterized
 _HOMOGENEOUS_KINDS = {"relu", "flatten", "reshape"}  # safe to sit between a rescaled pair
 
@@ -216,8 +214,6 @@ class ModelGraph:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise BuildError(f"duplicate layer names: {dupes}")
-        if INPUT_LAYER in names:
-            raise BuildError(f"layer name {INPUT_LAYER!r} is reserved")
         if not all(_is_int(n) and n > 0 for n in self.input_shape):
             raise BuildError(f"input_shape must be positive integers, got {list(self.input_shape)}")
         shapes: dict = {}
@@ -235,8 +231,6 @@ class ModelGraph:
         return [s.name for s in self.layers]
 
     def layer_shape(self, name: str) -> tuple:
-        if name == INPUT_LAYER:
-            return self.input_shape
         if name not in self._shapes:
             raise UnknownLayerError(name)
         return self._shapes[name]
@@ -266,8 +260,6 @@ class ModelGraph:
                 f"input shape {tuple(h.shape)} is not a batch of model input {self.input_shape}"
             )
         T._check_finite(h, "input")
-        if to_layer == INPUT_LAYER:
-            return h
         if to_layer is not None and to_layer not in self._shapes:
             raise UnknownLayerError(to_layer)
         wanted = param_grads is None  # whether the gradient at h is wanted
@@ -446,8 +438,6 @@ class RescaleError(ValueError):
 
 
 def _rescale_successor(model: ModelGraph, layer_name: str) -> str:
-    if layer_name == INPUT_LAYER:
-        raise RescaleError(f"layer {INPUT_LAYER!r} is the input pseudo-layer and has no weights to rescale")
     try:
         idx = model.layer_names().index(layer_name)
     except ValueError:

@@ -149,21 +149,21 @@ def _unit_entropy(err_sq: np.ndarray):
 
 def pixel_ru(
     model: ModelGraph,
-    decoder: ModelGraph,
-    layer: str,
+    decoder: DecoderSpec,
     x: np.ndarray,
     sigma: SigmaField,
     samples: int,
     rng: RngStream,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-unit reconstruction entropies from `samples` Monte Carlo draws.
+    """Per-unit reconstruction entropies from `samples` Monte Carlo draws
+    through the decoder's layer.
 
     Returns (H_hat_i shaped like x, flat indices of floor-clamped units).
     """
     x = np.asarray(x, dtype=np.float64)
     total = 0.0  # sum over the draws so far of (recon - x)^2, in draw order
-    for _, feats in _perturbed_features(model, layer, x, sigma.sigma, samples, rng):
-        recon = decoder.forward(feats)
+    for _, feats in _perturbed_features(model, decoder.layer, x, sigma.sigma, samples, rng):
+        recon = decoder.graph.forward(feats)
         if recon.shape[1:] != x.shape:
             raise T.ShapeError(f"decoder output {recon.shape[1:]} does not match input {x.shape}")
         err = recon - x
@@ -208,12 +208,11 @@ def estimate_ru(model: ModelGraph, decoder: DecoderSpec, x, cfg: SidConfig) -> R
     """Learn sigma maximizing reconstruction entropy at the decoder's layer
     under the same feature-variance budget as the strict estimator
     (fit_sigma); report per-unit H_hat from held-out draws."""
-    layer, dec = decoder.layer, decoder.graph
     # lambda starts at 1.0: fit_sigma's 2*alpha/n_live start solves SID's
     # entropy term only; RU's searches end nearer 1 and took more steps from it
-    sigma, fit = fit_sigma(model, layer, x, cfg, partial(ru_loss, dec), 1.0)
+    sigma, fit = fit_sigma(model, decoder.layer, x, cfg, partial(ru_loss, decoder.graph), 1.0)
     H_hat_i, clamped = pixel_ru(
-        model, dec, layer, x, sigma, cfg.certify_samples, RngStream(cfg.seed).spawn("ru/pixel")
+        model, decoder, x, sigma, cfg.certify_samples, RngStream(cfg.seed).spawn("ru/pixel")
     )
     return RuResult(
         H_hat_i=H_hat_i,

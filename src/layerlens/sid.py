@@ -64,7 +64,6 @@ class SidConfig:
     tau: float = 0.01
     samples_per_step: int = 32
     max_steps: int = 80  # inner Adam steps per lambda round
-    sigma_cap: float | None = None  # None -> 10x input dynamic range
     seed: int = 0
     max_rounds: int = 20  # lambda adaptation budget
     baseline_samples: int = 1024
@@ -80,9 +79,9 @@ class SidConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("alpha", "tau", "sigma_cap"):
+        for name in ("alpha", "tau"):
             value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in (
             "samples_per_step", "max_steps", "max_rounds", "baseline_samples", "certify_samples"
@@ -464,7 +463,7 @@ def fit_sigma(
     delta_f_sq = feature_baseline(surrogate, cfg.tau, cfg.baseline_samples, baseline_rng)
     fit_scale = delta_f_sq if cfg.normalize else 1.0
     target = cfg.alpha * delta_f_sq
-    cap = cfg.sigma_cap if cfg.sigma_cap is not None else default_sigma_cap(x)
+    cap = default_sigma_cap(x)
     log_cap = math.log(cap)
     sigma = SigmaField.constant(x.shape, cfg.tau)  # start at the probe scale: near-feasible
     dead = find_dead_units(surrogate, cap)

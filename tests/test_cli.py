@@ -180,7 +180,8 @@ class TestSidVerb:
         assert payload["conformant"] is True
 
     def test_non_conformant_exit_code(self, workspace):
-        estimator = dict(TINY_ESTIMATOR, sigma_cap=0.011, alpha=50.0)
+        # the sigma cap, 10x the input's range, is far below this budget
+        estimator = dict(TINY_ESTIMATOR, alpha=1e9)
         code = run("sid", self._config(workspace, out="capped", estimator=estimator))
         assert code == 2
         payload = json.loads((workspace["root"] / "capped" / "sid_conv2_0.json").read_text())
@@ -310,7 +311,7 @@ class TestRuVerb:
         assert run("ru", write_config(root, "six.json", config)) == 3
         err = capsys.readouterr().err
         assert "(2, 4, 4)" in err and "(1, 6, 6)" in err
-        assert list((root / "o").iterdir()) == []
+        assert not (root / "o").exists()
 
     def test_one_image_dataset_is_config_error(self, workspace, capsys):
         # the 90/10 split gave the one image to validation: "dataset is empty", exit 1
@@ -329,8 +330,8 @@ class TestRuVerb:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "1 image(s)" in err and "at least 2" in err
-        # refused before the first write: no resolved config of a run that never happened
-        assert list((root / "o").iterdir()) == []
+        # refused before the first write: no output directory of a run that never happened
+        assert not (root / "o").exists()
 
 
 class TestConcentrationVerb:
@@ -712,8 +713,9 @@ class TestConfigHandling:
             ("sid", estimator_patch(alpha=float("nan")), "alpha"),
             ("sid", estimator_patch(alpha=float("inf")), "alpha"),
             ("sid", estimator_patch(tau=float("inf")), "tau"),
-            # not estimator keys: no config key sets lambda, and only
-            # coherency.diagnostic sets normalize
+            # not estimator keys: no config key sets lambda, only
+            # coherency.diagnostic sets normalize, and the sigma cap is 10x
+            # the input's range
             ("sid", estimator_patch(lambda_init=1.0), "lambda_init"),
             ("sid", estimator_patch(normalize=False), "normalize"),
             ("sid", estimator_patch(sigma_cap=-1.0), "sigma_cap"),
@@ -762,12 +764,14 @@ class TestConfigHandling:
             # would otherwise reach resolved_config.json, which holds no NaN
             ("train", {"train": {"learning_rate": float("nan")}}, "learning_rate"),
             ("ru", {"layers": ["conv1"], "decoder": {"learning_rate": float("inf")}}, "learning_rate"),
-            # the input pseudo-layer has no weights for coherency to rescale
-            ("coherency", {"coherency": {"layer": "input"}}, "'input' is the input pseudo-layer"),
+            # "input" is no layer of tiny-cnn: no name is reserved
+            ("coherency", {"coherency": {"layer": "input"}}, "unknown layer 'input'"),
             # the conformance band is a constant, and training has one optimizer
             ("sid", estimator_patch(lambda_tolerance=0.1), "lambda_tolerance"),
             ("damage", {"model": RESNET, "train": {"optimizer": "sgd"}}, "optimizer"),
             ("ru", {"layers": ["conv1"], "decoder": {"optimizer": "adam"}}, "optimizer"),
+            ("sid", {"layers": ["input"]}, "layers: unknown layer 'input'"),
+            ("sid", estimator_patch(sigma_cap=0.02), "sigma_cap"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):
@@ -1127,6 +1131,28 @@ class TestConfigHandling:
         bad.write_text("{not json")
         assert main(["sid", "--config", str(bad)]) == 3
         assert "malformed" in capsys.readouterr().err
+
+    def test_config_not_utf8_is_config_error(self, workspace, capsys):
+        # read_text raised UnicodeDecodeError: a traceback and exit 1
+        bad = workspace["root"] / "latin1.json"
+        bad.write_bytes(b'\xff\xfe{"a": 1}')
+        assert main(["sid", "--config", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and str(bad) in err
+
+    @pytest.mark.parametrize("case,code", [("missing-images", 4), ("unknown-format", 3)])
+    def test_refused_dataset_leaves_no_output_directory(self, workspace, capsys, case, code):
+        # the output directory was made before the dataset was read
+        root = workspace["root"]
+        dataset = {
+            "missing-images": dict(workspace["dataset"], images=str(root / "missing.lltn")),
+            "unknown-format": {"format": "npz", "path": str(root / "data.npz")},
+        }[case]
+        config = {"dataset": dataset, "model": CNN, "outputs": str(root / "o"), **estimator_patch()}
+        assert run("sid", write_config(root, "dataset.json", config)) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ("missing.lltn" in err if code == 4 else "'npz'" in err)
+        assert not (root / "o").exists()
 
     @pytest.mark.parametrize(
         "argv",

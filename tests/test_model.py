@@ -136,11 +136,10 @@ class TestLayouts:
 
 
 class TestForwardTo:
-    def test_input_passthrough(self, np_rng):
-        g = M.tiny_cnn()
-        x = np_rng.normal(size=(1, 3, 8, 8))
-        out = g.forward(x, to_layer=M.INPUT_LAYER)
-        np.testing.assert_array_equal(out, x)
+    def test_a_layer_may_be_named_input(self, np_rng):
+        g = M.build([M.dense("input", 3), M.relu("r")], (2,), seed=0)
+        x = np_rng.normal(size=(1, 2))
+        np.testing.assert_array_equal(g.forward(x, to_layer="input"), x @ g.params["input"]["weight"])
 
     def test_identity_relu_net_preserves_nonnegative_input(self, np_rng):
         g = _identity_dense_chain(n=5, depth=3)

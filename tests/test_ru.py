@@ -144,7 +144,7 @@ class TestPixelRu:
         g = identity_model(n)
         dec = identity_decoder(n)
         sigma = SigmaField.constant((n,), 0.05)
-        h, clamped = R.pixel_ru(g, dec.graph, "id", np.zeros(n), sigma, 1024, RngStream(4))
+        h, clamped = R.pixel_ru(g, dec, np.zeros(n), sigma, 1024, RngStream(4))
         expected = math.log(0.05) + C
         assert np.abs(h - expected).max() <= 0.05
         assert clamped.size == 0
@@ -156,7 +156,8 @@ class TestPixelRu:
         dec = M.build([M.dense("dec", n)], (n,), seed=0)
         dec.params["dec"]["weight"] = np.zeros((n, n))
         dec.params["dec"]["bias"] = x.copy()  # g(.) = x exactly
-        h, clamped = R.pixel_ru(g, dec, "id", x, SigmaField.constant((n,), 0.05), 256, RngStream(1))
+        dec = R.DecoderSpec(dec, "id", 0.0)
+        h, clamped = R.pixel_ru(g, dec, x, SigmaField.constant((n,), 0.05), 256, RngStream(1))
         assert clamped.tolist() == [0, 1, 2, 3]
         np.testing.assert_allclose(h, RU_FLOOR, rtol=0, atol=1e-12)
 
@@ -174,7 +175,7 @@ class TestPixelRu:
         dec.params["dec"]["weight"] = w
         dec.params["dec"]["bias"] = x - w[0] * x.sum()
         sigma = SigmaField(np.log(sig))
-        h, _ = R.pixel_ru(g, dec, "sum", x, sigma, 1024, RngStream(7))
+        h, _ = R.pixel_ru(g, R.DecoderSpec(dec, "sum", 0.0), x, sigma, 1024, RngStream(7))
         expected = 0.5 * np.log(sig**4 / s_sq) + C
         assert np.abs(h - expected).max() <= 0.05
 
@@ -242,7 +243,7 @@ def test_ru_loss_entropy_is_the_reported_map(ru_loss_site):
     v = ((dec.forward(feats) - x) ** 2).mean(axis=0)
     h = 0.5 * np.log(np.maximum(v, 1e-12)) + C
     assert value(0.0) - value(1.0) == pytest.approx(float(h.sum()), rel=1e-9)
-    reported, _ = R.pixel_ru(model, dec, "conv2", x, sigma, 64, RngStream(7))
+    reported, _ = R.pixel_ru(model, R.DecoderSpec(dec, "conv2", 0.0), x, sigma, 64, RngStream(7))
     np.testing.assert_array_equal(reported, h)
 
 
@@ -255,7 +256,7 @@ def test_pixel_ru_streams_its_draws_in_order(ru_loss_site):
     noise = RngStream(8).normal((samples,) + x.shape)
     recon = dec.forward(model.forward(x[None] + sigma.sigma * noise, to_layer="conv2"))
     h = 0.5 * np.log(np.maximum(((recon - x) ** 2).mean(axis=0), 1e-12)) + C
-    reported, _ = R.pixel_ru(model, dec, "conv2", x, sigma, samples, RngStream(8))
+    reported, _ = R.pixel_ru(model, R.DecoderSpec(dec, "conv2", 0.0), x, sigma, samples, RngStream(8))
     np.testing.assert_array_equal(reported, h)
 
 
@@ -270,7 +271,7 @@ def test_overflowing_perturbation_is_a_numerical_error(ru_loss_site, held_out):
         if held_out == "certify_epsilon":
             certify_epsilon(model, "conv2", x, sigma, 64, RngStream(3))
         else:
-            R.pixel_ru(model, dec, "conv2", x, sigma, 64, RngStream(3))
+            R.pixel_ru(model, R.DecoderSpec(dec, "conv2", 0.0), x, sigma, 64, RngStream(3))
 
 
 def test_estimate_ru_pinned(ru_loss_site):

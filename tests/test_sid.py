@@ -323,10 +323,12 @@ class TestEstimateSid:
         assert a.lambda_final == b.lambda_final
 
     def test_unreachable_target_flagged_non_conformant(self):
-        # a tiny sigma cap makes the feature-variance target unreachable
+        # an input of range 0.002 caps sigma at 0.02, too small to reach the
+        # feature-variance target
         g = identity_model(3)
-        x = np.array([0.3, 0.2, 0.1])
-        cfg = S.SidConfig(alpha=100.0, tau=0.01, sigma_cap=0.02, seed=0, max_rounds=4)
+        x = np.array([0.003, 0.002, 0.001])
+        assert S.default_sigma_cap(x) == pytest.approx(0.02)
+        cfg = S.SidConfig(alpha=100.0, tau=0.01, seed=0, max_rounds=4)
         res = S.estimate_sid(g, "id", x, cfg)
         assert not res.conformant
         assert len(res.capped_units) == 3
@@ -353,8 +355,6 @@ class TestEstimateSid:
             ("alpha", math.nan),
             ("alpha", math.inf),
             ("tau", math.inf),
-            ("sigma_cap", -1.0),
-            ("sigma_cap", math.nan),
             ("max_steps", 0),
             ("max_rounds", 0),
             ("baseline_samples", 0),
@@ -363,10 +363,11 @@ class TestEstimateSid:
         for name, value in bad_values:
             with pytest.raises(ValueError, match=name):
                 S.SidConfig(**{name: value})
-        assert S.SidConfig(sigma_cap=None).sigma_cap is None
-        # the sigma fit's step size and conformance band are constants no config sets
+        # the sigma fit's step size and conformance band are constants no
+        # config sets, and its cap is worked out from the input
         assert S.SidConfig().lambda_tolerance == 0.05
-        assert not {"sigma_lr", "lambda_tolerance"} & {f.name for f in fields(S.SidConfig)}
+        assert not {"sigma_lr", "lambda_tolerance", "sigma_cap"} & {f.name for f in fields(S.SidConfig)}
+        assert len(fields(S.SidConfig)) == 9
 
 
 def _first_lambda(model, layer, x, cfg, lambda_start=None) -> float:
@@ -602,7 +603,7 @@ def test_held_out_terms_hold_no_draws_by_features_array(ru_loss_site, term):
         if term == "certify_epsilon":
             S.certify_epsilon(model, "conv2", x, sigma, draws, RngStream(1), surrogate)
         else:
-            R.pixel_ru(model, dec, "conv2", x, sigma, draws, RngStream(1))
+            R.pixel_ru(model, R.DecoderSpec(dec, "conv2", 0.0), x, sigma, draws, RngStream(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
