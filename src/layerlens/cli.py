@@ -2,9 +2,10 @@
 damage, sweep, report.
 
 Anything structural lives in a JSON config; flags only override scalars.
-`main` folds --seed, --out and --alpha into the config once, and a run
-writes that config, with its command and tool version, as
-resolved_config.json, which --config takes again to make the same outputs.
+`main` folds --seed, --out and --alpha into the config once and makes its
+paths absolute, and a run writes that config, with its command and tool
+version, as resolved_config.json, which --config takes again, from any
+directory, to make the same outputs.
 Writes are atomic, and a run is bit-reproducible for a fixed config and seed.
 
 Exit codes: 0 success, 2 non-conformant constraint (or failed coherency),
@@ -19,7 +20,6 @@ import ctypes
 import dataclasses
 import json
 import math
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -45,18 +45,21 @@ _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
 
 _SECTION_KEYS = {
     "dataset": {"format", "path", "images", "labels"},
-    "model": {"architecture", "input_shape", "classes", "checkpoint", "seed"},
+    "model": {"architecture", "input_shape", "classes", "checkpoint"},
     # normalize is set only by coherency.diagnostic: elsewhere it would write
     # scale-dependent numbers that no output records
     "estimator": {f.name for f in dataclasses.fields(SidConfig)} - {"seed", "normalize"},
     "train": _TRAIN_KEYS,
     "decoder": _TRAIN_KEYS,
     "mask": {"pgm", "bbox"},
-    "coherency": {"layer", "factor", "diagnostic"},
+    "coherency": {"layer", "diagnostic"},
     "damage": {"positions", "n_filters"},
     "sweep": {"checkpoints"},
     "report": {"models"},
 }
+
+# the section keys that name a file or directory the run reads
+_PATH_KEYS = {"dataset": {"path", "images", "labels"}, "model": {"checkpoint"}, "mask": {"pgm"}}
 
 # keys of every verb: main resolves dataset, outputs and seed before the verb
 # runs, and sets command and tool_version, which resolved_config.json records
@@ -78,7 +81,7 @@ def _validate(config: dict, verb: str) -> None:
             raise ConfigError(f"section {section!r} must be an object")
         bad = set(config[section]) - keys
         if bad:
-            raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
+            raise ConfigError(f"unknown config keys for {verb!r}: {sorted(f'{section}.{k}' for k in bad)}")
 
 
 def _finite(value, key: str) -> None:
@@ -126,6 +129,31 @@ def _load_dataset(section: dict):
     raise ConfigError(f"unknown dataset.format {fmt!r} (expected cifar10 or lltn)")
 
 
+def _absolute(value):
+    """A non-empty string made an absolute path against the working
+    directory; any other value is left for its reader to refuse."""
+    return str(Path(value).absolute()) if isinstance(value, str) and value else value
+
+
+def _absolute_paths(config: dict) -> None:
+    """Each path the run reads or writes made absolute in `config`, so that
+    resolved_config.json re-runs from any directory."""
+    if "outputs" in config:
+        config["outputs"] = _absolute(config["outputs"])
+    for section, keys in _PATH_KEYS.items():
+        part = config.get(section, {})
+        for key in keys & part.keys():
+            part[key] = _absolute(part[key])
+    checkpoints = config.get("sweep", {}).get("checkpoints")
+    if isinstance(checkpoints, list):
+        config["sweep"]["checkpoints"] = [_absolute(path) for path in checkpoints]
+    models = config.get("report", {}).get("models")
+    for entry in models if isinstance(models, list) else []:
+        if isinstance(entry, dict) and _absolute(entry.get("checkpoint")) != entry.get("checkpoint"):
+            entry.setdefault("id", entry["checkpoint"])  # the model keeps its name, the path as written
+            entry["checkpoint"] = _absolute(entry["checkpoint"])
+
+
 def _check_layer(name, model: M.ModelGraph, key: str) -> str:
     if not isinstance(name, str) or name not in model.layer_names():
         raise ConfigError(f"{key}: unknown layer {name!r}")
@@ -168,9 +196,8 @@ class Run:
             raise ConfigError(f"model.input_shape must be a list of positive integers, got {input_shape!r}")
         self._fits(input_shape, "model.input_shape")  # before the build allocates parameters for it
         classes = _field(section.get("classes", 4), "model.classes", "int")
-        model_seed = _field(section.get("seed", self.seed), "model.seed", "int")
         architecture = _field(section["architecture"], "model.architecture", "str")
-        return M.build_architecture(architecture, tuple(input_shape), classes, seed=model_seed), {}
+        return M.build_architecture(architecture, tuple(input_shape), classes, seed=self.seed), {}
 
     def layers(self, model: M.ModelGraph) -> list[str]:
         layers = self.config.get("layers", "all")
@@ -344,14 +371,11 @@ def cmd_coherency(run: Run) -> bool:
     if section.get("layer") is None:
         raise ConfigError("coherency.layer is required")
     layer = _check_layer(section["layer"], model, "coherency.layer")
-    factor = section.get("factor", 4.0)
-    if isinstance(factor, bool) or not isinstance(factor, (int, float)) or not 0 < factor < math.inf:
-        raise ConfigError(f"coherency.factor must be a positive finite number, got {factor!r}")
     cfg = run.estimator_config()
     if _field(section.get("diagnostic", False), "coherency.diagnostic", "bool"):
         cfg = dataclasses.replace(cfg, normalize=False)
     run.write_resolved()
-    rep = REP.coherency_check(model, layer, run.images[picks[0]], cfg, factor=float(factor))
+    rep = REP.coherency_check(model, layer, run.images[picks[0]], cfg)
     lltn.write_json(run.out / "coherency.json", rep.to_json())
     records = [
         REP.LayerRecord.from_results(mid, layer, "inputs[1]", [res])
@@ -534,7 +558,7 @@ def main(argv=None) -> int:
     try:
         raw = Path(args.config).read_bytes()
     except OSError as err:
-        print(f"error: cannot read config: {err}", file=sys.stderr)
+        print(f"i/o error: cannot read config: {err}", file=sys.stderr)
         return EXIT_IO
     try:
         if args.jobs < 1:
@@ -552,14 +576,10 @@ def main(argv=None) -> int:
         config.update(command=args.verb, tool_version=__version__)
         if args.seed is not None:
             config["seed"] = args.seed
-        elif "seed" not in config:
-            env = os.environ.get("LAYERLENS_SEED", "0")
-            try:
-                config["seed"] = int(env)
-            except ValueError:
-                raise ConfigError(f"LAYERLENS_SEED must be an integer, got {env!r}") from None
+        config.setdefault("seed", 0)
         if args.out:
             config["outputs"] = args.out
+        _absolute_paths(config)
         if args.alpha is not None and "estimator" in _VERBS[args.verb][1]:
             config["estimator"] = dict(config.get("estimator", {}), alpha=args.alpha)
         seed, out = _field(config["seed"], "seed", "int"), _field(config.get("outputs", ""), "outputs", "str")

@@ -698,7 +698,8 @@ class TestConfigHandling:
         [
             ("sid", {"layers": ["conv1"], "inputs": ["a"]}, "inputs"),
             ("sid", {"layers": ["conv1"], "inputs": [0.7]}, "inputs"),
-            ("coherency", {"coherency": {"layer": "conv1", "factor": "x"}}, "coherency.factor"),
+            # no config key sets the rescale factor: coherency rescales by 4
+            ("coherency", {"coherency": {"layer": "conv1", "factor": 4.0}}, "coherency.factor"),
             ("coherency", {"coherency": {"layer": "conv1", "factor": -2}}, "coherency.factor"),
             ("concentration", {"layers": ["conv1"], "mask": {"bbox": {"x": 1}}}, "mask.bbox"),
             ("concentration", {"layers": ["conv1"], "mask": {"bbox": {"x": 0, "y": 0, "w": 0, "h": 4}}}, "mask"),
@@ -772,6 +773,8 @@ class TestConfigHandling:
             ("ru", {"layers": ["conv1"], "decoder": {"optimizer": "adam"}}, "optimizer"),
             ("sid", {"layers": ["input"]}, "layers: unknown layer 'input'"),
             ("sid", estimator_patch(sigma_cap=0.02), "sigma_cap"),
+            # an architecture is built with the run seed
+            ("sid", {"layers": ["conv1"], "model": dict(CNN, seed=1)}, "model.seed"),
         ],
     )
     def test_malformed_value_is_config_error(self, workspace, capsys, verb, patch, key):
@@ -804,9 +807,8 @@ class TestConfigHandling:
             ("sid", estimator_patch(tau=1e200)),
             ("sid", estimator_patch(alpha=1e308)),
             ("ru", dict(estimator_patch(tau=1e200), decoder={"epochs": 1, "loss": "mse"})),
-            ("coherency", {"coherency": {"layer": "conv1", "factor": 1e-300}}),
         ],
-        ids=["sid-tau", "sid-alpha", "ru-tau", "coherency-factor"],
+        ids=["sid-tau", "sid-alpha", "ru-tau"],
     )
     def test_non_finite_estimate_is_an_error_exit(self, workspace, capsys, verb, patch):
         # every value is positive and finite, so validation passes; the
@@ -1064,33 +1066,14 @@ class TestConfigHandling:
         assert err.startswith("i/o error:") and err.count("\n") == 1
         assert str(weight) in err and "conv1.weight" in err and "non-finite" in err
 
-    def test_env_seed_is_last_resort(self, workspace, monkeypatch):
-        root = workspace["root"]
-        config = {
-            "dataset": workspace["dataset"],
-            "model": {"architecture": "tiny-cnn", "input_shape": [1, 8, 8], "classes": 4},
-            "estimator": dict(TINY_ESTIMATOR),
-            "layers": ["conv2"],
-            "outputs": str(root / "envseed"),
-        }
+    def test_seed_is_flag_then_config_then_zero(self, workspace, monkeypatch):
+        # the environment sets no seed
         monkeypatch.setenv("LAYERLENS_SEED", "99")
-        assert run("sid", write_config(root, "env.json", config)) == 0
-        resolved = json.loads((root / "envseed" / "resolved_config.json").read_text())
-        assert resolved["seed"] == 99
-        # --seed flag still wins over the environment
-        config["outputs"] = str(root / "envseed2")
-        assert run("sid", write_config(root, "env2.json", config), "--seed", "5") == 0
-        resolved = json.loads((root / "envseed2" / "resolved_config.json").read_text())
-        assert resolved["seed"] == 5
-
-    def test_non_integer_env_seed_is_config_error(self, workspace, capsys, monkeypatch):
         root = workspace["root"]
-        monkeypatch.setenv("LAYERLENS_SEED", "seven")
         config = {"dataset": workspace["dataset"], "model": CNN, "outputs": str(root / "o"), **estimator_patch()}
-        assert run("sid", write_config(root, "envseed.json", config)) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1 and "LAYERLENS_SEED" in err
-        assert not (root / "o").exists()
+        for patch, flags, want in (({}, (), 0), ({"seed": 3}, (), 3), ({"seed": 3}, ("--seed", "5"), 5)):
+            assert run("sid", write_config(root, "seed.json", dict(config, **patch)), *flags) == 0
+            assert json.loads((root / "o" / "resolved_config.json").read_text())["seed"] == want
 
     @pytest.mark.parametrize("verb", list(cli._VERBS))
     def test_resolved_config_reruns_to_the_same_outputs(self, workspace, verb):
@@ -1139,6 +1122,43 @@ class TestConfigHandling:
         assert main(["sid", "--config", str(bad)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1 and str(bad) in err
+
+    def test_unreadable_config_is_io_error(self, workspace, capsys):
+        missing = workspace["root"] / "missing.json"
+        assert main(["sid", "--config", str(missing)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: cannot read config:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ["sid", "report"])
+    def test_resolved_config_reruns_from_another_directory(self, workspace, monkeypatch, verb):
+        # relative paths resolve against the working directory, and the
+        # resolved config records them absolute
+        first, other = workspace["root"], workspace["root"] / "elsewhere"
+        other.mkdir()
+        M.save_checkpoint(M.tiny_cnn((1, 8, 8), 4, seed=1), first / "ck", {"epoch": 1})
+        relative = {k: str(Path(v).relative_to(first)) for k, v in workspace["dataset"].items() if k != "format"}
+        config = {
+            "dataset": dict(workspace["dataset"], **relative),
+            "outputs": "out",
+            "layers": ["conv1"],
+            "inputs": [0],
+            "estimator": dict(TINY_ESTIMATOR, max_steps=4, max_rounds=1),
+            **{"sid": {"model": CNN}, "report": {"report": {"models": [{"checkpoint": "ck"}]}}}[verb],
+        }
+
+        def written() -> dict:
+            return {p.relative_to(first / "out"): p.read_bytes() for p in (first / "out").rglob("*") if p.is_file()}
+
+        monkeypatch.chdir(first)
+        code = run(verb, write_config(first, "run.json", config))
+        assert code in (0, 2)
+        before = written()
+        if verb == "report":  # the model is named after its checkpoint path as written
+            assert b"\nck," in before[Path("report.csv")]
+        monkeypatch.chdir(other)
+        assert run(verb, str(first / "out" / "resolved_config.json")) == code
+        assert written() == before
+        assert not any(other.iterdir())
 
     @pytest.mark.parametrize("case,code", [("missing-images", 4), ("unknown-format", 3)])
     def test_refused_dataset_leaves_no_output_directory(self, workspace, capsys, case, code):
