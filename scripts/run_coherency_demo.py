@@ -16,6 +16,22 @@ from layerlens.rng import RngStream
 from layerlens.sid import SidConfig
 
 
+def coherency_runs(layer="conv1", seed=0, steps=150):
+    """The coherency check at `layer`, with the normalization and without:
+    two (label, CoherencyReport) pairs."""
+    model = M.tiny_cnn(input_shape=(3, 8, 8), classes=4, seed=11)
+    x = RngStream(42).normal((3, 8, 8)) * 0.5
+    cfg = SidConfig(seed=seed, max_steps=steps, samples_per_step=32,
+                    certify_samples=1024, baseline_samples=1024)
+    return [
+        (label, coherency_check(model, layer, x, run_cfg))
+        for label, run_cfg in (
+            ("normalized", cfg),
+            ("diagnostic (no normalization)", dataclasses.replace(cfg, normalize=False)),
+        )
+    ]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--layer", default="conv1")
@@ -23,16 +39,7 @@ def main(argv=None):
     ap.add_argument("--steps", type=int, default=150)
     args = ap.parse_args(argv)
 
-    model = M.tiny_cnn(input_shape=(3, 8, 8), classes=4, seed=11)
-    x = RngStream(42).normal((3, 8, 8)) * 0.5
-    cfg = SidConfig(seed=args.seed, max_steps=args.steps, samples_per_step=32,
-                    certify_samples=1024, baseline_samples=1024)
-
-    for label, run_cfg in (
-        ("normalized", cfg),
-        ("diagnostic (no normalization)", dataclasses.replace(cfg, normalize=False)),
-    ):
-        rep = coherency_check(model, args.layer, x, run_cfg)
+    for label, rep in coherency_runs(args.layer, args.seed, args.steps):
         print(
             f"{label:>30}: output diff={rep.output_max_diff:.2e}  "
             f"max |dH|={rep.max_abs_delta_h:.3e}  -> {'PASS' if rep.passed else 'FAIL'}"

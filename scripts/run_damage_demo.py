@@ -47,6 +47,7 @@ def main(argv=None):
     cfg_path.write_text(json.dumps(config, indent=2))
     code = cli_main(["damage", "--config", str(cfg_path)])
     print(f"report written to {out / 'report'} (exit {code})")
+    return code
 
 
 if __name__ == "__main__":

@@ -83,6 +83,7 @@ def concentration(H_i: np.ndarray, mask: Mask) -> float:
 # ---------------------------------------------------------------------------
 
 
+COHERENCY_FACTOR = 4.0  # the layer's weights are divided, its successor's multiplied, by this
 # coherency_check passes when both bounds hold
 COHERENCY_OUTPUT_TOL = 1e-10  # largest |output change| the rescaled network may show
 COHERENCY_H_TOL = 1e-6  # largest per-unit entropy shift |dH_i| (nats)
@@ -107,16 +108,14 @@ class CoherencyReport:
         }
 
 
-def coherency_check(
-    model: ModelGraph, layer: str, x, cfg: SidConfig, factor: float = 4.0
-) -> CoherencyReport:
+def coherency_check(model: ModelGraph, layer: str, x, cfg: SidConfig) -> CoherencyReport:
     """Rescale the (layer, successor) pair, re-estimate with identical seeds,
     and report the largest per-unit entropy shift. With the feature-variance
     normalization in place the whole procedure is scale-invariant and the
     shift is zero to machine precision; cfg.normalize=False demonstrates the
     failure mode the normalization exists to prevent."""
     x = np.asarray(x, dtype=np.float64)
-    rescaled = rescale_pair(model, layer, factor)
+    rescaled = rescale_pair(model, layer, COHERENCY_FACTOR)
     y0 = model.forward(x[None])
     y1 = rescaled.forward(x[None])
     output_max_diff = float(np.abs(y0 - y1).max())
@@ -126,7 +125,7 @@ def coherency_check(
     passed = output_max_diff <= COHERENCY_OUTPUT_TOL and max_abs_delta_h <= COHERENCY_H_TOL
     return CoherencyReport(
         layer=layer,
-        factor=factor,
+        factor=COHERENCY_FACTOR,
         output_max_diff=output_max_diff,
         max_abs_delta_h=max_abs_delta_h,
         normalized=cfg.normalize,

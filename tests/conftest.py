@@ -1,6 +1,7 @@
 import ctypes
 import functools
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -52,6 +53,59 @@ def pytest_report_header(config):
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only
         blas = "unknown"
     return f"numpy {np.__version__}, BLAS {blas}, OpenBLAS core {_openblas_core()}"
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name: str):
+    """scripts/<name>.py, loaded as a module so a test can call its functions."""
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def identity_model(n: int, name: str = "id") -> M.ModelGraph:
+    """One dense layer, `name`, with weight I and bias 0 on an (n,) input."""
+    g = M.build([M.dense(name, n)], (n,), seed=0)
+    g.params[name]["weight"] = np.eye(n)
+    g.params[name]["bias"] = np.zeros(n)
+    return g
+
+
+def linear_model(A: np.ndarray) -> M.ModelGraph:
+    """One dense layer, "lin", computing A x."""
+    n, m = A.shape[1], A.shape[0]
+    g = M.build([M.dense("lin", m)], (n,), seed=0)
+    g.params["lin"]["weight"] = A.T.copy()
+    g.params["lin"]["bias"] = np.zeros(m)
+    return g
+
+
+def sum_model(n: int) -> M.ModelGraph:
+    """One dense layer, "sum", adding up its n inputs."""
+    g = M.build([M.dense("sum", 1)], (n,), seed=0)
+    g.params["sum"]["weight"] = np.ones((n, 1))
+    g.params["sum"]["bias"] = np.zeros(1)
+    return g
+
+
+def random_conditioned_matrix(n: int, cond: float, seed) -> np.ndarray:
+    """U diag(geomspace(1, cond, n)) V^T with random orthogonal U and V, so
+    its condition number is `cond`. `seed` is anything np.random.default_rng
+    takes; a Generator is drawn from, and a caller can go on drawing from it."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return u @ np.diag(np.geomspace(1.0, cond, n)) @ v.T
+
+
+def lagrange_sigma_sq(A: np.ndarray, eps: float) -> np.ndarray:
+    """Independent oracle: the sigma_i^2 maximizing sum(ln sigma_i) subject to
+    sum(sigma_i^2 |A e_i|^2) = eps."""
+    col_sq = (A * A).sum(axis=0)
+    return eps / (A.shape[1] * col_sq)
 
 
 def finite_diff(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

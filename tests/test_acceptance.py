@@ -2,7 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Estimation runs are shared through session fixtures; the constraint-
-conformance criterion audits every run the other criteria performed.
+conformance criterion audits every run the other criteria performed. Criteria
+5 and 8 run the two demo scripts, scripts/run_coherency_demo.py and
+scripts/run_damage_demo.py, and no other test repeats a criterion's run.
 """
 
 import json
@@ -28,7 +30,17 @@ from layerlens.sid import (
     sid_loss,
 )
 
-from conftest import zero_surrogate
+from conftest import (
+    finite_diff,
+    identity_model,
+    lagrange_sigma_sq,
+    linear_model,
+    load_script,
+    random_conditioned_matrix,
+    rel_err,
+    sum_model,
+    zero_surrogate,
+)
 
 CONFORMANCE_LEDGER: list[tuple[str, float, float, bool]] = []
 
@@ -44,27 +56,6 @@ def _verdict(criterion: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def lagrange_oracle(A: np.ndarray, eps: float) -> np.ndarray:
-    """sigma_i^2 maximizing sum(ln sigma) s.t. sum(sigma_i^2 ||A e_i||^2) = eps."""
-    col_sq = (A * A).sum(axis=0)
-    return eps / (A.shape[1] * col_sq)
-
-
-def linear_model(A: np.ndarray) -> M.ModelGraph:
-    n, m = A.shape[1], A.shape[0]
-    g = M.build([M.dense("lin", m)], (n,), seed=0)
-    g.params["lin"]["weight"] = A.T.copy()
-    g.params["lin"]["bias"] = np.zeros(m)
-    return g
-
-
-def identity_model(n: int, name="id") -> M.ModelGraph:
-    g = M.build([M.dense(name, n)], (n,), seed=0)
-    g.params[name]["weight"] = np.eye(n)
-    g.params[name]["bias"] = np.zeros(n)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # shared estimation runs
 # ---------------------------------------------------------------------------
@@ -73,9 +64,7 @@ def identity_model(n: int, name="id") -> M.ModelGraph:
 @pytest.fixture(scope="session")
 def linear_run():
     rng = np.random.default_rng(7)
-    u, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-    v, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-    A = u @ np.diag(np.geomspace(1.0, 10.0, 8)) @ v.T
+    A = random_conditioned_matrix(8, cond=10.0, seed=rng)
     g = linear_model(A)
     x = rng.normal(size=8)
     cfg = SidConfig(
@@ -88,17 +77,10 @@ def linear_run():
 
 @pytest.fixture(scope="session")
 def coherency_runs():
-    model = M.tiny_cnn(input_shape=(3, 8, 8), classes=4, seed=11)
-    x = RngStream(42).normal((3, 8, 8)) * 0.5
-    cfg = SidConfig(
-        seed=0, max_steps=150, samples_per_step=32, certify_samples=1024, baseline_samples=1024
-    )
-    normalized = REP.coherency_check(model, "conv1", x, cfg)
-    diagnostic = REP.coherency_check(
-        model, "conv1", x, SidConfig(**{**cfg.__dict__, "normalize": False})
-    )
-    _track("coherency_original", normalized.result_original, cfg.alpha)
-    _track("coherency_rescaled", normalized.result_rescaled, cfg.alpha)
+    (_, normalized), (_, diagnostic) = load_script("run_coherency_demo").coherency_runs()
+    alpha = SidConfig().alpha  # the demo keeps the default budget
+    _track("coherency_original", normalized.result_original, alpha)
+    _track("coherency_rescaled", normalized.result_rescaled, alpha)
     return normalized, diagnostic
 
 
@@ -106,8 +88,7 @@ def coherency_runs():
 def equivalence_runs():
     n = 8
     g = identity_model(n)
-    dec_graph = identity_model(n, name="dec")
-    decoder = DecoderSpec(graph=dec_graph, layer="id", val_mse=0.0)
+    decoder = DecoderSpec(graph=identity_model(n, name="dec"), layer="id", val_mse=0.0)
     x = np.linspace(0.1, 0.8, n)
     cfg = SidConfig(seed=1, samples_per_step=64, max_steps=300, certify_samples=1024)
     rs = estimate_sid(g, "id", x, cfg)
@@ -121,9 +102,7 @@ def equivalence_runs():
 def divergence_runs():
     n = 16
     x = np.linspace(-1.0, 1.0, n)
-    g = M.build([M.dense("sum", 1)], (n,), seed=0)
-    g.params["sum"]["weight"] = np.ones((n, 1))
-    g.params["sum"]["bias"] = np.zeros(1)
+    g = sum_model(n)
     dec_graph = M.build([M.dense("dec", n)], (1,), seed=0)
     dec_graph.params["dec"]["weight"] = np.full((1, n), 1.0 / n)
     dec_graph.params["dec"]["bias"] = np.zeros(n)
@@ -139,28 +118,8 @@ def divergence_runs():
 @pytest.fixture(scope="session")
 def damage_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("damage")
-    images, labels = D.make_fourclass_images(n=96, shape=(1, 8, 8), seed=3)
-    ip, lp = D.save_lltn_pair(root / "train", images, labels)
-    config = {
-        "dataset": {"format": "lltn", "images": str(ip), "labels": str(lp)},
-        "model": {"architecture": "tiny-resnet", "input_shape": [1, 8, 8], "classes": 4},
-        "estimator": {
-            "max_steps": 120,
-            "samples_per_step": 32,
-            "certify_samples": 512,
-            "baseline_samples": 512,
-            "max_rounds": 12,
-        },
-        "train": {"epochs": 3, "learning_rate": 0.02, "batch_size": 16},
-        "damage": {"positions": [1, 2], "n_filters": 8},
-        "inputs": [0],
-        "outputs": str(root / "out"),
-        "seed": 3,
-    }
-    cfg_path = root / "damage.json"
-    cfg_path.write_text(json.dumps(config))
-    code = cli_main(["damage", "--config", str(cfg_path)])
-    return root / "out", code
+    code = load_script("run_damage_demo").main(["--out", str(root)])
+    return root / "report", code
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +131,7 @@ def test_criterion_1_gaussian_entropy_formula():
     # entropy_field is the per-unit entropy every SID estimate reports
     got = entropy_field(SigmaField(np.log([1.0, math.e, 0.1])))
     want = 0.5 * math.log(2.0 * math.pi * math.e)
-    ok = abs(got[0] - want) <= 1e-9 and np.abs(got - [1.418939, 2.418939, -0.883646]).max() <= 1e-6
+    ok = abs(got[0] - want) <= 1e-15 and np.abs(got - [1.418939, 2.418939, -0.883646]).max() <= 1e-6
     _verdict(1, ok, f"entropy_field at sigma = 1, e, 0.1: {got.round(9).tolist()}; half-log(2*pi*e) = {want:.9f}")
 
 
@@ -190,11 +149,11 @@ def test_criterion_2_closed_form_sid_on_linear_maps(linear_run):
         ent = math.log(s1_sq) + math.log(s2_sq)
         if ent > best:
             best, best_pair = ent, (s1_sq, s2_sq)
-    grid_ok = np.allclose(best_pair, lagrange_oracle(A2, eps2), rtol=1e-4)
+    grid_ok = np.allclose(best_pair, lagrange_sigma_sq(A2, eps2), rtol=1e-4)
 
     cond = float(np.linalg.cond(A))
     eps = cfg.alpha * cfg.tau**2 * (A * A).sum()
-    expected_H = 0.5 * np.log(lagrange_oracle(A, eps)) + C
+    expected_H = 0.5 * np.log(lagrange_sigma_sq(A, eps)) + C
     err = float(np.abs(res.H_i - expected_H).max())
     ok = grid_ok and err <= 0.05 and cond <= 10.0
     _verdict(
@@ -206,8 +165,6 @@ def test_criterion_2_closed_form_sid_on_linear_maps(linear_run):
 
 
 def test_criterion_4_gradient_correctness():
-    from conftest import finite_diff, rel_err
-
     g = M.build(
         [M.conv("c1", 4, 3, padding=1), M.relu("r1"), M.conv("c2", 2, 3, padding=1)],
         (1, 5, 5),
@@ -284,12 +241,13 @@ def test_criterion_7_sum_network_divergence(divergence_runs):
     analytic_ru = float(np.mean(0.5 * np.log((x - x.mean()) ** 2 + eps / n**2) + C))
     analytic_gap = analytic_ru - analytic_sid
     measured_gap = float(rr.H_hat_i.mean() - rs.H_i.mean())
-    ok = analytic_gap >= 0.5 and measured_gap >= 0.5
+    ru_err = abs(float(rr.H_hat_i.mean()) - analytic_ru)
+    ok = analytic_gap >= 0.5 and measured_gap >= 0.5 and ru_err <= 0.05
     _verdict(
         7,
         ok,
         f"sum network: analytic gap = {analytic_gap:.3f}, measured gap = {measured_gap:.3f} "
-        "nats (both >= 0.5)",
+        f"nats (both >= 0.5); mean Hhat off the analytic mean by {ru_err:.4f} (<= 0.05)",
     )
 
 

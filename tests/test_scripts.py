@@ -3,31 +3,19 @@
 Each script is run small, so a change to the program that a script does not
 follow (fit_sigma's loss contract and the estimators' function names for
 scripts/bench_step.py, the conv kernels' private formulations for
-scripts/bench_conv.py, SidConfig for the coherency demo, the damage config's
-keys for the damage demo, the data writers for the dataset script) fails here
-rather than only when someone next runs the script.
+scripts/bench_conv.py, SidConfig for the coherency demo, the data writers for
+the dataset script) fails here rather than only when someone next runs the
+script. The damage demo is acceptance criterion 8's run, and the coherency
+demo's two runs are criterion 5's.
 """
 
-import importlib.util
-import json
 import re
-from pathlib import Path
 
 import pytest
 
-from layerlens import cli
 from layerlens import data as D
-from layerlens.sid import SidConfig
-from layerlens.train import TrainConfig
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 @pytest.mark.parametrize(
@@ -41,7 +29,7 @@ def _load(name):
 )
 def test_bench_step_runs(argv, records, steps, phases, capsys):
     preset, layer, estimator, _, shape = argv.split()
-    _load("bench_step").main(argv.split() + ["--seconds", "0.05"])
+    load_script("bench_step").main(argv.split() + ["--seconds", "0.05"])
     out = capsys.readouterr().out
     assert f"{preset}/{layer} {estimator}:" in out and f"{records} tape record(s) per step" in out
     assert f"{steps} steps, conformant True" in out
@@ -53,7 +41,7 @@ def test_bench_step_runs(argv, records, steps, phases, capsys):
 
 
 def test_bench_conv_runs(capsys):
-    bench = _load("bench_conv")
+    bench = load_script("bench_conv")
     bench.main(["--seconds", "0.01"])
     rows = capsys.readouterr().out.splitlines()[2:]
     assert len(rows) == len(bench.SHAPES)
@@ -66,31 +54,15 @@ def test_bench_conv_runs(capsys):
 
 
 def test_coherency_demo_runs(capsys):
-    _load("run_coherency_demo").main(["--steps", "10"])
+    load_script("run_coherency_demo").main(["--steps", "10"])
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2
     assert out[0].strip().startswith("normalized:") and out[0].endswith("PASS")
     assert out[1].strip().startswith("diagnostic (no normalization):")
 
 
-def test_damage_demo_config_is_valid(tmp_path, capsys):
-    # the demo's config goes through the CLI's checks, not its 9-cell grid
-    demo = _load("run_damage_demo")
-
-    def checked_only(argv):
-        config = json.loads(Path(argv[argv.index("--config") + 1]).read_text())
-        cli._validate(config, "damage")
-        SidConfig(**config["estimator"])
-        TrainConfig(**config["train"])
-        return 0
-
-    demo.cli_main = checked_only
-    demo.main(["--out", str(tmp_path)])
-    assert capsys.readouterr().out.rstrip().endswith("(exit 0)")
-
-
 def test_make_synthetic_data_runs(tmp_path, capsys):
-    _load("make_synthetic_data").main(["--out", str(tmp_path), "--n", "8", "--channels", "3"])
+    load_script("make_synthetic_data").main(["--out", str(tmp_path), "--n", "8", "--channels", "3"])
     images, labels = D.load_lltn_pair(tmp_path / "fourclass_images.lltn", tmp_path / "fourclass_labels.lltn")
     assert images.shape == (8, 3, 8, 8) and labels.shape == (8,)
     images, labels = D.load_lltn_pair(tmp_path / "blobs_images.lltn", tmp_path / "blobs_labels.lltn")

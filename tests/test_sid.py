@@ -10,43 +10,24 @@ from hypothesis import strategies as st
 
 from layerlens import data as D
 from layerlens import model as M
-from layerlens import report as REP
 from layerlens import ru as R
 from layerlens import sid as S
 from layerlens import tensor as T
 from layerlens.rng import RngStream
 
-from conftest import pinned_by_core, result_digest, zero_surrogate
+from conftest import (
+    finite_diff,
+    identity_model,
+    lagrange_sigma_sq,
+    linear_model,
+    pinned_by_core,
+    random_conditioned_matrix,
+    rel_err,
+    result_digest,
+    zero_surrogate,
+)
 
 C = S.GAUSSIAN_ENTROPY_CONST
-
-
-def identity_model(n):
-    g = M.build([M.dense("id", n)], (n,), seed=0)
-    g.params["id"]["weight"] = np.eye(n)
-    g.params["id"]["bias"] = np.zeros(n)
-    return g
-
-
-def linear_model(A):
-    n, m = A.shape[1], A.shape[0]
-    g = M.build([M.dense("lin", m)], (n,), seed=0)
-    g.params["lin"]["weight"] = A.T.copy()
-    g.params["lin"]["bias"] = np.zeros(m)
-    return g
-
-
-def lagrange_sigma_sq(A: np.ndarray, eps: float) -> np.ndarray:
-    """Independent oracle: maximize sum(ln sigma) s.t. sum(sigma_i^2 |A e_i|^2) = eps."""
-    col_sq = (A * A).sum(axis=0)
-    return eps / (A.shape[1] * col_sq)
-
-
-def random_conditioned_matrix(n: int, cond: float, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return u @ np.diag(np.geomspace(1.0, cond, n)) @ v.T
 
 
 def unit_entropy(sigma: float) -> float:
@@ -55,17 +36,6 @@ def unit_entropy(sigma: float) -> float:
 
 
 class TestPixelEntropy:
-    def test_unit_sigma_is_half_log_2pie(self):
-        assert unit_entropy(1.0) == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=1e-15)
-        assert unit_entropy(1.0) == pytest.approx(1.418939, abs=1e-6)
-
-    def test_sigma_e(self):
-        assert unit_entropy(math.e) == pytest.approx(2.418939, abs=1e-6)
-
-    def test_sigma_point_one(self):
-        # independent check: ln(0.1) + 0.5 ln(2 pi e) = -0.883646...
-        assert unit_entropy(0.1) == pytest.approx(-0.883646, abs=1e-6)
-
     @settings(max_examples=50, deadline=None)
     @given(
         a=st.floats(min_value=1e-6, max_value=1e3),
@@ -105,9 +75,10 @@ class TestFeatureBaseline:
 
     @pytest.mark.parametrize("case", ["sid-tau", "ru-tau", "coherency-factor"])
     def test_non_finite_value_is_raised_as_the_baseline(self, ru_loss_site, case):
-        # tau 1e200, and coherency's conv1 rescaled by 1e-300, overflow the
-        # squared deviation. The NaN passed the degenerate-layer test, and the
-        # estimate failed later, at the first step's sum_sq_diff
+        # tau 1e200, and conv1 rescaled as coherency rescales it but by
+        # 1e-300, overflow the squared deviation. The NaN passed the
+        # degenerate-layer test, and the estimate failed later, at the first
+        # step's sum_sq_diff
         model, dec, x, _ = ru_loss_site
         cfg = S.SidConfig(seed=3, max_steps=10, baseline_samples=256, certify_samples=256)
         with pytest.raises(T.NumericalError, match="feature_baseline"):
@@ -117,7 +88,7 @@ class TestFeatureBaseline:
                 spec = R.DecoderSpec(dec, "conv2", 0.0)
                 R.estimate_ru(model, spec, x, replace(cfg, tau=1e200))
             else:
-                REP.coherency_check(model, "conv1", x, cfg, factor=1e-300)
+                S.estimate_sid(M.rescale_pair(model, "conv1", 1e-300), "conv1", x, cfg)
 
 
 class TestSidLoss:
@@ -152,29 +123,6 @@ class TestSidLoss:
         per_unit = 2.0 * s_val**2 / dfs
         assert np.abs(grad - (per_unit - lam)).max() <= 4.0 * math.sqrt(2.0 / samples) * per_unit
 
-    def test_gradient_vs_fd_two_conv_net_common_random_numbers(self):
-        g = M.build(
-            [M.conv("c1", 4, 3, padding=1), M.relu("r1"), M.conv("c2", 2, 3, padding=1)],
-            (1, 5, 5),
-            seed=2,
-        )
-        x = RngStream(11).normal((1, 5, 5)) * 0.5
-        sigma = S.SigmaField.constant((1, 5, 5), 0.01)
-        lam, dfs, samples = 0.4, 1e-3, 8
-        plain = zero_surrogate(g, "c2", x)
-
-        def loss_at(log_sigma_flat):
-            sf = S.SigmaField(log_sigma_flat.reshape(1, 5, 5))
-            val, _ = S.sid_loss(plain, sf, lam, dfs, samples, RngStream(21, counter=0))
-            return val
-
-        _, grad = S.sid_loss(plain, sigma, lam, dfs, samples, RngStream(21, counter=0))
-
-        from conftest import finite_diff, rel_err
-
-        fd = finite_diff(loss_at, sigma.log_sigma.ravel().copy())
-        assert rel_err(grad.ravel(), fd) <= 1e-4
-
     def test_negative_lambda_rejected(self):
         g, x = identity_model(2), np.zeros(2)
         with pytest.raises(ValueError):
@@ -199,6 +147,11 @@ class TestLambdaAdapt:
     def test_factor_bounded(self):
         assert S.LambdaSearch(1.0).update(1e-9, 1.0) == 2.0
         assert S.LambdaSearch(1.0).update(1.0, 1e-9) == 0.5
+
+    def test_non_positive_epsilon_doubles(self):
+        # no bracket yet and nothing to divide by: lambda grows by the bound
+        assert S.LambdaSearch(1.0).update(0.0, 1.0) == 2.0
+        assert S.LambdaSearch(1.0).update(-0.3, 1.0) == 2.0
 
     def test_search_switches_to_bisection(self):
         # below the target at 1 and 2, above it at 4: the bracket is (2, 4)
@@ -255,34 +208,6 @@ class TestEstimateSid:
         assert res.steps_used == 10  # the round left sigma where it started
         assert res.capped_units == list(range(x.size))
         assert res.H_total == pytest.approx(x.size * (math.log(S.default_sigma_cap(x)) + C), rel=1e-12)
-
-    def test_linear_closed_form_n8(self):
-        A = random_conditioned_matrix(8, cond=10.0, seed=7)
-        g = linear_model(A)
-        x = np.random.default_rng(7).normal(size=8)
-        cfg = S.SidConfig(
-            seed=1, samples_per_step=64, max_steps=300, baseline_samples=16384, certify_samples=8192
-        )
-        res = S.estimate_sid(g, "lin", x, cfg)
-        eps = cfg.alpha * cfg.tau**2 * (A * A).sum()  # analytic, not the MC baseline
-        expected = 0.5 * np.log(lagrange_sigma_sq(A, eps)) + C
-        assert res.conformant
-        assert np.abs(res.H_i - expected).max() <= 0.05
-
-    def test_lagrange_oracle_cross_checked_by_grid_search(self):
-        # independent verification of the oracle itself at n=2
-        A = np.random.default_rng(123).normal(size=(2, 2))
-        eps = 0.01
-        col_sq = (A * A).sum(axis=0)
-        best, best_s1 = -np.inf, None
-        for s1_sq in np.linspace(1e-9, eps / col_sq[0] * (1 - 1e-9), 200_000):
-            s2_sq = (eps - s1_sq * col_sq[0]) / col_sq[1]
-            if s2_sq <= 0:
-                continue
-            ent = 0.5 * (math.log(s1_sq) + math.log(s2_sq))
-            if ent > best:
-                best, best_s1 = ent, (s1_sq, s2_sq)
-        np.testing.assert_allclose(best_s1, lagrange_sigma_sq(A, eps), rtol=1e-4)
 
     def test_estimator_matches_oracle_at_n2(self):
         A = random_conditioned_matrix(2, cond=4.0, seed=3)
@@ -499,10 +424,7 @@ def test_lambda_final_is_the_lambda_fit_at(monkeypatch, max_rounds, fit_at):
 def _guard_site(name, seed):
     if name == "linear":  # criterion 2's map: n=8, condition number 10, and its input
         rng = np.random.default_rng(7)
-        u, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-        v, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-        A = u @ np.diag(np.geomspace(1.0, 10.0, 8)) @ v.T
-        return linear_model(A), "lin", rng.normal(size=8)
+        return linear_model(random_conditioned_matrix(8, 10.0, rng)), "lin", rng.normal(size=8)
     build, layer = {"tiny-cnn": (M.tiny_cnn, "conv2"), "tiny-resnet": (M.tiny_resnet, "stem")}[name]
     images, _ = D.make_fourclass_images(n=8, shape=(1, 8, 8), seed=3)
     return build((1, 8, 8), 4, seed=seed), layer, images[0]
@@ -872,8 +794,5 @@ class TestControlVariate:
             return S.sid_loss(surrogate, sf, lam, dfs, samples, RngStream(21))[0]
 
         _, grad = S.sid_loss(surrogate, sigma, lam, dfs, samples, RngStream(21))
-
-        from conftest import finite_diff, rel_err
-
         assert rel_err(grad.ravel(), finite_diff(loss_at, sigma.log_sigma.ravel().copy())) <= 1e-4
 
