@@ -1,5 +1,6 @@
 """Config-driven command line: train, sid, ru, concentration, coherency,
-damage, sweep, report.
+damage, report. `report` is the one grid over saved checkpoints, such as
+one network's at several epochs of its training.
 
 Anything structural lives in a JSON config; flags only override scalars.
 `main` folds --seed, --out and --alpha into the config once and makes its
@@ -54,7 +55,6 @@ _SECTION_KEYS = {
     "mask": {"pgm", "bbox"},
     "coherency": {"layer", "diagnostic"},
     "damage": {"positions", "n_filters"},
-    "sweep": {"checkpoints"},
     "report": {"models"},
 }
 
@@ -144,13 +144,9 @@ def _absolute_paths(config: dict) -> None:
         part = config.get(section, {})
         for key in keys & part.keys():
             part[key] = _absolute(part[key])
-    checkpoints = config.get("sweep", {}).get("checkpoints")
-    if isinstance(checkpoints, list):
-        config["sweep"]["checkpoints"] = [_absolute(path) for path in checkpoints]
     models = config.get("report", {}).get("models")
     for entry in models if isinstance(models, list) else []:
-        if isinstance(entry, dict) and _absolute(entry.get("checkpoint")) != entry.get("checkpoint"):
-            entry.setdefault("id", entry["checkpoint"])  # the model keeps its name, the path as written
+        if isinstance(entry, dict) and "checkpoint" in entry:
             entry["checkpoint"] = _absolute(entry["checkpoint"])
 
 
@@ -438,38 +434,9 @@ def cmd_damage(run: Run) -> bool:
     return rep.conformant
 
 
-def _checkpoint_grid(run: Run, checkpoints: list, key: str) -> bool:
-    """The layerwise grid over saved checkpoints, listed under config `key` as
-    (model id, path) pairs; an id of None names the model after the epoch in
-    its checkpoint metadata. Each model must get a name of its own."""
-    picks = run.inputs()
-    cfg = run.estimator_config()
-    models = []
-    for mid, path in checkpoints:
-        graph, meta = run.load_checkpoint(path)
-        if mid is None:
-            mid = f"epoch_{meta.get('epoch', Path(path).name)}"
-        models.append((mid, graph))
-    _distinct([mid for mid, _ in models], f"{key}: model name")
-    layers = run.layers(models[0][1])
-    run.write_resolved()
-    rep = run.grid(models, layers, picks, cfg)
-    print(f"{run.verb}: {len(models)} models x {len(layers)} layers done")
-    return rep.conformant
-
-
-def cmd_sweep(run: Run) -> bool:
-    paths = run.config.get("sweep", {}).get("checkpoints", [])
-    if not isinstance(paths, list) or not all(isinstance(path, str) for path in paths):
-        raise ConfigError(f"sweep.checkpoints must be a list of checkpoint paths, got {paths!r}")
-    if not paths:
-        raise ConfigError("empty sweep: sweep.checkpoints lists no checkpoint directories")
-    return _checkpoint_grid(run, [(None, path) for path in paths], "sweep.checkpoints")
-
-
 def _is_report_model(entry) -> bool:
     """A report.models entry: a string "checkpoint" and, if given, a non-empty
-    string "id" (the model's name, which defaults to the checkpoint path)."""
+    string "id", the model's name."""
     return (
         isinstance(entry, dict)
         and set(entry) <= {"id", "checkpoint"}
@@ -479,6 +446,9 @@ def _is_report_model(entry) -> bool:
 
 
 def cmd_report(run: Run) -> bool:
+    """The layerwise grid over saved checkpoints. A model without an id is
+    named epoch_<n> after the epoch in its checkpoint's metadata, else after
+    the checkpoint's directory. Each model must get a name of its own."""
     entries = run.config.get("report", {}).get("models", [])
     if not entries:
         raise ConfigError("report.models lists no models")
@@ -487,8 +457,18 @@ def cmd_report(run: Run) -> bool:
             "report.models must list objects with a \"checkpoint\" path and, optionally, "
             f"a non-empty string \"id\", got {entries!r}"
         )
-    models = [(e.get("id", e["checkpoint"]), e["checkpoint"]) for e in entries]
-    return _checkpoint_grid(run, models, "report.models")
+    picks = run.inputs()
+    cfg = run.estimator_config()
+    models = []
+    for entry in entries:
+        graph, meta = run.load_checkpoint(entry["checkpoint"])
+        models.append((entry.get("id") or f"epoch_{meta.get('epoch', Path(entry['checkpoint']).name)}", graph))
+    _distinct([mid for mid, _ in models], 'report.models: model name (add an "id" to tell models apart)')
+    layers = run.layers(models[0][1])
+    run.write_resolved()
+    rep = run.grid(models, layers, picks, cfg)
+    print(f"report: {len(models)} models x {len(layers)} layers done")
+    return rep.conformant
 
 
 # verb -> (function, the top-level config keys it reads besides _RUN_KEYS)
@@ -499,7 +479,6 @@ _VERBS = {
     "concentration": (cmd_concentration, {"model", "estimator", "layers", "inputs", "mask"}),
     "coherency": (cmd_coherency, {"model", "estimator", "coherency", "inputs"}),
     "damage": (cmd_damage, {"model", "estimator", "train", "damage", "layers", "inputs"}),
-    "sweep": (cmd_sweep, {"estimator", "sweep", "layers", "inputs"}),
     "report": (cmd_report, {"estimator", "report", "layers", "inputs"}),
 }
 

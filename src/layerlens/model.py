@@ -455,7 +455,7 @@ def _rescale_successor(model: ModelGraph, layer_name: str) -> str:
     raise RescaleError(f"layer {layer_name!r} has no linear successor to absorb the factor")
 
 
-def rescale_pair(model: ModelGraph, layer_name: str, factor: float = 4.0) -> ModelGraph:
+def rescale_pair(model: ModelGraph, layer_name: str, factor: float) -> ModelGraph:
     """Scale layer L's weights and bias down by `factor` and the next linear
     layer's weights up by `factor` (its bias untouched).
 

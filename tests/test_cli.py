@@ -516,62 +516,6 @@ class TestDamageVerb:
         assert message in capsys.readouterr().err
 
 
-class TestSweepVerb:
-    def test_sweep_over_checkpoints(self, workspace):
-        root = workspace["root"]
-        train_cfg = write_config(
-            root,
-            "sweep_train.json",
-            {
-                "dataset": workspace["dataset"],
-                "model": {"architecture": "tiny-cnn", "input_shape": [1, 8, 8], "classes": 4},
-                "train": {"epochs": 2, "learning_rate": 0.02},
-                "outputs": str(root / "sw_train"),
-                "seed": 1,
-            },
-        )
-        assert run("train", train_cfg) == 0
-        cfg = write_config(
-            root,
-            "sweep.json",
-            {
-                "dataset": workspace["dataset"],
-                "estimator": dict(TINY_ESTIMATOR),
-                "sweep": {
-                    "checkpoints": [
-                        str(root / "sw_train" / "checkpoints" / "epoch_000"),
-                        str(root / "sw_train" / "checkpoints" / "epoch_001"),
-                    ]
-                },
-                "layers": ["conv2"],
-                "inputs": [0],
-                "outputs": str(root / "sweep_out"),
-                "seed": 1,
-            },
-        )
-        assert run("sweep", cfg) in (0, 2)
-        from layerlens.report import parse_csv
-
-        rep = parse_csv(root / "sweep_out" / "sweep.csv")
-        assert [r.model for r in rep.records] == ["epoch_0", "epoch_1"]
-
-    def test_empty_sweep_is_config_error(self, workspace, capsys):
-        root = workspace["root"]
-        cfg = write_config(
-            root,
-            "sweep_empty.json",
-            {
-                "dataset": workspace["dataset"],
-                "estimator": {},
-                "sweep": {"checkpoints": []},
-                "outputs": str(root / "x"),
-                "seed": 1,
-            },
-        )
-        assert run("sweep", cfg) == 3
-        assert "empty sweep" in capsys.readouterr().err
-
-
 class TestReportVerb:
     def _checkpoints(self, root):
         paths = []
@@ -601,15 +545,66 @@ class TestReportVerb:
         from layerlens.report import parse_csv
 
         rep = parse_csv(root / "report_out" / "report.csv")
-        # a model without an id is named by its checkpoint path
+        # a model without an id is named after its epoch, and a checkpoint
+        # whose meta.json has none after its directory
         assert [(r.model, r.layer) for r in rep.records] == [
             ("a", "conv1"),
             ("a", "conv2"),
-            (second, "conv1"),
-            (second, "conv2"),
+            ("epoch_ckpt2", "conv1"),
+            ("epoch_ckpt2", "conv2"),
         ]
         assert all(r.input_set == "inputs[1]" for r in rep.records)
         assert "report: 2 models x 2 layers done" in capsys.readouterr().out
+
+    def test_report_over_trained_checkpoints(self, workspace):
+        root = workspace["root"]
+        train_cfg = write_config(
+            root,
+            "train.json",
+            {
+                "dataset": workspace["dataset"],
+                "model": {"architecture": "tiny-cnn", "input_shape": [1, 8, 8], "classes": 4},
+                "train": {"epochs": 2, "learning_rate": 0.02},
+                "outputs": str(root / "trained"),
+                "seed": 1,
+            },
+        )
+        assert run("train", train_cfg) == 0
+        checkpoints = root / "trained" / "checkpoints"
+        cfg = write_config(
+            root,
+            "epochs.json",
+            {
+                "dataset": workspace["dataset"],
+                "estimator": dict(TINY_ESTIMATOR),
+                "report": {"models": [{"checkpoint": str(checkpoints / name)} for name in ("epoch_000", "epoch_001")]},
+                "layers": ["conv2"],
+                "inputs": [0],
+                "outputs": str(root / "epochs"),
+                "seed": 1,
+            },
+        )
+        assert run("report", cfg) in (0, 2)
+        from layerlens.report import parse_csv
+
+        rep = parse_csv(root / "epochs" / "report.csv")
+        assert [r.model for r in rep.records] == ["epoch_0", "epoch_1"]
+
+    def test_empty_report_is_config_error(self, workspace, capsys):
+        root = workspace["root"]
+        cfg = write_config(
+            root,
+            "report_empty.json",
+            {
+                "dataset": workspace["dataset"],
+                "estimator": {},
+                "report": {"models": []},
+                "outputs": str(root / "x"),
+                "seed": 1,
+            },
+        )
+        assert run("report", cfg) == 3
+        assert "report.models lists no models" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [{"id": "a"}, "just-a-path"])
     def test_entry_without_checkpoint_is_config_error(self, workspace, capsys, entry):
@@ -682,7 +677,6 @@ class TestConfigHandling:
             ("mask", "concentration"),
             ("coherency", "coherency"),
             ("damage", "damage"),
-            ("sweep", "sweep"),
             ("report", "report"),
         ],
     )
@@ -737,12 +731,13 @@ class TestConfigHandling:
             ("damage", {"model": RESNET, "damage": {"positions": [1, 1]}}, "damage.positions"),
             ("damage", {"model": RESNET, "damage": {"positions": []}}, "damage.positions"),
             ("coherency", {"coherency": {"layer": "conv1", "diagnostic": "false"}}, "coherency.diagnostic"),
-            ("sweep", {"sweep": {"checkpoints": [5]}}, "sweep.checkpoints"),
-            ("sweep", {"sweep": {"checkpoints": "abc"}}, "sweep.checkpoints"),
+            ("report", {"report": {"models": [5]}}, "report.models"),
+            ("report", {"report": {"models": "abc"}}, "report.models"),
             ("report", {"report": {"models": [{"checkpoint": 5}]}}, "report.models"),
-            # @ckpt/a and @ckpt/b: two checkpoints whose metadata both say epoch 1
-            ("sweep", {"sweep": {"checkpoints": ["@ckpt/a", "@ckpt/a"]}}, "sweep.checkpoints"),
-            ("sweep", {"sweep": {"checkpoints": ["@ckpt/a", "@ckpt/b"]}}, "sweep.checkpoints"),
+            # @ckpt/a and @ckpt/b: two checkpoints whose metadata both say epoch 1,
+            # so an entry without an id is named epoch_1
+            ("report", {"report": {"models": [{"checkpoint": "@ckpt/a"}, {"id": "epoch_1", "checkpoint": "@ckpt/b"}]}}, "repeats ['epoch_1']"),
+            ("report", {"report": {"models": [{"checkpoint": "@ckpt/a"}, {"checkpoint": "@ckpt/b"}]}}, 'report.models: model name (add an "id" to tell models apart) repeats [\'epoch_1\']'),
             ("report", {"report": {"models": [{"id": "m", "checkpoint": "@ckpt/a"}, {"id": "m", "checkpoint": "@ckpt/b"}]}}, "report.models"),
             ("report", {"report": {"models": [{"checkpoint": "@ckpt/a"}, {"checkpoint": "@ckpt/a"}]}}, "report.models"),
             ("concentration", {"layers": ["conv1"], "mask": {"bbox": {"x": 6, "y": 6, "w": 4, "h": 4}}}, "mask.bbox"),
@@ -785,7 +780,7 @@ class TestConfigHandling:
             "outputs": str(workspace["root"] / "o"),
             **patch,
         }
-        if verb in ("sweep", "report"):  # these load their models from checkpoints
+        if verb == "report":  # it loads its models from checkpoints
             del config["model"]
             ckpt = workspace["root"] / "ckpt"
             for name in ("a", "b"):
@@ -1044,7 +1039,7 @@ class TestConfigHandling:
         assert str(lp if bad == "inf-label" else ip) in err
         assert ("no images" if bad == "no-images" else "non-finite") in err
 
-    @pytest.mark.parametrize("verb", ["train", "sid", "sweep"])
+    @pytest.mark.parametrize("verb", ["train", "sid", "report"])
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_checkpoint_parameter_is_io_error(self, workspace, capsys, verb, bad):
         # a NaN weight ended sid with exit 2 and "conv2d: non-finite value
@@ -1056,8 +1051,8 @@ class TestConfigHandling:
         arr[0, 0, 1, 1] = bad
         lltn.write(weight, arr)
         config = {"dataset": workspace["dataset"], "outputs": str(root / "o")}
-        if verb == "sweep":
-            config.update(estimator_patch(), sweep={"checkpoints": [str(root / "ck")]})
+        if verb == "report":
+            config.update(estimator_patch(), report={"models": [{"checkpoint": str(root / "ck")}]})
         else:
             config["model"] = {"checkpoint": str(root / "ck")}
             config.update({"train": {"epochs": 1}} if verb == "train" else estimator_patch())
@@ -1086,8 +1081,7 @@ class TestConfigHandling:
             "concentration": {"model": CNN, "layers": ["conv1"], "mask": {"bbox": {"x": 0, "y": 0, "w": 4, "h": 4}}},
             "coherency": {"model": CNN, "coherency": {"layer": "conv1"}},
             "damage": {"model": RESNET, "train": {"epochs": 1}, "damage": {"positions": [1]}, "layers": ["block1"]},
-            "sweep": {"sweep": {"checkpoints": ["@ckpt/a", "@ckpt/b"]}, "layers": ["conv1"]},
-            "report": {"report": {"models": [{"id": "a", "checkpoint": "@ckpt/a"}]}, "layers": ["conv1"]},
+            "report": {"report": {"models": [{"id": "a", "checkpoint": "@ckpt/a"}, {"checkpoint": "@ckpt/b"}]}, "layers": ["conv1"]},
         }[verb]
         root = workspace["root"]
         for epoch, name in enumerate("ab"):
@@ -1153,8 +1147,10 @@ class TestConfigHandling:
         code = run(verb, write_config(first, "run.json", config))
         assert code in (0, 2)
         before = written()
-        if verb == "report":  # the model is named after its checkpoint path as written
-            assert b"\nck," in before[Path("report.csv")]
+        if verb == "report":  # the model is named after its epoch, and no id is recorded
+            assert b"\nepoch_1," in before[Path("report.csv")]
+            resolved = json.loads(before[Path("resolved_config.json")])
+            assert resolved["report"]["models"] == [{"checkpoint": str(first / "ck")}]
         monkeypatch.chdir(other)
         assert run(verb, str(first / "out" / "resolved_config.json")) == code
         assert written() == before
@@ -1176,8 +1172,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "argv",
-        [["sid"], ["sid", "--config", "run.json", "--jobs", "two"], ["no-such-verb"]],
-        ids=["no-config", "jobs-not-int", "unknown-verb"],
+        [["sid"], ["sid", "--config", "run.json", "--jobs", "two"], ["no-such-verb"], ["sweep", "--config", "x.json"]],
+        ids=["no-config", "jobs-not-int", "unknown-verb", "removed-verb-sweep"],
     )
     def test_usage_error_is_config_error(self, capsys, argv):
         # argparse exited 2, the code of an unmet budget, with usage and message on two lines

@@ -434,16 +434,16 @@ class TestRescalePair:
     def test_refuses_residual_block_in_between(self):
         g = M.tiny_resnet(seed=5)
         with pytest.raises(M.RescaleError, match="block1"):
-            M.rescale_pair(g, "stem")
+            M.rescale_pair(g, "stem", 4.0)
 
     def test_refuses_last_layer(self):
         g = M.tiny_cnn()
         with pytest.raises(M.RescaleError, match="no linear successor"):
-            M.rescale_pair(g, "logits")
+            M.rescale_pair(g, "logits", 4.0)
 
     def test_refuses_non_linear_layer(self):
         with pytest.raises(M.RescaleError):
-            M.rescale_pair(M.tiny_cnn(), "relu1")
+            M.rescale_pair(M.tiny_cnn(), "relu1", 4.0)
 
 
 def _first_layer(graph: dict, **fields) -> dict:

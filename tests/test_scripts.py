@@ -10,12 +10,15 @@ demo's two runs are criterion 5's.
 """
 
 import re
+import runpy
+import sys
 
 import pytest
 
+from layerlens import cli
 from layerlens import data as D
 
-from conftest import load_script
+from conftest import SCRIPTS, load_script
 
 
 @pytest.mark.parametrize(
@@ -59,6 +62,17 @@ def test_coherency_demo_runs(capsys):
     assert len(out) == 2
     assert out[0].strip().startswith("normalized:") and out[0].endswith("PASS")
     assert out[1].strip().startswith("diagnostic (no normalization):")
+
+
+@pytest.mark.parametrize("code", [2, 0])
+def test_damage_demo_exits_with_the_cli_code(tmp_path, monkeypatch, capsys, code):
+    # the CLI is stubbed: criterion 8 runs the demo itself
+    monkeypatch.setattr(cli, "main", lambda argv: code)
+    monkeypatch.setattr(sys, "argv", ["run_damage_demo.py", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(SCRIPTS / "run_damage_demo.py"), run_name="__main__")
+    assert exit_.value.code == code
+    assert f"(exit {code})" in capsys.readouterr().out
 
 
 def test_make_synthetic_data_runs(tmp_path, capsys):

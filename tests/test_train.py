@@ -121,7 +121,7 @@ class TestCnnTraining:
     def test_batch_step_keeps_no_column_matrix(self, np_rng):
         # a conv record keeps its input and gathers the columns in its VJP,
         # so one decoder step traces 1.6 MiB; holding every conv's 3x3
-        # columns until the backward sweep instead takes 4.6 MiB
+        # columns until the backward pass instead takes 4.6 MiB
         decoder = R.make_decoder((8, 8, 8), (1, 8, 8), seed=0)
         xb, yb = np_rng.normal(size=(16, 8, 8, 8)), np_rng.normal(size=(16, 1, 8, 8))
         _batch_step(decoder, xb, yb, "mse")  # builds the cached gather indices
