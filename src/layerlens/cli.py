@@ -1,6 +1,7 @@
-"""Config-driven command line: train, sid, ru, concentration, coherency,
-damage, report. `report` is the one grid over saved checkpoints, such as
-one network's at several epochs of its training.
+"""Config-driven command line: train, sid, ru, coherency, damage, report.
+`report` is the one grid over saved checkpoints, such as one network's at
+several epochs of its training, and scores concentration under an optional
+mask.
 
 Anything structural lives in a JSON config; flags only override scalars.
 `main` folds --seed, --out and --alpha into the config once and makes its
@@ -184,6 +185,9 @@ class Run:
     def load_model(self) -> tuple[M.ModelGraph, dict]:
         section = self.config.get("model", {})
         if "checkpoint" in section:
+            ignored = sorted(f"model.{k}" for k in section.keys() - {"checkpoint"})
+            if ignored:
+                raise ConfigError(f"model.checkpoint holds the whole model; drop {ignored}")
             return self.load_checkpoint(_field(section["checkpoint"], "model.checkpoint", "str"))
         if "architecture" not in section:
             raise ConfigError("model needs either a checkpoint or an architecture name")
@@ -323,7 +327,9 @@ def cmd_estimate(run: Run) -> bool:
     return all(ok for _, _, ok in results)
 
 
-def _load_mask(section: dict, spatial_shape: tuple) -> REP.Mask:
+def _load_mask(section: dict, image_shape: tuple) -> REP.Mask:
+    """The mask over an image's (H, W), or over its whole shape when it is not C x H x W."""
+    spatial_shape = image_shape[-2:] if len(image_shape) == 3 else image_shape
     if "pgm" in section:
         mask = REP.Mask.from_pgm(_field(section["pgm"], "mask.pgm", "str"))
     elif "bbox" in section:
@@ -342,20 +348,6 @@ def _load_mask(section: dict, spatial_shape: tuple) -> REP.Mask:
         return mask.validate()
     except REP.MaskError as err:
         raise ConfigError(f"mask: {err}") from err
-
-
-def cmd_concentration(run: Run) -> bool:
-    model, _ = run.load_model()
-    layers = run.layers(model)
-    picks = run.inputs()
-    cfg = run.estimator_config()
-    spatial = model.input_shape[-2:] if len(model.input_shape) == 3 else model.input_shape
-    mask = _load_mask(run.config.get("mask", {}), spatial)
-    run.write_resolved()
-    rep = run.grid([("model", model)], layers, picks, cfg, mask=mask)
-    for r in rep.records:
-        print(f"{r.layer}: concentration={r.concentration}")
-    return rep.conformant
 
 
 def cmd_coherency(run: Run) -> bool:
@@ -395,7 +387,7 @@ def cmd_damage(run: Run) -> bool:
     if not _is_int(n_filters) or n_filters < 1:
         raise ConfigError(f"damage.n_filters must be a positive integer, got {n_filters!r}")
     base, _ = run.load_model()
-    if run.config.get("layers") in (None, "all"):
+    if "layers" not in run.config:
         layers = [s.name for s in base.layers if s.kind == "residual_block"]
         if not layers:
             raise ConfigError("model has no residual blocks; give layers explicitly")
@@ -446,9 +438,10 @@ def _is_report_model(entry) -> bool:
 
 
 def cmd_report(run: Run) -> bool:
-    """The layerwise grid over saved checkpoints. A model without an id is
-    named epoch_<n> after the epoch in its checkpoint's metadata, else after
-    the checkpoint's directory. Each model must get a name of its own."""
+    """The layerwise grid over saved checkpoints, with each cell's
+    concentration when a mask is given. A model without an id is named
+    epoch_<n> after the epoch in its checkpoint's metadata, else after the
+    checkpoint's directory. Each model must get a name of its own."""
     entries = run.config.get("report", {}).get("models", [])
     if not entries:
         raise ConfigError("report.models lists no models")
@@ -465,8 +458,9 @@ def cmd_report(run: Run) -> bool:
         models.append((entry.get("id") or f"epoch_{meta.get('epoch', Path(entry['checkpoint']).name)}", graph))
     _distinct([mid for mid, _ in models], 'report.models: model name (add an "id" to tell models apart)')
     layers = run.layers(models[0][1])
+    mask = _load_mask(run.config["mask"], run.images.shape[1:]) if "mask" in run.config else None
     run.write_resolved()
-    rep = run.grid(models, layers, picks, cfg)
+    rep = run.grid(models, layers, picks, cfg, mask=mask)
     print(f"report: {len(models)} models x {len(layers)} layers done")
     return rep.conformant
 
@@ -476,10 +470,9 @@ _VERBS = {
     "train": (cmd_train, {"model", "train"}),
     "sid": (cmd_estimate, {"model", "estimator", "layers", "inputs"}),
     "ru": (cmd_estimate, {"model", "estimator", "decoder", "layers", "inputs"}),
-    "concentration": (cmd_concentration, {"model", "estimator", "layers", "inputs", "mask"}),
     "coherency": (cmd_coherency, {"model", "estimator", "coherency", "inputs"}),
     "damage": (cmd_damage, {"model", "estimator", "train", "damage", "layers", "inputs"}),
-    "report": (cmd_report, {"estimator", "report", "layers", "inputs"}),
+    "report": (cmd_report, {"estimator", "report", "layers", "inputs", "mask"}),
 }
 
 

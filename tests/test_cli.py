@@ -28,6 +28,11 @@ def estimator_patch(**fields) -> dict:
     return {"layers": ["conv1"], "estimator": dict(TINY_ESTIMATOR, **fields)}
 
 
+def masked_report(mask: dict) -> dict:
+    """A one-layer report config patch over the checkpoint @ckpt/a, with `mask`."""
+    return {"report": {"models": [{"id": "model", "checkpoint": "@ckpt/a"}]}, "layers": ["conv1"], "mask": mask}
+
+
 @pytest.fixture
 def workspace(tmp_path):
     """LLTN dataset + ready-to-edit config skeleton."""
@@ -334,32 +339,6 @@ class TestRuVerb:
         assert not (root / "o").exists()
 
 
-class TestConcentrationVerb:
-    def test_bbox_mask_csv(self, workspace):
-        root = workspace["root"]
-        cfg = write_config(
-            root,
-            "conc.json",
-            {
-                "dataset": workspace["dataset"],
-                "model": {"architecture": "tiny-cnn", "input_shape": [1, 8, 8], "classes": 4},
-                "estimator": dict(TINY_ESTIMATOR),
-                "layers": ["conv2"],
-                "inputs": [0, 1],
-                "mask": {"bbox": {"x": 0, "y": 0, "w": 4, "h": 4}},
-                "outputs": str(root / "conc_out"),
-                "seed": 2,
-            },
-        )
-        assert run("concentration", cfg) == 0
-        from layerlens.report import parse_csv
-
-        rep = parse_csv(root / "conc_out" / "concentration.csv")
-        assert len(rep.records) == 1
-        assert rep.records[0].concentration is not None
-        assert rep.records[0].input_set == "inputs[2]"
-
-
 class TestCoherencyVerb:
     def _config(self, workspace, diagnostic: bool, out: str):
         root = workspace["root"]
@@ -475,6 +454,34 @@ class TestDamageVerb:
         assert deltas["damaged@1"]["block2"] is None
         assert isinstance(deltas["damaged@1"]["block1"], float)
 
+
+    def test_all_layers_is_every_layer(self, workspace, monkeypatch):
+        # "all" was read as the residual blocks, which only an absent layers
+        # means. Every cell fails at once: NaN rows, and no estimate runs
+        from layerlens import report
+        from layerlens.sid import DegenerateLayerError
+
+        seen = []
+
+        def record(m, layer, inputs, cfg):
+            seen.append(layer)
+            raise DegenerateLayerError(f"{layer}: not estimated")
+
+        monkeypatch.setattr(report, "_estimate_cell", record)
+        root = workspace["root"]
+        config = {
+            "dataset": workspace["dataset"],
+            "model": RESNET,
+            "estimator": dict(TINY_ESTIMATOR),
+            "train": {"epochs": 1, "learning_rate": 0.02},
+            "damage": {"positions": [1]},
+            "layers": "all",
+            "inputs": [0],
+            "outputs": str(root / "damage_all"),
+        }
+        assert run("damage", write_config(root, "damage_all.json", config)) == 2
+        layers = M.tiny_resnet((1, 8, 8), 4).layer_names()
+        assert len(layers) == 7 and sorted(seen) == sorted(layers * 2)
 
     def test_worker_processes_write_identical_files(self, workspace):
         config = {
@@ -606,6 +613,32 @@ class TestReportVerb:
         assert run("report", cfg) == 3
         assert "report.models lists no models" in capsys.readouterr().err
 
+    def test_bbox_mask_csv(self, workspace):
+        root = workspace["root"]
+        M.save_checkpoint(M.tiny_cnn((1, 8, 8), 4, seed=2), root / "ck")
+        cfg = write_config(
+            root,
+            "conc.json",
+            {
+                "dataset": workspace["dataset"],
+                "estimator": dict(TINY_ESTIMATOR),
+                "report": {"models": [{"id": "model", "checkpoint": str(root / "ck")}]},
+                "layers": ["conv2"],
+                "inputs": [0, 1],
+                "mask": {"bbox": {"x": 0, "y": 0, "w": 4, "h": 4}},
+                "outputs": str(root / "conc_out"),
+                "seed": 2,
+            },
+        )
+        assert run("report", cfg) == 0
+        from layerlens.report import parse_csv
+
+        rep = parse_csv(root / "conc_out" / "report.csv")
+        assert len(rep.records) == 1
+        assert rep.records[0].model == "model"
+        assert rep.records[0].concentration is not None
+        assert rep.records[0].input_set == "inputs[2]"
+
     @pytest.mark.parametrize("entry", [{"id": "a"}, "just-a-path"])
     def test_entry_without_checkpoint_is_config_error(self, workspace, capsys, entry):
         root = workspace["root"]
@@ -674,7 +707,7 @@ class TestConfigHandling:
             ("estimator", "sid"),
             ("train", "train"),
             ("decoder", "ru"),
-            ("mask", "concentration"),
+            ("mask", "report"),
             ("coherency", "coherency"),
             ("damage", "damage"),
             ("report", "report"),
@@ -695,8 +728,8 @@ class TestConfigHandling:
             # no config key sets the rescale factor: coherency rescales by 4
             ("coherency", {"coherency": {"layer": "conv1", "factor": 4.0}}, "coherency.factor"),
             ("coherency", {"coherency": {"layer": "conv1", "factor": -2}}, "coherency.factor"),
-            ("concentration", {"layers": ["conv1"], "mask": {"bbox": {"x": 1}}}, "mask.bbox"),
-            ("concentration", {"layers": ["conv1"], "mask": {"bbox": {"x": 0, "y": 0, "w": 0, "h": 4}}}, "mask"),
+            ("report", masked_report({"bbox": {"x": 1}}), "mask.bbox"),
+            ("report", masked_report({"bbox": {"x": 0, "y": 0, "w": 0, "h": 4}}), "mask"),
             ("damage", {"model": RESNET, "damage": {"positions": ["x"]}}, "damage.positions"),
             ("damage", {"model": RESNET, "damage": {"n_filters": 0}}, "damage.n_filters"),
             ("sid", {"layers": ["conv1"], "model": dict(CNN, input_shape=[3, 8, 8])}, "input_shape"),
@@ -704,7 +737,7 @@ class TestConfigHandling:
             ("damage", {"model": RESNET, "train": {"batch_size": 2.5}}, "batch_size"),
             ("damage", {"model": RESNET, "train": {"epochs": True}}, "epochs"),
             ("ru", {"layers": ["conv1"], "decoder": {"epochs": 2.5}}, "epochs"),
-            ("concentration", {"layers": ["conv1"], "mask": {"pgm": 5}}, "mask.pgm"),
+            ("report", masked_report({"pgm": 5}), "mask.pgm"),
             ("sid", estimator_patch(alpha=float("nan")), "alpha"),
             ("sid", estimator_patch(alpha=float("inf")), "alpha"),
             ("sid", estimator_patch(tau=float("inf")), "tau"),
@@ -740,7 +773,7 @@ class TestConfigHandling:
             ("report", {"report": {"models": [{"checkpoint": "@ckpt/a"}, {"checkpoint": "@ckpt/b"}]}}, 'report.models: model name (add an "id" to tell models apart) repeats [\'epoch_1\']'),
             ("report", {"report": {"models": [{"id": "m", "checkpoint": "@ckpt/a"}, {"id": "m", "checkpoint": "@ckpt/b"}]}}, "report.models"),
             ("report", {"report": {"models": [{"checkpoint": "@ckpt/a"}, {"checkpoint": "@ckpt/a"}]}}, "report.models"),
-            ("concentration", {"layers": ["conv1"], "mask": {"bbox": {"x": 6, "y": 6, "w": 4, "h": 4}}}, "mask.bbox"),
+            ("report", masked_report({"bbox": {"x": 6, "y": 6, "w": 4, "h": 4}}), "mask.bbox"),
             ("report", {"report": {"models": [{"id": None, "checkpoint": "@ckpt/a"}]}}, "report.models"),
             ("report", {"report": {"models": [{"idd": "x", "checkpoint": "@ckpt/a"}]}}, "report.models"),
             ("report", {"report": {"models": [{"id": 5, "checkpoint": "@ckpt/a"}]}}, "report.models"),
@@ -891,15 +924,16 @@ class TestConfigHandling:
     def test_malformed_mask_pgm_is_io_error(self, workspace, capsys, raw):
         root = workspace["root"]
         (root / "mask.pgm").write_bytes(raw)
+        M.save_checkpoint(M.tiny_cnn((1, 8, 8), 4, seed=1), root / "ck")
         config = {
             "dataset": workspace["dataset"],
-            "model": CNN,
+            "report": {"models": [{"id": "model", "checkpoint": str(root / "ck")}]},
             "estimator": dict(TINY_ESTIMATOR),
             "layers": ["conv1"],
             "mask": {"pgm": str(root / "mask.pgm")},
             "outputs": str(root / "o"),
         }
-        assert run("concentration", write_config(root, "bad_pgm.json", config)) == 4
+        assert run("report", write_config(root, "bad_pgm.json", config)) == 4
         assert "mask.pgm" in capsys.readouterr().err
 
     def test_mask_shape_mismatch_is_config_error(self, workspace, capsys):
@@ -907,15 +941,16 @@ class TestConfigHandling:
 
         root = workspace["root"]
         write_pgm(root / "small.pgm", np.full((4, 4), 255, dtype=np.uint8))
+        M.save_checkpoint(M.tiny_cnn((1, 8, 8), 4, seed=1), root / "ck")
         config = {
             "dataset": workspace["dataset"],
-            "model": CNN,
+            "report": {"models": [{"id": "model", "checkpoint": str(root / "ck")}]},
             "estimator": dict(TINY_ESTIMATOR),
             "layers": ["conv1"],
             "mask": {"pgm": str(root / "small.pgm")},
             "outputs": str(root / "o"),
         }
-        assert run("concentration", write_config(root, "pgm_mask.json", config)) == 3
+        assert run("report", write_config(root, "pgm_mask.json", config)) == 3
         assert "mask shape" in capsys.readouterr().err
 
     def test_bbox_mask_on_a_flat_input_is_config_error(self, workspace, capsys):
@@ -924,13 +959,13 @@ class TestConfigHandling:
         M.save_checkpoint(M.build([M.dense("fc", 3)], (4,), seed=0), root / "flat_ck")
         config = {
             "dataset": {"format": "lltn", "images": str(ip), "labels": str(lp)},
-            "model": {"checkpoint": str(root / "flat_ck")},
+            "report": {"models": [{"id": "model", "checkpoint": str(root / "flat_ck")}]},
             "estimator": dict(TINY_ESTIMATOR),
             "layers": ["fc"],
             "mask": {"bbox": {"x": 0, "y": 0, "w": 1, "h": 1}},
             "outputs": str(root / "o"),
         }
-        assert run("concentration", write_config(root, "flat_mask.json", config)) == 3
+        assert run("report", write_config(root, "flat_mask.json", config)) == 3
         assert "mask.bbox" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -1078,10 +1113,13 @@ class TestConfigHandling:
             "train": {"model": CNN, "train": {"epochs": 1}},
             "sid": {"model": CNN, "layers": ["conv1"]},
             "ru": {"model": CNN, "layers": ["conv1"], "decoder": {"epochs": 1}},
-            "concentration": {"model": CNN, "layers": ["conv1"], "mask": {"bbox": {"x": 0, "y": 0, "w": 4, "h": 4}}},
             "coherency": {"model": CNN, "coherency": {"layer": "conv1"}},
             "damage": {"model": RESNET, "train": {"epochs": 1}, "damage": {"positions": [1]}, "layers": ["block1"]},
-            "report": {"report": {"models": [{"id": "a", "checkpoint": "@ckpt/a"}, {"checkpoint": "@ckpt/b"}]}, "layers": ["conv1"]},
+            "report": {
+                "report": {"models": [{"id": "a", "checkpoint": "@ckpt/a"}, {"checkpoint": "@ckpt/b"}]},
+                "layers": ["conv1"],
+                "mask": {"bbox": {"x": 0, "y": 0, "w": 4, "h": 4}},
+            },
         }[verb]
         root = workspace["root"]
         for epoch, name in enumerate("ab"):
@@ -1172,8 +1210,14 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "argv",
-        [["sid"], ["sid", "--config", "run.json", "--jobs", "two"], ["no-such-verb"], ["sweep", "--config", "x.json"]],
-        ids=["no-config", "jobs-not-int", "unknown-verb", "removed-verb-sweep"],
+        [
+            ["sid"],
+            ["sid", "--config", "run.json", "--jobs", "two"],
+            ["no-such-verb"],
+            ["sweep", "--config", "x.json"],
+            ["concentration", "--config", "x.json"],
+        ],
+        ids=["no-config", "jobs-not-int", "unknown-verb", "removed-verb-sweep", "removed-verb-concentration"],
     )
     def test_usage_error_is_config_error(self, capsys, argv):
         # argparse exited 2, the code of an unmet budget, with usage and message on two lines
@@ -1199,6 +1243,18 @@ class TestConfigHandling:
         assert run("sid", path, *extra) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1 and key in err
+        assert not (root / "o").exists()
+
+    def test_checkpoint_with_architecture_keys_is_config_error(self, workspace, capsys):
+        # the checkpoint ran and resolved_config.json recorded the keys it ignored
+        root = workspace["root"]
+        M.save_checkpoint(M.tiny_cnn((1, 8, 8), 4, seed=1), root / "ck")
+        model = {"architecture": "tiny-resnet", "classes": 7, "checkpoint": str(root / "ck")}
+        config = {"dataset": workspace["dataset"], "model": model, "outputs": str(root / "o"), **estimator_patch()}
+        assert run("sid", write_config(root, "both.json", config)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "model.architecture" in err and "model.classes" in err
         assert not (root / "o").exists()
 
     def test_unknown_architecture_is_config_error(self, workspace):

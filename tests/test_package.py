@@ -2,12 +2,15 @@
 method defined under src/layerlens is named somewhere else in the program,
 that is in src/, scripts/ or perfbench/, not counting the re-exports in
 __init__.py. Code only the tests call belongs in the tests. README's Layout
-block names every module and script."""
+block names every module and script, and its Verbs: sentence every verb of
+the CLI."""
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+from layerlens import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM = ("src", "scripts", "perfbench")
@@ -44,3 +47,9 @@ def test_readme_layout_names_every_module_and_script():
     files = [p.name for p in sorted((ROOT / "src" / "layerlens").glob("*.py")) if p.name != "__init__.py"]
     files += [p.name for p in sorted((ROOT / "scripts").glob("*.py"))]
     assert [name for name in files if not re.search(rf"\b{re.escape(name)}\b", layout)] == []
+
+
+def test_readme_verbs_sentence_names_every_verb_in_order():
+    readme = (ROOT / "README.md").read_text()
+    sentence = readme.split("Verbs: ", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`([a-z]+)`", sentence) == list(cli._VERBS)
